@@ -52,6 +52,12 @@ def _require_same_vertices(*graphs: Graph) -> None:
         raise InputError("all graphs of an instance must share one vertex set")
 
 
+def _require_observer(g: Graph, c: frozenset, x: int) -> None:
+    g.require_vertex(x)
+    if x in c:
+        raise InputError("the observer must lie outside the subset")
+
+
 def outer_boundary(g_prime: Graph, c: frozenset) -> frozenset:
     """Vertices outside ``c`` with a ``g_prime``-neighbor inside it."""
     out = set()
@@ -68,9 +74,7 @@ def visible_boundary(g: Graph, g_prime: Graph, c: frozenset, x: int) -> frozense
     """Outer-boundary vertices reachable from ``x`` by a ``g``-path that
     avoids ``c``."""
     _require_same_vertices(g, g_prime)
-    g.require_vertex(x)
-    if x in c:
-        raise InputError("the observer must lie outside the subset")
+    _require_observer(g, c, x)
     return outer_boundary(g_prime, c) & component_of(g, x, c)
 
 
@@ -119,7 +123,8 @@ def full_report(g: Graph, g_prime: Graph, probe: Graph, c: frozenset,
     set inside ``probe``."""
     _require_same_vertices(g, g_prime, probe)
     boundary = outer_boundary(g_prime, c)
-    visible = visible_boundary(g, g_prime, c, x)
+    _require_observer(g, c, x)
+    visible = boundary & component_of(g, x, c)
     outer_visible = _outer_visible_from(g, c, x, visible)
     count, witness = _components_and_witness(probe, visible)
     return BoundaryReport(boundary, visible, outer_visible, count, witness)
@@ -137,9 +142,7 @@ def inner_boundary_variants(g: Graph, g_prime: Graph, c: frozenset,
     it equals the visible-inner set.  Connectivity is probed in ``g_prime``.
     """
     _require_same_vertices(g, g_prime)
-    g.require_vertex(x)
-    if x in c:
-        raise InputError("the observer must lie outside the subset")
+    _require_observer(g, c, x)
     for v in c:
         g.require_vertex(v)
     inner = frozenset(v for v in c

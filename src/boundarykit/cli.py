@@ -25,7 +25,7 @@ from .errors import InputError
 from .graphs import Graph, GraphPair, vertexset_from_json, vertexset_to_json
 from .harness import (MODES, THEOREMS, TrialConfig, enumerate_connected_subsets,
                       hypothesis_report, run_verification)
-from .lattice import (FLAVORS, BoxSpec, attach_apex, build_box,
+from .lattice import (FLAVORS, BoxSpec, attach_apex, box_shell, build_box,
                       margin_interior, parse_box_spec)
 
 
@@ -48,7 +48,7 @@ def _parse_vertex(g: Graph, text: str) -> int:
         data = json.loads(text)
     except json.JSONDecodeError:
         raise InputError(f"vertex {text!r} is neither an id nor a coordinate tuple") from None
-    if isinstance(data, int):
+    if isinstance(data, int) and not isinstance(data, bool):
         g.require_vertex(data)
         return data
     if isinstance(data, list):
@@ -82,6 +82,9 @@ def _cmd_boundary(args) -> int:
 
     c = vertexset_from_json(g, json.loads(args.set))
     if args.x == "apex":
+        if c & box_shell(g):
+            raise InputError("precondition: apex observers need the subset inside "
+                             "margin 2 (off the box surface)")
         g, g_prime, probe = attach_apex(g), attach_apex(g_prime), attach_apex(probe)
         x = g.vertex_count - 1
     else:

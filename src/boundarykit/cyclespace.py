@@ -28,7 +28,7 @@ from .graphs import (Graph, component_of, count_components, is_minimal_cutset,
 
 
 def _require_same_host(a: "EdgeVector", b: "EdgeVector") -> None:
-    if a.host is not b.host and a.host.fingerprint() != b.host.fingerprint():
+    if not a.host.same_as(b.host):
         raise InputError("edge vectors live in different host graphs")
 
 
@@ -67,7 +67,7 @@ class EdgeVector:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, EdgeVector) and self.bits == other.bits
-                and self.host.fingerprint() == other.host.fingerprint())
+                and self.host.same_as(other.host))
 
     def __hash__(self) -> int:
         return hash((self.host.fingerprint(), self.bits))
@@ -161,7 +161,7 @@ class CycleGen:
         self.host = host
         self.cycles = tuple(cycles)
         for i, c in enumerate(self.cycles):
-            if c.host is not host and c.host.fingerprint() != host.fingerprint():
+            if not c.host.same_as(host):
                 raise InputError(f"cycle {i} lives in a different host graph")
             if not c.is_cycle():
                 raise InputError(f"generator {i} is not a cycle")
@@ -201,9 +201,6 @@ class CycleGen:
                 combo ^= rc
         return None if t else combo
 
-    def fingerprint(self) -> int:
-        return hash((self.host.fingerprint(), tuple(c.bits for c in self.cycles)))
-
     def __repr__(self) -> str:
         return f"CycleGen({len(self.cycles)} cycles, rank {self.rank})"
 
@@ -241,7 +238,7 @@ def fundamental_basis(g: Graph) -> CycleGen:
 
 def is_generating(gen: CycleGen, g: Graph) -> bool:
     """Whether ``gen`` spans the full cycle space of ``g``."""
-    if gen.host is not g and gen.host.fingerprint() != g.fingerprint():
+    if not gen.host.same_as(g):
         raise InputError("generating set lives in a different graph")
     return gen.rank == cycle_space_rank(g)
 
@@ -264,7 +261,7 @@ def decompose(target: EdgeVector, gen: CycleGen) -> List[int]:
     (dependent generators always get coefficient 0).  The zero vector
     decomposes as the empty list.
     """
-    if gen.host is not target.host and gen.host.fingerprint() != target.host.fingerprint():
+    if not gen.host.same_as(target.host):
         raise InputError("target lives outside the generating set's host graph")
     if not target.is_even():
         raise InputError("target has odd-degree vertices, not a cycle-space element")

@@ -22,6 +22,11 @@ VertexSet = frozenset  # frozenset[int]
 Coord = tuple  # tuple[int, ...]
 
 
+def _is_id(v) -> bool:
+    """Whether ``v`` is an int usable as a vertex id; bools are not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class Graph:
     """Immutable simple undirected graph.
 
@@ -40,13 +45,16 @@ class Graph:
     def __init__(self, vertex_count: int,
                  edges: Iterable[Sequence[int]],
                  labels: Optional[Sequence[Coord]] = None):
-        if vertex_count < 0:
-            raise InputError(f"vertex_count must be nonnegative, got {vertex_count}")
+        if not _is_id(vertex_count) or vertex_count < 0:
+            raise InputError(f"vertex_count must be a nonnegative int, got {vertex_count!r}")
         self.vertex_count = vertex_count
 
         seen = set()
         normalized = []
         for pair in edges:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and _is_id(pair[0]) and _is_id(pair[1])):
+                raise InputError(f"an edge is a pair of vertex ids, got {pair!r}")
             u, v = pair
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise InputError(f"edge ({u}, {v}) has an endpoint outside 0..{vertex_count - 1}")
@@ -126,8 +134,15 @@ class Graph:
             raise InputError(f"no vertex labeled {key}") from None
 
     def fingerprint(self) -> int:
-        """Stable in-process identity for caching derived results."""
+        """Hash of the structure.  Equal graphs share it, but different
+        graphs may collide, so it is no identity; see ``same_as``."""
         return self._fp
+
+    def same_as(self, other: "Graph") -> bool:
+        """Whether ``other`` has the same vertices, edges and labels."""
+        return self is other or (self.vertex_count == other.vertex_count
+                                 and self.edges == other.edges
+                                 and self.labels == other.labels)
 
     def to_json(self) -> dict:
         out = {"vertices": self.vertex_count,
@@ -312,12 +327,14 @@ def vertexset_to_json(g: Graph, s: frozenset) -> list:
     return sorted(s)
 
 
-def vertexset_from_json(g: Graph, data: Iterable) -> frozenset:
-    """Parse a vertex set given as ids or, for labeled graphs, coordinate
-    tuples; the two forms may not be mixed."""
+def vertexset_from_json(g: Graph, data: list) -> frozenset:
+    """Parse a vertex set given as a list of ids or, for labeled graphs,
+    coordinate tuples."""
+    if not isinstance(data, list):
+        raise InputError(f"a vertex set is a list of ids or coordinate tuples, got {data!r}")
     ids = set()
     for item in data:
-        if isinstance(item, int):
+        if _is_id(item):
             g.require_vertex(item)
             ids.add(item)
         elif isinstance(item, (list, tuple)):

@@ -17,35 +17,34 @@ Observers default to the apex vertex (the far-away surrogate), in which
 case subsets must keep an L∞ margin of at least 2 from the box surface so
 the apex faithfully models the unbounded outside.
 
-Trials are pure functions of immutable graphs plus a per-trial seed string
-``"{seed}:{index}"``, so campaigns may fan out to worker threads (capped by
-the BOUNDARYKIT_THREADS environment variable) and still produce reports
-that are byte-identical to sequential runs.
+Campaigns run their trials in one sequential loop; every trial is a pure
+function of immutable graphs plus the seed string ``"{seed}:{index}"``, so
+the same config and seed give byte-identical reports.  The graphs,
+generators and premise verdict of a box are built once per process and
+shared by every campaign on that box.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from functools import lru_cache
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .boundary import full_report, outer_visible_boundary, report_to_json
 from .cyclespace import (CycleGen, EdgeVector, crossing_cycle_witness,
                          fundamental_basis, is_chordal_cycle, is_generating)
 from .errors import InputError
 from .graphs import (Graph, GraphPair, component_of, is_connected_in,
-                     is_minimal_cutset, vertexset_to_json)
-from .lattice import (ApexGraph, BoxSpec, build_box, build_box_pair,
+                     vertexset_to_json)
+from .lattice import (BoxSpec, build_box, build_box_pair,
                       extra_edge_patches, four_cycle_gen, margin_interior,
                       with_apex)
 
 THEOREMS = ("dp", "k", "lemma")
 MODES = ("exhaustive", "random")
 X_POLICIES = ("apex", "all-outside", "fixed")
-THREADS_ENV = "BOUNDARYKIT_THREADS"
 
 # Exhaustive enumeration is refused beyond this, to keep desk-scale runs
 # desk-scale: either few candidate vertices or small subsets.
@@ -148,22 +147,14 @@ def random_connected_graph(vertex_count: int, extra_edges: int, seed) -> Graph:
 
 # --- premise checkers ------------------------------------------------------
 
-_HYPOTHESES_CACHE: Dict[tuple, bool] = {}
-
-
 def check_dp_hypotheses(pair: GraphPair, gen: CycleGen) -> bool:
     """Premises of the visible-boundary connectivity statement: ``gen``
     spans the base graph's cycle space and every generator is chordal in
-    the augmentation.  Results are cached per (pair, gen) fingerprint."""
-    if gen.host is not pair.g and gen.host.fingerprint() != pair.g.fingerprint():
+    the augmentation."""
+    if not gen.host.same_as(pair.g):
         raise InputError("generators must live in the pair's base graph")
-    key = ("base", pair.g.fingerprint(), pair.g_plus.fingerprint(), gen.fingerprint())
-    cached = _HYPOTHESES_CACHE.get(key)
-    if cached is None:
-        cached = (is_generating(gen, pair.g)
-                  and all(is_chordal_cycle(o, pair.g_plus) for o in gen.cycles))
-        _HYPOTHESES_CACHE[key] = cached
-    return cached
+    return (is_generating(gen, pair.g)
+            and all(is_chordal_cycle(o, pair.g_plus) for o in gen.cycles))
 
 
 def check_k_hypotheses(pair: GraphPair, gen: CycleGen,
@@ -185,22 +176,11 @@ def check_k_hypotheses(pair: GraphPair, gen: CycleGen,
     if foreign:
         raise InputError(
             f"patch map keys must be augmentation-only edges; offenders e.g. {foreign[:3]}")
-    key = ("patched", pair.g.fingerprint(), pair.g_plus.fingerprint(),
-           gen.fingerprint(),
-           hash(tuple(sorted((e, vec.bits) for e, vec in patches.items()))))
-    cached = _HYPOTHESES_CACHE.get(key)
-    if cached is None:
-        cached = _check_k_uncached(pair, gen, patches, extra)
-        _HYPOTHESES_CACHE[key] = cached
-    return cached
-
-
-def _check_k_uncached(pair: GraphPair, gen: CycleGen, patches, extra) -> bool:
     if not check_dp_hypotheses(pair, gen):
         return False
     for e in extra:
         vec = patches[e]
-        if vec.host is not pair.g_plus and vec.host.fingerprint() != pair.g_plus.fingerprint():
+        if not vec.host.same_as(pair.g_plus):
             raise InputError("patch cycles must live in the augmentation graph")
         if not vec.is_cycle():
             return False
@@ -211,6 +191,57 @@ def _check_k_uncached(pair: GraphPair, gen: CycleGen, patches, extra) -> bool:
         if not is_chordal_cycle(vec, pair.g_plus):
             return False
     return True
+
+
+# --- the two boundary statements -------------------------------------------
+
+@dataclass(frozen=True)
+class _Theorem:
+    """How a boundary statement uses a plain box ``g`` and its augmentation
+    ``g_plus``; graph roles name an attribute of the pair."""
+
+    augmentation: str                 # default flavor of g_plus
+    override: str                     # TrialConfig field replacing it
+    connect_in: str                   # subsets must be connected in this graph
+    roles: Tuple[str, str, str]       # traversal, adjacency, probe
+    patched: bool                     # patch cycles are part of the premises
+
+
+_BOUNDARY_THEOREMS = {
+    "dp": _Theorem("plus", "probe", "g", ("g", "g", "g_plus"), patched=False),
+    "k": _Theorem("star", "g_prime", "g_plus", ("g", "g_plus", "g"), patched=True),
+}
+
+
+@dataclass(frozen=True)
+class _BoxSetting:
+    """Everything a dp/k campaign needs that depends only on the box."""
+
+    box: Graph                          # the plain box
+    apex: int                           # apex id in the role graphs
+    roles: Tuple[Graph, Graph, Graph]   # traversal, adjacency, probe; apexed
+    connect_host: Graph
+    premises_hold: bool
+    detail: dict                        # premise-report fields
+
+
+@lru_cache(maxsize=None)
+def _box_setting(theorem: str, box: BoxSpec, augmentation: str) -> _BoxSetting:
+    row = _BOUNDARY_THEOREMS[theorem]
+    base = BoxSpec(box.d, box.side, "plain")
+    gen = four_cycle_gen(base)
+    pair = build_box_pair(base, augmentation)
+    detail = {"generators": len(gen.cycles), "augmentation": augmentation}
+    if row.patched:
+        patches = extra_edge_patches(pair)
+        premises_hold = check_k_hypotheses(pair, gen, patches)
+        detail["patch_cycles"] = len(patches)
+    else:
+        premises_hold = check_dp_hypotheses(pair, gen)
+    apexed = with_apex(pair)
+    roles = tuple(getattr(apexed.pair, name) for name in row.roles)
+    return _BoxSetting(pair.g, apexed.apex, roles, getattr(pair, row.connect_in),
+                       premises_hold, detail)
 
 
 # --- campaign configuration ------------------------------------------------
@@ -269,25 +300,13 @@ class TrialConfig:
             raise InputError("the crossing-lemma campaign samples instances; use mode=random")
         if self.theorem != "lemma" and self.box.d < 2:
             raise InputError("boundary campaigns need d ≥ 2 (cycle space is trivial otherwise)")
-        if self.probe is not None and self.theorem != "dp":
-            raise InputError("probe overrides apply to dp campaigns only")
-        if self.g_prime is not None and self.theorem != "k":
-            raise InputError("g_prime overrides apply to k campaigns only")
+        for name, row in _BOUNDARY_THEOREMS.items():
+            if getattr(self, row.override) is not None and self.theorem != name:
+                raise InputError(f"{row.override} overrides apply to {name} campaigns only")
 
     def echo(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "box": str(self.box),
-            "mode": self.mode,
-            "max_size": self.max_size,
-            "trials": self.trials,
-            "seed": self.seed,
-            "margin": self.margin,
-            "x_policy": self.x_policy,
-            "x_vertex": self.x_vertex,
-            "probe": self.probe,
-            "g_prime": self.g_prime,
-        }
+        """The fields as a JSON-ready dict, the box as its spec string."""
+        return {**asdict(self), "box": str(self.box)}
 
 
 @dataclass
@@ -318,27 +337,6 @@ class VerifyReport:
         return out
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
-def _run_trials(worker, tasks: Sequence) -> List:
-    """Run independent trials, merging results in task order regardless of
-    worker count."""
-    workers = _worker_count()
-    if workers <= 1:
-        return [worker(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
-
-
 def _vertex_json(g: Graph, v: int):
     return list(g.labels[v]) if g.labels is not None else v
 
@@ -349,103 +347,88 @@ def _trial_seed(seed: int, index: int) -> str:
 
 # --- boundary campaigns (dp / k) -------------------------------------------
 
-def _boundary_setting(cfg: TrialConfig, skip_hypotheses: bool):
-    """Build graphs, generators, and premise verdicts for a dp/k campaign."""
-    base = BoxSpec(cfg.box.d, cfg.box.side, "plain")
-    gen = four_cycle_gen(base)
-    if cfg.theorem == "dp":
-        pair = build_box_pair(base, cfg.probe or "plus")
-        hyp_ok = check_dp_hypotheses(pair, gen)
-        connect_host = pair.g          # subsets must be plain-connected
-    else:
-        pair = build_box_pair(base, cfg.g_prime or "star")
-        hyp_ok = check_k_hypotheses(pair, gen, extra_edge_patches(pair))
-        connect_host = pair.g_plus     # subsets must be star-connected
-    if not hyp_ok and not skip_hypotheses:
-        raise InputError(
-            "theorem premises fail for this configuration; "
-            "pass skip_hypotheses (CLI: --skip-hypotheses) to run it as a negative control")
-    apexed = with_apex(pair)
-    if cfg.theorem == "dp":
-        graphs = (apexed.pair.g, apexed.pair.g, apexed.pair.g_plus)
-    else:
-        graphs = (apexed.pair.g, apexed.pair.g_plus, apexed.pair.g)
-    return pair, apexed, graphs, connect_host
-
-
-def _observers(cfg: TrialConfig, apexed: ApexGraph, c: frozenset) -> List[int]:
+def _observers(cfg: TrialConfig, apex: int, c: frozenset) -> List[int]:
     if cfg.x_policy == "apex":
-        return [apexed.apex]
+        return [apex]
     if cfg.x_policy == "fixed":
         x = cfg.x_vertex
-        if not 0 <= x <= apexed.apex:
+        if not 0 <= x <= apex:
             raise InputError(f"x_vertex {x} outside the apexed graph")
         return [x] if x not in c else []
-    return [apexed.apex] + [v for v in range(apexed.apex) if v not in c]
+    return [apex] + [v for v in range(apex) if v not in c]
 
 
-def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
-                           fixed_c: Optional[frozenset]):
-    pair, apexed, (g_t, gp_t, probe_t), connect_host = _boundary_setting(cfg, skip_hypotheses)
-    allowed = margin_interior(pair.g, cfg.margin)
-
-    def run_one(task):
-        index, seed_str, c, x = task
-        rep = full_report(g_t, gp_t, probe_t, c, x)
-        if rep.component_count == 1:
-            return None
-        return {
-            "trial": index,
-            "seed": seed_str,
-            "kind": "disconnected-visible-boundary",
-            "c": vertexset_to_json(pair.g, c),
-            "x": "apex" if x == apexed.apex else _vertex_json(pair.g, x),
-            "report": report_to_json(rep, g_t),
-        }
-
-    tasks = []
-    trial_seeds: List[str] = []
+def _boundary_instances(cfg: TrialConfig, setting: _BoxSetting,
+                        fixed_c: Optional[frozenset]) -> Iterator[tuple]:
+    """Yield ``(seed string or None, subset, observer)`` for every instance
+    of a dp/k campaign, in trial order."""
+    allowed = margin_interior(setting.box, cfg.margin)
+    host, apex = setting.connect_host, setting.apex
     if fixed_c is not None:
         c = frozenset(fixed_c)
         for v in c:
-            pair.g.require_vertex(v)
-        if not is_connected_in(connect_host, c):
+            setting.box.require_vertex(v)
+        if not is_connected_in(host, c):
             raise InputError(
                 "precondition: the supplied subset is not connected in the graph "
                 "the theorem requires (dp: plain box, k: the adjacency graph)")
         if cfg.x_policy == "apex" and not c <= allowed:
             raise InputError(
                 f"precondition: apex observers need the subset inside margin {cfg.margin}")
-        for x in _observers(cfg, apexed, c):
-            tasks.append((len(tasks), None, c, x))
+        for x in _observers(cfg, apex, c):
+            yield None, c, x
     elif cfg.mode == "exhaustive":
-        for c in enumerate_connected_subsets(connect_host, cfg.max_size, allowed=allowed):
-            for x in _observers(cfg, apexed, c):
-                tasks.append((len(tasks), None, c, x))
+        for c in enumerate_connected_subsets(host, cfg.max_size, allowed=allowed):
+            for x in _observers(cfg, apex, c):
+                yield None, c, x
     else:
         size_cap = min(cfg.max_size, len(allowed))
         if size_cap < 1:
             raise InputError(f"margin {cfg.margin} leaves no room for subsets in {cfg.box}")
         for i in range(cfg.trials):
             seed_str = _trial_seed(cfg.seed, i)
-            trial_seeds.append(seed_str)
             rng = random.Random(seed_str)
             size = rng.randint(1, size_cap)
-            xs = None
             for attempt in range(64):
-                c = sample_connected_subset(connect_host, size,
-                                            seed=f"{seed_str}/c{attempt}",
+                c = sample_connected_subset(host, size, seed=f"{seed_str}/c{attempt}",
                                             allowed=allowed)
-                xs = _observers(cfg, apexed, c)
+                xs = _observers(cfg, apex, c)
                 if xs:
                     break
-            if not xs:
+            else:
                 raise InputError("could not sample a subset compatible with the observer policy")
             x = xs[0] if len(xs) == 1 else sorted(xs)[rng.randrange(len(xs))]
-            tasks.append((i, seed_str, c, x))
+            yield seed_str, c, x
 
-    failures = [f for f in _run_trials(run_one, tasks) if f is not None]
-    return len(tasks), failures, trial_seeds
+
+def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
+                           fixed_c: Optional[frozenset]):
+    row = _BOUNDARY_THEOREMS[cfg.theorem]
+    setting = _box_setting(cfg.theorem, cfg.box,
+                           getattr(cfg, row.override) or row.augmentation)
+    if not setting.premises_hold and not skip_hypotheses:
+        raise InputError(
+            "theorem premises fail for this configuration; "
+            "pass skip_hypotheses (CLI: --skip-hypotheses) to run it as a negative control")
+    g_t, gp_t, probe_t = setting.roles
+    trials_run = 0
+    failures: List[dict] = []
+    trial_seeds: List[str] = []
+    for seed_str, c, x in _boundary_instances(cfg, setting, fixed_c):
+        rep = full_report(g_t, gp_t, probe_t, c, x)
+        if rep.component_count != 1:
+            failures.append({
+                "trial": trials_run,
+                "seed": seed_str,
+                "kind": "disconnected-visible-boundary",
+                "c": vertexset_to_json(setting.box, c),
+                "x": "apex" if x == setting.apex else _vertex_json(setting.box, x),
+                "report": report_to_json(rep, g_t),
+            })
+        if seed_str is not None:
+            trial_seeds.append(seed_str)
+        trials_run += 1
+    return trials_run, failures, trial_seeds
 
 
 # --- crossing-lemma campaign ------------------------------------------------
@@ -468,69 +451,73 @@ def _crossing_postconditions(g: Graph, o: EdgeVector, s1: frozenset,
     return problems
 
 
+@lru_cache(maxsize=None)
+def _lemma_box(box: BoxSpec):
+    """The plain box of a crossing campaign, its generating set, and
+    whether that set spans the box's cycle space."""
+    base = BoxSpec(box.d, box.side, "plain")
+    g = build_box(base)
+    gen = four_cycle_gen(base) if box.d >= 2 else fundamental_basis(g)
+    return g, gen, is_generating(gen, g)
+
+
 def _run_crossing_campaign(cfg: TrialConfig, skip_hypotheses: bool,
                            fixed_c: Optional[frozenset]):
     if fixed_c is not None:
         raise InputError("crossing-lemma campaigns sample their own instances")
-    base = BoxSpec(cfg.box.d, cfg.box.side, "plain")
-    box = build_box(base)
-    box_gen = four_cycle_gen(base) if cfg.box.d >= 2 else fundamental_basis(box)
-    if not skip_hypotheses and not is_generating(box_gen, box):
+    box, box_gen, generating = _lemma_box(cfg.box)
+    if not skip_hypotheses and not generating:
         raise InputError("the box generating set does not span its cycle space")
-
     trial_seeds = [_trial_seed(cfg.seed, i) for i in range(cfg.trials)]
+    failures = []
+    for index, seed_str in enumerate(trial_seeds):
+        failure = _crossing_trial(index, seed_str, box, box_gen, cfg.max_size)
+        if failure is not None:
+            failures.append(failure)
+    return cfg.trials, failures, trial_seeds
 
-    def run_one(index: int):
-        seed_str = trial_seeds[index]
-        rng = random.Random(seed_str)
-        # Alternate hosts: even trials exercise the configured box with its
-        # unit-face generators, odd trials a seeded random connected graph
-        # with a spanning-tree basis.
-        for round_ in range(8):
-            if index % 2 == 0 and round_ == 0:
-                g, gen = box, box_gen
-            else:
-                nv = rng.randint(8, 16)
-                g = random_connected_graph(nv, rng.randint(max(2, nv // 4), nv),
-                                           seed=f"{seed_str}/g{round_}")
-                gen = fundamental_basis(g)
-            instance = _sample_crossing_instance(g, rng, cfg.max_size, seed_str, round_)
-            if instance is None:
-                continue
-            c, x, y, s, s1, s2 = instance
-            if not is_minimal_cutset(g, s, x, frozenset({y})):
-                return {"trial": index, "seed": seed_str,
-                        "kind": "cutset-not-minimal",
-                        "c": vertexset_to_json(g, c),
-                        "x": _vertex_json(g, x), "y": _vertex_json(g, y),
-                        "s": vertexset_to_json(g, s)}
-            try:
-                o = crossing_cycle_witness(g, gen, s1, s2, x, y)
-            except Exception as exc:
-                return {"trial": index, "seed": seed_str,
-                        "kind": "witness-error", "error": str(exc),
-                        "c": vertexset_to_json(g, c),
-                        "x": _vertex_json(g, x), "y": _vertex_json(g, y),
-                        "s1": vertexset_to_json(g, s1),
-                        "s2": vertexset_to_json(g, s2)}
+
+def _crossing_trial(index: int, seed_str: str, box: Graph, box_gen: CycleGen,
+                    max_size: int) -> Optional[dict]:
+    """One crossing trial: its failure record, or None when it passes."""
+    rng = random.Random(seed_str)
+    # Alternate hosts: even trials exercise the configured box with its
+    # unit-face generators, odd trials a seeded random connected graph
+    # with a spanning-tree basis.
+    for round_ in range(8):
+        if index % 2 == 0 and round_ == 0:
+            g, gen = box, box_gen
+        else:
+            nv = rng.randint(8, 16)
+            g = random_connected_graph(nv, rng.randint(max(2, nv // 4), nv),
+                                       seed=f"{seed_str}/g{round_}")
+            gen = fundamental_basis(g)
+        instance = _sample_crossing_instance(g, rng, max_size, seed_str, round_)
+        if instance is None:
+            continue
+        c, x, y, s, s1, s2 = instance
+        # The witness checks that s is a minimal cutset; a sampler that
+        # produced another kind of set shows up here as a witness error.
+        try:
+            o = crossing_cycle_witness(g, gen, s1, s2, x, y)
+        except Exception as exc:
+            failure = {"kind": "witness-error", "error": str(exc)}
+        else:
             problems = _crossing_postconditions(g, o, s1, s2, x, s)
             if not any(o.bits == member.bits for member in gen.cycles):
                 problems.append("witness is not a member of the generating set")
-            if problems:
-                return {"trial": index, "seed": seed_str,
-                        "kind": "postcondition-failure", "problems": problems,
-                        "witness": o.to_json(),
-                        "c": vertexset_to_json(g, c),
-                        "x": _vertex_json(g, x), "y": _vertex_json(g, y),
-                        "s1": vertexset_to_json(g, s1),
-                        "s2": vertexset_to_json(g, s2)}
-            return None
-        raise RuntimeError(
-            f"trial {index} ({seed_str}) could not sample a usable cutset instance; "
-            "the sampler or the configuration is off — refusing to skip silently")
-
-    failures = [f for f in _run_trials(run_one, range(cfg.trials)) if f is not None]
-    return cfg.trials, failures, trial_seeds
+            if not problems:
+                return None
+            failure = {"kind": "postcondition-failure", "problems": problems,
+                       "witness": o.to_json()}
+        return {"trial": index, "seed": seed_str,
+                "c": vertexset_to_json(g, c),
+                "x": _vertex_json(g, x), "y": _vertex_json(g, y),
+                "s1": vertexset_to_json(g, s1),
+                "s2": vertexset_to_json(g, s2), **failure}
+    raise RuntimeError(
+        f"trial {index} ({seed_str}) could not sample a usable cutset instance; "
+        "the sampler or the configuration is off — refusing to skip silently")
 
 
 def _sample_crossing_instance(g: Graph, rng: random.Random, max_size: int,
@@ -570,31 +557,21 @@ def run_verification(cfg: TrialConfig, skip_hypotheses: bool = False,
     ``fixed_c``, the campaign runs that single subset (ids of the box graph)
     against the configured observers instead of generating subsets."""
     start = time.perf_counter()
-    if cfg.theorem in ("dp", "k"):
-        trials_run, failures, trial_seeds = _run_boundary_campaign(
-            cfg, skip_hypotheses, fixed_c)
-    else:
-        trials_run, failures, trial_seeds = _run_crossing_campaign(
-            cfg, skip_hypotheses, fixed_c)
+    run = (_run_boundary_campaign if cfg.theorem in _BOUNDARY_THEOREMS
+           else _run_crossing_campaign)
+    trials_run, failures, trial_seeds = run(cfg, skip_hypotheses, fixed_c)
     return VerifyReport(cfg.echo(), trials_run, failures, trial_seeds,
                         time.perf_counter() - start)
 
 
 def hypothesis_report(theorem: str, box: BoxSpec, probe: Optional[str] = None,
                       g_prime: Optional[str] = None) -> dict:
-    """Premise verdict for a theorem on a box, as a JSON-ready dict."""
-    base = BoxSpec(box.d, box.side, "plain")
-    gen = four_cycle_gen(base)
-    if theorem == "dp":
-        pair = build_box_pair(base, probe or "plus")
-        ok = check_dp_hypotheses(pair, gen)
-        detail = {"generators": len(gen.cycles), "augmentation": probe or "plus"}
-    elif theorem == "k":
-        pair = build_box_pair(base, g_prime or "star")
-        patches = extra_edge_patches(pair)
-        ok = check_k_hypotheses(pair, gen, patches)
-        detail = {"generators": len(gen.cycles), "patch_cycles": len(patches),
-                  "augmentation": g_prime or "star"}
-    else:
+    """Premise verdict for a theorem on a box, as a JSON-ready dict;
+    ``probe`` overrides the dp augmentation, ``g_prime`` the k one."""
+    row = _BOUNDARY_THEOREMS.get(theorem)
+    if row is None:
         raise InputError("premise checks exist for the dp and k theorems")
-    return {"schema": 1, "theorem": theorem, "box": str(box), "pass": ok, **detail}
+    override = {"probe": probe, "g_prime": g_prime}[row.override]
+    setting = _box_setting(theorem, box, override or row.augmentation)
+    return {"schema": 1, "theorem": theorem, "box": str(box),
+            "pass": setting.premises_hold, **setting.detail}

@@ -132,6 +132,37 @@ def test_boundary_rejects_malformed_inputs(capsys):
     assert code == 2 and "outside" in err
 
 
+
+def test_boundary_non_list_set_exits_two(capsys):
+    code, out, err = run_cli(capsys, "boundary", "--box", "z2:5:plain",
+                             "--set", "5", "--x", "apex")
+    assert code == 2 and out == "" and err.startswith("error:") and "list" in err
+
+
+def test_boundary_pair_file_edge_must_be_a_pair(capsys, tmp_path):
+    pair = tmp_path / "pair.json"
+    pair.write_text('{"g": {"vertices": 3, "edges": [[0, 1, 2]]}}')
+    code, out, err = run_cli(capsys, "boundary", "--pair", str(pair),
+                             "--set", "[0]", "--x", "1")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "pair of vertex ids" in err
+
+
+@pytest.mark.parametrize("argv", [("--set", "[true]", "--x", "0"),
+                                  ("--set", "[[3,3]]", "--x", "true")],
+                         ids=["set", "observer"])
+def test_booleans_are_not_vertex_ids(capsys, argv):
+    code, out, err = run_cli(capsys, "boundary", "--box", "z2:5:plain", *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_boundary_apex_refuses_subsets_on_the_box_surface(capsys):
+    code, out, err = run_cli(capsys, "boundary", "--box", "z2:5:plain",
+                             "--set", "[[1,1]]", "--x", "apex")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "margin 2" in err
+
+
 # --- verify -----------------------------------------------------------------------
 
 def test_verify_dp_exhaustive_passes(capsys):

@@ -76,6 +76,17 @@ def test_addition_rejects_foreign_hosts():
         a + b
 
 
+def test_hosts_compare_by_structure_not_by_hash():
+    path = Graph(3, [(0, 1), (1, 2)])
+    star = Graph(3, [(0, 1), (0, 2)])
+    star._fp = path._fp                      # force a fingerprint collision
+    a, b = EdgeVector(path, 1), EdgeVector(star, 1)
+    assert a != b
+    with pytest.raises(InputError, match="host"):
+        a + b
+    assert a == EdgeVector(Graph(3, [(0, 1), (1, 2)]), 1)   # equal structure
+
+
 @settings(max_examples=50, deadline=None)
 @given(small_graphs(), st.data())
 def test_even_and_cycle_checks_match_degree_oracle(g, data):

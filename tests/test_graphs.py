@@ -45,6 +45,8 @@ def test_adjacency_is_sorted():
     ([(0, 1), (1, 0)], "duplicate"),
     ([(0, 5)], "outside"),
     ([(-1, 0)], "outside"),
+    ([(0, 1, 2)], "pair"),
+    ([(True, 2)], "pair"),
 ])
 def test_construction_rejects_malformed_edges(bad_edges, message):
     with pytest.raises(InputError, match=message):
@@ -182,6 +184,50 @@ def test_minimal_cutset_matches_brute_force(g, data):
     assert got == want
 
 
+# --- networkx as an independent oracle (test-only, skipped without it) ---------
+
+def _to_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.vertex_count))
+    h.add_edges_from(g.edges)
+    return nx, h
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs(), st.data())
+def test_set_components_match_networkx(g, data):
+    nx, h = _to_networkx(g)
+    s = frozenset(data.draw(st.sets(st.integers(0, g.vertex_count - 1))))
+    want = sorted((frozenset(c) for c in nx.connected_components(h.subgraph(s))),
+                  key=min)
+    assert set_components(g, s) == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_graphs(), st.data())
+def test_is_minimal_cutset_matches_networkx(g, data):
+    nx, h = _to_networkx(g)
+    pool = st.integers(0, g.vertex_count - 1)
+    x = data.draw(pool)
+    y = data.draw(pool.filter(lambda v: v != x))
+    if not h.has_edge(x, y) and data.draw(st.booleans()):
+        # A minimum cut is minimal; perturb it to reach the cases nearby.
+        s = set(nx.minimum_node_cut(h, x, y))
+        extra = data.draw(st.sets(pool.filter(lambda v: v not in (x, y)), max_size=1))
+        dropped = data.draw(st.sets(st.sampled_from(sorted(s)), max_size=1))
+        s = frozenset((s | extra) - dropped)
+    else:
+        s = frozenset(data.draw(st.sets(pool.filter(lambda v: v not in (x, y)),
+                                        max_size=4)))
+
+    def separates(cut):
+        return not nx.has_path(nx.restricted_view(h, cut, []), x, y)
+
+    want = separates(s) and not any(separates(s - {v}) for v in s)
+    assert is_minimal_cutset(g, s, x, frozenset({y})) == want
+
+
 # --- shortest paths -----------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -257,6 +303,10 @@ def test_vertexset_json_uses_coordinates_when_labeled():
         vertexset_from_json(bare, [[1, 1]])
     with pytest.raises(InputError):
         vertexset_from_json(bare, ["zero"])
+    with pytest.raises(InputError):
+        vertexset_from_json(bare, [True])
+    with pytest.raises(InputError, match="list"):
+        vertexset_from_json(bare, 0)
 
 
 def test_random_connected_graph_is_connected_and_deterministic():

@@ -1,7 +1,6 @@
 """Harness: enumeration, sampling, premise checks, campaigns, determinism."""
 
 import json
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,7 +177,9 @@ def test_hypothesis_report_shapes():
     assert rep == {"schema": 1, "theorem": "dp", "box": "z2:3:plain",
                    "pass": True, "generators": 4, "augmentation": "plus"}
     rep_k = hypothesis_report("k", BoxSpec(2, 3, "plain"))
-    assert rep_k["pass"] and rep_k["patch_cycles"] == 8
+    assert rep_k == {"schema": 1, "theorem": "k", "box": "z2:3:plain",
+                     "pass": True, "generators": 4, "patch_cycles": 8,
+                     "augmentation": "star"}
     rep_neg = hypothesis_report("dp", BoxSpec(2, 3, "plain"), probe="plain")
     assert not rep_neg["pass"]
     with pytest.raises(InputError):
@@ -250,17 +251,12 @@ def test_dp_random_mode_is_seed_deterministic():
     assert c["trial_seeds"] != a["trial_seeds"]
 
 
-def test_reports_identical_across_worker_counts():
+def test_lemma_reports_identical_across_runs():
     cfg = TrialConfig(theorem="lemma", box=BoxSpec(2, 5, "plain"),
                       mode="random", trials=30, seed=3)
-    os.environ.pop("BOUNDARYKIT_THREADS", None)
-    seq = run_verification(cfg).to_json(include_elapsed=False)
-    os.environ["BOUNDARYKIT_THREADS"] = "4"
-    try:
-        par = run_verification(cfg).to_json(include_elapsed=False)
-    finally:
-        del os.environ["BOUNDARYKIT_THREADS"]
-    assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
+    first = run_verification(cfg).to_json(include_elapsed=False)
+    second = run_verification(cfg).to_json(include_elapsed=False)
+    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
 def test_dp_negative_control_finds_the_center_vertex():
@@ -306,6 +302,25 @@ def test_lemma_campaign_passes_and_reports_seeds():
     assert rep.trial_seeds == [f"9:{i}" for i in range(60)]
 
 
+def test_lemma_non_minimal_cutset_is_a_witness_error(monkeypatch):
+    import boundarykit.harness as harness
+    box = build_box(BoxSpec(2, 5, "plain"))
+
+    def ids(*coords):
+        return frozenset(box.id_of_label(c) for c in coords)
+
+    # (2,2) is redundant: the four axis neighbours of (3,3) already cut it off
+    s1, s2 = ids((2, 2), (3, 2)), ids((2, 3), (4, 3), (3, 4))
+    instance = (ids((3, 3)), box.id_of_label((5, 5)), box.id_of_label((3, 3)),
+                s1 | s2, s1, s2)
+    monkeypatch.setattr(harness, "_sample_crossing_instance",
+                        lambda *args: instance)
+    rep = run_verification(TrialConfig(theorem="lemma", box=BoxSpec(2, 5, "plain"),
+                                       mode="random", trials=1))
+    assert [f["kind"] for f in rep.failures] == ["witness-error"]
+    assert "not a minimal cutset" in rep.failures[0]["error"]
+
+
 def test_lemma_campaign_rejects_fixed_subsets():
     cfg = TrialConfig(theorem="lemma", box=BoxSpec(2, 5, "plain"),
                       mode="random", trials=5)
@@ -329,12 +344,3 @@ def test_fixed_observer_policy():
     rep = run_verification(cfg)
     assert rep.passed and rep.trials_run > 0
 
-
-def test_worker_env_must_be_integer():
-    os.environ["BOUNDARYKIT_THREADS"] = "many"
-    try:
-        cfg = TrialConfig(theorem="dp", box=BoxSpec(2, 4, "plain"), max_size=2)
-        with pytest.raises(InputError, match="BOUNDARYKIT_THREADS"):
-            run_verification(cfg)
-    finally:
-        del os.environ["BOUNDARYKIT_THREADS"]
