@@ -37,8 +37,9 @@ def _load_pair_file(path: str) -> GraphPair:
         raise InputError(f"{path}: graph-pair files need a 'g' entry")
     g = Graph.from_json(data["g"])
     extra = data.get("extra_plus_edges", [])
-    g_plus = Graph(g.vertex_count, list(g.edges) + [tuple(e) for e in extra],
-                   labels=g.labels)
+    if not isinstance(extra, list):
+        raise InputError(f"{path}: 'extra_plus_edges' is a list of [u, v] pairs, got {extra!r}")
+    g_plus = Graph(g.vertex_count, list(g.edges) + extra, labels=g.labels)
     return GraphPair(g, g_plus)
 
 

@@ -3,11 +3,15 @@
 Vertices are ``0..vertex_count-1``; an edge is an unordered pair of distinct
 vertices and carries a dense edge id, assigned in lexicographic order of the
 sorted endpoint pairs.  Optional per-vertex labels attach a coordinate tuple
-(used by the lattice builders).  Graphs are immutable once constructed, so
-they are safe to share between concurrent workers; every operation in this
-module is a pure function.
+(used by the lattice builders).  Graphs are immutable once constructed,
+apart from a derived neighbourhood plan that the boundary operators build
+on first use and keep on the graph; every operation in this module is a
+pure function.
 
-Vertex sets are plain ``frozenset`` objects over vertex ids.
+Vertex sets are plain ``frozenset`` objects over vertex ids.  The boundary
+layer also handles them as int bitmasks (bit ``v`` set for vertex ``v``)
+through the private ``_NeighbourhoodPlan``, whose ``expand`` maps a mask to
+the mask of its neighbours with a few whole-int operations.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ class Graph:
     """
 
     __slots__ = ("vertex_count", "adjacency", "edges", "labels",
-                 "_edge_ids", "_label_ids", "_fp")
+                 "_edge_ids", "_label_ids", "_fp", "_plan")
 
     def __init__(self, vertex_count: int,
                  edges: Iterable[Sequence[int]],
@@ -76,6 +80,11 @@ class Graph:
         self.adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
         if labels is not None:
+            if not isinstance(labels, (list, tuple)):
+                raise InputError(f"labels are a list of coordinate tuples, got {labels!r}")
+            for lab in labels:
+                if not (isinstance(lab, (list, tuple)) and all(_is_id(c) for c in lab)):
+                    raise InputError(f"a label is a tuple of integer coordinates, got {lab!r}")
             labels = tuple(tuple(lab) for lab in labels)
             if len(labels) != vertex_count:
                 raise InputError(f"{len(labels)} labels for {vertex_count} vertices")
@@ -88,6 +97,7 @@ class Graph:
             self._label_ids = None
 
         self._fp = hash((self.vertex_count, self.edges, self.labels))
+        self._plan = None
 
     @property
     def edge_count(self) -> int:
@@ -158,6 +168,8 @@ class Graph:
             edges = data["edges"]
         except (TypeError, KeyError) as exc:
             raise InputError(f"graph JSON needs 'vertices' and 'edges': {exc}") from None
+        if not isinstance(edges, list):
+            raise InputError(f"graph JSON 'edges' is a list of [u, v] pairs, got {edges!r}")
         return cls(vertices, edges, labels=data.get("labels"))
 
     def __repr__(self) -> str:
@@ -180,6 +192,95 @@ class GraphPair:
         missing = [e for e in self.g.edges if not self.g_plus.has_edge(*e)]
         if missing:
             raise InputError(f"{len(missing)} edges of g missing from g_plus, e.g. {missing[0]}")
+
+
+class _NeighbourhoodPlan:
+    """A graph's edges as whole-int operations on vertex bitmasks.
+
+    Edges are grouped by their id difference ``δ = v − u``.  A difference
+    shared by two or more edges becomes a shift ``(δ, low)``, ``low`` the
+    mask of those edges' lower endpoints.  Every other edge joins the star
+    of whichever endpoint has more such edges (the smaller id on a tie).
+    On a lattice box the shifts are the axis and diagonal steps and the
+    apex is the one star, so a neighbourhood costs a few int operations
+    however many vertices the mask holds.  The plan is exact for every
+    graph; there is no lattice-only path.
+    """
+
+    __slots__ = ("vertex_count", "full", "shifts", "stars")
+
+    def __init__(self, g: Graph):
+        self.vertex_count = g.vertex_count
+        self.full = (1 << g.vertex_count) - 1
+        lows = {}
+        for u, v in g.edges:
+            lows.setdefault(v - u, []).append(u)
+        shifts, rest = [], []
+        degree = [0] * g.vertex_count        # counts the edges left for stars
+        for delta, us in sorted(lows.items()):
+            if len(us) > 1:
+                shifts.append((delta, self.mask(us)))
+            else:
+                u, v = us[0], us[0] + delta
+                rest.append((u, v))
+                degree[u] += 1
+                degree[v] += 1
+        stars = {}
+        for u, v in sorted(rest):
+            hub, leaf = (u, v) if degree[u] >= degree[v] else (v, u)
+            stars[hub] = stars.get(hub, 0) | 1 << leaf
+        self.shifts = tuple(shifts)
+        self.stars = tuple((1 << hub, leaves) for hub, leaves in sorted(stars.items()))
+
+    def mask(self, s) -> int:
+        """Bitmask of the vertex ids in ``s``, each range-checked."""
+        n = self.vertex_count
+        m = 0
+        for v in s:
+            if not 0 <= v < n:
+                raise InputError(f"vertex id {v} outside 0..{n - 1}")
+            m |= 1 << v
+        return m
+
+    def expand(self, m: int) -> int:
+        """Mask of the vertices with a neighbour in ``m``."""
+        out = 0
+        for delta, low in self.shifts:
+            out |= ((m & low) << delta) | ((m >> delta) & low)
+        for hub, leaves in self.stars:
+            if m & hub:
+                out |= leaves
+            if m & leaves:
+                out |= hub
+        return out
+
+    def flood(self, seed: int, allowed: int) -> int:
+        """Vertices of ``allowed`` joined to ``seed & allowed`` by a path
+        inside ``allowed``, grown one BFS level per step."""
+        seen = frontier = seed & allowed
+        rest = allowed ^ seen
+        while frontier:
+            frontier = self.expand(frontier) & rest
+            rest ^= frontier
+            seen |= frontier
+        return seen
+
+
+def _neighbourhood_plan(g: Graph) -> _NeighbourhoodPlan:
+    """``g``'s plan, built on first use and kept on ``g``."""
+    if g._plan is None:
+        g._plan = _NeighbourhoodPlan(g)
+    return g._plan
+
+
+def _members(m: int) -> frozenset:
+    """Vertex ids of the bits set in ``m``."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return frozenset(out)
 
 
 def _check_vertex_set(g: Graph, s: frozenset) -> None:

@@ -1,15 +1,19 @@
 """Boundary operators: spec'd instances, mirror variants, oracle equivalence."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundarykit import (BoundaryReport, BoxSpec, GraphPair, InputError,
+from boundarykit import (BoundaryReport, BoxSpec, Graph, GraphPair, InputError,
                          build_box, build_box_pair, component_of, full_report,
-                         inner_boundary_variants, outer_boundary,
+                         inner_boundary_variants, margin_interior, outer_boundary,
                          outer_visible_boundary, random_connected_graph,
-                         report_to_json, visible_boundary, with_apex)
+                         report_to_json, sample_connected_subset,
+                         visible_boundary, with_apex)
 
-from oracles import (boundary_by_scan, outer_visible_by_paths, visible_by_scan)
+from oracles import (boundary_by_scan, flood_components, outer_visible_by_paths,
+                     visible_by_scan)
 
 
 def labels_of(g, s):
@@ -326,3 +330,88 @@ def test_boundary_operators_match_oracles_on_mixed_pairs(flavors):
         assert vis == frozenset(visible_by_scan(16, g.edges, gp.edges, c, x))
         ov = outer_visible_boundary(g, gp, c, x)
         assert ov == frozenset(outer_visible_by_paths(16, g.edges, c, x, vis))
+
+
+# --- the bitmask kernel beyond one machine word ------------------------------------
+
+def apexed_box_pairs():
+    """Apexed lattice pairs of more than 64 vertices: (name, pair, apex)."""
+    out = []
+    for spec, aug in ((BoxSpec(2, 9, "plain"), "plus"), (BoxSpec(3, 5, "plain"), "star")):
+        apexed = with_apex(build_box_pair(spec, aug))
+        out.append((f"z{spec.d}:{spec.side}+{aug}", apexed.pair, apexed.apex))
+    return out
+
+
+def big_settings():
+    """(traversal, adjacency, probe, subset host, apex or None) with more
+    than 64 vertices: the dp and k roles on apexed boxes, the dp roles
+    probed in the plain box (a negative control with disconnected visible
+    sets), and random connected graphs."""
+    out = []
+    for name, pair, apex in apexed_box_pairs():
+        if name.endswith("plus"):
+            out.append((name + "/dp", (pair.g, pair.g, pair.g_plus), pair.g, apex))
+            out.append((name + "/dp-plain-probe", (pair.g, pair.g, pair.g), pair.g, apex))
+        else:
+            out.append((name + "/k", (pair.g, pair.g_plus, pair.g), pair.g_plus, apex))
+    for nv, seed in ((65, 1), (90, 2), (130, 3)):
+        g = random_connected_graph(nv, nv // 2, seed)
+        out.append((f"random-V{nv}", (g, g, g), g, None))
+    return out
+
+
+def expected_report(g, g_prime, probe, c, x):
+    """The five report fields from the definition-level oracles."""
+    n = g.vertex_count
+    boundary = frozenset(boundary_by_scan(n, g_prime.edges, c))
+    visible = frozenset(visible_by_scan(n, g.edges, g_prime.edges, c, x))
+    outer = frozenset(outer_visible_by_paths(n, g.edges, c, x, visible))
+    comps = flood_components(probe.edges, visible)
+    witness = (min(comps[0]), min(comps[1])) if len(comps) > 1 else None
+    return boundary, visible, outer, max(1, len(comps)), witness
+
+
+@pytest.mark.parametrize("setting", big_settings(), ids=lambda s: s[0])
+def test_full_report_matches_oracles_beyond_one_word(setting):
+    """Masks span several machine words here; every field of the report,
+    the component count and the witness included, matches the oracles for
+    apex, interior and C-adjacent observers."""
+    _, (g, g_prime, probe), host, apex = setting
+    rng = random.Random(g.vertex_count)
+    box_ids = range(apex if apex is not None else g.vertex_count)
+    allowed = margin_interior(host, 2) if apex is not None else None
+    disconnected = 0
+    for i in range(8):
+        size = rng.randint(1, 8)
+        if i % 2 == 0:
+            c = sample_connected_subset(host, size, seed=f"big/{i}", allowed=allowed)
+        else:
+            c = frozenset(rng.sample(box_ids, size))
+        adjacent = sorted({w for v in c for w in g.adjacency[v]} - c)
+        interior = [v for v in box_ids if v not in c]
+        observers = {rng.choice(interior)}
+        if adjacent:
+            observers.add(rng.choice(adjacent))
+        if apex is not None:
+            observers.add(apex)
+        for x in sorted(observers):
+            rep = full_report(g, g_prime, probe, c, x)
+            want = expected_report(g, g_prime, probe, c, x)
+            got = (rep.boundary, rep.visible, rep.outer_visible,
+                   rep.component_count, rep.witness_disconnect)
+            assert got == want, (sorted(c), x)
+            disconnected += rep.component_count > 1
+    if setting[0].endswith("plain-probe"):
+        assert disconnected, "the negative control must exercise witnesses"
+
+
+@pytest.mark.parametrize("g", oracle_corpus() + [
+    graph for _, pair, _ in apexed_box_pairs() for graph in (pair.g, pair.g_plus)
+] + [Graph(1, []), Graph(5, [])], ids=lambda g: f"V{g.vertex_count}E{g.edge_count}")
+def test_outer_boundary_of_a_vertex_is_its_neighbourhood(g):
+    """Exact per-edge coverage of the neighbourhood plan: a shift mask that
+    wraps across a box row, or an edge missing from every hub star, shows
+    up as a singleton whose outer boundary differs from its adjacency."""
+    for v in range(g.vertex_count):
+        assert outer_boundary(g, frozenset({v})) == frozenset(g.adjacency[v])

@@ -148,6 +148,26 @@ def test_boundary_pair_file_edge_must_be_a_pair(capsys, tmp_path):
     assert "pair of vertex ids" in err
 
 
+PATH_G = {"vertices": 3, "edges": [[0, 1], [1, 2]]}
+
+
+@pytest.mark.parametrize("data", [
+    {"g": PATH_G, "extra_plus_edges": [5]},
+    {"g": PATH_G, "extra_plus_edges": 7},
+    {"g": {**PATH_G, "labels": 5}},
+    {"g": {**PATH_G, "labels": [1, 2, 3]}},
+    {"g": {**PATH_G, "edges": 7}},
+], ids=["extra-entry-not-pair", "extra-not-list", "labels-not-list",
+        "label-not-tuple", "edges-not-list"])
+def test_boundary_malformed_pair_file_exits_two(capsys, tmp_path, data):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "boundary", "--pair", str(pair),
+                             "--set", "[0]", "--x", "2")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [("--set", "[true]", "--x", "0"),
                                   ("--set", "[[3,3]]", "--x", "true")],
                          ids=["set", "observer"])

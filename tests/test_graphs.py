@@ -58,6 +58,10 @@ def test_labels_must_be_distinct_and_complete():
         Graph(2, [(0, 1)], labels=[(1, 1), (1, 1)])
     with pytest.raises(InputError, match="labels for"):
         Graph(3, [(0, 1)], labels=[(1,), (2,)])
+    with pytest.raises(InputError, match="list of coordinate tuples"):
+        Graph(3, [(0, 1)], labels=5)
+    with pytest.raises(InputError, match="integer coordinates"):
+        Graph(3, [(0, 1)], labels=[1, 2, 3])
     g = Graph(2, [(0, 1)], labels=[(1, 1), (2, 1)])
     assert g.label_of(1) == (2, 1)
     assert g.id_of_label((2, 1)) == 1
@@ -91,6 +95,8 @@ def test_from_json_requires_vertices_and_edges():
         Graph.from_json({"edges": []})
     with pytest.raises(InputError):
         Graph.from_json([1, 2, 3])
+    with pytest.raises(InputError, match="list of"):
+        Graph.from_json({"vertices": 3, "edges": 7})
 
 
 def test_pair_validates_containment_and_labels():
