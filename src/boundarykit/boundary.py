@@ -29,12 +29,12 @@ report's floods cover the whole box.  A report is
     region        = x | flood_g(expand_g(x), ~(C | visible))
     outer_visible = visible & (expand_g(region) | x)
 
-and the probe components are peeled off from the lowest remaining bit, so
-they come ordered by smallest member.  The kernel's judges are the
-definition-level oracles of ``tests/oracles.py`` (boundary scans, DFS path
-searches, union-find components), compared in ``tests/test_boundary.py``
-on graphs up to and beyond 64 vertices, where masks span several machine
-words.
+and the probe components come from the plan's ``components``, which peels
+them off from the lowest remaining bit, so they come ordered by smallest
+member.  The kernel's judges are the definition-level oracles of
+``tests/oracles.py`` (boundary scans, DFS path searches, union-find
+components), compared in ``tests/test_boundary.py`` on graphs up to and
+beyond 64 vertices, where masks span several machine words.
 """
 
 from __future__ import annotations
@@ -104,18 +104,11 @@ def _probe_components(probe, s: int):
     """Component count of ``s`` inside the probe graph (the empty set
     counts as one component, matching the convention that it is
     connected) and, when disconnected, the smallest vertices of the two
-    components with the smallest members.  Components are peeled off
-    from the lowest remaining bit."""
-    count, lows = 0, []
-    while s:
-        low = s & -s
-        s ^= probe.flood(low, s)
-        count += 1
-        if len(lows) < 2:
-            lows.append(low.bit_length() - 1)
-    if count <= 1:
+    components with the smallest members."""
+    comps = probe.components(s)
+    if len(comps) <= 1:
         return 1, None
-    return count, tuple(lows)
+    return len(comps), tuple((m & -m).bit_length() - 1 for m in comps[:2])
 
 
 def _report(boundary: int, visible: int, outer_visible: int, count: int,

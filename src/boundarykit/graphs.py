@@ -4,14 +4,19 @@ Vertices are ``0..vertex_count-1``; an edge is an unordered pair of distinct
 vertices and carries a dense edge id, assigned in lexicographic order of the
 sorted endpoint pairs.  Optional per-vertex labels attach a coordinate tuple
 (used by the lattice builders).  Graphs are immutable once constructed,
-apart from a derived neighbourhood plan that the boundary operators build
-on first use and keep on the graph; every operation in this module is a
-pure function.
+apart from a derived neighbourhood plan that is built on first use and
+kept on the graph; every operation in this module is a pure function.
 
-Vertex sets are plain ``frozenset`` objects over vertex ids.  The boundary
-layer also handles them as int bitmasks (bit ``v`` set for vertex ``v``)
-through the private ``_NeighbourhoodPlan``, whose ``expand`` maps a mask to
-the mask of its neighbours with a few whole-int operations.
+Vertex sets cross the public API as ``frozenset`` objects over vertex ids.
+Reachability in this module and in the boundary layer runs on int
+bitmasks (bit ``v`` set for vertex ``v``) through the private
+``_NeighbourhoodPlan``: ``mask`` range-checks a set into a mask,
+``expand`` maps a mask to the mask of its neighbours with a few whole-int
+operations, ``flood`` grows a mask inside an allowed mask one BFS level
+per step, and ``components`` peels a mask into its components.  The
+component, connectivity and cutset queries here and every boundary
+operator share that one engine; only ``shortest_path`` keeps a vertex
+queue, because it needs parents.
 """
 
 from __future__ import annotations
@@ -138,6 +143,9 @@ class Graph:
         if self._label_ids is None:
             raise InputError("graph has no labels")
         key = tuple(coord)
+        for c in key:
+            if type(c) is not int and not _is_id(c):    # exact ints skip the call
+                raise InputError(f"a label is a tuple of integer coordinates, got {coord!r}")
         try:
             return self._label_ids[key]
         except KeyError:
@@ -265,6 +273,17 @@ class _NeighbourhoodPlan:
             seen |= frontier
         return seen
 
+    def components(self, m: int) -> list:
+        """Masks of the components of the subgraph induced on ``m``,
+        peeled off from the lowest remaining bit, so they come ordered by
+        smallest member."""
+        comps = []
+        while m:
+            comp = self.flood(m & -m, m)
+            comps.append(comp)
+            m ^= comp
+        return comps
+
 
 def _neighbourhood_plan(g: Graph) -> _NeighbourhoodPlan:
     """``g``'s plan, built on first use and kept on ``g``."""
@@ -293,18 +312,11 @@ def component_of(g: Graph, start: int, forbidden: frozenset = frozenset()) -> fr
     """Vertex set of the connected component of ``start`` in the subgraph
     induced on the complement of ``forbidden``."""
     g.require_vertex(start)
-    _check_vertex_set(g, forbidden)
-    if start in forbidden:
+    plan = _neighbourhood_plan(g)
+    fm = plan.mask(forbidden)
+    if fm >> start & 1:
         raise InputError(f"start vertex {start} is forbidden")
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in g.adjacency[v]:
-            if w not in seen and w not in forbidden:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+    return _members(plan.flood(1 << start, plan.full ^ fm))
 
 
 def is_connected_in(g: Graph, s: frozenset) -> bool:
@@ -312,69 +324,48 @@ def is_connected_in(g: Graph, s: frozenset) -> bool:
 
     The empty set and singletons count as connected.
     """
-    _check_vertex_set(g, s)
-    if len(s) <= 1:
-        return True
-    start = next(iter(s))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in g.adjacency[v]:
-            if w in s and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(s)
+    plan = _neighbourhood_plan(g)
+    m = plan.mask(s)
+    return plan.flood(m & -m, m) == m
 
 
 def set_components(g: Graph, s: frozenset) -> list:
     """Connected components of the subgraph induced on ``s``, each a
     frozenset, ordered by their smallest member."""
-    _check_vertex_set(g, s)
-    remaining = set(s)
-    comps = []
-    while remaining:
-        start = min(remaining)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.adjacency[v]:
-                if w in remaining and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append(frozenset(seen))
-        remaining -= seen
-    return comps
+    plan = _neighbourhood_plan(g)
+    return [_members(comp) for comp in plan.components(plan.mask(s))]
 
 
 def count_components(g: Graph) -> int:
     """Number of connected components of the whole graph."""
-    return len(set_components(g, frozenset(range(g.vertex_count))))
+    plan = _neighbourhood_plan(g)
+    return len(plan.components(plan.full))
 
 
 def is_cutset(g: Graph, s: frozenset, x: int, target: frozenset) -> bool:
     """Whether every path from ``x`` to a vertex of ``target`` meets ``s``."""
     g.require_vertex(x)
-    _check_vertex_set(g, s)
-    _check_vertex_set(g, target)
-    if x in s:
+    plan = _neighbourhood_plan(g)
+    sm, tm, xm = plan.mask(s), plan.mask(target), 1 << x
+    if xm & sm:
         raise InputError("x must not lie in the cutset")
-    if x in target:
+    if xm & tm:
         raise InputError("x must not lie in the target set")
-    if target & s:
+    if tm & sm:
         raise InputError("target and cutset must be disjoint")
-    return not (component_of(g, x, s) & target)
+    return not plan.flood(xm, plan.full ^ sm) & tm
 
 
 def is_minimal_cutset(g: Graph, s: frozenset, x: int, target: frozenset) -> bool:
-    """Whether ``s`` separates ``x`` from ``target`` but no proper subset does."""
+    """Whether ``s`` separates ``x`` from ``target`` but no proper subset does.
+
+    It suffices that dropping any single member reopens a path, since
+    dropping more members only opens more."""
     if not is_cutset(g, s, x, target):
         return False
-    for v in s:
-        if is_cutset(g, s - {v}, x, target):
-            return False
-    return True
+    plan = _neighbourhood_plan(g)
+    rest, tm, xm = plan.full ^ plan.mask(s), plan.mask(target), 1 << x
+    return all(plan.flood(xm, rest | 1 << v) & tm for v in s)
 
 
 def shortest_path(g: Graph, x: int, y: int,

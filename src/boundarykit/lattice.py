@@ -192,9 +192,10 @@ def cube_patch_cycle(pair: GraphPair, e: Sequence[int]) -> EdgeVector:
     for perm in permutations(diff_axes):
         cur = list(cu)
         path = [u]
-        for axis in perm:
+        for axis in perm[:-1]:          # the last step lands on v
             cur[axis] = cv[axis]
             path.append(g.id_of_label(cur))
+        path.append(v)
         if best is None or path < best:
             best = path
     vec = EdgeVector.from_edges(gs, list(zip(best, best[1:])) + [(u, v)])

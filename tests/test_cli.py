@@ -168,12 +168,27 @@ def test_boundary_malformed_pair_file_exits_two(capsys, tmp_path, data):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [("--set", "[true]", "--x", "0"),
-                                  ("--set", "[[3,3]]", "--x", "true")],
-                         ids=["set", "observer"])
+BOX_BOUNDARY = ("boundary", "--box", "z2:5:plain")
+BOX_VERIFY = ("verify", "dp", "--box", "z2:5:plain")
+
+
+@pytest.mark.parametrize("argv", [
+    (*BOX_BOUNDARY, "--set", "[true]", "--x", "0"),
+    (*BOX_BOUNDARY, "--set", "[[3,3]]", "--x", "true"),
+    (*BOX_BOUNDARY, "--set", "[[3,true]]", "--x", "0"),
+    (*BOX_BOUNDARY, "--set", "[[3,3.0]]", "--x", "0"),
+    (*BOX_BOUNDARY, "--set", "[[3,3]]", "--x", "[1.0,1]"),
+    (*BOX_BOUNDARY, "--set", "[[3,3]]", "--x", "[[1,1]]"),
+    (*BOX_BOUNDARY, "--set", "[[[3,3]]]", "--x", "0"),
+    (*BOX_VERIFY, "--set", "[[3,3]]", "--x", "[[1,1]]"),
+], ids=["set", "observer", "set-bool-coordinate", "set-float-coordinate",
+        "observer-float-coordinate", "observer-nested", "set-nested",
+        "verify-observer-nested"])
 def test_booleans_are_not_vertex_ids(capsys, argv):
-    code, out, err = run_cli(capsys, "boundary", "--box", "z2:5:plain", *argv)
+    """Ids and coordinates are ints: bools, floats and nested lists exit 2."""
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_boundary_apex_refuses_subsets_on_the_box_surface(capsys):

@@ -22,6 +22,20 @@ def small_graphs():
         st.integers(min_value=0, max_value=10_000))
 
 
+def wide_graphs():
+    """Hypothesis strategy: seeded random connected graphs of 65–130
+    vertices, whose vertex masks span two or three 64-bit words."""
+    return st.builds(
+        random_connected_graph,
+        st.integers(min_value=65, max_value=130),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=10_000))
+
+
+def any_graphs():
+    return st.one_of(small_graphs(), wide_graphs())
+
+
 # --- construction and basic queries -----------------------------------------
 
 def test_edges_are_sorted_and_densely_identified():
@@ -114,8 +128,8 @@ def test_pair_validates_containment_and_labels():
 
 # --- connectivity against the flood-fill oracle -------------------------------
 
-@settings(max_examples=60, deadline=None)
-@given(small_graphs(), st.data())
+@settings(max_examples=80, deadline=None)
+@given(any_graphs(), st.data())
 def test_component_of_matches_flood_fill(g, data):
     forbidden = frozenset(data.draw(st.sets(
         st.integers(min_value=0, max_value=g.vertex_count - 1), max_size=4)))
@@ -130,11 +144,13 @@ def test_component_of_matches_flood_fill(g, data):
     assert comp == expected
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_graphs(), st.data())
+@settings(max_examples=80, deadline=None)
+@given(any_graphs(), st.data())
 def test_connectivity_predicates_match_oracle(g, data):
     s = frozenset(data.draw(st.sets(
         st.integers(min_value=0, max_value=g.vertex_count - 1), max_size=6)))
+    if data.draw(st.booleans()):
+        s = frozenset(range(g.vertex_count)) - s
     assert is_connected_in(g, s) == connected_by_flood(g.edges, s)
     comps = set_components(g, s)
     assert [set(c) for c in comps] == flood_components(g.edges, s)
@@ -153,6 +169,29 @@ def test_set_components_ordered_by_smallest_member():
     g = Graph(6, [(0, 5), (1, 2)])
     comps = set_components(g, frozenset({0, 1, 2, 3, 5}))
     assert comps == [frozenset({0, 5}), frozenset({1, 2}), frozenset({3})]
+
+
+_SET_ARGUMENT_CALLS = {
+    "component_of": lambda g, bad: component_of(g, 0, frozenset({1, bad})),
+    "is_connected_in": lambda g, bad: is_connected_in(g, frozenset({0, bad})),
+    "set_components": lambda g, bad: set_components(g, frozenset({0, bad})),
+    "is_cutset-s": lambda g, bad: is_cutset(g, frozenset({1, bad}), 0, frozenset({3})),
+    "is_cutset-target": lambda g, bad: is_cutset(g, frozenset({1}), 0, frozenset({3, bad})),
+    "is_minimal_cutset-s": lambda g, bad: is_minimal_cutset(
+        g, frozenset({1, bad}), 0, frozenset({3})),
+    "is_minimal_cutset-target": lambda g, bad: is_minimal_cutset(
+        g, frozenset({1}), 0, frozenset({3, bad})),
+}
+
+
+@pytest.mark.parametrize("bad", [4, 64, -1, -65])
+@pytest.mark.parametrize("call", _SET_ARGUMENT_CALLS.values(), ids=_SET_ARGUMENT_CALLS.keys())
+def test_vertex_set_arguments_are_range_checked(call, bad):
+    """Ids are range-checked before they become mask bits, so a negative id
+    is an ``InputError``, never a ``ValueError`` from ``1 << -1``."""
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(InputError, match="outside"):
+        call(g, bad)
 
 
 # --- cutsets ------------------------------------------------------------------
@@ -177,14 +216,24 @@ def test_path_cutset_is_minimal():
     assert not is_cutset(g, frozenset(), 0, frozenset({4}))
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_graphs(), st.data())
+@settings(max_examples=80, deadline=None)
+@given(any_graphs(), st.data())
 def test_minimal_cutset_matches_brute_force(g, data):
     pool = st.integers(min_value=0, max_value=g.vertex_count - 1)
     x = data.draw(pool)
     y = data.draw(pool.filter(lambda v: v != x))
     s = frozenset(data.draw(st.sets(
         pool.filter(lambda v: v not in (x, y)), max_size=4)))
+    if not g.has_edge(x, y) and data.draw(st.booleans()):
+        # The neighbours of x that touch y's side are a minimal cutset;
+        # perturb it by at most one vertex to reach the cases nearby.
+        near = set(g.neighbors(x))
+        rest = set(range(g.vertex_count)) - near - {x}
+        side = next(c for c in flood_components(g.edges, rest) if y in c)
+        s = {v for v in near if side.intersection(g.neighbors(v))}
+        extra = data.draw(st.sets(pool.filter(lambda v: v not in (x, y)), max_size=1))
+        dropped = data.draw(st.sets(st.sampled_from(sorted(s)), max_size=1))
+        s = frozenset((s | extra) - dropped)
     got = is_minimal_cutset(g, s, x, frozenset({y}))
     want = is_minimal_cutset_oracle(g.vertex_count, g.edges, s, x, {y})
     assert got == want
@@ -302,6 +351,9 @@ def test_vertexset_json_uses_coordinates_when_labeled():
     assert as_json == [[1, 1], [2, 2]]
     assert vertexset_from_json(g, as_json) == s
     assert vertexset_from_json(g, [0, 3]) == s  # ids accepted too
+    for bad in ([[1, True]], [[1.0, 1]], [[[1, 1]]]):
+        with pytest.raises(InputError, match="integer coordinates"):
+            vertexset_from_json(g, bad)
 
     bare = Graph(4, [(0, 1)])
     assert vertexset_to_json(bare, s) == [0, 3]
