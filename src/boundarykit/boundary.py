@@ -21,7 +21,7 @@ maps a mask to its neighbours with a few shifts and hub stars, and
 reachability is a level-synchronous flood: ``frontier = expand(frontier)
 & allowed & ~seen``.  A flood then costs one plan pass per BFS level
 instead of one adjacency scan per visited vertex.  This matters because
-exhaustive campaigns run one report per subset and observer, and two of a
+exhaustive campaigns judge every subset and observer, and two of a
 report's floods cover the whole box.  A report is
 
     boundary      = expand_g′(C) & ~C
@@ -31,10 +31,14 @@ report's floods cover the whole box.  A report is
 
 and the probe components come from the plan's ``components``, which peels
 them off from the lowest remaining bit, so they come ordered by smallest
-member.  The kernel's judges are the definition-level oracles of
-``tests/oracles.py`` (boundary scans, DFS path searches, union-find
-components), compared in ``tests/test_boundary.py`` on graphs up to and
-beyond 64 vertices, where masks span several machine words.
+member.  A campaign needs only each instance's component count, so
+``visible_component_count`` computes the boundary, the visible set and
+the probe components and nothing else: no outer-visible flood, no
+frozensets and no report.  The campaign builds the full report only for
+an instance that fails.  The kernel's judges are the definition-level
+oracles of ``tests/oracles.py`` (boundary scans, DFS path searches,
+union-find components), compared in ``tests/test_boundary.py`` on graphs
+up to and beyond 64 vertices, where masks span several machine words.
 """
 
 from __future__ import annotations
@@ -150,19 +154,35 @@ def outer_visible_boundary(g: Graph, g_prime: Graph, c: frozenset, x: int) -> fr
     return _members(_outer_visible_mask(trav, cm, x, visible))
 
 
-def full_report(g: Graph, g_prime: Graph, probe: Graph, c: frozenset,
-                x: int) -> BoundaryReport:
-    """All three boundary sets of (c, x) plus connectivity of the visible
-    set inside ``probe``."""
+def _instance(g: Graph, g_prime: Graph, probe: Graph, c: frozenset, x: int):
+    """The traversal plan, the mask of ``c`` and the outer and visible
+    boundary masks of one (c, x) instance, after the checks every report
+    makes."""
     _require_same_vertices(g, g_prime, probe)
     adj = _neighbourhood_plan(g_prime)
     cm = adj.mask(c)
     _require_observer(g, c, x)
     trav = _neighbourhood_plan(g)
-    boundary, visible = _visible_masks(trav, adj, cm, x)
+    return (trav, cm) + _visible_masks(trav, adj, cm, x)
+
+
+def full_report(g: Graph, g_prime: Graph, probe: Graph, c: frozenset,
+                x: int) -> BoundaryReport:
+    """All three boundary sets of (c, x) plus connectivity of the visible
+    set inside ``probe``."""
+    trav, cm, boundary, visible = _instance(g, g_prime, probe, c, x)
     outer_visible = _outer_visible_mask(trav, cm, x, visible)
     count, witness = _probe_components(_neighbourhood_plan(probe), visible)
     return _report(boundary, visible, outer_visible, count, witness)
+
+
+def visible_component_count(g: Graph, g_prime: Graph, probe: Graph,
+                            c: frozenset, x: int) -> int:
+    """``full_report(g, g_prime, probe, c, x).component_count``, with the
+    same checks, but without the outer-visible flood, the frozensets and
+    the report: the verdict of a campaign instance."""
+    _, _, _, visible = _instance(g, g_prime, probe, c, x)
+    return _probe_components(_neighbourhood_plan(probe), visible)[0]
 
 
 def inner_boundary_variants(g: Graph, g_prime: Graph, c: frozenset,

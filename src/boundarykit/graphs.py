@@ -215,7 +215,7 @@ class _NeighbourhoodPlan:
     graph; there is no lattice-only path.
     """
 
-    __slots__ = ("vertex_count", "full", "shifts", "stars")
+    __slots__ = ("vertex_count", "full", "shifts", "stars", "_count")
 
     def __init__(self, g: Graph):
         self.vertex_count = g.vertex_count
@@ -239,6 +239,7 @@ class _NeighbourhoodPlan:
             stars[hub] = stars.get(hub, 0) | 1 << leaf
         self.shifts = tuple(shifts)
         self.stars = tuple((1 << hub, leaves) for hub, leaves in sorted(stars.items()))
+        self._count = None
 
     def mask(self, s) -> int:
         """Bitmask of the vertex ids in ``s``, each range-checked."""
@@ -283,6 +284,13 @@ class _NeighbourhoodPlan:
             comps.append(comp)
             m ^= comp
         return comps
+
+    def component_count(self) -> int:
+        """Number of components of the whole graph, counted on first use;
+        the plan belongs to an immutable graph, so it never changes."""
+        if self._count is None:
+            self._count = len(self.components(self.full))
+        return self._count
 
 
 def _neighbourhood_plan(g: Graph) -> _NeighbourhoodPlan:
@@ -338,12 +346,12 @@ def set_components(g: Graph, s: frozenset) -> list:
 
 def count_components(g: Graph) -> int:
     """Number of connected components of the whole graph."""
-    plan = _neighbourhood_plan(g)
-    return len(plan.components(plan.full))
+    return _neighbourhood_plan(g).component_count()
 
 
-def is_cutset(g: Graph, s: frozenset, x: int, target: frozenset) -> bool:
-    """Whether every path from ``x`` to a vertex of ``target`` meets ``s``."""
+def _separation(g: Graph, s: frozenset, x: int, target: frozenset):
+    """The plan, the masks of ``s`` and ``target``, and ``x``'s side of
+    ``g`` minus ``s``, after the checks every cutset query makes."""
     g.require_vertex(x)
     plan = _neighbourhood_plan(g)
     sm, tm, xm = plan.mask(s), plan.mask(target), 1 << x
@@ -353,19 +361,27 @@ def is_cutset(g: Graph, s: frozenset, x: int, target: frozenset) -> bool:
         raise InputError("x must not lie in the target set")
     if tm & sm:
         raise InputError("target and cutset must be disjoint")
-    return not plan.flood(xm, plan.full ^ sm) & tm
+    return plan, sm, tm, plan.flood(xm, plan.full ^ sm)
+
+
+def is_cutset(g: Graph, s: frozenset, x: int, target: frozenset) -> bool:
+    """Whether every path from ``x`` to a vertex of ``target`` meets ``s``."""
+    _, _, tm, side = _separation(g, s, x, target)
+    return not side & tm
 
 
 def is_minimal_cutset(g: Graph, s: frozenset, x: int, target: frozenset) -> bool:
     """Whether ``s`` separates ``x`` from ``target`` but no proper subset does.
 
     It suffices that dropping any single member reopens a path, since
-    dropping more members only opens more."""
-    if not is_cutset(g, s, x, target):
+    dropping more members only opens more.  Dropping ``v`` reopens one
+    exactly when ``v`` has a neighbour on ``x``'s side of ``g`` minus
+    ``s`` and one on the targets' side, so two floods decide it."""
+    plan, sm, tm, side = _separation(g, s, x, target)
+    if side & tm:
         return False
-    plan = _neighbourhood_plan(g)
-    rest, tm, xm = plan.full ^ plan.mask(s), plan.mask(target), 1 << x
-    return all(plan.flood(xm, rest | 1 << v) & tm for v in s)
+    targets_side = plan.flood(tm, plan.full ^ sm)
+    return not sm & ~(plan.expand(side) & plan.expand(targets_side))
 
 
 def shortest_path(g: Graph, x: int, y: int,

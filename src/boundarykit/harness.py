@@ -13,9 +13,16 @@ Campaign kinds (the short names are the CLI tokens):
   generator with an odd edge count into the observer's side; the
   constructive witness is re-verified from definitions.
 
-Observers default to the apex vertex (the far-away surrogate), in which
-case subsets must keep an L∞ margin of at least 2 from the box surface so
-the apex faithfully models the unbounded outside.
+Observers default to the apex vertex (the far-away surrogate).  Whenever
+the apex can observe (the ``apex`` and ``all-outside`` policies, or the
+apex id as the ``fixed`` observer), subsets must keep an L∞ margin of at
+least 2 from the box surface so the apex faithfully models the unbounded
+outside.
+
+A dp/k campaign reads each instance's verdict, the component count of
+the visible boundary in the probe graph, from
+``boundary.visible_component_count`` and builds a full ``BoundaryReport``
+only for an instance that fails, to put in its failure record.
 
 Campaigns run their trials in one sequential loop; every trial is a pure
 function of immutable graphs plus the seed string ``"{seed}:{index}"``, so
@@ -32,7 +39,8 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .boundary import full_report, outer_visible_boundary, report_to_json
+from .boundary import (full_report, outer_visible_boundary, report_to_json,
+                       visible_component_count)
 from .cyclespace import (CycleGen, EdgeVector, crossing_cycle_witness,
                          fundamental_basis, is_chordal_cycle, is_generating)
 from .errors import InputError
@@ -246,16 +254,25 @@ def _box_setting(theorem: str, box: BoxSpec, augmentation: str) -> _BoxSetting:
 
 # --- campaign configuration ------------------------------------------------
 
+def _apex_observes(cfg: "TrialConfig") -> bool:
+    """Whether the apex is among the campaign's observers: the apex and
+    all-outside policies, or the apex id as the fixed observer."""
+    return (cfg.x_policy in ("apex", "all-outside")
+            or (cfg.x_policy == "fixed" and cfg.x_vertex == cfg.box.side ** cfg.box.d))
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """One verification campaign, fully determined by its fields.
 
     ``x_policy`` picks observers: the apex surrogate, every vertex outside
     the subset plus the apex (``all-outside``), or one ``fixed`` vertex
-    (requires ``x_vertex``).  ``probe`` overrides the connectivity probe of
-    ``dp`` campaigns (default ``plus``); ``g_prime`` overrides the adjacency
-    graph of ``k`` campaigns (default ``star``) — both exist mainly for
-    negative controls.  ``lemma`` campaigns are sampling-only; they ignore
+    (requires ``x_vertex``; the apex id is ``box.side ** box.d``).  Any
+    policy that lets the apex observe needs ``margin ≥ 2``.  ``probe``
+    overrides the connectivity probe of ``dp`` campaigns (default
+    ``plus``); ``g_prime`` overrides the adjacency graph of ``k``
+    campaigns (default ``star``) — both exist mainly for negative
+    controls.  ``lemma`` campaigns are sampling-only; they ignore
     margin and x_policy and alternate between the configured box and seeded
     random connected graphs.
     """
@@ -292,7 +309,7 @@ class TrialConfig:
                     "exhaustive budget: box must have ≤ "
                     f"{EXHAUSTIVE_VERTEX_BUDGET} vertices or max_size ≤ "
                     f"{EXHAUSTIVE_SIZE_BUDGET}")
-        if self.x_policy == "apex" and self.theorem != "lemma" and self.margin < 2:
+        if _apex_observes(self) and self.theorem != "lemma" and self.margin < 2:
             raise InputError("apex observers need margin ≥ 2 to stay faithful")
         if self.x_policy == "fixed" and self.x_vertex is None:
             raise InputError("fixed x_policy needs x_vertex")
@@ -372,7 +389,7 @@ def _boundary_instances(cfg: TrialConfig, setting: _BoxSetting,
             raise InputError(
                 "precondition: the supplied subset is not connected in the graph "
                 "the theorem requires (dp: plain box, k: the adjacency graph)")
-        if cfg.x_policy == "apex" and not c <= allowed:
+        if _apex_observes(cfg) and not c <= allowed:
             raise InputError(
                 f"precondition: apex observers need the subset inside margin {cfg.margin}")
         for x in _observers(cfg, apex, c):
@@ -415,15 +432,14 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
     failures: List[dict] = []
     trial_seeds: List[str] = []
     for seed_str, c, x in _boundary_instances(cfg, setting, fixed_c):
-        rep = full_report(g_t, gp_t, probe_t, c, x)
-        if rep.component_count != 1:
+        if visible_component_count(g_t, gp_t, probe_t, c, x) != 1:
             failures.append({
                 "trial": trials_run,
                 "seed": seed_str,
                 "kind": "disconnected-visible-boundary",
                 "c": vertexset_to_json(setting.box, c),
                 "x": "apex" if x == setting.apex else _vertex_json(setting.box, x),
-                "report": report_to_json(rep, g_t),
+                "report": report_to_json(full_report(g_t, gp_t, probe_t, c, x), g_t),
             })
         if seed_str is not None:
             trial_seeds.append(seed_str)

@@ -10,7 +10,7 @@ from boundarykit import (BoundaryReport, BoxSpec, Graph, GraphPair, InputError,
                          inner_boundary_variants, margin_interior, outer_boundary,
                          outer_visible_boundary, random_connected_graph,
                          report_to_json, sample_connected_subset,
-                         visible_boundary, with_apex)
+                         visible_boundary, visible_component_count, with_apex)
 
 from oracles import (boundary_by_scan, flood_components, outer_visible_by_paths,
                      visible_by_scan)
@@ -262,6 +262,25 @@ def test_graph_size_mismatch_is_rejected():
         full_report(g, h, g, frozenset({0}), 1)
 
 
+@pytest.mark.parametrize("roles, c, x, message", [
+    ("ggg", {12}, 12, "outside the subset"),
+    ("ghg", {0}, 1, "share"),
+    ("ggh", {0}, 1, "share"),
+    ("ggg", {0, 25}, 1, "outside 0..24"),
+    ("ggg", {0, -1}, 1, "outside 0..24"),
+    ("ggg", {0}, 25, "outside 0..24"),
+], ids=["observer-in-c", "adjacency-size", "probe-size", "id-too-large",
+        "id-negative", "observer-out-of-range"])
+def test_visible_component_count_checks_like_full_report(roles, c, x, message):
+    """The verdict path refuses exactly what the report refuses, with the
+    same message."""
+    graphs = {"g": build_box(BoxSpec(2, 5, "plain")), "h": build_box(BoxSpec(2, 4, "plain"))}
+    args = [graphs[r] for r in roles] + [frozenset(c), x]
+    for fn in (full_report, visible_component_count):
+        with pytest.raises(InputError, match=message):
+            fn(*args)
+
+
 # --- definition-level oracle equivalence ----------------------------------------------
 
 def oracle_corpus():
@@ -401,6 +420,7 @@ def test_full_report_matches_oracles_beyond_one_word(setting):
             got = (rep.boundary, rep.visible, rep.outer_visible,
                    rep.component_count, rep.witness_disconnect)
             assert got == want, (sorted(c), x)
+            assert visible_component_count(g, g_prime, probe, c, x) == rep.component_count
             disconnected += rep.component_count > 1
     if setting[0].endswith("plain-probe"):
         assert disconnected, "the negative control must exercise witnesses"

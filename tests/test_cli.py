@@ -231,6 +231,19 @@ def test_verify_negative_control_exits_one(capsys):
     assert any(f["c"] == [[3, 3]] for f in data["failures"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--max-size", "1", "--margin", "0", "--x", "all-outside"), "margin ≥ 2"),
+    (("--x", "all-outside", "--set", "[[1,1]]"), "inside margin 2"),
+], ids=["margin-0", "fixed-subset-on-surface"])
+def test_verify_all_outside_keeps_the_apex_off_the_surface(capsys, argv, message):
+    """``all-outside`` observers include the apex, which sees the whole
+    surface; without the margin its label would leak into failure reports."""
+    code, out, err = run_cli(capsys, "verify", "dp", "--box", "z2:5:plain",
+                             "--probe", "plain", "--skip-hypotheses", *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert message in err
+
+
 def test_verify_refuses_broken_premises_without_skip(capsys):
     code, out, err = run_cli(capsys, "verify", "dp", "--box", "z2:5:plain",
                              "--max-size", "2", "--probe", "plain")

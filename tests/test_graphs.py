@@ -165,6 +165,14 @@ def test_empty_and_singleton_sets_count_as_connected():
     assert count_components(g) == 3
 
 
+def test_component_count_is_counted_once_per_graph(monkeypatch):
+    g = Graph(6, [(0, 1), (2, 3), (3, 4)])
+    assert count_components(g) == 3
+    monkeypatch.setattr(type(g._plan), "components",
+                        lambda self, m: pytest.fail("the whole graph was flooded again"))
+    assert count_components(g) == 3
+
+
 def test_set_components_ordered_by_smallest_member():
     g = Graph(6, [(0, 5), (1, 2)])
     comps = set_components(g, frozenset({0, 1, 2, 3, 5}))
@@ -234,8 +242,10 @@ def test_minimal_cutset_matches_brute_force(g, data):
         extra = data.draw(st.sets(pool.filter(lambda v: v not in (x, y)), max_size=1))
         dropped = data.draw(st.sets(st.sampled_from(sorted(s)), max_size=1))
         s = frozenset((s | extra) - dropped)
-    got = is_minimal_cutset(g, s, x, frozenset({y}))
-    want = is_minimal_cutset_oracle(g.vertex_count, g.edges, s, x, {y})
+    targets = {y} | data.draw(st.sets(pool.filter(lambda v: v != x and v not in s),
+                                      max_size=2))
+    got = is_minimal_cutset(g, s, x, frozenset(targets))
+    want = is_minimal_cutset_oracle(g.vertex_count, g.edges, s, x, targets)
     assert got == want
 
 

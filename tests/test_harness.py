@@ -9,10 +9,11 @@ from boundarykit import (BoxSpec, CycleGen, EdgeVector, InputError,
                          TrialConfig, build_box, build_box_pair,
                          check_dp_hypotheses, check_k_hypotheses,
                          cube_patch_cycle, enumerate_connected_subsets,
-                         extra_edge_patches, four_cycle_gen, fundamental_basis,
-                         hypothesis_report, is_connected_in, margin_interior,
-                         random_connected_graph, run_verification,
-                         sample_connected_subset)
+                         extra_edge_patches, four_cycle_gen, full_report,
+                         fundamental_basis, hypothesis_report, is_connected_in,
+                         margin_interior, random_connected_graph, report_to_json,
+                         run_verification, sample_connected_subset,
+                         vertexset_to_json)
 
 from oracles import connected_subsets_by_powerset
 
@@ -208,8 +209,16 @@ def test_trial_config_validation():
         TrialConfig(theorem="k", box=box, probe="plain")
     with pytest.raises(InputError, match="g_prime"):
         TrialConfig(theorem="dp", box=box, g_prime="plain")
+    # the apex observes under all-outside and as the fixed apex id (16)
+    # too, and it sees the whole surface
+    for policy in ({"x_policy": "all-outside"}, {"x_policy": "fixed", "x_vertex": 16}):
+        for margin in (0, 1):
+            with pytest.raises(InputError, match="margin ≥ 2"):
+                TrialConfig(theorem="dp", box=box, margin=margin, **policy)
     # margin 1 is fine when the observer is a fixed vertex
     TrialConfig(theorem="dp", box=box, margin=1, x_policy="fixed", x_vertex=0)
+    # ... and so is any margin for the lemma, which has no apex
+    TrialConfig(theorem="lemma", box=box, mode="random", margin=0, x_policy="all-outside")
 
 
 # --- campaigns ----------------------------------------------------------------------------
@@ -289,9 +298,11 @@ def test_fixed_subset_must_stay_inside_the_margin():
     box = BoxSpec(2, 5, "plain")
     g = build_box(box)
     edge_hugger = frozenset({g.id_of_label((1, 1))})
-    cfg = TrialConfig(theorem="dp", box=box)
-    with pytest.raises(InputError, match="margin"):
-        run_verification(cfg, fixed_c=edge_hugger)
+    for policy in ({"x_policy": "apex"}, {"x_policy": "all-outside"},
+                   {"x_policy": "fixed", "x_vertex": 25}):
+        cfg = TrialConfig(theorem="dp", box=box, **policy)
+        with pytest.raises(InputError, match="margin"):
+            run_verification(cfg, fixed_c=edge_hugger)
 
 
 def test_lemma_campaign_passes_and_reports_seeds():
@@ -333,6 +344,35 @@ def test_lemma_campaign_with_one_dimensional_box():
                       mode="random", trials=10, seed=2)
     rep = run_verification(cfg)
     assert rep.passed
+
+
+@pytest.mark.parametrize("cfg", [
+    TrialConfig(theorem="dp", box=BoxSpec(2, 5, "plain"), max_size=3,
+                probe="plain", x_policy="all-outside"),
+    TrialConfig(theorem="k", box=BoxSpec(2, 5, "plain"), max_size=3,
+                g_prime="plain", x_policy="all-outside"),
+    TrialConfig(theorem="k", box=BoxSpec(3, 5, "plain"), mode="random",
+                trials=150, seed=4, max_size=6, x_policy="all-outside"),
+], ids=["dp-plain-probe", "k-plain-adjacency", "k-random"])
+def test_failures_are_exactly_the_disconnected_full_reports(cfg):
+    """Campaigns judge instances by their component count alone; the
+    failing instances and their report bytes must be those of
+    ``full_report`` on every instance."""
+    import boundarykit.harness as harness
+    row = harness._BOUNDARY_THEOREMS[cfg.theorem]
+    setting = harness._box_setting(cfg.theorem, cfg.box,
+                                   getattr(cfg, row.override) or row.augmentation)
+    g, g_prime, probe = setting.roles
+    want = []
+    for trial, (_, c, x) in enumerate(harness._boundary_instances(cfg, setting, None)):
+        rep = full_report(g, g_prime, probe, c, x)
+        if rep.component_count != 1:
+            want.append((trial, vertexset_to_json(setting.box, c),
+                         report_to_json(rep, g)))
+    rep = run_verification(cfg, skip_hypotheses=True)
+    got = [(f["trial"], f["c"], f["report"]) for f in rep.failures]
+    assert got == want
+    assert bool(want) == (cfg.probe == "plain" or cfg.g_prime == "plain")
 
 
 def test_fixed_observer_policy():
