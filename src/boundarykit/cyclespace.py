@@ -88,7 +88,8 @@ class EdgeVector:
         return out
 
     def edges(self) -> List[Tuple[int, int]]:
-        return [self.host.endpoints(i) for i in self.edge_ids()]
+        edges = self.host.edges     # ``bits`` was range-checked on the way in
+        return [edges[i] for i in self.edge_ids()]
 
     def vertices(self) -> frozenset:
         out = set()
@@ -104,22 +105,34 @@ class EdgeVector:
             deg[v] = deg.get(v, 0) + 1
         return deg
 
+    def _endpoint_masks(self) -> Tuple[int, int]:
+        """Masks of the vertices the vector touches and of those with odd
+        degree, in one pass over its edges."""
+        touched = odd = 0
+        for u, v in self.edges():
+            m = (1 << u) | (1 << v)
+            touched |= m
+            odd ^= m
+        return touched, odd
+
     def is_even(self) -> bool:
         """Whether every vertex has even degree (cycle-space membership)."""
-        return all(d % 2 == 0 for d in self.degrees().values())
+        return not self._endpoint_masks()[1]
 
     def is_cycle(self) -> bool:
         """Nonzero, 2-regular on its touched vertices, and connected."""
         if not self.bits:
             return False
-        deg = self.degrees()
-        if any(d != 2 for d in deg.values()):
+        # Every degree is even and the degrees sum to twice the edge count,
+        # so all are 2 exactly when there are as many vertices as edges.
+        touched, odd = self._endpoint_masks()
+        if odd or touched.bit_count() != self.bits.bit_count():
             return False
-        adj = {v: [] for v in deg}
+        adj = {}
         for u, v in self.edges():
-            adj[u].append(v)
-            adj[v].append(u)
-        start = next(iter(deg))
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        start = next(iter(adj))
         seen = {start}
         queue = deque([start])
         while queue:
@@ -128,11 +141,17 @@ class EdgeVector:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
-        return len(seen) == len(deg)
+        return len(seen) == len(adj)
 
     def touches(self, s: frozenset) -> bool:
         """Whether any edge of the vector has an endpoint in ``s``."""
-        return any(u in s or v in s for u, v in self.edges())
+        touched = self._endpoint_masks()[0]
+        while touched:
+            low = touched & -touched
+            if low.bit_length() - 1 in s:
+                return True
+            touched ^= low
+        return False
 
     def to_json(self) -> list:
         return [list(e) for e in self.edges()]
@@ -284,11 +303,15 @@ def decompose(target: EdgeVector, gen: CycleGen) -> List[int]:
 
 def edges_between(g: Graph, a: frozenset, b: frozenset) -> int:
     """Bitmask of the edges of ``g`` with one endpoint in ``a`` and the other
-    in ``b``."""
+    in ``b``.  Members of ``a`` that are no vertex of ``g`` match no edge."""
+    ids = range(g.vertex_count)
     bits = 0
-    for eid, (u, v) in enumerate(g.edges):
-        if (u in a and v in b) or (v in a and u in b):
-            bits |= 1 << eid
+    for u in a:
+        if u in ids:
+            u = int(u)              # a member equal to an id, as ``in`` sees it
+            for v in g.adjacency[u]:
+                if v in b:
+                    bits |= 1 << g.edge_id(u, v)
     return bits
 
 

@@ -13,10 +13,10 @@ bitmasks (bit ``v`` set for vertex ``v``) through the private
 ``_NeighbourhoodPlan``: ``mask`` range-checks a set into a mask,
 ``expand`` maps a mask to the mask of its neighbours with a few whole-int
 operations, ``flood`` grows a mask inside an allowed mask one BFS level
-per step, and ``components`` peels a mask into its components.  The
-component, connectivity and cutset queries here and every boundary
-operator share that one engine; only ``shortest_path`` keeps a vertex
-queue, because it needs parents.
+per step and stops once the allowed mask is filled, and ``components``
+peels a mask into its components.  The component, connectivity and
+cutset queries here and every boundary operator share that one engine;
+only ``shortest_path`` keeps a vertex queue, because it needs parents.
 """
 
 from __future__ import annotations
@@ -265,10 +265,12 @@ class _NeighbourhoodPlan:
 
     def flood(self, seed: int, allowed: int) -> int:
         """Vertices of ``allowed`` joined to ``seed & allowed`` by a path
-        inside ``allowed``, grown one BFS level per step."""
+        inside ``allowed``, grown one BFS level per step.  The flood stops
+        as soon as it has filled ``allowed``: a level after that could
+        expand into nothing, so it is skipped."""
         seen = frontier = seed & allowed
         rest = allowed ^ seen
-        while frontier:
+        while frontier and rest:
             frontier = self.expand(frontier) & rest
             rest ^= frontier
             seen |= frontier

@@ -24,6 +24,18 @@ the visible boundary in the probe graph, from
 ``boundary.visible_component_count`` and builds a full ``BoundaryReport``
 only for an instance that fails, to put in its failure record.
 
+The visible boundary depends on the observer only through the observer's
+component of the traversal graph minus the subset (it is the exterior
+boundary of Kesten and of Deuschel–Pisztora).  So an ``all-outside``
+campaign on enumerated or given subsets splits the complement into those
+components and judges each once, on its smallest vertex; every observer
+gets its component's verdict and counts as one trial, in the order apex
+first, then by id.  A subset costs one verdict per component, not one
+per box vertex, plus a ``full_report`` per failing observer.  Random
+``all-outside`` trials draw a rank k and take the k-th id outside the
+subset (the apex, the largest id, last) by walking the sorted subset.
+The sampler prepares its pool once per (graph, pool).
+
 Campaigns run their trials in one sequential loop; every trial is a pure
 function of immutable graphs plus the seed string ``"{seed}:{index}"``, so
 the same config and seed give byte-identical reports.  The graphs,
@@ -44,8 +56,8 @@ from .boundary import (full_report, outer_visible_boundary, report_to_json,
 from .cyclespace import (CycleGen, EdgeVector, crossing_cycle_witness,
                          fundamental_basis, is_chordal_cycle, is_generating)
 from .errors import InputError
-from .graphs import (Graph, GraphPair, component_of, is_connected_in,
-                     vertexset_to_json)
+from .graphs import (Graph, GraphPair, _is_id, _neighbourhood_plan,
+                     component_of, is_connected_in, vertexset_to_json)
 from .lattice import (BoxSpec, build_box, build_box_pair,
                       extra_edge_patches, four_cycle_gen, margin_interior,
                       with_apex)
@@ -105,28 +117,39 @@ def sample_connected_subset(g: Graph, size: int, seed,
                             allowed: Optional[frozenset] = None) -> frozenset:
     """Seeded randomized growth of a connected subset of exactly ``size``
     vertices (within ``allowed`` when given).  Deterministic per seed."""
-    pool = sorted(allowed) if allowed is not None else list(range(g.vertex_count))
-    for v in pool:
-        g.require_vertex(v)
+    if allowed is None:
+        pool, nbrs = range(g.vertex_count), g.adjacency
+    else:
+        pool, nbrs = _sampling_pool(
+            g, allowed if isinstance(allowed, frozenset) else tuple(allowed))
     if not 1 <= size <= len(pool):
         raise InputError(f"cannot grow {size} vertices out of {len(pool)} candidates")
-    allowed_set = frozenset(pool)
     rng = random.Random(seed)
     for _attempt in range(64):
         start = pool[rng.randrange(len(pool))]
         chosen = {start}
-        frontier = [w for w in g.adjacency[start] if w in allowed_set]
+        frontier = list(nbrs[start])
         while frontier and len(chosen) < size:
             w = frontier.pop(rng.randrange(len(frontier)))
             if w in chosen:
                 continue
             chosen.add(w)
-            for z in g.adjacency[w]:
-                if z in allowed_set and z not in chosen:
-                    frontier.append(z)
+            frontier.extend([z for z in nbrs[w] if z not in chosen])
         if len(chosen) == size:
             return frozenset(chosen)
     raise InputError("the allowed region cannot grow a connected subset of the requested size")
+
+
+@lru_cache(maxsize=16)
+def _sampling_pool(g: Graph, allowed) -> tuple:
+    """The sorted, range-checked pool of ``allowed`` and each pool vertex's
+    neighbours inside it, in adjacency order: what every sample from the
+    pool reads, built once per (graph, pool) and shared, so read-only."""
+    pool = tuple(sorted(allowed))
+    for v in pool:
+        g.require_vertex(v)
+    inside = frozenset(pool)
+    return pool, {v: tuple(w for w in g.adjacency[v] if w in inside) for v in pool}
 
 
 def random_connected_graph(vertex_count: int, extra_edges: int, seed) -> Graph:
@@ -274,7 +297,8 @@ class TrialConfig:
     campaigns (default ``star``) — both exist mainly for negative
     controls.  ``lemma`` campaigns are sampling-only; they ignore
     margin and x_policy and alternate between the configured box and seeded
-    random connected graphs.
+    random connected graphs.  ``max_size``, ``trials``, ``margin`` and
+    ``x_vertex`` must be ints; bools and floats are refused.
     """
 
     theorem: str
@@ -296,6 +320,10 @@ class TrialConfig:
             raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.x_policy not in X_POLICIES:
             raise InputError(f"x_policy must be one of {X_POLICIES}, got {self.x_policy!r}")
+        for name in ("max_size", "trials", "margin", "x_vertex"):
+            value = getattr(self, name)
+            if not _is_id(value) and not (name == "x_vertex" and value is None):
+                raise InputError(f"{name} must be an int, got {value!r}")
         if self.max_size < 1:
             raise InputError("max_size must be ≥ 1")
         if self.margin < 0:
@@ -365,6 +393,7 @@ def _trial_seed(seed: int, index: int) -> str:
 # --- boundary campaigns (dp / k) -------------------------------------------
 
 def _observers(cfg: TrialConfig, apex: int, c: frozenset) -> List[int]:
+    """The observers of subset ``c`` in trial order."""
     if cfg.x_policy == "apex":
         return [apex]
     if cfg.x_policy == "fixed":
@@ -375,10 +404,23 @@ def _observers(cfg: TrialConfig, apex: int, c: frozenset) -> List[int]:
     return [apex] + [v for v in range(apex) if v not in c]
 
 
+def _kth_outside(c: frozenset, k: int) -> int:
+    """The ``k``-th smallest id (from 0) outside ``c``.  All-outside
+    observers are the ids outside ``c`` and the apex is the largest, so this
+    is ``sorted(_observers(cfg, apex, c))[k]`` without the list."""
+    for v in sorted(c):
+        if v > k:
+            break
+        k += 1
+    return k
+
+
 def _boundary_instances(cfg: TrialConfig, setting: _BoxSetting,
                         fixed_c: Optional[frozenset]) -> Iterator[tuple]:
     """Yield ``(seed string or None, subset, observer)`` for every instance
-    of a dp/k campaign, in trial order."""
+    of a dp/k campaign, in trial order.  Outside random mode the
+    all-outside policy yields the observer ``None``, which stands for every
+    vertex outside the subset, apex first, then by id."""
     allowed = margin_interior(setting.box, cfg.margin)
     host, apex = setting.connect_host, setting.apex
     if fixed_c is not None:
@@ -392,30 +434,58 @@ def _boundary_instances(cfg: TrialConfig, setting: _BoxSetting,
         if _apex_observes(cfg) and not c <= allowed:
             raise InputError(
                 f"precondition: apex observers need the subset inside margin {cfg.margin}")
-        for x in _observers(cfg, apex, c):
-            yield None, c, x
+        subsets = [c]
     elif cfg.mode == "exhaustive":
-        for c in enumerate_connected_subsets(host, cfg.max_size, allowed=allowed):
+        subsets = enumerate_connected_subsets(host, cfg.max_size, allowed=allowed)
+    else:
+        yield from _sampled_instances(cfg, host, apex, allowed)
+        return
+    for c in subsets:
+        if cfg.x_policy == "all-outside":
+            yield None, c, None
+        else:
             for x in _observers(cfg, apex, c):
                 yield None, c, x
-    else:
-        size_cap = min(cfg.max_size, len(allowed))
-        if size_cap < 1:
-            raise InputError(f"margin {cfg.margin} leaves no room for subsets in {cfg.box}")
-        for i in range(cfg.trials):
-            seed_str = _trial_seed(cfg.seed, i)
-            rng = random.Random(seed_str)
-            size = rng.randint(1, size_cap)
-            for attempt in range(64):
-                c = sample_connected_subset(host, size, seed=f"{seed_str}/c{attempt}",
-                                            allowed=allowed)
-                xs = _observers(cfg, apex, c)
-                if xs:
-                    break
-            else:
-                raise InputError("could not sample a subset compatible with the observer policy")
-            x = xs[0] if len(xs) == 1 else sorted(xs)[rng.randrange(len(xs))]
-            yield seed_str, c, x
+
+
+def _sampled_instances(cfg: TrialConfig, host: Graph, apex: int,
+                       allowed: frozenset) -> Iterator[tuple]:
+    """The instances of a random dp/k campaign, one per trial."""
+    size_cap = min(cfg.max_size, len(allowed))
+    if size_cap < 1:
+        raise InputError(f"margin {cfg.margin} leaves no room for subsets in {cfg.box}")
+    for i in range(cfg.trials):
+        seed_str = _trial_seed(cfg.seed, i)
+        rng = random.Random(seed_str)
+        size = rng.randint(1, size_cap)
+        for attempt in range(64):
+            c = sample_connected_subset(host, size, seed=f"{seed_str}/c{attempt}",
+                                        allowed=allowed)
+            if cfg.x_policy == "all-outside":
+                # the observer is drawn by rank among the ids outside c
+                outside = apex + 1 - len(c)
+                x = _kth_outside(c, rng.randrange(outside)) if outside > 1 else apex
+                break
+            xs = _observers(cfg, apex, c)
+            if xs:
+                x = xs[0]
+                break
+        else:
+            raise InputError("could not sample a subset compatible with the observer policy")
+        yield seed_str, c, x
+
+
+def _failure_record(setting: _BoxSetting, trial: int, seed_str: Optional[str],
+                    c: frozenset, x: int) -> dict:
+    g_t, gp_t, probe_t = setting.roles
+    return {
+        "trial": trial,
+        "seed": seed_str,
+        "kind": "disconnected-visible-boundary",
+        "c": vertexset_to_json(setting.box, c),
+        "x": "apex" if x == setting.apex else _vertex_json(setting.box, x),
+        "report": report_to_json(full_report(g_t, gp_t, probe_t, c, x), g_t),
+    }
 
 
 def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
@@ -428,19 +498,29 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
             "theorem premises fail for this configuration; "
             "pass skip_hypotheses (CLI: --skip-hypotheses) to run it as a negative control")
     g_t, gp_t, probe_t = setting.roles
+    trav = _neighbourhood_plan(g_t)
     trials_run = 0
     failures: List[dict] = []
     trial_seeds: List[str] = []
     for seed_str, c, x in _boundary_instances(cfg, setting, fixed_c):
+        if x is None:
+            # Every vertex outside c observes.  The visible boundary depends
+            # on the observer only through its component of the traversal
+            # graph minus c, so each component is judged once.
+            outside = trav.full ^ trav.mask(c)
+            failing = 0
+            for comp in trav.components(outside):
+                rep = (comp & -comp).bit_length() - 1
+                if visible_component_count(g_t, gp_t, probe_t, c, rep) != 1:
+                    failing |= comp
+            if failing:
+                for i, v in enumerate(_observers(cfg, setting.apex, c)):
+                    if failing >> v & 1:
+                        failures.append(_failure_record(setting, trials_run + i, None, c, v))
+            trials_run += outside.bit_count()
+            continue
         if visible_component_count(g_t, gp_t, probe_t, c, x) != 1:
-            failures.append({
-                "trial": trials_run,
-                "seed": seed_str,
-                "kind": "disconnected-visible-boundary",
-                "c": vertexset_to_json(setting.box, c),
-                "x": "apex" if x == setting.apex else _vertex_json(setting.box, x),
-                "report": report_to_json(full_report(g_t, gp_t, probe_t, c, x), g_t),
-            })
+            failures.append(_failure_record(setting, trials_run, seed_str, c, x))
         if seed_str is not None:
             trial_seeds.append(seed_str)
         trials_run += 1

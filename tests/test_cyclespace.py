@@ -97,12 +97,37 @@ def test_even_and_cycle_checks_match_degree_oracle(g, data):
     assert v.is_cycle() == cycle_check_by_degrees(g.vertex_count, v.edges())
 
 
+def test_even_and_cycle_checks_on_sums_of_faces():
+    """Sums of unit faces of z2:5, whose degrees are all 2 or 4: single
+    faces and ring-shaped sums are cycles; two disjoint faces are 2-regular
+    but not connected; faces meeting at a corner have a degree-4 vertex.
+    The degree oracle must agree on every sum of two or three faces."""
+    spec = BoxSpec(2, 5, "plain")
+    g = build_box(spec)
+    faces = four_cycle_gen(spec).cycles
+    kinds = set()
+    for i, a in enumerate(faces):
+        for b in faces[i + 1:]:
+            for vec in (a + b, a + b + faces[(i * 7) % len(faces)]):
+                want = cycle_check_by_degrees(g.vertex_count, vec.edges())
+                assert vec.is_even()
+                assert vec.is_cycle() == want
+                kinds.add((want, max(vec.degrees().values(), default=0)))
+    assert kinds == {(True, 2), (False, 2), (False, 4)}
+    assert EdgeVector(g).is_even() and not EdgeVector(g).is_cycle()
+    path = EdgeVector.from_vertex_path(g, [0, 1, 2, 7])
+    assert not path.is_even() and not path.is_cycle()
+
+
 def test_touches():
     g = ring(4)
     v = EdgeVector.from_edges(g, [(1, 2)])
     assert v.touches(frozenset({2}))
     assert not v.touches(frozenset({0, 3}))
     assert not EdgeVector(g).touches(frozenset({0}))
+    # ids that are no vertex of the host touch nothing
+    assert not v.touches(frozenset({-1, -3, 4, 99}))
+    assert v.touches(frozenset({-1, 99, 1}))
 
 
 # --- rank and generating sets --------------------------------------------------
@@ -300,6 +325,23 @@ def test_edges_between_matches_scan():
               if (e[0] in a and e[1] in b) or (e[1] in a and e[0] in b)}
     got = {g.endpoints(i) for i in EdgeVector(g, bits).edge_ids()}
     assert got == expect and len(expect) == 2
+
+
+def test_edges_between_matches_scan_on_any_ids():
+    """Only the adjacency of ``a`` is scanned; members that are no vertex
+    of the host (negative or too large) still match no edge, and ``a``
+    and ``b`` may overlap."""
+    g = build_box(BoxSpec(2, 4, "plain"))
+    rng = random.Random(5)
+    ids = list(range(-3, g.vertex_count + 3))
+    for _ in range(200):
+        a = frozenset(rng.sample(ids, rng.randint(0, 8)))
+        b = frozenset(rng.sample(ids, rng.randint(0, 8)))
+        expect = 0
+        for eid, (u, v) in enumerate(g.edges):
+            if (u in a and v in b) or (v in a and u in b):
+                expect |= 1 << eid
+        assert edges_between(g, a, b) == expect
 
 
 def test_witness_on_a_plain_ring():

@@ -101,6 +101,40 @@ def test_sampling_respects_allowed_region():
         assert s <= inner and is_connected_in(g, s)
 
 
+def test_sampler_outputs_are_pinned():
+    """The pool is prepared once per (graph, pool); the draws, and so the
+    subsets, are those of a sampler that rebuilt it on every call."""
+    g = build_box(BoxSpec(3, 7, "plain"))
+    inner = margin_interior(g, 2)
+    pins = [("0:0/c0", 12, [65, 66, 72, 73, 74, 80, 81, 87, 122, 123, 130, 137]),
+            ("7:3/c1", 5, [234, 282, 283, 284, 285]),
+            (42, 9, [114, 155, 156, 163, 164, 170, 205, 206, 212]),
+            ("pin", 1, [86])]
+    for seed, size, want in pins:
+        assert sorted(sample_connected_subset(g, size, seed, allowed=inner)) == want
+        # a set or a list of the same pool draws the same subset
+        assert sorted(sample_connected_subset(g, size, seed, allowed=set(inner))) == want
+        assert sorted(sample_connected_subset(g, size, seed, allowed=sorted(inner))) == want
+    r = random_connected_graph(40, 15, seed="pin-graph")
+    assert r.labels is None
+    for seed, size, want in [("a", 6, [4, 5, 17, 31, 34, 35]),
+                             ("b", 11, [2, 4, 5, 10, 12, 20, 21, 27, 31, 34, 35]),
+                             (3, 2, [15, 36])]:
+        assert sorted(sample_connected_subset(r, size, seed)) == want
+    evens = frozenset(range(0, 40, 2)) | frozenset(range(1, 12))
+    assert sorted(sample_connected_subset(r, 7, "c", allowed=evens)) == [
+        2, 10, 12, 14, 18, 24, 30]
+
+
+def test_sampler_rejects_an_out_of_range_pool():
+    g = build_box(BoxSpec(2, 6, "plain"))
+    sample_connected_subset(g, 3, "warm", allowed=frozenset({7, 8, 9}))
+    for pool, bad in [({5, 40, 37}, "37"), ({-2, 40, 5}, "-2"), ({36}, "36")]:
+        for _ in range(2):           # a refused pool is refused every time
+            with pytest.raises(InputError, match=f"vertex id {bad} outside"):
+                sample_connected_subset(g, 1, "s", allowed=frozenset(pool))
+
+
 # --- premise checkers ----------------------------------------------------------------
 
 def test_dp_premises_hold_with_plus_and_fail_with_plain():
@@ -215,6 +249,14 @@ def test_trial_config_validation():
         for margin in (0, 1):
             with pytest.raises(InputError, match="margin ≥ 2"):
                 TrialConfig(theorem="dp", box=box, margin=margin, **policy)
+    # the int fields refuse bools and floats
+    for field, value in [("max_size", True), ("max_size", 2.5), ("trials", 2.5),
+                         ("trials", False), ("margin", 2.0), ("margin", True),
+                         ("x_vertex", True), ("x_vertex", 2.0)]:
+        policy = {"x_policy": "fixed", "x_vertex": 0, "margin": 1, "mode": "random"}
+        policy[field] = value
+        with pytest.raises(InputError, match=f"{field} must be an int"):
+            TrialConfig(theorem="dp", box=box, **policy)
     # margin 1 is fine when the observer is a fixed vertex
     TrialConfig(theorem="dp", box=box, margin=1, x_policy="fixed", x_vertex=0)
     # ... and so is any margin for the lemma, which has no apex
@@ -346,6 +388,31 @@ def test_lemma_campaign_with_one_dimensional_box():
     assert rep.passed
 
 
+def _per_observer_reference(cfg, fixed_c=None):
+    """Trial count and failure records of a dp/k campaign, judged by
+    ``full_report`` on every (subset, observer) pair in trial order: the
+    per-observer loop that per-component verdicts must reproduce."""
+    import boundarykit.harness as harness
+    row = harness._BOUNDARY_THEOREMS[cfg.theorem]
+    setting = harness._box_setting(cfg.theorem, cfg.box,
+                                   getattr(cfg, row.override) or row.augmentation)
+    g, g_prime, probe = setting.roles
+    trials_run, failures = 0, []
+    for seed, c, x in harness._boundary_instances(cfg, setting, fixed_c):
+        xs = [x] if x is not None else harness._observers(cfg, setting.apex, c)
+        for v in xs:
+            rep = full_report(g, g_prime, probe, c, v)
+            if rep.component_count != 1:
+                failures.append({
+                    "trial": trials_run, "seed": seed,
+                    "kind": "disconnected-visible-boundary",
+                    "c": vertexset_to_json(setting.box, c),
+                    "x": "apex" if v == setting.apex else list(setting.box.labels[v]),
+                    "report": report_to_json(rep, g)})
+            trials_run += 1
+    return trials_run, failures
+
+
 @pytest.mark.parametrize("cfg", [
     TrialConfig(theorem="dp", box=BoxSpec(2, 5, "plain"), max_size=3,
                 probe="plain", x_policy="all-outside"),
@@ -358,21 +425,78 @@ def test_failures_are_exactly_the_disconnected_full_reports(cfg):
     """Campaigns judge instances by their component count alone; the
     failing instances and their report bytes must be those of
     ``full_report`` on every instance."""
-    import boundarykit.harness as harness
-    row = harness._BOUNDARY_THEOREMS[cfg.theorem]
-    setting = harness._box_setting(cfg.theorem, cfg.box,
-                                   getattr(cfg, row.override) or row.augmentation)
-    g, g_prime, probe = setting.roles
-    want = []
-    for trial, (_, c, x) in enumerate(harness._boundary_instances(cfg, setting, None)):
-        rep = full_report(g, g_prime, probe, c, x)
-        if rep.component_count != 1:
-            want.append((trial, vertexset_to_json(setting.box, c),
-                         report_to_json(rep, g)))
+    trials, want = _per_observer_reference(cfg)
     rep = run_verification(cfg, skip_hypotheses=True)
     got = [(f["trial"], f["c"], f["report"]) for f in rep.failures]
-    assert got == want
+    assert got == [(f["trial"], f["c"], f["report"]) for f in want]
+    assert rep.trials_run == trials
     assert bool(want) == (cfg.probe == "plain" or cfg.g_prime == "plain")
+
+
+# An 8-ring whose one-cell hole passes while the outside fails, and a
+# 16-ring around a plus-shaped hole whose four arms are seen as four
+# components, so the hole fails as well as the outside.
+_RING = [(3, 3), (3, 4), (3, 5), (4, 5), (5, 5), (5, 4), (5, 3), (4, 3)]
+_PLUS_RING = [(5 + dx, 5 + dy) for dx, dy in [
+    (2, 0), (2, 1), (1, 1), (1, 2), (0, 2), (-1, 2), (-1, 1), (-2, 1),
+    (-2, 0), (-2, -1), (-1, -1), (-1, -2), (0, -2), (1, -2), (1, -1), (2, -1)]]
+
+
+@pytest.mark.parametrize("cfg, ring, trials, failing", [
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 5, "plain"), max_size=8,
+                 probe="plain", x_policy="all-outside"), None, 4570, 4565),
+    (TrialConfig(theorem="k", box=BoxSpec(2, 5, "plain"), max_size=8,
+                 g_prime="plain", x_policy="all-outside"), None, 4570, 4565),
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"),
+                 probe="plain", x_policy="all-outside"), _RING, 42, 41),
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 9, "plain"),
+                 probe="plain", x_policy="all-outside"), _PLUS_RING, 66, 66),
+], ids=["dp-plain-probe", "k-plain-adjacency", "dp-fixed-ring", "dp-fixed-plus-hole"])
+def test_component_verdicts_match_the_per_observer_loop(cfg, ring, trials, failing):
+    """All-outside campaigns judge one observer per component of the
+    traversal graph minus the subset.  Around a ring the hole and the apex
+    side lie in different components; the report must still equal, byte
+    for byte, the one the per-observer loop builds."""
+    fixed_c = None
+    if ring is not None:
+        box = build_box(cfg.box)
+        fixed_c = frozenset(box.id_of_label(p) for p in ring)
+    want_trials, want = _per_observer_reference(cfg, fixed_c)
+    rep = run_verification(cfg, skip_hypotheses=True, fixed_c=fixed_c)
+    assert (rep.trials_run, len(rep.failures)) == (want_trials, len(want)) == (trials, failing)
+    assert json.dumps(rep.failures) == json.dumps(want)
+    assert rep.trial_seeds == []
+
+
+def test_rank_pick_is_the_kth_sorted_observer():
+    import boundarykit.harness as harness
+    for box in (BoxSpec(2, 5, "plain"), BoxSpec(3, 4, "plain")):
+        cfg = TrialConfig(theorem="dp", box=box, x_policy="all-outside")
+        apex = box.side ** box.d
+        top = apex - 1
+        subsets = [frozenset(), frozenset({0}), frozenset({top}), frozenset({0, top}),
+                   frozenset({0, 1, 2, 7}), frozenset({top - 2, top - 1, top}),
+                   frozenset(range(0, apex, 3)), frozenset(range(1, apex))]
+        for c in subsets:
+            xs = sorted(harness._observers(cfg, apex, c))
+            assert xs[-1] == apex
+            assert [harness._kth_outside(c, k) for k in range(len(xs))] == xs
+
+
+def test_random_all_outside_observers_are_drawn_by_rank():
+    """The random-mode observer is the draw's rank among the sorted ids
+    outside the subset, with the apex last."""
+    import random
+
+    import boundarykit.harness as harness
+    cfg = TrialConfig(theorem="k", box=BoxSpec(3, 5, "plain"), mode="random",
+                      trials=60, seed=2, max_size=6, x_policy="all-outside")
+    setting = harness._box_setting("k", cfg.box, "star")
+    for seed, c, x in harness._boundary_instances(cfg, setting, None):
+        rng = random.Random(seed)
+        rng.randint(1, min(cfg.max_size, 27))      # the subset size draw
+        xs = sorted(harness._observers(cfg, setting.apex, c))
+        assert x == xs[rng.randrange(len(xs))]
 
 
 def test_fixed_observer_policy():
