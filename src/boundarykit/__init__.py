@@ -10,7 +10,7 @@ boundary-connectivity statements exhaustively or randomly on lattice boxes.
 
 from .boundary import (BoundaryReport, full_report, inner_boundary_variants,
                        outer_boundary, outer_visible_boundary, report_to_json,
-                       visible_boundary, visible_component_count)
+                       visible_boundary)
 from .cyclespace import (CycleGen, EdgeVector, crossing_cycle_witness,
                          cycle_space_rank, decompose, edges_between,
                          fundamental_basis, is_chordal_cycle, is_generating)
@@ -45,5 +45,5 @@ __all__ = [
     "parse_box_spec", "random_connected_graph", "report_to_json",
     "run_verification", "sample_connected_subset", "set_components",
     "shortest_path", "vertexset_from_json", "vertexset_to_json",
-    "visible_boundary", "visible_component_count", "with_apex", "__version__",
+    "visible_boundary", "with_apex", "__version__",
 ]

@@ -31,13 +31,16 @@ report's floods cover the whole box.  A report is
 
 and the probe components come from the plan's ``components``, which peels
 them off from the lowest remaining bit, so they come ordered by smallest
-member.  A campaign needs only each instance's component count, so
-``visible_component_count`` computes the boundary, the visible set and
-the probe components and nothing else: no outer-visible flood, no
-frozensets and no report.  The campaign builds the full report only for
-an instance that fails.  The kernel's judges are the definition-level
-oracles of ``tests/oracles.py`` (boundary scans, DFS path searches,
-union-find components), compared in ``tests/test_boundary.py`` on graphs
+member.  A campaign needs only verdicts, and the visible boundary depends
+on the observer only through the observer's component of the traversal
+graph minus C.  So its one verdict kernel, ``_failing_observers``,
+takes a subset's observers as a mask, computes the boundary once,
+floods each component that holds an observer once and judges the
+boundary inside it: no outer-visible flood, no frozensets and no
+report.  The campaign builds a full report only for an observer that
+fails.  The kernel's judges are the definition-level oracles of
+``tests/oracles.py`` (boundary scans, DFS path searches, union-find
+components), compared in ``tests/test_boundary.py`` on graphs
 up to and beyond 64 vertices, where masks span several machine words.
 """
 
@@ -115,6 +118,23 @@ def _probe_components(probe, s: int):
     return len(comps), tuple((m & -m).bit_length() - 1 for m in comps[:2])
 
 
+def _failing_observers(trav, adj, probe, cm: int, observers: int) -> int:
+    """The mask of those ``observers`` (a mask disjoint from ``cm``) whose
+    visible boundary of ``cm`` is disconnected in the probe graph.  That
+    boundary depends on the observer only through its component of the
+    traversal graph minus ``cm``, so each component holding an observer
+    is flooded and judged once."""
+    boundary = adj.expand(cm) & ~cm
+    outside = trav.full ^ cm
+    failing = 0
+    while observers:
+        comp = trav.flood(observers & -observers, outside)
+        if len(probe.components(boundary & comp)) > 1:
+            failing |= comp & observers
+        observers &= ~comp
+    return failing
+
+
 def _report(boundary: int, visible: int, outer_visible: int, count: int,
             witness) -> BoundaryReport:
     """A report from masks; nested sets that are equal share one frozenset."""
@@ -154,35 +174,19 @@ def outer_visible_boundary(g: Graph, g_prime: Graph, c: frozenset, x: int) -> fr
     return _members(_outer_visible_mask(trav, cm, x, visible))
 
 
-def _instance(g: Graph, g_prime: Graph, probe: Graph, c: frozenset, x: int):
-    """The traversal plan, the mask of ``c`` and the outer and visible
-    boundary masks of one (c, x) instance, after the checks every report
-    makes."""
+def full_report(g: Graph, g_prime: Graph, probe: Graph, c: frozenset,
+                x: int) -> BoundaryReport:
+    """All three boundary sets of (c, x) plus connectivity of the visible
+    set inside ``probe``."""
     _require_same_vertices(g, g_prime, probe)
     adj = _neighbourhood_plan(g_prime)
     cm = adj.mask(c)
     _require_observer(g, c, x)
     trav = _neighbourhood_plan(g)
-    return (trav, cm) + _visible_masks(trav, adj, cm, x)
-
-
-def full_report(g: Graph, g_prime: Graph, probe: Graph, c: frozenset,
-                x: int) -> BoundaryReport:
-    """All three boundary sets of (c, x) plus connectivity of the visible
-    set inside ``probe``."""
-    trav, cm, boundary, visible = _instance(g, g_prime, probe, c, x)
+    boundary, visible = _visible_masks(trav, adj, cm, x)
     outer_visible = _outer_visible_mask(trav, cm, x, visible)
     count, witness = _probe_components(_neighbourhood_plan(probe), visible)
     return _report(boundary, visible, outer_visible, count, witness)
-
-
-def visible_component_count(g: Graph, g_prime: Graph, probe: Graph,
-                            c: frozenset, x: int) -> int:
-    """``full_report(g, g_prime, probe, c, x).component_count``, with the
-    same checks, but without the outer-visible flood, the frozensets and
-    the report: the verdict of a campaign instance."""
-    _, _, _, visible = _instance(g, g_prime, probe, c, x)
-    return _probe_components(_neighbourhood_plan(probe), visible)[0]
 
 
 def inner_boundary_variants(g: Graph, g_prime: Graph, c: frozenset,

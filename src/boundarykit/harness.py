@@ -17,23 +17,21 @@ Observers default to the apex vertex (the far-away surrogate).  Whenever
 the apex can observe (the ``apex`` and ``all-outside`` policies, or the
 apex id as the ``fixed`` observer), subsets must keep an L∞ margin of at
 least 2 from the box surface so the apex faithfully models the unbounded
-outside.
+outside.  A margin that leaves no room for subsets is refused, in
+exhaustive as in random mode, rather than passing with no trials.
 
-A dp/k campaign reads each instance's verdict, the component count of
-the visible boundary in the probe graph, from
-``boundary.visible_component_count`` and builds a full ``BoundaryReport``
-only for an instance that fails, to put in its failure record.
-
+A dp/k campaign gives each subset an observer mask: the apex, the fixed
+vertex unless the subset holds it, or, under ``all-outside``, every
+vertex outside an enumerated or given subset.  A random ``all-outside``
+trial draws one of those by rank k, the k-th id outside the subset (the
+apex, the largest id, last), found by walking the sorted subset.  Every
+policy then runs the same verdict loop on ``boundary._failing_observers``.
 The visible boundary depends on the observer only through the observer's
 component of the traversal graph minus the subset (it is the exterior
-boundary of Kesten and of Deuschel–Pisztora).  So an ``all-outside``
-campaign on enumerated or given subsets splits the complement into those
-components and judges each once, on its smallest vertex; every observer
-gets its component's verdict and counts as one trial, in the order apex
-first, then by id.  A subset costs one verdict per component, not one
-per box vertex, plus a ``full_report`` per failing observer.  Random
-``all-outside`` trials draw a rank k and take the k-th id outside the
-subset (the apex, the largest id, last) by walking the sorted subset.
+boundary of Kesten and of Deuschel–Pisztora), so the kernel floods and
+judges each component that holds an observer once.  Each observer counts
+as one trial, in the order apex first, then by id, and only a failing
+observer gets a full ``BoundaryReport``, for its failure record.
 The sampler prepares its pool once per (graph, pool).
 
 Campaigns run their trials in one sequential loop; every trial is a pure
@@ -51,12 +49,12 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .boundary import (full_report, outer_visible_boundary, report_to_json,
-                       visible_component_count)
+from .boundary import (_failing_observers, full_report, outer_visible_boundary,
+                       report_to_json)
 from .cyclespace import (CycleGen, EdgeVector, crossing_cycle_witness,
                          fundamental_basis, is_chordal_cycle, is_generating)
 from .errors import InputError
-from .graphs import (Graph, GraphPair, _is_id, _neighbourhood_plan,
+from .graphs import (Graph, GraphPair, _is_id, _members, _neighbourhood_plan,
                      component_of, is_connected_in, vertexset_to_json)
 from .lattice import (BoxSpec, build_box, build_box_pair,
                       extra_edge_patches, four_cycle_gen, margin_interior,
@@ -297,8 +295,9 @@ class TrialConfig:
     campaigns (default ``star``) — both exist mainly for negative
     controls.  ``lemma`` campaigns are sampling-only; they ignore
     margin and x_policy and alternate between the configured box and seeded
-    random connected graphs.  ``max_size``, ``trials``, ``margin`` and
-    ``x_vertex`` must be ints; bools and floats are refused.
+    random connected graphs.  ``max_size``, ``trials``, ``seed``,
+    ``margin`` and ``x_vertex`` must be ints; bools and floats are
+    refused.
     """
 
     theorem: str
@@ -320,7 +319,7 @@ class TrialConfig:
             raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.x_policy not in X_POLICIES:
             raise InputError(f"x_policy must be one of {X_POLICIES}, got {self.x_policy!r}")
-        for name in ("max_size", "trials", "margin", "x_vertex"):
+        for name in ("max_size", "trials", "seed", "margin", "x_vertex"):
             value = getattr(self, name)
             if not _is_id(value) and not (name == "x_vertex" and value is None):
                 raise InputError(f"{name} must be an int, got {value!r}")
@@ -392,22 +391,27 @@ def _trial_seed(seed: int, index: int) -> str:
 
 # --- boundary campaigns (dp / k) -------------------------------------------
 
-def _observers(cfg: TrialConfig, apex: int, c: frozenset) -> List[int]:
-    """The observers of subset ``c`` in trial order."""
+def _observers(cfg: TrialConfig, full: int, c: frozenset, cm: int,
+               rng: Optional[random.Random] = None) -> int:
+    """The mask of the observers of subset ``c`` (mask ``cm``) in the
+    apexed graph with vertex mask ``full``, whose largest id is the apex.
+    Under ``all-outside`` every vertex outside ``c`` observes, unless a
+    random trial passes its ``rng``, which draws one of them by rank."""
+    apex = full.bit_length() - 1
     if cfg.x_policy == "apex":
-        return [apex]
+        return 1 << apex
     if cfg.x_policy == "fixed":
-        x = cfg.x_vertex
-        if not 0 <= x <= apex:
-            raise InputError(f"x_vertex {x} outside the apexed graph")
-        return [x] if x not in c else []
-    return [apex] + [v for v in range(apex) if v not in c]
+        return 1 << cfg.x_vertex & ~cm
+    if rng is None:
+        return full ^ cm
+    outside = apex + 1 - len(c)
+    return 1 << (_kth_outside(c, rng.randrange(outside)) if outside > 1 else apex)
 
 
 def _kth_outside(c: frozenset, k: int) -> int:
-    """The ``k``-th smallest id (from 0) outside ``c``.  All-outside
-    observers are the ids outside ``c`` and the apex is the largest, so this
-    is ``sorted(_observers(cfg, apex, c))[k]`` without the list."""
+    """The ``k``-th smallest id (from 0) outside ``c``: the k-th
+    all-outside observer, since the apex is the largest id, found by
+    walking the sorted subset instead of listing the observers."""
     for v in sorted(c):
         if v > k:
             break
@@ -417,12 +421,14 @@ def _kth_outside(c: frozenset, k: int) -> int:
 
 def _boundary_instances(cfg: TrialConfig, setting: _BoxSetting,
                         fixed_c: Optional[frozenset]) -> Iterator[tuple]:
-    """Yield ``(seed string or None, subset, observer)`` for every instance
-    of a dp/k campaign, in trial order.  Outside random mode the
-    all-outside policy yields the observer ``None``, which stands for every
-    vertex outside the subset, apex first, then by id."""
+    """Yield ``(seed string or None, subset, subset mask, observer mask)``
+    for every subset of a dp/k campaign, in trial order.  The campaign's
+    checks run once, before the first subset."""
+    trav = _neighbourhood_plan(setting.roles[0])
+    if cfg.x_policy == "fixed" and not 0 <= cfg.x_vertex <= setting.apex:
+        raise InputError(f"x_vertex {cfg.x_vertex} outside the apexed graph")
     allowed = margin_interior(setting.box, cfg.margin)
-    host, apex = setting.connect_host, setting.apex
+    host = setting.connect_host
     if fixed_c is not None:
         c = frozenset(fixed_c)
         for v in c:
@@ -435,25 +441,22 @@ def _boundary_instances(cfg: TrialConfig, setting: _BoxSetting,
             raise InputError(
                 f"precondition: apex observers need the subset inside margin {cfg.margin}")
         subsets = [c]
+    elif not allowed:
+        raise InputError(f"margin {cfg.margin} leaves no room for subsets in {cfg.box}")
     elif cfg.mode == "exhaustive":
         subsets = enumerate_connected_subsets(host, cfg.max_size, allowed=allowed)
     else:
-        yield from _sampled_instances(cfg, host, apex, allowed)
+        yield from _sampled_instances(cfg, host, trav, allowed)
         return
     for c in subsets:
-        if cfg.x_policy == "all-outside":
-            yield None, c, None
-        else:
-            for x in _observers(cfg, apex, c):
-                yield None, c, x
+        cm = trav.mask(c)
+        yield None, c, cm, _observers(cfg, trav.full, c, cm)
 
 
-def _sampled_instances(cfg: TrialConfig, host: Graph, apex: int,
+def _sampled_instances(cfg: TrialConfig, host: Graph, trav,
                        allowed: frozenset) -> Iterator[tuple]:
-    """The instances of a random dp/k campaign, one per trial."""
+    """The instances of a random dp/k campaign, one observer per trial."""
     size_cap = min(cfg.max_size, len(allowed))
-    if size_cap < 1:
-        raise InputError(f"margin {cfg.margin} leaves no room for subsets in {cfg.box}")
     for i in range(cfg.trials):
         seed_str = _trial_seed(cfg.seed, i)
         rng = random.Random(seed_str)
@@ -461,18 +464,13 @@ def _sampled_instances(cfg: TrialConfig, host: Graph, apex: int,
         for attempt in range(64):
             c = sample_connected_subset(host, size, seed=f"{seed_str}/c{attempt}",
                                         allowed=allowed)
-            if cfg.x_policy == "all-outside":
-                # the observer is drawn by rank among the ids outside c
-                outside = apex + 1 - len(c)
-                x = _kth_outside(c, rng.randrange(outside)) if outside > 1 else apex
-                break
-            xs = _observers(cfg, apex, c)
-            if xs:
-                x = xs[0]
+            cm = trav.mask(c)
+            observers = _observers(cfg, trav.full, c, cm, rng)
+            if observers:
                 break
         else:
             raise InputError("could not sample a subset compatible with the observer policy")
-        yield seed_str, c, x
+        yield seed_str, c, cm, observers
 
 
 def _failure_record(setting: _BoxSetting, trial: int, seed_str: Optional[str],
@@ -497,33 +495,21 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
         raise InputError(
             "theorem premises fail for this configuration; "
             "pass skip_hypotheses (CLI: --skip-hypotheses) to run it as a negative control")
-    g_t, gp_t, probe_t = setting.roles
-    trav = _neighbourhood_plan(g_t)
+    trav, adj, probe = (_neighbourhood_plan(g) for g in setting.roles)
     trials_run = 0
     failures: List[dict] = []
     trial_seeds: List[str] = []
-    for seed_str, c, x in _boundary_instances(cfg, setting, fixed_c):
-        if x is None:
-            # Every vertex outside c observes.  The visible boundary depends
-            # on the observer only through its component of the traversal
-            # graph minus c, so each component is judged once.
-            outside = trav.full ^ trav.mask(c)
-            failing = 0
-            for comp in trav.components(outside):
-                rep = (comp & -comp).bit_length() - 1
-                if visible_component_count(g_t, gp_t, probe_t, c, rep) != 1:
-                    failing |= comp
-            if failing:
-                for i, v in enumerate(_observers(cfg, setting.apex, c)):
-                    if failing >> v & 1:
-                        failures.append(_failure_record(setting, trials_run + i, None, c, v))
-            trials_run += outside.bit_count()
-            continue
-        if visible_component_count(g_t, gp_t, probe_t, c, x) != 1:
-            failures.append(_failure_record(setting, trials_run, seed_str, c, x))
+    for seed_str, c, cm, observers in _boundary_instances(cfg, setting, fixed_c):
+        failing = _failing_observers(trav, adj, probe, cm, observers)
+        if failing:
+            # trial order: the apex first, then by id
+            order = sorted(_members(observers), key=lambda v: (v != setting.apex, v))
+            for i, x in enumerate(order):
+                if failing >> x & 1:
+                    failures.append(_failure_record(setting, trials_run + i, seed_str, c, x))
         if seed_str is not None:
             trial_seeds.append(seed_str)
-        trials_run += 1
+        trials_run += observers.bit_count()
     return trials_run, failures, trial_seeds
 
 

@@ -10,7 +10,10 @@ from boundarykit import (BoundaryReport, BoxSpec, Graph, GraphPair, InputError,
                          inner_boundary_variants, margin_interior, outer_boundary,
                          outer_visible_boundary, random_connected_graph,
                          report_to_json, sample_connected_subset,
-                         visible_boundary, visible_component_count, with_apex)
+                         visible_boundary, with_apex)
+
+from boundarykit.boundary import _failing_observers
+from boundarykit.graphs import _neighbourhood_plan
 
 from oracles import (boundary_by_scan, flood_components, outer_visible_by_paths,
                      visible_by_scan)
@@ -272,13 +275,12 @@ def test_graph_size_mismatch_is_rejected():
 ], ids=["observer-in-c", "adjacency-size", "probe-size", "id-too-large",
         "id-negative", "observer-out-of-range"])
 def test_visible_component_count_checks_like_full_report(roles, c, x, message):
-    """The verdict path refuses exactly what the report refuses, with the
-    same message."""
+    """``full_report``, the public way to judge one instance, refuses an
+    observer in the subset, graphs of different sizes and ids out of
+    range, with a message naming the fault."""
     graphs = {"g": build_box(BoxSpec(2, 5, "plain")), "h": build_box(BoxSpec(2, 4, "plain"))}
-    args = [graphs[r] for r in roles] + [frozenset(c), x]
-    for fn in (full_report, visible_component_count):
-        with pytest.raises(InputError, match=message):
-            fn(*args)
+    with pytest.raises(InputError, match=message):
+        full_report(*[graphs[r] for r in roles], frozenset(c), x)
 
 
 # --- definition-level oracle equivalence ----------------------------------------------
@@ -395,7 +397,9 @@ def expected_report(g, g_prime, probe, c, x):
 def test_full_report_matches_oracles_beyond_one_word(setting):
     """Masks span several machine words here; every field of the report,
     the component count and the witness included, matches the oracles for
-    apex, interior and C-adjacent observers."""
+    apex, interior and C-adjacent observers.  The campaigns' verdict
+    kernel, given every observer outside C, fails exactly the observers
+    whose report is disconnected."""
     _, (g, g_prime, probe), host, apex = setting
     rng = random.Random(g.vertex_count)
     box_ids = range(apex if apex is not None else g.vertex_count)
@@ -420,8 +424,14 @@ def test_full_report_matches_oracles_beyond_one_word(setting):
             got = (rep.boundary, rep.visible, rep.outer_visible,
                    rep.component_count, rep.witness_disconnect)
             assert got == want, (sorted(c), x)
-            assert visible_component_count(g, g_prime, probe, c, x) == rep.component_count
             disconnected += rep.component_count > 1
+        trav, adj = _neighbourhood_plan(g), _neighbourhood_plan(g_prime)
+        cm = trav.mask(c)
+        want_failing = sum(1 << x for x in range(g.vertex_count) if x not in c
+                           and full_report(g, g_prime, probe, c, x).component_count != 1)
+        got_failing = _failing_observers(trav, adj, _neighbourhood_plan(probe),
+                                         cm, trav.full ^ cm)
+        assert got_failing == want_failing, sorted(c)
     if setting[0].endswith("plain-probe"):
         assert disconnected, "the negative control must exercise witnesses"
 

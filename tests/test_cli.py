@@ -244,6 +244,14 @@ def test_verify_all_outside_keeps_the_apex_off_the_surface(capsys, argv, message
     assert message in err
 
 
+def test_verify_refuses_a_margin_without_room(capsys):
+    """An exhaustive campaign with no subset to check exits 2, not 0."""
+    code, out, err = run_cli(capsys, "verify", "dp", "--box", "z2:4:plain",
+                             "--margin", "3", "--max-size", "3")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "leaves no room" in err
+
+
 def test_verify_refuses_broken_premises_without_skip(capsys):
     code, out, err = run_cli(capsys, "verify", "dp", "--box", "z2:5:plain",
                              "--max-size", "2", "--probe", "plain")

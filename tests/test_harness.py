@@ -252,7 +252,8 @@ def test_trial_config_validation():
     # the int fields refuse bools and floats
     for field, value in [("max_size", True), ("max_size", 2.5), ("trials", 2.5),
                          ("trials", False), ("margin", 2.0), ("margin", True),
-                         ("x_vertex", True), ("x_vertex", 2.0)]:
+                         ("x_vertex", True), ("x_vertex", 2.0),
+                         ("seed", True), ("seed", 1.5)]:
         policy = {"x_policy": "fixed", "x_vertex": 0, "margin": 1, "mode": "random"}
         policy[field] = value
         with pytest.raises(InputError, match=f"{field} must be an int"):
@@ -273,6 +274,23 @@ def test_dp_exhaustive_small_box_passes():
     data = rep.to_json()
     assert data["schema"] == 1 and data["passed"] is True
     assert "elapsed" in data and "elapsed" not in rep.to_json(include_elapsed=False)
+
+
+@pytest.mark.parametrize("policy, message", [
+    ({}, "leaves no room"),
+    ({"x_policy": "all-outside"}, "leaves no room"),
+    ({"x_policy": "fixed", "x_vertex": 0}, "leaves no room"),
+    ({"mode": "random", "trials": 5}, "leaves no room"),
+    ({"x_policy": "fixed", "x_vertex": 99}, "x_vertex 99 outside the apexed graph"),
+], ids=["apex", "all-outside", "fixed", "random", "fixed-outside-the-graph"])
+def test_a_margin_without_room_is_refused(policy, message):
+    """z2:4 has no vertex 3 steps from its surface, so no campaign there
+    may pass with no trials; the campaign's checks, the observer id's
+    included, run before any subset."""
+    cfg = TrialConfig(theorem="dp", box=BoxSpec(2, 4, "plain"), margin=3,
+                      max_size=3, **policy)
+    with pytest.raises(InputError, match=message):
+        run_verification(cfg)
 
 
 def test_dp_all_outside_observers():
@@ -391,15 +409,34 @@ def test_lemma_campaign_with_one_dimensional_box():
 def _per_observer_reference(cfg, fixed_c=None):
     """Trial count and failure records of a dp/k campaign, judged by
     ``full_report`` on every (subset, observer) pair in trial order: the
-    per-observer loop that per-component verdicts must reproduce."""
+    per-observer loop that the campaign's verdict kernel must reproduce.
+    Each subset's observers are listed from their definition; a random
+    ``all-outside`` trial keeps the observer its rank drew, which
+    ``test_random_all_outside_observers_are_drawn_by_rank`` checks."""
     import boundarykit.harness as harness
     row = harness._BOUNDARY_THEOREMS[cfg.theorem]
     setting = harness._box_setting(cfg.theorem, cfg.box,
                                    getattr(cfg, row.override) or row.augmentation)
     g, g_prime, probe = setting.roles
+    apex = setting.apex
+    if fixed_c is None and cfg.mode == "random":
+        instances = [(seed, c, drawn.bit_length() - 1) for seed, c, _, drawn
+                     in harness._boundary_instances(cfg, setting, None)]
+    else:
+        subsets = [fixed_c] if fixed_c is not None else enumerate_connected_subsets(
+            setting.connect_host, cfg.max_size,
+            allowed=margin_interior(setting.box, cfg.margin))
+        instances = [(None, c, None) for c in subsets]
     trials_run, failures = 0, []
-    for seed, c, x in harness._boundary_instances(cfg, setting, fixed_c):
-        xs = [x] if x is not None else harness._observers(cfg, setting.apex, c)
+    for seed, c, drawn in instances:
+        if cfg.x_policy == "apex":
+            xs = [apex]
+        elif cfg.x_policy == "fixed":
+            xs = [cfg.x_vertex] if cfg.x_vertex not in c else []
+        elif drawn is not None:
+            xs = [drawn]
+        else:
+            xs = [apex] + [v for v in range(apex) if v not in c]
         for v in xs:
             rep = full_report(g, g_prime, probe, c, v)
             if rep.component_count != 1:
@@ -407,30 +444,41 @@ def _per_observer_reference(cfg, fixed_c=None):
                     "trial": trials_run, "seed": seed,
                     "kind": "disconnected-visible-boundary",
                     "c": vertexset_to_json(setting.box, c),
-                    "x": "apex" if v == setting.apex else list(setting.box.labels[v]),
+                    "x": "apex" if v == apex else list(setting.box.labels[v]),
                     "report": report_to_json(rep, g)})
             trials_run += 1
     return trials_run, failures
 
 
-@pytest.mark.parametrize("cfg", [
-    TrialConfig(theorem="dp", box=BoxSpec(2, 5, "plain"), max_size=3,
-                probe="plain", x_policy="all-outside"),
-    TrialConfig(theorem="k", box=BoxSpec(2, 5, "plain"), max_size=3,
-                g_prime="plain", x_policy="all-outside"),
-    TrialConfig(theorem="k", box=BoxSpec(3, 5, "plain"), mode="random",
-                trials=150, seed=4, max_size=6, x_policy="all-outside"),
-], ids=["dp-plain-probe", "k-plain-adjacency", "k-random"])
-def test_failures_are_exactly_the_disconnected_full_reports(cfg):
+_Z27 = build_box(BoxSpec(2, 7, "plain"))
+_X44, _X33 = _Z27.id_of_label((4, 4)), _Z27.id_of_label((3, 3))
+
+
+@pytest.mark.parametrize("cfg, trials, failing", [
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 5, "plain"), max_size=3,
+                 probe="plain", x_policy="all-outside"), 1019, 1019),
+    (TrialConfig(theorem="k", box=BoxSpec(2, 5, "plain"), max_size=3,
+                 g_prime="plain", x_policy="all-outside"), 1019, 1019),
+    (TrialConfig(theorem="k", box=BoxSpec(3, 5, "plain"), mode="random",
+                 trials=150, seed=4, max_size=6, x_policy="all-outside"), 150, 0),
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 6, "plain"), max_size=5,
+                 probe="plain"), 449, 449),
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), max_size=4,
+                 probe="plain", x_policy="fixed", x_vertex=_X44), 292, 292),
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), mode="random",
+                 trials=200, seed=3, max_size=4, margin=1, probe="plain",
+                 x_policy="fixed", x_vertex=_X33), 200, 177),
+], ids=["dp-plain-probe", "k-plain-adjacency", "k-random", "dp-apex-plain-probe",
+        "dp-fixed-plain-probe", "dp-random-fixed"])
+def test_failures_are_exactly_the_disconnected_full_reports(cfg, trials, failing):
     """Campaigns judge instances by their component count alone; the
     failing instances and their report bytes must be those of
-    ``full_report`` on every instance."""
-    trials, want = _per_observer_reference(cfg)
+    ``full_report`` on every instance.  Under the fixed policy, subsets
+    holding the observer add no trial; random ones are drawn again."""
+    want_trials, want = _per_observer_reference(cfg)
     rep = run_verification(cfg, skip_hypotheses=True)
-    got = [(f["trial"], f["c"], f["report"]) for f in rep.failures]
-    assert got == [(f["trial"], f["c"], f["report"]) for f in want]
-    assert rep.trials_run == trials
-    assert bool(want) == (cfg.probe == "plain" or cfg.g_prime == "plain")
+    assert rep.failures == want
+    assert (rep.trials_run, len(rep.failures)) == (want_trials, len(want)) == (trials, failing)
 
 
 # An 8-ring whose one-cell hole passes while the outside fails, and a
@@ -464,6 +512,8 @@ def test_component_verdicts_match_the_per_observer_loop(cfg, ring, trials, faili
     want_trials, want = _per_observer_reference(cfg, fixed_c)
     rep = run_verification(cfg, skip_hypotheses=True, fixed_c=fixed_c)
     assert (rep.trials_run, len(rep.failures)) == (want_trials, len(want)) == (trials, failing)
+    # as data first: pytest diffs two unequal JSON strings this long for minutes
+    assert rep.failures == want
     assert json.dumps(rep.failures) == json.dumps(want)
     assert rep.trial_seeds == []
 
@@ -471,15 +521,13 @@ def test_component_verdicts_match_the_per_observer_loop(cfg, ring, trials, faili
 def test_rank_pick_is_the_kth_sorted_observer():
     import boundarykit.harness as harness
     for box in (BoxSpec(2, 5, "plain"), BoxSpec(3, 4, "plain")):
-        cfg = TrialConfig(theorem="dp", box=box, x_policy="all-outside")
         apex = box.side ** box.d
         top = apex - 1
         subsets = [frozenset(), frozenset({0}), frozenset({top}), frozenset({0, top}),
                    frozenset({0, 1, 2, 7}), frozenset({top - 2, top - 1, top}),
                    frozenset(range(0, apex, 3)), frozenset(range(1, apex))]
         for c in subsets:
-            xs = sorted(harness._observers(cfg, apex, c))
-            assert xs[-1] == apex
+            xs = [v for v in range(apex + 1) if v not in c]
             assert [harness._kth_outside(c, k) for k in range(len(xs))] == xs
 
 
@@ -492,11 +540,12 @@ def test_random_all_outside_observers_are_drawn_by_rank():
     cfg = TrialConfig(theorem="k", box=BoxSpec(3, 5, "plain"), mode="random",
                       trials=60, seed=2, max_size=6, x_policy="all-outside")
     setting = harness._box_setting("k", cfg.box, "star")
-    for seed, c, x in harness._boundary_instances(cfg, setting, None):
+    for seed, c, cm, observers in harness._boundary_instances(cfg, setting, None):
         rng = random.Random(seed)
         rng.randint(1, min(cfg.max_size, 27))      # the subset size draw
-        xs = sorted(harness._observers(cfg, setting.apex, c))
-        assert x == xs[rng.randrange(len(xs))]
+        xs = [v for v in range(setting.apex + 1) if v not in c]
+        assert observers == 1 << xs[rng.randrange(len(xs))]
+        assert cm == sum(1 << v for v in c)
 
 
 def test_fixed_observer_policy():
