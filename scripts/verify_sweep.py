@@ -35,8 +35,8 @@ def _campaign(name, cfg, expect_pass=True, **kwargs):
 
 def _premise_grid(scale):
     checked = 0
-    for d in (2, 3):
-        for n in (2, 3, 4):
+    for d, sides in ((2, (2, 3, 4)), (3, (2, 3, 4)), (4, (2, 3))):
+        for n in sides:
             base = BoxSpec(d, n, "plain")
             gen = four_cycle_gen(base)
             if not check_dp_hypotheses(build_box_pair(base, "plus"), gen):
@@ -45,7 +45,7 @@ def _premise_grid(scale):
             if not check_k_hypotheses(pair, gen, extra_edge_patches(pair)):
                 return False, f"patch premises fail on {base}"
             checked += 2
-    return True, f"{checked} premise checks over d ∈ {{2,3}}, n ≤ 4"
+    return True, f"{checked} premise checks over d ∈ {{2,3}} with n ≤ 4, d = 4 with n ≤ 3"
 
 
 def _refused_precondition(scale):

@@ -23,18 +23,18 @@ from .harness import (TrialConfig, VerifyReport, check_dp_hypotheses,
                       check_k_hypotheses, enumerate_connected_subsets,
                       hypothesis_report, random_connected_graph,
                       run_verification, sample_connected_subset)
-from .lattice import (ApexGraph, BoxSpec, attach_apex, basic_four_cycles,
-                      box_shell, build_box, build_box_pair, cube_patch_cycle,
+from .lattice import (BoxSpec, attach_apex, basic_four_cycles, box_shell,
+                      build_box, build_box_pair, cube_patch_cycle,
                       extra_edge_patches, four_cycle_gen, margin_interior,
                       parse_box_spec, with_apex)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApexGraph", "BoundaryReport", "BoxSpec", "CycleGen", "EdgeVector",
-    "Graph", "GraphPair", "InputError", "NotInSpanError", "TrialConfig",
-    "VerifyReport", "attach_apex", "basic_four_cycles", "box_shell",
-    "build_box", "build_box_pair", "check_dp_hypotheses", "check_k_hypotheses",
+    "BoundaryReport", "BoxSpec", "CycleGen", "EdgeVector", "Graph",
+    "GraphPair", "InputError", "NotInSpanError", "TrialConfig", "VerifyReport",
+    "attach_apex", "basic_four_cycles", "box_shell", "build_box",
+    "build_box_pair", "check_dp_hypotheses", "check_k_hypotheses",
     "component_of", "count_components", "crossing_cycle_witness",
     "cube_patch_cycle", "cycle_space_rank", "decompose", "edges_between",
     "enumerate_connected_subsets", "extra_edge_patches", "four_cycle_gen",

@@ -269,6 +269,13 @@ def is_chordal_cycle(o: EdgeVector, g_plus: Graph) -> bool:
         raise InputError("chordality is defined for cycles only")
     if o.host.vertex_count != g_plus.vertex_count:
         raise InputError("cycle host and adjacency graph differ in vertex count")
+    return _is_clique(o, g_plus)
+
+
+def _is_clique(o: EdgeVector, g_plus: Graph) -> bool:
+    """Whether the vertices touched by ``o`` are pairwise adjacent in
+    ``g_plus``: the chordality test for a vector already known to be a
+    cycle on ``g_plus``'s vertex set."""
     verts = sorted(o.vertices())
     return all(g_plus.has_edge(u, v) for u, v in combinations(verts, 2))
 

@@ -18,7 +18,8 @@ the apex can observe (the ``apex`` and ``all-outside`` policies, or the
 apex id as the ``fixed`` observer), subsets must keep an L∞ margin of at
 least 2 from the box surface so the apex faithfully models the unbounded
 outside.  A margin that leaves no room for subsets is refused, in
-exhaustive as in random mode, rather than passing with no trials.
+exhaustive as in random mode, rather than passing with no trials; so is
+a campaign in which every subset holds the fixed observer.
 
 A dp/k campaign gives each subset an observer mask: the apex, the fixed
 vertex unless the subset holds it, or, under ``all-outside``, every
@@ -51,8 +52,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .boundary import (_failing_observers, full_report, outer_visible_boundary,
                        report_to_json)
-from .cyclespace import (CycleGen, EdgeVector, crossing_cycle_witness,
-                         fundamental_basis, is_chordal_cycle, is_generating)
+from .cyclespace import (CycleGen, EdgeVector, _is_clique,
+                         crossing_cycle_witness, fundamental_basis,
+                         is_generating)
 from .errors import InputError
 from .graphs import (Graph, GraphPair, _is_id, _members, _neighbourhood_plan,
                      component_of, is_connected_in, vertexset_to_json)
@@ -182,8 +184,9 @@ def check_dp_hypotheses(pair: GraphPair, gen: CycleGen) -> bool:
     the augmentation."""
     if not gen.host.same_as(pair.g):
         raise InputError("generators must live in the pair's base graph")
+    # CycleGen admits cycles only, so chordality is the clique test alone.
     return (is_generating(gen, pair.g)
-            and all(is_chordal_cycle(o, pair.g_plus) for o in gen.cycles))
+            and all(_is_clique(o, pair.g_plus) for o in gen.cycles))
 
 
 def check_k_hypotheses(pair: GraphPair, gen: CycleGen,
@@ -217,7 +220,7 @@ def check_k_hypotheses(pair: GraphPair, gen: CycleGen,
             return False
         if any(pe != e and not pair.g.has_edge(*pe) for pe in vec.edges()):
             return False
-        if not is_chordal_cycle(vec, pair.g_plus):
+        if not _is_clique(vec, pair.g_plus):
             return False
     return True
 
@@ -240,6 +243,19 @@ _BOUNDARY_THEOREMS = {
     "dp": _Theorem("plus", "probe", "g", ("g", "g", "g_plus"), patched=False),
     "k": _Theorem("star", "g_prime", "g_plus", ("g", "g_plus", "g"), patched=True),
 }
+
+
+def _augmentation(theorem: str, probe: Optional[str],
+                  g_prime: Optional[str]) -> Optional[str]:
+    """The augmentation flavor of a ``theorem`` campaign: its override
+    when given, else its default (None for lemma).  Refuses an override
+    that belongs to another theorem."""
+    overrides = {"probe": probe, "g_prime": g_prime}
+    for name, row in _BOUNDARY_THEOREMS.items():
+        if overrides[row.override] is not None and theorem != name:
+            raise InputError(f"{row.override} overrides apply to {name} campaigns only")
+    row = _BOUNDARY_THEOREMS.get(theorem)
+    return row and (overrides[row.override] or row.augmentation)
 
 
 @dataclass(frozen=True)
@@ -268,9 +284,9 @@ def _box_setting(theorem: str, box: BoxSpec, augmentation: str) -> _BoxSetting:
     else:
         premises_hold = check_dp_hypotheses(pair, gen)
     apexed = with_apex(pair)
-    roles = tuple(getattr(apexed.pair, name) for name in row.roles)
-    return _BoxSetting(pair.g, apexed.apex, roles, getattr(pair, row.connect_in),
-                       premises_hold, detail)
+    roles = tuple(getattr(apexed, name) for name in row.roles)
+    return _BoxSetting(pair.g, pair.g.vertex_count, roles,
+                       getattr(pair, row.connect_in), premises_hold, detail)
 
 
 # --- campaign configuration ------------------------------------------------
@@ -344,9 +360,7 @@ class TrialConfig:
             raise InputError("the crossing-lemma campaign samples instances; use mode=random")
         if self.theorem != "lemma" and self.box.d < 2:
             raise InputError("boundary campaigns need d ≥ 2 (cycle space is trivial otherwise)")
-        for name, row in _BOUNDARY_THEOREMS.items():
-            if getattr(self, row.override) is not None and self.theorem != name:
-                raise InputError(f"{row.override} overrides apply to {name} campaigns only")
+        _augmentation(self.theorem, self.probe, self.g_prime)
 
     def echo(self) -> dict:
         """The fields as a JSON-ready dict, the box as its spec string."""
@@ -488,9 +502,8 @@ def _failure_record(setting: _BoxSetting, trial: int, seed_str: Optional[str],
 
 def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
                            fixed_c: Optional[frozenset]):
-    row = _BOUNDARY_THEOREMS[cfg.theorem]
     setting = _box_setting(cfg.theorem, cfg.box,
-                           getattr(cfg, row.override) or row.augmentation)
+                           _augmentation(cfg.theorem, cfg.probe, cfg.g_prime))
     if not setting.premises_hold and not skip_hypotheses:
         raise InputError(
             "theorem premises fail for this configuration; "
@@ -510,6 +523,9 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
         if seed_str is not None:
             trial_seeds.append(seed_str)
         trials_run += observers.bit_count()
+    if not trials_run:
+        raise InputError("the campaign has no instance to judge: every subset "
+                         "holds the fixed observer")
     return trials_run, failures, trial_seeds
 
 
@@ -650,10 +666,8 @@ def hypothesis_report(theorem: str, box: BoxSpec, probe: Optional[str] = None,
                       g_prime: Optional[str] = None) -> dict:
     """Premise verdict for a theorem on a box, as a JSON-ready dict;
     ``probe`` overrides the dp augmentation, ``g_prime`` the k one."""
-    row = _BOUNDARY_THEOREMS.get(theorem)
-    if row is None:
+    if theorem not in _BOUNDARY_THEOREMS:
         raise InputError("premise checks exist for the dp and k theorems")
-    override = {"probe": probe, "g_prime": g_prime}[row.override]
-    setting = _box_setting(theorem, box, override or row.augmentation)
+    setting = _box_setting(theorem, box, _augmentation(theorem, probe, g_prime))
     return {"schema": 1, "theorem": theorem, "box": str(box),
             "pass": setting.premises_hold, **setting.detail}

@@ -1,15 +1,18 @@
 """Finite lattice boxes and their augmentations.
 
-A box has vertex set {1,…,n}^d.  Three edge flavors:
+A box has vertex set {1,…,n}^d.  Vertex ids enumerate coordinates with
+the *first* coordinate varying fastest, so a move along axis i changes
+the id by the stride n^i, and id order coincides with reversed-tuple
+lexicographic order on coordinates; labels carry the 1-based coordinate
+tuples.
 
-* ``plain`` — nearest-neighbor edges (L1 distance 1);
-* ``star``  — king-move edges (L∞ distance 1);
-* ``plus``  — plain edges plus both diagonals of every axis-aligned unit
-  2-face (a strict subgraph of star for d ≥ 2, n ≥ 2).
+A flavor is its reach: the number of coordinates one step may change,
+each by ±1.
 
-Vertex ids enumerate coordinates with the *first* coordinate varying
-fastest, so id order coincides with reversed-tuple lexicographic order on
-coordinates; labels carry the 1-based coordinate tuples.
+* ``plain`` — reach 1: nearest-neighbor edges (L1 distance 1);
+* ``plus``  — reach 2: plain edges plus both diagonals of every
+  axis-aligned unit 2-face (a strict subgraph of star for d ≥ 3, n ≥ 2);
+* ``star``  — reach d: king-move edges (L∞ distance 1).
 
 The apex construction attaches one extra vertex to every surface vertex of
 a box pair.  It stands in for "infinitely far away": for a subset that
@@ -23,14 +26,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Dict, List, Sequence, Tuple
 
-from .cyclespace import CycleGen, EdgeVector, is_chordal_cycle
+from .cyclespace import CycleGen, EdgeVector, _is_clique
 from .errors import InputError
-from .graphs import Graph, GraphPair
+from .graphs import Graph, GraphPair, _is_id
 
-FLAVORS = ("plain", "star", "plus")
+# How many coordinates one step of each flavor may change; None: all d.
+_REACH = {"plain": 1, "star": None, "plus": 2}
+FLAVORS = tuple(_REACH)
 
 # Guard against accidentally huge boxes; verification targets are tiny.
 MAX_BOX_VERTICES = 2_000_000
@@ -45,6 +50,9 @@ class BoxSpec:
     flavor: str
 
     def __post_init__(self):
+        for name in ("d", "side"):
+            if not _is_id(getattr(self, name)):
+                raise InputError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.d < 1:
             raise InputError(f"dimension must be ≥ 1, got {self.d}")
         if self.side < 1:
@@ -71,58 +79,30 @@ def parse_box_spec(text: str) -> BoxSpec:
     return BoxSpec(int(m.group(1)), int(m.group(2)), m.group(3))
 
 
-def _coord_of(v: int, n: int, d: int) -> Tuple[int, ...]:
-    return tuple((v // n ** i) % n + 1 for i in range(d))
-
-
-def _id_of(coord: Sequence[int], n: int) -> int:
-    out = 0
-    for i, c in enumerate(coord):
-        out += (c - 1) * n ** i
-    return out
-
-
 @lru_cache(maxsize=None)
 def build_box(spec: BoxSpec) -> Graph:
     """Build (and memoize) the box graph for a spec.
+
+    One loop over the flavor's id-raising steps: moves in {-1, 0, 1}^d that
+    change at most the flavor's reach of coordinates, the highest changed
+    one by +1.  A step joins v to v + δ, δ its stride-weighted sum, when
+    every moved coordinate stays in 1..n.
 
     Memoization means repeated requests share one Graph object, so edge
     vectors built against it stay host-compatible across call sites.
     """
     n, d = spec.side, spec.d
-    total = n ** d
-    labels = [_coord_of(v, n, d) for v in range(total)]
-    edges: List[Tuple[int, int]] = []
-    if spec.flavor == "plain":
-        for v in range(total):
-            coord = labels[v]
-            for i in range(d):
-                if coord[i] < n:
-                    edges.append((v, v + n ** i))
-    elif spec.flavor == "star":
-        offsets = [off for off in product((-1, 0, 1), repeat=d) if any(off)]
-        for v in range(total):
-            coord = labels[v]
-            for off in offsets:
-                moved = tuple(c + o for c, o in zip(coord, off))
-                if all(1 <= c <= n for c in moved):
-                    w = _id_of(moved, n)
-                    if w > v:
-                        edges.append((v, w))
-    else:  # plus
-        for v in range(total):
-            coord = labels[v]
-            for i in range(d):
-                if coord[i] < n:
-                    edges.append((v, v + n ** i))
-        for i, j in combinations(range(d), 2):
-            for v in range(total):
-                coord = labels[v]
-                if coord[i] < n and coord[j] < n:
-                    ei, ej = n ** i, n ** j
-                    edges.append((v, v + ei + ej))
-                    edges.append((min(v + ei, v + ej), max(v + ei, v + ej)))
-    return Graph(total, edges, labels=labels)
+    reach = _REACH[spec.flavor] or d
+    labels = [coord[::-1] for coord in product(range(1, n + 1), repeat=d)]
+    steps = []
+    for move in product((-1, 0, 1), repeat=d):
+        moved = [(i, m) for i, m in enumerate(move) if m]
+        if moved and len(moved) <= reach and moved[-1][1] == 1:
+            steps.append((moved, sum(m * n ** i for i, m in moved)))
+    edges = [(v, v + delta) for v, coord in enumerate(labels)
+             for moved, delta in steps
+             if all(1 <= coord[i] + m <= n for i, m in moved)]
+    return Graph(len(labels), edges, labels=labels)
 
 
 def build_box_pair(base: BoxSpec, plus_flavor: str) -> GraphPair:
@@ -166,13 +146,16 @@ def cube_patch_cycle(pair: GraphPair, e: Sequence[int]) -> EdgeVector:
     """Shortest cycle through the non-base edge ``e`` whose other edges are
     base edges inside one unit cube.
 
-    ``pair`` couples a plain box with its star box; ``e`` must be a star
-    edge absent from the plain box.  The cycle closes ``e`` with a monotone
-    nearest-neighbor path that fixes one differing coordinate per step, so
-    every vertex stays inside each unit cube containing both endpoints.
-    Ties between the (#differing-coords)! candidate paths break on the
-    vertex-id sequence from the smaller endpoint, and the result is chordal
-    in the star box by construction (asserted before returning).
+    ``pair`` couples a plain box with its star (or plus) box; ``e`` must be
+    an augmentation edge absent from the plain box.  The cycle closes ``e``
+    with a monotone nearest-neighbor path that fixes one differing
+    coordinate per step, so every vertex stays inside each unit cube
+    containing both endpoints.  From the smaller endpoint, the path takes
+    its decreasing moves first, from the highest axis down, then its
+    increasing moves from the lowest axis up.  That one sort by signed
+    axis rank gives the lexicographically smallest vertex-id sequence of
+    the (#differing-coords)! candidate paths.  The result is chordal in
+    the augmentation by construction (asserted before returning).
     """
     u, v = e
     if u > v:
@@ -187,21 +170,18 @@ def cube_patch_cycle(pair: GraphPair, e: Sequence[int]) -> EdgeVector:
     cu, cv = g.labels[u], g.labels[v]
     if any(abs(a - b) > 1 for a, b in zip(cu, cv)):
         raise InputError("endpoints do not share a unit cube")
-    diff_axes = [i for i, (a, b) in enumerate(zip(cu, cv)) if a != b]
-    best = None
-    for perm in permutations(diff_axes):
-        cur = list(cu)
-        path = [u]
-        for axis in perm[:-1]:          # the last step lands on v
-            cur[axis] = cv[axis]
-            path.append(g.id_of_label(cur))
-        path.append(v)
-        if best is None or path < best:
-            best = path
-    vec = EdgeVector.from_edges(gs, list(zip(best, best[1:])) + [(u, v)])
-    if not vec.is_cycle() or not is_chordal_cycle(vec, gs):
+    order = sorted((i for i, (a, b) in enumerate(zip(cu, cv)) if a != b),
+                   key=lambda i: (cv[i] - cu[i]) * (i + 1))
+    cur = list(cu)
+    path = [u]
+    for axis in order[:-1]:             # the last step lands on v
+        cur[axis] = cv[axis]
+        path.append(g.id_of_label(cur))
+    path.append(v)
+    vec = EdgeVector.from_edges(gs, list(zip(path, path[1:])) + [(u, v)])
+    if not vec.is_cycle() or not _is_clique(vec, gs):
         raise RuntimeError("cube patch construction produced a non-chordal cycle")
-    for pu, pv in zip(best, best[1:]):
+    for pu, pv in zip(path, path[1:]):
         if not g.has_edge(pu, pv):
             raise RuntimeError("cube patch construction left the base graph")
     return vec
@@ -212,20 +192,6 @@ def extra_edge_patches(pair: GraphPair) -> Dict[Tuple[int, int], EdgeVector]:
     missing from its base graph, keyed by sorted endpoint pair."""
     return {e: cube_patch_cycle(pair, e)
             for e in pair.g_plus.edges if not pair.g.has_edge(*e)}
-
-
-@dataclass(frozen=True)
-class ApexGraph:
-    """A box pair augmented with one apex vertex attached to the surface."""
-
-    pair: GraphPair
-    apex: int
-    shell: frozenset
-
-    def to_base_ids(self, s: frozenset) -> frozenset:
-        """Drop the apex from a vertex set (ids below the apex are shared
-        with the unaugmented box)."""
-        return frozenset(v for v in s if v != self.apex)
 
 
 def box_shell(g: Graph) -> frozenset:
@@ -249,12 +215,11 @@ def attach_apex(g: Graph) -> Graph:
     return Graph(g.vertex_count + 1, list(g.edges) + spokes, labels=labels)
 
 
-def with_apex(pair: GraphPair) -> ApexGraph:
+def with_apex(pair: GraphPair) -> GraphPair:
     """Attach a fresh apex vertex to every surface vertex of a labeled box
-    pair, in both graphs; box vertices keep their ids."""
-    shell = box_shell(pair.g)
-    return ApexGraph(GraphPair(attach_apex(pair.g), attach_apex(pair.g_plus)),
-                     pair.g.vertex_count, shell)
+    pair, in both graphs; box vertices keep their ids and the apex takes
+    id ``pair.g.vertex_count``."""
+    return GraphPair(attach_apex(pair.g), attach_apex(pair.g_plus))
 
 
 def margin_interior(g: Graph, margin: int) -> frozenset:

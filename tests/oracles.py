@@ -9,7 +9,7 @@ fine; these only run on small inputs.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 
@@ -200,6 +200,25 @@ def expected_edge_pairs(d: int, n: int, flavor: str) -> Set[FrozenSet[Tuple[int,
         if keep:
             out.add(frozenset((a, b)))
     return out
+
+
+def patch_path_by_search(g, u: int, v: int) -> List[int]:
+    """The lexicographically smallest vertex-id path from ``u`` to ``v``
+    that fixes one differing coordinate per step, found by trying every
+    order of the differing axes on a labeled box."""
+    if u > v:
+        u, v = v, u
+    cu, cv = g.labels[u], g.labels[v]
+    best = None
+    for perm in permutations([i for i in range(len(cu)) if cu[i] != cv[i]]):
+        cur = list(cu)
+        path = [u]
+        for axis in perm:
+            cur[axis] = cv[axis]
+            path.append(g.id_of_label(cur))
+        if best is None or path < best:
+            best = path
+    return best
 
 
 def connected_subsets_by_powerset(vertex_count: int,

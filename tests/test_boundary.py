@@ -49,10 +49,9 @@ def test_outer_boundary_of_everything_is_empty():
 
 def test_visible_boundary_from_apex_sees_all_of_a_singleton():
     pair = build_box_pair(BoxSpec(2, 5, "plain"), "plus")
-    apexed = with_apex(pair)
-    g = apexed.pair.g
+    g, apex = with_apex(pair).g, pair.g.vertex_count
     c = ids_of(g, [(3, 3)])
-    vis = visible_boundary(g, g, c, apexed.apex)
+    vis = visible_boundary(g, g, c, apex)
     assert labels_of(g, vis) == {(2, 3), (4, 3), (3, 2), (3, 4)}
 
 
@@ -64,10 +63,9 @@ def ring_around_center(g):
 
 def test_visible_boundary_of_a_ring_excludes_the_enclosed_side():
     pair = build_box_pair(BoxSpec(2, 7, "plain"), "plus")
-    apexed = with_apex(pair)
-    g = apexed.pair.g
+    g, apex = with_apex(pair).g, pair.g.vertex_count
     c = ring_around_center(g)
-    vis = visible_boundary(g, g, c, apexed.apex)
+    vis = visible_boundary(g, g, c, apex)
     want = {(a, 2) for a in (3, 4, 5)} | {(a, 6) for a in (3, 4, 5)} | \
            {(2, b) for b in (3, 4, 5)} | {(6, b) for b in (3, 4, 5)}
     assert labels_of(g, vis) == want          # 12 outside neighbors
@@ -115,20 +113,18 @@ def test_visibility_constant_across_observer_component(nv, extra, seed, data):
 
 def test_outer_visible_singleton_all_qualify():
     pair = build_box_pair(BoxSpec(2, 5, "plain"), "plus")
-    apexed = with_apex(pair)
-    g = apexed.pair.g
+    g, apex = with_apex(pair).g, pair.g.vertex_count
     c = ids_of(g, [(3, 3)])
-    ov = outer_visible_boundary(g, g, c, apexed.apex)
+    ov = outer_visible_boundary(g, g, c, apex)
     assert labels_of(g, ov) == {(2, 3), (4, 3), (3, 2), (3, 4)}
 
 
 def test_outer_visible_domino_equals_visible():
     pair = build_box_pair(BoxSpec(2, 7, "plain"), "plus")
-    apexed = with_apex(pair)
-    g = apexed.pair.g
+    g, apex = with_apex(pair).g, pair.g.vertex_count
     c = ids_of(g, [(3, 3), (3, 4)])
-    vis = visible_boundary(g, g, c, apexed.apex)
-    ov = outer_visible_boundary(g, g, c, apexed.apex)
+    vis = visible_boundary(g, g, c, apex)
+    ov = outer_visible_boundary(g, g, c, apex)
     assert len(vis) == 6 and ov == vis
 
 
@@ -172,11 +168,11 @@ def test_inner_boundary_of_centered_block():
     star5 = build_box(BoxSpec(2, 5, "star"))
     block = ids_of(g5, [(a, b) for a in (2, 3, 4) for b in (2, 3, 4)])
     apexed = with_apex(build_box_pair(BoxSpec(2, 5, "plain"), "star"))
-    ga, sa = apexed.pair.g, apexed.pair.g_plus
-    rep = inner_boundary_variants(ga, ga, block, apexed.apex)
+    ga, sa, apex = apexed.g, apexed.g_plus, g5.vertex_count
+    rep = inner_boundary_variants(ga, ga, block, apex)
     want = labels_of(g5, block) - {(3, 3)}
     assert labels_of(ga, rep.boundary) == want            # 8 ring vertices
-    rep_star = inner_boundary_variants(ga, sa, block, apexed.apex)
+    rep_star = inner_boundary_variants(ga, sa, block, apex)
     assert labels_of(ga, rep_star.boundary) == want       # same 8 with star
 
 
@@ -359,8 +355,8 @@ def apexed_box_pairs():
     """Apexed lattice pairs of more than 64 vertices: (name, pair, apex)."""
     out = []
     for spec, aug in ((BoxSpec(2, 9, "plain"), "plus"), (BoxSpec(3, 5, "plain"), "star")):
-        apexed = with_apex(build_box_pair(spec, aug))
-        out.append((f"z{spec.d}:{spec.side}+{aug}", apexed.pair, apexed.apex))
+        pair = build_box_pair(spec, aug)
+        out.append((f"z{spec.d}:{spec.side}+{aug}", with_apex(pair), pair.g.vertex_count))
     return out
 
 

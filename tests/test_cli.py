@@ -252,6 +252,18 @@ def test_verify_refuses_a_margin_without_room(capsys):
     assert "leaves no room" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["dp", "--box", "z2:3:plain", "--x", "[2,2]"],
+    ["dp", "--box", "z2:3:plain", "--margin", "0", "--x", "[2,2]", "--set", "[[2,2]]"],
+    ["k", "--box", "z2:5:plain", "--x", "[3,3]", "--set", "[[3,3],[3,4]]"],
+], ids=["margin-leaves-only-x", "set-is-x", "k-set-holds-x"])
+def test_verify_refuses_a_campaign_with_no_instance(capsys, argv):
+    """Every subset holds the fixed observer: exit 2, not a pass with 0 trials."""
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "no instance to judge" in err
+
+
 def test_verify_refuses_broken_premises_without_skip(capsys):
     code, out, err = run_cli(capsys, "verify", "dp", "--box", "z2:5:plain",
                              "--max-size", "2", "--probe", "plain")
@@ -298,6 +310,16 @@ def test_hypotheses_reports(capsys):
     assert code == 1 and json.loads(out)["pass"] is False
     code, data = run_json(capsys, "hypotheses", "k", "--box", "z3:2:plain")
     assert code == 0 and data["patch_cycles"] > 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dp", "--gplus", "plain"], "g_prime overrides apply to k campaigns only"),
+    (["k", "--probe", "plain"], "probe overrides apply to dp campaigns only"),
+])
+def test_hypotheses_refuses_the_other_theorems_override(capsys, argv, message):
+    code, out, err = run_cli(capsys, "hypotheses", *argv, "--box", "z2:3:plain")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert message in err
 
 
 # --- enumerate ----------------------------------------------------------------------

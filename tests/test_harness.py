@@ -219,6 +219,21 @@ def test_hypothesis_report_shapes():
     assert not rep_neg["pass"]
     with pytest.raises(InputError):
         hypothesis_report("lemma", BoxSpec(2, 3, "plain"))
+    # the other theorem's override is refused, as campaigns refuse it
+    with pytest.raises(InputError, match="g_prime overrides apply to k campaigns only"):
+        hypothesis_report("dp", BoxSpec(2, 3, "plain"), g_prime="plain")
+    with pytest.raises(InputError, match="probe overrides apply to dp campaigns only"):
+        hypothesis_report("k", BoxSpec(2, 3, "plain"), probe="plain")
+
+
+def test_hypothesis_reports_in_four_dimensions():
+    box = BoxSpec(4, 3, "plain")
+    assert hypothesis_report("dp", box) == {
+        "schema": 1, "theorem": "dp", "box": "z4:3:plain", "pass": True,
+        "generators": 216, "augmentation": "plus"}
+    assert hypothesis_report("k", box) == {
+        "schema": 1, "theorem": "k", "box": "z4:3:plain", "pass": True,
+        "generators": 216, "patch_cycles": 944, "augmentation": "star"}
 
 
 # --- trial configuration ----------------------------------------------------------------
@@ -291,6 +306,20 @@ def test_a_margin_without_room_is_refused(policy, message):
                       max_size=3, **policy)
     with pytest.raises(InputError, match=message):
         run_verification(cfg)
+
+
+@pytest.mark.parametrize("theorem, side, margin, fixed_c", [
+    ("dp", 3, 2, None),
+    ("dp", 3, 0, frozenset({4})),
+    ("k", 5, 2, frozenset({12})),
+], ids=["margin-leaves-only-x", "set-is-x", "k-set-holds-x"])
+def test_a_campaign_with_no_instance_is_refused(theorem, side, margin, fixed_c):
+    """Every subset holds the fixed observer, the box centre, so no
+    instance is judged; the campaign must not pass with no trials."""
+    cfg = TrialConfig(theorem=theorem, box=BoxSpec(2, side, "plain"), margin=margin,
+                      x_policy="fixed", x_vertex=(side ** 2) // 2)
+    with pytest.raises(InputError, match="no instance to judge"):
+        run_verification(cfg, fixed_c=fixed_c)
 
 
 def test_dp_all_outside_observers():

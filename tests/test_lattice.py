@@ -10,7 +10,7 @@ from boundarykit import (BoxSpec, EdgeVector, GraphPair, InputError,
                          is_chordal_cycle, is_generating, margin_interior,
                          parse_box_spec, with_apex)
 
-from oracles import expected_edge_pairs, gf2_rank_sets
+from oracles import expected_edge_pairs, gf2_rank_sets, patch_path_by_search
 
 
 # --- specs --------------------------------------------------------------------
@@ -41,6 +41,9 @@ def test_box_spec_validation():
         BoxSpec(1, 3, "plus")
     with pytest.raises(InputError, match="id-space"):
         BoxSpec(9, 10, "plain")
+    for d, side in [(True, 3), (2, True), (2.0, 3), (2, 3.0), ("2", 3)]:
+        with pytest.raises(InputError, match="must be an int"):
+            BoxSpec(d, side, "plain")
 
 
 # --- box construction ------------------------------------------------------------
@@ -66,7 +69,8 @@ def test_ids_enumerate_first_coordinate_fastest():
     assert h.labels[4] == (1, 1, 2)
 
 
-@pytest.mark.parametrize("d,n", [(1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+@pytest.mark.parametrize("d,n", [(1, 4), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
+                                 (3, 2), (3, 3), (4, 2), (4, 3)])
 @pytest.mark.parametrize("flavor", ["plain", "star", "plus"])
 def test_box_edges_match_pair_scan_oracle(d, n, flavor):
     if flavor == "plus" and d < 2:
@@ -191,6 +195,18 @@ def test_patch_cycles_satisfy_their_contract():
             assert is_chordal_cycle(vec, pair.g_plus)
 
 
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (4, 2)])
+@pytest.mark.parametrize("flavor", ["star", "plus"])
+def test_patch_cycle_is_the_smallest_path_of_the_axis_order_search(d, n, flavor):
+    pair = build_box_pair(BoxSpec(d, n, "plain"), flavor)
+    extra = [e for e in pair.g_plus.edges if not pair.g.has_edge(*e)]
+    assert extra
+    for u, v in extra:
+        path = patch_path_by_search(pair.g, u, v)
+        want = EdgeVector.from_edges(pair.g_plus, list(zip(path, path[1:])) + [(u, v)])
+        assert cube_patch_cycle(pair, (v, u)).bits == want.bits
+
+
 def test_patch_cycle_rejects_bad_edges():
     pair = build_box_pair(BoxSpec(2, 3, "plain"), "star")
     g = pair.g
@@ -205,21 +221,22 @@ def test_patch_cycle_rejects_bad_edges():
 def test_apex_degrees():
     for d, n, want in [(2, 3, 8), (2, 4, 12), (3, 3, 26)]:
         pair = build_box_pair(BoxSpec(d, n, "plain"), "star")
-        apexed = with_apex(pair)
-        assert apexed.apex == n ** d
-        assert apexed.pair.g.degree(apexed.apex) == want
-        assert apexed.pair.g_plus.degree(apexed.apex) == want
-        assert len(apexed.shell) == want
-        assert apexed.pair.g.labels[apexed.apex] == (0,) * d
+        apexed, apex = with_apex(pair), pair.g.vertex_count
+        assert apex == n ** d
+        assert apexed.g.vertex_count == apexed.g_plus.vertex_count == apex + 1
+        assert apexed.g.degree(apex) == want
+        assert apexed.g_plus.degree(apex) == want
+        assert len(box_shell(pair.g)) == want
+        assert apexed.g.labels[apex] == (0,) * d
 
 
 def test_apex_preserves_box_ids_and_adjacency():
     pair = build_box_pair(BoxSpec(2, 3, "plain"), "star")
-    apexed = with_apex(pair)
+    apexed, apex = with_apex(pair), pair.g.vertex_count
     for v in range(pair.g.vertex_count):
-        inner = [w for w in apexed.pair.g.neighbors(v) if w != apexed.apex]
+        inner = [w for w in apexed.g.neighbors(v) if w != apex]
         assert tuple(inner) == pair.g.neighbors(v)
-    assert apexed.to_base_ids(frozenset({0, apexed.apex})) == frozenset({0})
+        assert apexed.g.labels[v] == pair.g.labels[v]
 
 
 def test_apex_spokes_go_exactly_to_the_shell():
@@ -266,12 +283,11 @@ def test_margin_interior_matches_coordinate_filter(d, n, margin):
 def test_apex_visibility_equals_shell_vertex_visibility():
     from boundarykit import visible_boundary
     pair = build_box_pair(BoxSpec(2, 5, "plain"), "star")
-    apexed = with_apex(pair)
+    apexed, apex = with_apex(pair), pair.g.vertex_count
     for c_coords in [[(3, 3)], [(3, 3), (3, 4)], [(2, 2), (3, 2), (3, 3)]]:
         c = frozenset(pair.g.id_of_label(t) for t in c_coords)
-        from_apex = visible_boundary(apexed.pair.g, apexed.pair.g_plus,
-                                     c, apexed.apex)
+        from_apex = visible_boundary(apexed.g, apexed.g_plus, c, apex)
         per_shell = set()
-        for v in sorted(apexed.shell):
+        for v in sorted(box_shell(pair.g)):
             per_shell |= visible_boundary(pair.g, pair.g_plus, c, v)
-        assert apexed.to_base_ids(from_apex) == frozenset(per_shell)
+        assert from_apex - {apex} == frozenset(per_shell)
