@@ -35,7 +35,7 @@ def _campaign(name, cfg, expect_pass=True, **kwargs):
 
 def _premise_grid(scale):
     checked = 0
-    for d, sides in ((2, (2, 3, 4)), (3, (2, 3, 4)), (4, (2, 3))):
+    for d, sides in ((2, (2, 3, 4)), (3, (2, 3, 4, 7)), (4, (2, 3, 4))):
         for n in sides:
             base = BoxSpec(d, n, "plain")
             gen = four_cycle_gen(base)
@@ -45,7 +45,8 @@ def _premise_grid(scale):
             if not check_k_hypotheses(pair, gen, extra_edge_patches(pair)):
                 return False, f"patch premises fail on {base}"
             checked += 2
-    return True, f"{checked} premise checks over d ∈ {{2,3}} with n ≤ 4, d = 4 with n ≤ 3"
+    return True, (f"{checked} premise checks over d = 2 with n ≤ 4, d = 3 with "
+                  f"n ≤ 4 and n = 7, d = 4 with n ≤ 4")
 
 
 def _refused_precondition(scale):

@@ -110,7 +110,7 @@ def _cmd_verify(args) -> int:
         x_policy = args.x
     else:
         x_policy = "fixed"
-        x_vertex = _parse_vertex(build_box(BoxSpec(spec.d, spec.side, "plain")), args.x)
+        x_vertex = _parse_vertex(build_box(spec), args.x)
 
     cfg = TrialConfig(theorem=args.theorem, box=spec, mode=mode,
                       max_size=args.max_size, trials=trials, seed=args.seed,
@@ -118,8 +118,7 @@ def _cmd_verify(args) -> int:
                       probe=args.probe, g_prime=args.gplus)
     fixed_c = None
     if args.set is not None:
-        fixed_c = vertexset_from_json(build_box(BoxSpec(spec.d, spec.side, "plain")),
-                                      json.loads(args.set))
+        fixed_c = vertexset_from_json(build_box(spec), json.loads(args.set))
     report = run_verification(cfg, skip_hypotheses=args.skip_hypotheses,
                               fixed_c=fixed_c)
     print(json.dumps(report.to_json(include_elapsed=not args.no_elapsed),

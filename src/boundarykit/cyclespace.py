@@ -5,9 +5,10 @@ addition is symmetric difference (XOR).  The even-degree vectors form the
 host's cycle space; a *cycle* is a nonzero connected vector in which every
 touched vertex has degree exactly 2.
 
-`CycleGen` holds an ordered generating collection together with a fully
-reduced GF(2) echelon (with combination bookkeeping), so membership and
-decomposition queries are deterministic and cheap after a one-time build.
+`CycleGen` holds an ordered generating collection together with a GF(2)
+forward echelon, rows keyed by their pivot (a row's lowest set bit) and
+carrying combination bookkeeping, so membership and decomposition queries
+are deterministic and cheap after a one-time build.
 
 The module ends with `crossing_cycle_witness`, a constructive procedure
 that, given a minimal vertex cutset split into two halves, produces a
@@ -121,27 +122,31 @@ class EdgeVector:
 
     def is_cycle(self) -> bool:
         """Nonzero, 2-regular on its touched vertices, and connected."""
-        if not self.bits:
+        edges = self.edges()
+        if not edges:
             return False
+        # one pass: the endpoint masks, and per vertex the XOR of its neighbours
+        touched = odd = 0
+        nbr_xor = {}
+        for u, v in edges:
+            m = (1 << u) | (1 << v)
+            touched |= m
+            odd ^= m
+            nbr_xor[u] = nbr_xor.get(u, 0) ^ v
+            nbr_xor[v] = nbr_xor.get(v, 0) ^ u
         # Every degree is even and the degrees sum to twice the edge count,
         # so all are 2 exactly when there are as many vertices as edges.
-        touched, odd = self._endpoint_masks()
-        if odd or touched.bit_count() != self.bits.bit_count():
+        if odd or touched.bit_count() != len(edges):
             return False
-        adj = {}
-        for u, v in self.edges():
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        start = next(iter(adj))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(adj)
+        # Walk from the first edge, leaving each vertex by the neighbour one
+        # did not come from: back at the start after as many steps as the
+        # walk's component has edges.
+        start, cur = edges[0]
+        prev, steps = start, 1
+        while cur != start:
+            prev, cur = cur, nbr_xor[cur] ^ prev
+            steps += 1
+        return steps == len(edges)
 
     def touches(self, s: frozenset) -> bool:
         """Whether any edge of the vector has an endpoint in ``s``."""
@@ -166,12 +171,12 @@ def cycle_space_rank(g: Graph) -> int:
 
 
 class CycleGen:
-    """Ordered collection of cycles with a cached reduced GF(2) echelon.
+    """Ordered collection of cycles with a cached GF(2) forward echelon.
 
-    The echelon rows carry combination bookkeeping: each row knows which
-    input cycles sum to it, so decomposition queries return a deterministic
-    combination.  Generators that are GF(2)-dependent on earlier ones never
-    receive a pivot and therefore never appear in decompositions.
+    Rows are keyed by their pivot, a row's lowest set bit, and know which
+    input cycles sum to them.  A generator that reduces to zero depends on
+    earlier ones: it never receives a pivot and never appears in a
+    decomposition, which is thus the unique combination of the others.
     """
 
     __slots__ = ("host", "cycles", "_rows")
@@ -184,23 +189,18 @@ class CycleGen:
                 raise InputError(f"cycle {i} lives in a different host graph")
             if not c.is_cycle():
                 raise InputError(f"generator {i} is not a cycle")
-        # Fully reduced rows (vector, combination-over-generators, pivot bit):
-        # no row's pivot occurs in any other row.
-        rows: List[Tuple[int, int, int]] = []
+        rows = {}           # pivot edge id -> (vector, combination over generators)
         for i, cyc in enumerate(self.cycles):
-            v = cyc.bits
-            combo = 1 << i
-            for rv, rc, rp in rows:
-                if (v >> rp) & 1:
-                    v ^= rv
-                    combo ^= rc
-            if v:
-                p = (v & -v).bit_length() - 1
-                for j, (rv, rc, rp) in enumerate(rows):
-                    if (rv >> p) & 1:
-                        rows[j] = (rv ^ v, rc ^ combo, rp)
-                rows.append((v, combo, p))
-        self._rows = tuple(rows)
+            v, combo = cyc.bits, 1 << i
+            while v:
+                pivot = (v & -v).bit_length() - 1
+                row = rows.get(pivot)
+                if row is None:
+                    rows[pivot] = (v, combo)
+                    break
+                v ^= row[0]
+                combo ^= row[1]
+        self._rows = rows
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -212,13 +212,14 @@ class CycleGen:
     def solve(self, bits: int) -> Optional[int]:
         """Combination (as a bitmask over generator indices) summing to
         ``bits``, or None when it lies outside the span."""
-        t = bits
-        combo = 0
-        for rv, rc, rp in self._rows:
-            if (t >> rp) & 1:
-                t ^= rv
-                combo ^= rc
-        return None if t else combo
+        t, combo = bits, 0
+        while t:
+            row = self._rows.get((t & -t).bit_length() - 1)
+            if row is None:
+                return None
+            t ^= row[0]
+            combo ^= row[1]
+        return combo
 
     def __repr__(self) -> str:
         return f"CycleGen({len(self.cycles)} cycles, rank {self.rank})"

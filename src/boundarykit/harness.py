@@ -195,7 +195,9 @@ def check_k_hypotheses(pair: GraphPair, gen: CycleGen,
     premises plus, for every augmentation-only edge e, a patch cycle
     through e whose other edges lie in the base graph, chordal in the
     augmentation.  ``patch_map`` must be keyed by exactly those edges."""
-    extra = [e for e in pair.g_plus.edges if not pair.g.has_edge(*e)]
+    g_plus = pair.g_plus
+    extra = {e: eid for eid, e in enumerate(g_plus.edges) if not pair.g.has_edge(*e)}
+    extra_mask = sum(1 << eid for eid in extra.values())
     patches = {}
     for k, vec in patch_map.items():
         u, v = k
@@ -210,17 +212,16 @@ def check_k_hypotheses(pair: GraphPair, gen: CycleGen,
             f"patch map keys must be augmentation-only edges; offenders e.g. {foreign[:3]}")
     if not check_dp_hypotheses(pair, gen):
         return False
-    for e in extra:
+    for e, eid in extra.items():
         vec = patches[e]
-        if not vec.host.same_as(pair.g_plus):
+        if not vec.host.same_as(g_plus):
             raise InputError("patch cycles must live in the augmentation graph")
         if not vec.is_cycle():
             return False
-        if not (vec.bits >> pair.g_plus.edge_id(*e)) & 1:
+        # e is the patch's one edge outside the base graph
+        if vec.bits & extra_mask != 1 << eid:
             return False
-        if any(pe != e and not pair.g.has_edge(*pe) for pe in vec.edges()):
-            return False
-        if not _is_clique(vec, pair.g_plus):
+        if not _is_clique(vec, g_plus):
             return False
     return True
 
@@ -234,27 +235,35 @@ class _Theorem:
 
     augmentation: str                 # default flavor of g_plus
     override: str                     # TrialConfig field replacing it
+    flag: str                         # the CLI flag setting that field
     connect_in: str                   # subsets must be connected in this graph
     roles: Tuple[str, str, str]       # traversal, adjacency, probe
     patched: bool                     # patch cycles are part of the premises
 
 
 _BOUNDARY_THEOREMS = {
-    "dp": _Theorem("plus", "probe", "g", ("g", "g", "g_plus"), patched=False),
-    "k": _Theorem("star", "g_prime", "g_plus", ("g", "g_plus", "g"), patched=True),
+    "dp": _Theorem("plus", "probe", "--probe", "g", ("g", "g", "g_plus"), patched=False),
+    "k": _Theorem("star", "g_prime", "--gplus", "g_plus", ("g", "g_plus", "g"), patched=True),
 }
 
 
-def _augmentation(theorem: str, probe: Optional[str],
+def _augmentation(theorem: str, box: BoxSpec, probe: Optional[str],
                   g_prime: Optional[str]) -> Optional[str]:
     """The augmentation flavor of a ``theorem`` campaign: its override
     when given, else its default (None for lemma).  Refuses an override
-    that belongs to another theorem."""
+    that belongs to another theorem, and a box that is not plain: every
+    campaign runs on the plain box, and only the override picks the
+    augmentation."""
     overrides = {"probe": probe, "g_prime": g_prime}
     for name, row in _BOUNDARY_THEOREMS.items():
         if overrides[row.override] is not None and theorem != name:
-            raise InputError(f"{row.override} overrides apply to {name} campaigns only")
+            raise InputError(f"{row.override} (CLI: {row.flag}) overrides "
+                             f"apply to {name} campaigns only")
     row = _BOUNDARY_THEOREMS.get(theorem)
+    if box.flavor != "plain":
+        hint = (f"; set the augmentation with {row.override} (CLI: {row.flag})"
+                if row else "")
+        raise InputError(f"{theorem} campaigns run on the plain box, not on {box}{hint}")
     return row and (overrides[row.override] or row.augmentation)
 
 
@@ -273,9 +282,8 @@ class _BoxSetting:
 @lru_cache(maxsize=None)
 def _box_setting(theorem: str, box: BoxSpec, augmentation: str) -> _BoxSetting:
     row = _BOUNDARY_THEOREMS[theorem]
-    base = BoxSpec(box.d, box.side, "plain")
-    gen = four_cycle_gen(base)
-    pair = build_box_pair(base, augmentation)
+    gen = four_cycle_gen(box)
+    pair = build_box_pair(box, augmentation)
     detail = {"generators": len(gen.cycles), "augmentation": augmentation}
     if row.patched:
         patches = extra_edge_patches(pair)
@@ -302,6 +310,8 @@ def _apex_observes(cfg: "TrialConfig") -> bool:
 class TrialConfig:
     """One verification campaign, fully determined by its fields.
 
+    ``box`` must be a plain box spec; the augmentation of a dp or k
+    campaign is picked by its override, not by the box's flavor.
     ``x_policy`` picks observers: the apex surrogate, every vertex outside
     the subset plus the apex (``all-outside``), or one ``fixed`` vertex
     (requires ``x_vertex``; the apex id is ``box.side ** box.d``).  Any
@@ -360,7 +370,7 @@ class TrialConfig:
             raise InputError("the crossing-lemma campaign samples instances; use mode=random")
         if self.theorem != "lemma" and self.box.d < 2:
             raise InputError("boundary campaigns need d ≥ 2 (cycle space is trivial otherwise)")
-        _augmentation(self.theorem, self.probe, self.g_prime)
+        _augmentation(self.theorem, self.box, self.probe, self.g_prime)
 
     def echo(self) -> dict:
         """The fields as a JSON-ready dict, the box as its spec string."""
@@ -503,7 +513,7 @@ def _failure_record(setting: _BoxSetting, trial: int, seed_str: Optional[str],
 def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
                            fixed_c: Optional[frozenset]):
     setting = _box_setting(cfg.theorem, cfg.box,
-                           _augmentation(cfg.theorem, cfg.probe, cfg.g_prime))
+                           _augmentation(cfg.theorem, cfg.box, cfg.probe, cfg.g_prime))
     if not setting.premises_hold and not skip_hypotheses:
         raise InputError(
             "theorem premises fail for this configuration; "
@@ -553,9 +563,8 @@ def _crossing_postconditions(g: Graph, o: EdgeVector, s1: frozenset,
 def _lemma_box(box: BoxSpec):
     """The plain box of a crossing campaign, its generating set, and
     whether that set spans the box's cycle space."""
-    base = BoxSpec(box.d, box.side, "plain")
-    g = build_box(base)
-    gen = four_cycle_gen(base) if box.d >= 2 else fundamental_basis(g)
+    g = build_box(box)
+    gen = four_cycle_gen(box) if box.d >= 2 else fundamental_basis(g)
     return g, gen, is_generating(gen, g)
 
 
@@ -668,6 +677,6 @@ def hypothesis_report(theorem: str, box: BoxSpec, probe: Optional[str] = None,
     ``probe`` overrides the dp augmentation, ``g_prime`` the k one."""
     if theorem not in _BOUNDARY_THEOREMS:
         raise InputError("premise checks exist for the dp and k theorems")
-    setting = _box_setting(theorem, box, _augmentation(theorem, probe, g_prime))
+    setting = _box_setting(theorem, box, _augmentation(theorem, box, probe, g_prime))
     return {"schema": 1, "theorem": theorem, "box": str(box),
             "pass": setting.premises_hold, **setting.detail}

@@ -313,13 +313,44 @@ def test_hypotheses_reports(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["dp", "--gplus", "plain"], "g_prime overrides apply to k campaigns only"),
-    (["k", "--probe", "plain"], "probe overrides apply to dp campaigns only"),
+    (["dp", "--gplus", "plain"], "g_prime (CLI: --gplus) overrides apply to k campaigns only"),
+    (["k", "--probe", "plain"], "probe (CLI: --probe) overrides apply to dp campaigns only"),
 ])
 def test_hypotheses_refuses_the_other_theorems_override(capsys, argv, message):
     code, out, err = run_cli(capsys, "hypotheses", *argv, "--box", "z2:3:plain")
     assert code == 2 and out == "" and err.startswith("error:")
     assert message in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "dp", "--max-size", "3"], "--probe"),
+    (["verify", "k", "--trials", "5"], "--gplus"),
+    (["hypotheses", "dp"], "--probe"),
+    (["hypotheses", "k"], "--gplus"),
+])
+@pytest.mark.parametrize("box", ["z2:5:star", "z2:5:plus"])
+def test_verify_and_hypotheses_refuse_a_flavored_box(capsys, argv, flag, box):
+    code, out, err = run_cli(capsys, *argv, "--box", box)
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert f"run on the plain box, not on {box}" in err and f"(CLI: {flag})" in err
+
+
+def test_lemma_campaign_refuses_a_flavored_box(capsys):
+    code, out, err = run_cli(capsys, "verify", "lemma", "--box", "z2:5:star",
+                             "--trials", "5")
+    assert code == 2 and out == ""
+    assert err == "error: lemma campaigns run on the plain box, not on z2:5:star\n"
+
+
+def test_boundary_and_enumerate_keep_box_flavors(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--box", "z2:2:star",
+                             "--max-size", "4")
+    assert code == 0 and err == ""
+    # in the star box every subset of the 2x2 box is connected
+    assert len(out.splitlines()) == 15
+    code, data = run_json(capsys, "boundary", "--box", "z2:5:star", "--set", "[[3,3]]",
+                          "--x", "apex")
+    assert code == 0 and len(data["boundary"]) == 8     # king-move ring
 
 
 # --- enumerate ----------------------------------------------------------------------

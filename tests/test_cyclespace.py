@@ -119,6 +119,43 @@ def test_even_and_cycle_checks_on_sums_of_faces():
     assert not path.is_even() and not path.is_cycle()
 
 
+def _shape(edges):
+    """The vector of every edge of a graph given by its edge list."""
+    g = Graph(1 + max((max(e) for e in edges), default=0), edges)
+    return EdgeVector(g, (1 << g.edge_count) - 1)
+
+
+TRIANGLE = [(0, 1), (1, 2), (0, 2)]
+SQUARE = [(0, 1), (1, 2), (2, 3), (0, 3)]
+
+
+def _shifted(edges, by):
+    return [(u + by, v + by) for u, v in edges]
+
+
+@pytest.mark.parametrize("edges, want", [
+    (TRIANGLE, True),
+    (SQUARE, True),
+    ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)], True),
+    # 2-regular but disconnected, the walk starting in either component
+    (TRIANGLE + _shifted(TRIANGLE, 3), False),
+    (SQUARE + _shifted(TRIANGLE, 4), False),
+    (TRIANGLE + _shifted(SQUARE, 3), False),
+    ([(0, 6), (1, 6), (0, 1)] + _shifted(SQUARE, 2), False),
+    # a bowtie: two triangles sharing vertex 2, which has degree 4
+    (TRIANGLE + [(2, 3), (3, 4), (2, 4)], False),
+    # a theta: three paths between 0 and 1, both of degree 3
+    ([(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)], False),
+    ([(0, 1)], False),
+    ([], False),
+], ids=["triangle", "square", "hexagon", "two-triangles", "square+triangle",
+        "triangle+square", "triangle-on-high-ids+square", "bowtie", "theta",
+        "edge", "empty"])
+def test_is_cycle_matches_degree_oracle_on_shapes(edges, want):
+    v = _shape(edges)
+    assert v.is_cycle() == cycle_check_by_degrees(v.host.vertex_count, v.edges()) == want
+
+
 def test_touches():
     g = ring(4)
     v = EdgeVector.from_edges(g, [(1, 2)])
@@ -304,6 +341,70 @@ def test_fundamental_basis_spans_random_closed_walks(g, walk_seed):
     assert target.is_even()
     idxs = decompose(target, fundamental_basis(g))
     assert isinstance(idxs, list)
+
+
+def _prefix_raisers(vectors):
+    """Indices of the vectors that raise the rank of their prefix: the
+    in-order greedy basis, by the set-based elimination oracle."""
+    raisers, rank = [], 0
+    for i in range(len(vectors)):
+        r = gf2_rank_sets(vectors[:i + 1])
+        if r > rank:
+            raisers.append(i)
+        rank = r
+    return raisers
+
+
+@pytest.mark.parametrize("d, side", [(3, 3), (4, 2)])
+@pytest.mark.parametrize("shuffle_seed", [None, 1, 2])
+def test_echelon_matches_the_elimination_oracle(d, side, shuffle_seed):
+    """On overcomplete unit-face sets, in order and shuffled: generators
+    that appear in decompositions are exactly the prefix-rank raisers,
+    every decomposition sums back to its target, and solve finds no
+    combination exactly when the target lies outside the span."""
+    spec = BoxSpec(d, side, "plain")
+    g = build_box(spec)
+    faces = list(four_cycle_gen(spec).cycles)
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(faces)
+    gen = CycleGen(g, faces)
+    ids = [c.edge_ids() for c in faces]
+    raisers = _prefix_raisers(ids)
+    assert gen.rank == len(raisers) == cycle_space_rank(g) < len(faces)
+
+    rng = random.Random(f"{d}:{side}:{shuffle_seed}")
+    targets = [c.bits for c in faces]
+    for _ in range(60):
+        t = 0
+        for c in rng.sample(faces, rng.randint(0, 6)):
+            t ^= c.bits
+        targets.append(t)
+    used = set()
+    for t in targets:
+        idxs = decompose(EdgeVector(g, t), gen)
+        back = 0
+        for i in idxs:
+            back ^= faces[i].bits
+        assert back == t
+        used.update(idxs)
+    assert sorted(used) == raisers
+
+    for _ in range(150):
+        if rng.random() < 0.5:
+            t = rng.getrandbits(g.edge_count)
+        else:                           # a sum of faces, one edge flipped or not
+            t = 0
+            for c in rng.sample(faces, rng.randint(1, 5)):
+                t ^= c.bits
+            t ^= rng.choice([0, 1 << rng.randrange(g.edge_count)])
+        outside = not gf2_in_span(ids, EdgeVector(g, t).edge_ids())
+        assert (gen.solve(t) is None) == outside
+
+
+@pytest.mark.parametrize("side, rank", [(7, 540), (9, 1216)])
+def test_unit_face_rank_in_three_dimensions(side, rank):
+    spec = BoxSpec(3, side, "plain")
+    assert four_cycle_gen(spec).rank == cycle_space_rank(build_box(spec)) == rank
 
 
 def test_dependent_generators_never_get_coefficients():

@@ -1,6 +1,7 @@
 """Harness: enumeration, sampling, premise checks, campaigns, determinism."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,9 @@ from boundarykit import (BoxSpec, CycleGen, EdgeVector, InputError,
                          check_dp_hypotheses, check_k_hypotheses,
                          cube_patch_cycle, enumerate_connected_subsets,
                          extra_edge_patches, four_cycle_gen, full_report,
-                         fundamental_basis, hypothesis_report, is_connected_in,
-                         margin_interior, random_connected_graph, report_to_json,
+                         fundamental_basis, hypothesis_report, is_chordal_cycle,
+                         is_connected_in, margin_interior,
+                         random_connected_graph, report_to_json,
                          run_verification, sample_connected_subset,
                          vertexset_to_json)
 
@@ -192,6 +194,28 @@ def test_k_premises_fail_on_a_non_chordal_replacement():
     assert not check_k_hypotheses(pair, gen, patches)
 
 
+@pytest.mark.parametrize("ring_coords", [
+    [(1, 1), (2, 1), (2, 2), (1, 2), (1, 1)],       # the unit face: misses e
+    [(1, 1), (1, 2), (2, 1), (1, 1)],               # the other diagonal instead
+    [(1, 1), (2, 2), (1, 2), (2, 1), (1, 1)],       # e and the other diagonal
+], ids=["face", "anti-diagonal-triangle", "both-diagonals"])
+def test_k_premises_fail_on_a_patch_without_e_as_its_one_new_edge(ring_coords):
+    """Chordal cycles of the star box that are no patch for the diagonal e
+    of the first unit square: each misses e or uses a second
+    augmentation-only edge, so only the patch's edge test rejects it."""
+    base = BoxSpec(2, 3, "plain")
+    pair = build_box_pair(base, "star")
+    gen = four_cycle_gen(base)
+    patches = dict(extra_edge_patches(pair))
+    gp = pair.g_plus
+    e = tuple(sorted((gp.id_of_label((1, 1)), gp.id_of_label((2, 2)))))
+    vec = EdgeVector.from_vertex_path(gp, [gp.id_of_label(c) for c in ring_coords])
+    assert vec.is_cycle() and is_chordal_cycle(vec, gp)
+    assert check_k_hypotheses(pair, gen, patches)
+    patches[e] = vec
+    assert not check_k_hypotheses(pair, gen, patches)
+
+
 def test_k_premises_report_missing_and_foreign_keys():
     base = BoxSpec(2, 3, "plain")
     pair = build_box_pair(base, "star")
@@ -220,9 +244,11 @@ def test_hypothesis_report_shapes():
     with pytest.raises(InputError):
         hypothesis_report("lemma", BoxSpec(2, 3, "plain"))
     # the other theorem's override is refused, as campaigns refuse it
-    with pytest.raises(InputError, match="g_prime overrides apply to k campaigns only"):
+    with pytest.raises(InputError, match=re.escape(
+            "g_prime (CLI: --gplus) overrides apply to k campaigns only")):
         hypothesis_report("dp", BoxSpec(2, 3, "plain"), g_prime="plain")
-    with pytest.raises(InputError, match="probe overrides apply to dp campaigns only"):
+    with pytest.raises(InputError, match=re.escape(
+            "probe (CLI: --probe) overrides apply to dp campaigns only")):
         hypothesis_report("k", BoxSpec(2, 3, "plain"), probe="plain")
 
 
@@ -277,6 +303,28 @@ def test_trial_config_validation():
     TrialConfig(theorem="dp", box=box, margin=1, x_policy="fixed", x_vertex=0)
     # ... and so is any margin for the lemma, which has no apex
     TrialConfig(theorem="lemma", box=box, mode="random", margin=0, x_policy="all-outside")
+
+
+@pytest.mark.parametrize("theorem, hint", [
+    ("dp", "; set the augmentation with probe (CLI: --probe)"),
+    ("k", "; set the augmentation with g_prime (CLI: --gplus)"),
+    ("lemma", ""),
+])
+@pytest.mark.parametrize("flavor", ["star", "plus"])
+def test_campaigns_refuse_a_flavored_box(theorem, hint, flavor):
+    """Campaigns run on the plain box; a flavor would be echoed in the
+    report without being the graph that was checked."""
+    box = BoxSpec(2, 5, flavor)
+    message = f"{theorem} campaigns run on the plain box, not on z2:5:{flavor}{hint}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        TrialConfig(theorem=theorem, box=box, mode="random")
+    if theorem != "lemma":
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            hypothesis_report(theorem, box)
+        # an override does not make a flavored box acceptable
+        override = {"dp": {"probe": "plus"}, "k": {"g_prime": "star"}}[theorem]
+        with pytest.raises(InputError, match="plain box"):
+            hypothesis_report(theorem, box, **override)
 
 
 # --- campaigns ----------------------------------------------------------------------------
