@@ -24,8 +24,8 @@ from itertools import combinations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, NotInSpanError
-from .graphs import (Graph, component_of, count_components, is_minimal_cutset,
-                     shortest_path)
+from .graphs import (Graph, _members, component_of, count_components,
+                     is_minimal_cutset, shortest_path)
 
 
 def _require_same_host(a: "EdgeVector", b: "EdgeVector") -> None:
@@ -122,9 +122,15 @@ class EdgeVector:
 
     def is_cycle(self) -> bool:
         """Nonzero, 2-regular on its touched vertices, and connected."""
+        return self._cycle_vertices() != 0
+
+    def _cycle_vertices(self) -> int:
+        """The mask of the touched vertices when the vector is a cycle, else
+        0: the cycle test and the vertex set a clique test reads, from one
+        listing of the edges."""
         edges = self.edges()
         if not edges:
-            return False
+            return 0
         # one pass: the endpoint masks, and per vertex the XOR of its neighbours
         touched = odd = 0
         nbr_xor = {}
@@ -137,7 +143,7 @@ class EdgeVector:
         # Every degree is even and the degrees sum to twice the edge count,
         # so all are 2 exactly when there are as many vertices as edges.
         if odd or touched.bit_count() != len(edges):
-            return False
+            return 0
         # Walk from the first edge, leaving each vertex by the neighbour one
         # did not come from: back at the start after as many steps as the
         # walk's component has edges.
@@ -146,7 +152,7 @@ class EdgeVector:
         while cur != start:
             prev, cur = cur, nbr_xor[cur] ^ prev
             steps += 1
-        return steps == len(edges)
+        return touched if steps == len(edges) else 0
 
     def touches(self, s: frozenset) -> bool:
         """Whether any edge of the vector has an endpoint in ``s``."""
@@ -266,19 +272,19 @@ def is_generating(gen: CycleGen, g: Graph) -> bool:
 def is_chordal_cycle(o: EdgeVector, g_plus: Graph) -> bool:
     """Whether every pair of vertices touched by the cycle ``o`` is adjacent
     in ``g_plus``."""
-    if not o.is_cycle():
+    touched = o._cycle_vertices()
+    if not touched:
         raise InputError("chordality is defined for cycles only")
     if o.host.vertex_count != g_plus.vertex_count:
         raise InputError("cycle host and adjacency graph differ in vertex count")
-    return _is_clique(o, g_plus)
+    return _is_clique(touched, g_plus)
 
 
-def _is_clique(o: EdgeVector, g_plus: Graph) -> bool:
-    """Whether the vertices touched by ``o`` are pairwise adjacent in
-    ``g_plus``: the chordality test for a vector already known to be a
-    cycle on ``g_plus``'s vertex set."""
-    verts = sorted(o.vertices())
-    return all(g_plus.has_edge(u, v) for u, v in combinations(verts, 2))
+def _is_clique(touched: int, g_plus: Graph) -> bool:
+    """Whether the vertices of the mask ``touched`` are pairwise adjacent in
+    ``g_plus``: the chordality test for the vertices of a cycle on
+    ``g_plus``'s vertex set, as ``EdgeVector._cycle_vertices`` gives them."""
+    return all(g_plus.has_edge(u, v) for u, v in combinations(_members(touched), 2))
 
 
 def decompose(target: EdgeVector, gen: CycleGen) -> List[int]:

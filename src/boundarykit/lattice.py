@@ -179,7 +179,8 @@ def cube_patch_cycle(pair: GraphPair, e: Sequence[int]) -> EdgeVector:
         path.append(g.id_of_label(cur))
     path.append(v)
     vec = EdgeVector.from_edges(gs, list(zip(path, path[1:])) + [(u, v)])
-    if not vec.is_cycle() or not _is_clique(vec, gs):
+    touched = vec._cycle_vertices()
+    if not touched or not _is_clique(touched, gs):
         raise RuntimeError("cube patch construction produced a non-chordal cycle")
     for pu, pv in zip(path, path[1:]):
         if not g.has_edge(pu, pv):

@@ -280,6 +280,16 @@ def test_verify_k_rejects_disconnected_fixed_subset(capsys):
     assert code == 0 and data["trials_run"] == 1
 
 
+@pytest.mark.parametrize("x", ["apex", "all-outside"])
+def test_verify_refuses_an_empty_set(capsys, x):
+    """An empty --set used to pass with one vacuous trial (26 under
+    all-outside on z2:5); it is bad input, so exit 2."""
+    code, out, err = run_cli(capsys, "verify", "dp", "--box", "z2:5:plain",
+                             "--set", "[]", "--x", x)
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "empty" in err
+
+
 def test_verify_fixed_observer(capsys):
     code, data = run_json(capsys, "verify", "dp", "--box", "z2:5:plain",
                           "--max-size", "2", "--x", "[1,1]")

@@ -442,6 +442,18 @@ def test_fixed_subset_must_stay_inside_the_margin():
             run_verification(cfg, fixed_c=edge_hugger)
 
 
+@pytest.mark.parametrize("policy", [
+    {"x_policy": "apex"}, {"x_policy": "all-outside"},
+    {"x_policy": "fixed", "x_vertex": 25}, {"x_policy": "fixed", "x_vertex": 12},
+], ids=["apex", "all-outside", "fixed-apex", "fixed-centre"])
+def test_an_empty_fixed_subset_is_refused(policy):
+    """An empty subset has no boundary to judge; it must not pass with one
+    vacuous trial (apex) or count every vertex as a trial (all-outside)."""
+    cfg = TrialConfig(theorem="dp", box=BoxSpec(2, 5, "plain"), **policy)
+    with pytest.raises(InputError, match="empty"):
+        run_verification(cfg, fixed_c=frozenset())
+
+
 def test_lemma_campaign_passes_and_reports_seeds():
     cfg = TrialConfig(theorem="lemma", box=BoxSpec(2, 5, "plain"),
                       mode="random", trials=60, seed=9)
@@ -545,10 +557,19 @@ _X44, _X33 = _Z27.id_of_label((4, 4)), _Z27.id_of_label((3, 3))
     (TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), mode="random",
                  trials=200, seed=3, max_size=4, margin=1, probe="plain",
                  x_policy="fixed", x_vertex=_X33), 200, 177),
+    (TrialConfig(theorem="k", box=BoxSpec(2, 6, "plain"), max_size=4,
+                 g_prime="plain"), 205, 205),
+    (TrialConfig(theorem="k", box=BoxSpec(3, 5, "plain"), max_size=4), 8977, 0),
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), mode="random",
+                 trials=300, seed=5, max_size=3, probe="plain"), 300, 300),
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 6, "plain"), max_size=5,
+                 probe="plain", x_policy="fixed", x_vertex=36), 449, 449),
 ], ids=["dp-plain-probe", "k-plain-adjacency", "k-random", "dp-apex-plain-probe",
-        "dp-fixed-plain-probe", "dp-random-fixed"])
+        "dp-fixed-plain-probe", "dp-random-fixed", "k-apex-plain-adjacency",
+        "k-apex-z3", "dp-random-apex-plain-probe", "dp-fixed-apex-plain-probe"])
 def test_failures_are_exactly_the_disconnected_full_reports(cfg, trials, failing):
-    """Campaigns judge instances by their component count alone; the
+    """Campaigns judge instances by their component count alone, and an
+    apex-only instance by the verdict of its translation class; the
     failing instances and their report bytes must be those of
     ``full_report`` on every instance.  Under the fixed policy, subsets
     holding the observer add no trial; random ones are drawn again."""
@@ -593,6 +614,54 @@ def test_component_verdicts_match_the_per_observer_loop(cfg, ring, trials, faili
     assert rep.failures == want
     assert json.dumps(rep.failures) == json.dumps(want)
     assert rep.trial_seeds == []
+
+
+@pytest.mark.parametrize("box, max_size, counts", [
+    # fixed polyominoes, OEIS A001168; the 7-wide interior holds no 8-cell
+    # line, so size 8 has 2725 − 2 classes
+    (BoxSpec(2, 9, "plain"), 8, [1, 2, 6, 19, 63, 216, 760, 2723]),
+    # fixed polyplets (king-connected), OEIS A006770
+    (BoxSpec(2, 8, "star"), 5, [1, 4, 20, 110, 638]),
+    # fixed polycubes, OEIS A001931
+    (BoxSpec(3, 7, "plain"), 5, [1, 3, 15, 86, 534]),
+], ids=["polyominoes", "polyplets", "polycubes"])
+def test_shape_keys_count_the_fixed_animals(box, max_size, counts):
+    """The campaign's verdict key splits the connected subsets of the
+    margin-2 interior into translation classes: per size, the number of
+    distinct keys is the number of fixed lattice animals that fit."""
+    import boundarykit.harness as harness
+    g = build_box(box)
+    keys = [set() for _ in counts]
+    for c in enumerate_connected_subsets(g, max_size, allowed=margin_interior(g, 2)):
+        keys[len(c) - 1].add(harness._shape_key(sum(1 << v for v in c)))
+    assert [len(k) for k in keys] == counts
+
+
+@pytest.mark.parametrize("theorem, box, max_size, augmentation", [
+    ("dp", BoxSpec(2, 7, "plain"), 5, "plain"),
+    ("dp", BoxSpec(3, 6, "plain"), 4, "plus"),
+    ("k", BoxSpec(3, 6, "plain"), 3, "star"),
+], ids=["dp-z2", "dp-z3", "k-z3"])
+def test_a_translation_class_shares_its_apex_report(theorem, box, max_size, augmentation):
+    """Subsets with one shape key, judged from the apex at margin 2, have
+    reports that are id shifts of each other: the boundary sets move with
+    the subset and the component count stays, which is what lets a
+    campaign reuse one verdict per key."""
+    import boundarykit.harness as harness
+    setting = harness._box_setting(theorem, box, augmentation)
+    g, g_prime, probe = setting.roles
+    first, subsets = {}, 0
+    for c in enumerate_connected_subsets(setting.connect_host, max_size,
+                                         allowed=margin_interior(setting.box, 2)):
+        subsets += 1
+        rep = full_report(g, g_prime, probe, c, setting.apex)
+        key = harness._shape_key(sum(1 << v for v in c))
+        rep0, low0 = first.setdefault(key, (rep, min(c)))
+        t = min(c) - low0
+        for name in ("boundary", "visible", "outer_visible"):
+            assert getattr(rep, name) == frozenset(v + t for v in getattr(rep0, name))
+        assert rep.component_count == rep0.component_count
+    assert len(first) < subsets
 
 
 def test_rank_pick_is_the_kth_sorted_observer():
