@@ -92,20 +92,6 @@ class EdgeVector:
         edges = self.host.edges     # ``bits`` was range-checked on the way in
         return [edges[i] for i in self.edge_ids()]
 
-    def vertices(self) -> frozenset:
-        out = set()
-        for u, v in self.edges():
-            out.add(u)
-            out.add(v)
-        return frozenset(out)
-
-    def degrees(self) -> dict:
-        deg = {}
-        for u, v in self.edges():
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        return deg
-
     def _endpoint_masks(self) -> Tuple[int, int]:
         """Masks of the vertices the vector touches and of those with odd
         degree, in one pass over its edges."""

@@ -413,21 +413,6 @@ def shortest_path(g: Graph, x: int, y: int,
     return None
 
 
-def induced_subgraph(g: Graph, vertices: frozenset):
-    """Subgraph induced on ``vertices``.
-
-    Returns ``(subgraph, old_ids)`` where ``old_ids[i]`` is the original id of
-    the subgraph's vertex ``i``.  Labels, when present, are carried over.
-    """
-    _check_vertex_set(g, vertices)
-    old_ids = sorted(vertices)
-    new_id = {v: i for i, v in enumerate(old_ids)}
-    edges = [(new_id[u], new_id[v]) for u, v in g.edges
-             if u in vertices and v in vertices]
-    labels = [g.labels[v] for v in old_ids] if g.labels is not None else None
-    return Graph(len(old_ids), edges, labels=labels), old_ids
-
-
 def vertexset_to_json(g: Graph, s: frozenset) -> list:
     """Serialize a vertex set: sorted coordinate tuples for labeled graphs,
     sorted ids otherwise."""

@@ -14,8 +14,8 @@ Campaign kinds (the short names are the CLI tokens):
   constructive witness is re-verified from definitions.
 
 Observers default to the apex vertex (the far-away surrogate).  Whenever
-the apex can observe (the ``apex`` and ``all-outside`` policies, or the
-apex id as the ``fixed`` observer), subsets must keep an L∞ margin of at
+the apex observes (every policy but ``fixed``, whose one observer is a
+box vertex, never the apex id), subsets must keep an L∞ margin of at
 least 2 from the box surface so the apex faithfully models the unbounded
 outside.  A margin that leaves no room for subsets is refused, in
 exhaustive as in random mode, rather than passing with no trials; so is
@@ -100,7 +100,7 @@ def enumerate_connected_subsets(g: Graph, max_size: int,
             f"max_size {max_size}; need ≤ {EXHAUSTIVE_VERTEX_BUDGET} vertices or "
             f"max_size ≤ {EXHAUSTIVE_SIZE_BUDGET}")
     if max_size < 1:
-        return
+        raise InputError("max_size must be ≥ 1")
     for root in sorted(allowed_set):
         ext = [w for w in g.adjacency[root] if w > root and w in allowed_set]
         yield from _grow(g, (root,), ext, frozenset([root, *ext]),
@@ -306,13 +306,6 @@ def _box_setting(theorem: str, box: BoxSpec, augmentation: str) -> _BoxSetting:
 
 # --- campaign configuration ------------------------------------------------
 
-def _apex_observes(cfg: "TrialConfig") -> bool:
-    """Whether the apex is among the campaign's observers: the apex and
-    all-outside policies, or the apex id as the fixed observer."""
-    return (cfg.x_policy in ("apex", "all-outside")
-            or (cfg.x_policy == "fixed" and cfg.x_vertex == cfg.box.side ** cfg.box.d))
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     """One verification campaign, fully determined by its fields.
@@ -320,15 +313,18 @@ class TrialConfig:
     ``box`` must be a plain box spec; the augmentation of a dp or k
     campaign is picked by its override, not by the box's flavor.
     ``x_policy`` picks observers: the apex surrogate, every vertex outside
-    the subset plus the apex (``all-outside``), or one ``fixed`` vertex
-    (requires ``x_vertex``; the apex id is ``box.side ** box.d``).  Any
-    policy that lets the apex observe needs ``margin ≥ 2``.  ``probe``
-    overrides the connectivity probe of ``dp`` campaigns (default
-    ``plus``); ``g_prime`` overrides the adjacency graph of ``k``
-    campaigns (default ``star``) — both exist mainly for negative
-    controls.  ``lemma`` campaigns are sampling-only; they ignore
-    margin and x_policy and alternate between the configured box and seeded
-    random connected graphs.  ``max_size``, ``trials``, ``seed``,
+    the subset plus the apex (``all-outside``), or one ``fixed`` box
+    vertex, the id ``x_vertex`` in ``0 ≤ x_vertex < box.side ** box.d``.
+    ``x_vertex`` is required under ``fixed`` and refused under any other
+    policy; the apex is observed under ``apex``, never as a fixed id.
+    Every policy but ``fixed`` lets the apex observe and needs
+    ``margin ≥ 2``.  ``probe`` overrides the connectivity probe of ``dp``
+    campaigns (default ``plus``); ``g_prime`` overrides the adjacency
+    graph of ``k`` campaigns (default ``star``) — both exist mainly for
+    negative controls.  ``lemma`` campaigns are sampling-only; they ignore
+    margin and x_policy (``x_vertex`` still follows the rule above) and
+    alternate between the configured box and seeded random connected
+    graphs.  ``max_size``, ``trials``, ``seed``,
     ``margin`` and ``x_vertex`` must be ints; bools and floats are
     refused.
     """
@@ -369,10 +365,15 @@ class TrialConfig:
                     "exhaustive budget: box must have ≤ "
                     f"{EXHAUSTIVE_VERTEX_BUDGET} vertices or max_size ≤ "
                     f"{EXHAUSTIVE_SIZE_BUDGET}")
-        if _apex_observes(self) and self.theorem != "lemma" and self.margin < 2:
+        box_vertices = self.box.side ** self.box.d
+        if ((self.x_policy == "fixed") != (self.x_vertex is not None)
+                or self.x_vertex is not None and not 0 <= self.x_vertex < box_vertices):
+            raise InputError(
+                f"x_vertex must be a box vertex id in 0..{box_vertices - 1} under "
+                f"x_policy 'fixed' and unset otherwise, got {self.x_vertex!r} under "
+                f"{self.x_policy!r}; the apex observes under x_policy 'apex' (CLI: --x apex)")
+        if self.x_policy != "fixed" and self.theorem != "lemma" and self.margin < 2:
             raise InputError("apex observers need margin ≥ 2 to stay faithful")
-        if self.x_policy == "fixed" and self.x_vertex is None:
-            raise InputError("fixed x_policy needs x_vertex")
         if self.theorem == "lemma" and self.mode != "random":
             raise InputError("the crossing-lemma campaign samples instances; use mode=random")
         if self.theorem != "lemma" and self.box.d < 2:
@@ -456,8 +457,6 @@ def _boundary_instances(cfg: TrialConfig, setting: _BoxSetting,
     for every subset of a dp/k campaign, in trial order.  The campaign's
     checks run once, before the first subset."""
     trav = _neighbourhood_plan(setting.roles[0])
-    if cfg.x_policy == "fixed" and not 0 <= cfg.x_vertex <= setting.apex:
-        raise InputError(f"x_vertex {cfg.x_vertex} outside the apexed graph")
     allowed = margin_interior(setting.box, cfg.margin)
     host = setting.connect_host
     if fixed_c is not None:
@@ -470,7 +469,7 @@ def _boundary_instances(cfg: TrialConfig, setting: _BoxSetting,
             raise InputError(
                 "precondition: the supplied subset is not connected in the graph "
                 "the theorem requires (dp: plain box, k: the adjacency graph)")
-        if _apex_observes(cfg) and not c <= allowed:
+        if cfg.x_policy != "fixed" and not c <= allowed:
             raise InputError(
                 f"precondition: apex observers need the subset inside margin {cfg.margin}")
         subsets = [c]

@@ -296,6 +296,13 @@ def test_verify_fixed_observer(capsys):
     assert code == 0 and data["config"]["x_policy"] == "fixed"
 
 
+def test_verify_fixed_observer_is_a_box_vertex(capsys):
+    """``--x`` names a box vertex; the apex id 81 of z2:9 is none, and the
+    apex is spelled ``--x apex``."""
+    code, out, err = run_cli(capsys, "verify", "dp", "--box", "z2:9:plain", "--x", "81")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_verify_no_elapsed_flag(capsys):
     code, data = run_json(capsys, "verify", "lemma", "--box", "z2:4:plain",
                           "--trials", "5", "--seed", "1", "--no-elapsed")
@@ -381,6 +388,15 @@ def test_enumerate_with_margin(capsys):
                            "--max-size", "1", "--margin", "2")
     coords = [tuple(json.loads(l)[0]) for l in out.strip().splitlines()]
     assert sorted(coords) == [(i, j) for i in (2, 3, 4) for j in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("max_size", ["0", "-2"])
+def test_enumerate_refuses_a_size_cap_below_one(capsys, max_size):
+    """A cap below one used to exit 0 with no output; it is bad input."""
+    code, out, err = run_cli(capsys, "enumerate", "--box", "z2:3:plain",
+                             "--max-size", max_size)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "max_size must be ≥ 1" in err
 
 
 def test_enumerate_budget_guard_exit_code(capsys):

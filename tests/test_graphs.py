@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boundarykit import (Graph, GraphPair, InputError, component_of,
-                         count_components, induced_subgraph, is_connected_in,
-                         is_cutset, is_minimal_cutset, random_connected_graph,
+                         count_components, is_connected_in, is_cutset,
+                         is_minimal_cutset, random_connected_graph,
                          set_components, shortest_path, vertexset_from_json,
                          vertexset_to_json)
 
@@ -332,27 +332,7 @@ def test_shortest_path_trivial_and_blocked_cases():
     assert shortest_path(g, 0, 2, frozenset({2})) is None
 
 
-# --- induced subgraphs and vertex-set serialization ----------------------------
-
-def test_induced_subgraph_keeps_internal_edges_and_labels():
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
-              labels=[(i,) for i in range(5)])
-    sub, old_ids = induced_subgraph(g, frozenset({0, 1, 4}))
-    assert old_ids == [0, 1, 4]
-    assert sub.edges == ((0, 1), (0, 2))       # 0-1 and 0-4 survive
-    assert sub.labels == ((0,), (1,), (4,))
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_graphs(), st.data())
-def test_induced_subgraph_matches_edge_filter(g, data):
-    verts = frozenset(data.draw(st.sets(
-        st.integers(min_value=0, max_value=g.vertex_count - 1), max_size=8)))
-    sub, old_ids = induced_subgraph(g, verts)
-    back = {(old_ids[u], old_ids[v]) for u, v in sub.edges}
-    expect = {(u, v) for u, v in g.edges if u in verts and v in verts}
-    assert back == expect
-
+# --- vertex-set serialization ------------------------------------------------------
 
 def test_vertexset_json_uses_coordinates_when_labeled():
     g = Graph(4, [(0, 1)], labels=[(1, 1), (2, 1), (1, 2), (2, 2)])

@@ -67,6 +67,15 @@ def test_enumeration_budget_guard():
     assert sum(1 for _ in enumerate_connected_subsets(g, 1)) == 36
 
 
+@pytest.mark.parametrize("max_size", [0, -2])
+def test_enumeration_refuses_a_size_cap_below_one(max_size):
+    """No subset has fewer than one vertex: a cap below one is bad input,
+    not an empty listing."""
+    g = build_box(BoxSpec(2, 3, "plain"))
+    with pytest.raises(InputError, match="^max_size must be ≥ 1$"):
+        list(enumerate_connected_subsets(g, max_size))
+
+
 def test_enumeration_canonical_order_is_stable():
     g = build_box(BoxSpec(2, 2, "plain"))
     first = [tuple(sorted(s)) for s in enumerate_connected_subsets(g, 4)]
@@ -194,6 +203,28 @@ def test_k_premises_fail_on_a_non_chordal_replacement():
     assert not check_k_hypotheses(pair, gen, patches)
 
 
+@pytest.mark.parametrize("path_coords", [
+    [(1, 1), (2, 2)],                               # e alone
+    [(1, 1), (2, 2), (2, 3), (1, 3)],               # e, then a base path that does not close
+], ids=["e-alone", "open-path"])
+def test_k_premises_fail_on_a_patch_that_is_not_a_cycle(path_coords):
+    """A vector through the diagonal e of the first unit square whose other
+    edges are base edges, yet which is no cycle: its one augmentation-only
+    edge is e and its vertices, read as a cycle's, are none, so only the
+    judge's cycle test rejects it."""
+    base = BoxSpec(2, 3, "plain")
+    pair = build_box_pair(base, "star")
+    gen = four_cycle_gen(base)
+    patches = dict(extra_edge_patches(pair))
+    gp = pair.g_plus
+    e = tuple(sorted((gp.id_of_label((1, 1)), gp.id_of_label((2, 2)))))
+    vec = EdgeVector.from_vertex_path(gp, [gp.id_of_label(c) for c in path_coords])
+    assert not vec.is_cycle()
+    assert check_k_hypotheses(pair, gen, patches)
+    patches[e] = vec
+    assert not check_k_hypotheses(pair, gen, patches)
+
+
 @pytest.mark.parametrize("ring_coords", [
     [(1, 1), (2, 1), (2, 2), (1, 2), (1, 1)],       # the unit face: misses e
     [(1, 1), (1, 2), (2, 1), (1, 1)],               # the other diagonal instead
@@ -284,9 +315,8 @@ def test_trial_config_validation():
         TrialConfig(theorem="k", box=box, probe="plain")
     with pytest.raises(InputError, match="g_prime"):
         TrialConfig(theorem="dp", box=box, g_prime="plain")
-    # the apex observes under all-outside and as the fixed apex id (16)
-    # too, and it sees the whole surface
-    for policy in ({"x_policy": "all-outside"}, {"x_policy": "fixed", "x_vertex": 16}):
+    # the apex observes under all-outside too, and it sees the whole surface
+    for policy in ({"x_policy": "apex"}, {"x_policy": "all-outside"}):
         for margin in (0, 1):
             with pytest.raises(InputError, match="margin ≥ 2"):
                 TrialConfig(theorem="dp", box=box, margin=margin, **policy)
@@ -303,6 +333,44 @@ def test_trial_config_validation():
     TrialConfig(theorem="dp", box=box, margin=1, x_policy="fixed", x_vertex=0)
     # ... and so is any margin for the lemma, which has no apex
     TrialConfig(theorem="lemma", box=box, mode="random", margin=0, x_policy="all-outside")
+
+
+_X_VERTEX_RULE = ("x_vertex must be a box vertex id in 0..{last} under x_policy "
+                  "'fixed' and unset otherwise, got {x} under '{policy}'; the apex "
+                  "observes under x_policy 'apex' (CLI: --x apex)")
+
+
+@pytest.mark.parametrize("box", [BoxSpec(2, 4, "plain"), BoxSpec(2, 5, "plain"),
+                                 BoxSpec(3, 4, "plain")], ids=str)
+def test_a_fixed_observer_is_a_box_vertex(box):
+    """The apex id ``side**d`` is no fixed observer: the apex has one
+    spelling, x_policy 'apex', and the refusal names it.  Ids off the box
+    are refused by the same rule when the config is made, before any
+    campaign runs."""
+    last = box.side ** box.d - 1
+    for x in (last + 1, -1, last + 2, 99):
+        message = _X_VERTEX_RULE.format(last=last, x=x, policy="fixed")
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            TrialConfig(theorem="dp", box=box, x_policy="fixed", x_vertex=x)
+    message = _X_VERTEX_RULE.format(last=last, x=None, policy="fixed")
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        TrialConfig(theorem="dp", box=box, x_policy="fixed")
+    for x in (0, last):
+        cfg = TrialConfig(theorem="dp", box=box, x_policy="fixed", x_vertex=x)
+        assert cfg.echo()["x_vertex"] == x
+
+
+@pytest.mark.parametrize("theorem, policy", [
+    ("dp", "apex"), ("dp", "all-outside"), ("lemma", "apex"),
+], ids=["apex", "all-outside", "lemma"])
+def test_an_x_vertex_no_observer_uses_is_refused(theorem, policy):
+    """An ``x_vertex`` outside the fixed policy observes nothing; the
+    report's config must not echo it as if it had."""
+    box = BoxSpec(2, 5, "plain")
+    message = _X_VERTEX_RULE.format(last=24, x=5, policy=policy)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        TrialConfig(theorem=theorem, box=box, mode="random", x_policy=policy,
+                    x_vertex=5)
 
 
 @pytest.mark.parametrize("theorem, hint", [
@@ -344,12 +412,10 @@ def test_dp_exhaustive_small_box_passes():
     ({"x_policy": "all-outside"}, "leaves no room"),
     ({"x_policy": "fixed", "x_vertex": 0}, "leaves no room"),
     ({"mode": "random", "trials": 5}, "leaves no room"),
-    ({"x_policy": "fixed", "x_vertex": 99}, "x_vertex 99 outside the apexed graph"),
-], ids=["apex", "all-outside", "fixed", "random", "fixed-outside-the-graph"])
+], ids=["apex", "all-outside", "fixed", "random"])
 def test_a_margin_without_room_is_refused(policy, message):
     """z2:4 has no vertex 3 steps from its surface, so no campaign there
-    may pass with no trials; the campaign's checks, the observer id's
-    included, run before any subset."""
+    may pass with no trials; the campaign's checks run before any subset."""
     cfg = TrialConfig(theorem="dp", box=BoxSpec(2, 4, "plain"), margin=3,
                       max_size=3, **policy)
     with pytest.raises(InputError, match=message):
@@ -435,8 +501,7 @@ def test_fixed_subset_must_stay_inside_the_margin():
     box = BoxSpec(2, 5, "plain")
     g = build_box(box)
     edge_hugger = frozenset({g.id_of_label((1, 1))})
-    for policy in ({"x_policy": "apex"}, {"x_policy": "all-outside"},
-                   {"x_policy": "fixed", "x_vertex": 25}):
+    for policy in ({"x_policy": "apex"}, {"x_policy": "all-outside"}):
         cfg = TrialConfig(theorem="dp", box=box, **policy)
         with pytest.raises(InputError, match="margin"):
             run_verification(cfg, fixed_c=edge_hugger)
@@ -444,8 +509,8 @@ def test_fixed_subset_must_stay_inside_the_margin():
 
 @pytest.mark.parametrize("policy", [
     {"x_policy": "apex"}, {"x_policy": "all-outside"},
-    {"x_policy": "fixed", "x_vertex": 25}, {"x_policy": "fixed", "x_vertex": 12},
-], ids=["apex", "all-outside", "fixed-apex", "fixed-centre"])
+    {"x_policy": "fixed", "x_vertex": 12},
+], ids=["apex", "all-outside", "fixed-centre"])
 def test_an_empty_fixed_subset_is_refused(policy):
     """An empty subset has no boundary to judge; it must not pass with one
     vacuous trial (apex) or count every vertex as a trial (all-outside)."""
@@ -562,11 +627,9 @@ _X44, _X33 = _Z27.id_of_label((4, 4)), _Z27.id_of_label((3, 3))
     (TrialConfig(theorem="k", box=BoxSpec(3, 5, "plain"), max_size=4), 8977, 0),
     (TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), mode="random",
                  trials=300, seed=5, max_size=3, probe="plain"), 300, 300),
-    (TrialConfig(theorem="dp", box=BoxSpec(2, 6, "plain"), max_size=5,
-                 probe="plain", x_policy="fixed", x_vertex=36), 449, 449),
 ], ids=["dp-plain-probe", "k-plain-adjacency", "k-random", "dp-apex-plain-probe",
         "dp-fixed-plain-probe", "dp-random-fixed", "k-apex-plain-adjacency",
-        "k-apex-z3", "dp-random-apex-plain-probe", "dp-fixed-apex-plain-probe"])
+        "k-apex-z3", "dp-random-apex-plain-probe"])
 def test_failures_are_exactly_the_disconnected_full_reports(cfg, trials, failing):
     """Campaigns judge instances by their component count alone, and an
     apex-only instance by the verdict of its translation class; the

@@ -154,17 +154,17 @@ def test_patch_cycle_diagonal_picks_low_id_corner():
     g = pair.g
     e = (g.id_of_label((1, 1)), g.id_of_label((2, 2)))
     tri = cube_patch_cycle(pair, e)
-    assert tri.vertices() == frozenset({
-        g.id_of_label((1, 1)), g.id_of_label((2, 1)), g.id_of_label((2, 2))})
+    assert {w for edge in tri.edges() for w in edge} == {
+        g.id_of_label((1, 1)), g.id_of_label((2, 1)), g.id_of_label((2, 2))}
 
 
 def test_patch_cycle_antidiagonal_goes_through_low_corner():
     pair = build_box_pair(BoxSpec(2, 3, "plain"), "star")
     g = pair.g
     e = (g.id_of_label((1, 2)), g.id_of_label((2, 1)))
-    tri = cube_patch_cycle(pair, e)
-    assert g.id_of_label((1, 1)) in tri.vertices()
-    assert g.id_of_label((2, 2)) not in tri.vertices()
+    touched = {w for edge in cube_patch_cycle(pair, e).edges() for w in edge}
+    assert g.id_of_label((1, 1)) in touched
+    assert g.id_of_label((2, 2)) not in touched
 
 
 def test_patch_cycle_cube_main_diagonal():
@@ -173,7 +173,8 @@ def test_patch_cycle_cube_main_diagonal():
     e = (g.id_of_label((1, 1, 1)), g.id_of_label((2, 2, 2)))
     vec = cube_patch_cycle(pair, e)
     want_path = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
-    assert vec.vertices() == frozenset(g.id_of_label(c) for c in want_path)
+    assert {w for edge in vec.edges() for w in edge} == {
+        g.id_of_label(c) for c in want_path}
     assert len(vec) == 4
 
 
