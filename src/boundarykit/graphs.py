@@ -112,12 +112,6 @@ class Graph:
         if not (0 <= v < self.vertex_count):
             raise InputError(f"vertex id {v} outside 0..{self.vertex_count - 1}")
 
-    def neighbors(self, v: int) -> tuple:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         key = (u, v) if u < v else (v, u)
         return key in self._edge_ids
@@ -128,16 +122,6 @@ class Graph:
             return self._edge_ids[key]
         except KeyError:
             raise InputError(f"no edge {key} in graph") from None
-
-    def endpoints(self, edge_id: int) -> tuple:
-        if not (0 <= edge_id < len(self.edges)):
-            raise InputError(f"edge id {edge_id} outside 0..{len(self.edges) - 1}")
-        return self.edges[edge_id]
-
-    def label_of(self, v: int) -> Coord:
-        if self.labels is None:
-            raise InputError("graph has no labels")
-        return self.labels[v]
 
     def id_of_label(self, coord: Sequence[int]) -> int:
         if self._label_ids is None:
@@ -312,12 +296,6 @@ def _members(m: int) -> frozenset:
     return frozenset(out)
 
 
-def _check_vertex_set(g: Graph, s: frozenset) -> None:
-    for v in s:
-        if not (0 <= v < g.vertex_count):
-            raise InputError(f"vertex id {v} outside 0..{g.vertex_count - 1}")
-
-
 def component_of(g: Graph, start: int, forbidden: frozenset = frozenset()) -> frozenset:
     """Vertex set of the connected component of ``start`` in the subgraph
     induced on the complement of ``forbidden``."""
@@ -393,7 +371,7 @@ def shortest_path(g: Graph, x: int, y: int,
     order, so ties resolve toward smaller ids."""
     g.require_vertex(x)
     g.require_vertex(y)
-    _check_vertex_set(g, forbidden)
+    _neighbourhood_plan(g).mask(forbidden)         # range-checks the ids
     if x in forbidden or y in forbidden:
         return None
     parent = {x: None}
@@ -416,7 +394,7 @@ def shortest_path(g: Graph, x: int, y: int,
 def vertexset_to_json(g: Graph, s: frozenset) -> list:
     """Serialize a vertex set: sorted coordinate tuples for labeled graphs,
     sorted ids otherwise."""
-    _check_vertex_set(g, s)
+    _neighbourhood_plan(g).mask(s)                 # range-checks the ids
     if g.labels is not None:
         return sorted([list(g.labels[v]) for v in s])
     return sorted(s)

@@ -25,7 +25,7 @@ A dp/k campaign gives each subset an observer mask: the apex, the fixed
 vertex unless the subset holds it, or, under ``all-outside``, every
 vertex outside an enumerated or given subset.  A random ``all-outside``
 trial draws one of those by rank k, the k-th id outside the subset (the
-apex, the largest id, last), found by walking the sorted subset.  Every
+apex, the largest id, last), found by walking the subset's bits.  Every
 policy then runs the same verdict loop on ``boundary._failing_observers``.
 The visible boundary depends on the observer only through the observer's
 component of the traversal graph minus the subset (it is the exterior
@@ -39,7 +39,11 @@ which translation does not change, so a campaign keys its verdicts by the
 subset mask shifted down to its lowest id and runs the kernel only on an
 unseen key (z2:9 with subsets of up to 8 vertices: 61,167 subsets, 3,790
 kernel calls).  Failure records are still built per instance.
-The sampler prepares its pool once per (graph, pool).
+Campaign subsets are int masks from enumeration to verdict: the private
+Redelmeier enumerator ``_connected_masks`` grows masks, and observers,
+keys and the kernel read them.  Frozensets appear only in the public
+``enumerate_connected_subsets``, a view of that one enumerator, and in
+failure records.  The sampler prepares its pool once per (graph, pool).
 
 Campaigns run their trials in one sequential loop; every trial is a pure
 function of immutable graphs plus the seed string ``"{seed}:{index}"``, so
@@ -63,7 +67,7 @@ from .cyclespace import (CycleGen, EdgeVector, _is_clique,
                          is_generating)
 from .errors import InputError
 from .graphs import (Graph, GraphPair, _is_id, _members, _neighbourhood_plan,
-                     component_of, is_connected_in, vertexset_to_json)
+                     component_of, vertexset_to_json)
 from .lattice import (BoxSpec, build_box, build_box_pair,
                       extra_edge_patches, four_cycle_gen, margin_interior,
                       with_apex)
@@ -80,43 +84,54 @@ EXHAUSTIVE_SIZE_BUDGET = 9
 
 def enumerate_connected_subsets(g: Graph, max_size: int,
                                 allowed: Optional[frozenset] = None) -> Iterator[frozenset]:
-    """Yield every connected subset of 1..max_size vertices exactly once.
-
-    Canonical order: grouped by smallest member (ascending), each subset
-    before its extensions.  Exactly-once discovery works by growing from the
-    subset's smallest vertex and only ever adding larger ids, feeding each
-    candidate vertex into the extension pool at most once per root.
-    ``allowed`` restricts both members and connectivity to a vertex subset.
-    """
-    if allowed is None:
-        allowed_set = frozenset(range(g.vertex_count))
-    else:
-        allowed_set = frozenset(allowed)
-        for v in allowed_set:
-            g.require_vertex(v)
-    if max_size > EXHAUSTIVE_SIZE_BUDGET and len(allowed_set) > EXHAUSTIVE_VERTEX_BUDGET:
+    """Yield every connected subset of 1..max_size vertices exactly once,
+    in the order of ``_connected_masks``: grouped by smallest member
+    (ascending), each subset before its extensions.  ``allowed`` restricts
+    both members and connectivity to a vertex subset."""
+    if not _is_id(max_size):
+        raise InputError(f"max_size must be an int, got {max_size!r}")
+    plan = _neighbourhood_plan(g)
+    allowed_mask = plan.full if allowed is None else plan.mask(allowed)
+    candidates = allowed_mask.bit_count()
+    if max_size > EXHAUSTIVE_SIZE_BUDGET and candidates > EXHAUSTIVE_VERTEX_BUDGET:
         raise InputError(
-            f"enumeration budget exceeded: {len(allowed_set)} candidate vertices with "
+            f"enumeration budget exceeded: {candidates} candidate vertices with "
             f"max_size {max_size}; need ≤ {EXHAUSTIVE_VERTEX_BUDGET} vertices or "
             f"max_size ≤ {EXHAUSTIVE_SIZE_BUDGET}")
     if max_size < 1:
         raise InputError("max_size must be ≥ 1")
-    for root in sorted(allowed_set):
-        ext = [w for w in g.adjacency[root] if w > root and w in allowed_set]
-        yield from _grow(g, (root,), ext, frozenset([root, *ext]),
-                         root, max_size, allowed_set)
+    for m in _connected_masks(g, max_size, allowed_mask):
+        yield _members(m)
 
 
-def _grow(g: Graph, sub: tuple, ext: list, seen: frozenset, root: int,
-          max_size: int, allowed: frozenset) -> Iterator[frozenset]:
-    yield frozenset(sub)
-    if len(sub) == max_size:
-        return
-    for i, u in enumerate(ext):
-        fresh = [w for w in g.adjacency[u]
-                 if w > root and w in allowed and w not in seen]
-        yield from _grow(g, sub + (u,), ext[i + 1:] + fresh,
-                         seen | frozenset(fresh), root, max_size, allowed)
+def _connected_masks(g: Graph, max_size: int, allowed: int) -> Iterator[int]:
+    """Masks of the subsets of ``allowed`` with 1..max_size vertices,
+    connected inside it, each once: Redelmeier's growth (*Counting
+    polyominoes: yet another attack*, Discrete Math. 36, 1981).  Each root
+    in ascending order grows, depth first, the subsets it is the smallest
+    member of.  The child adding the i-th entry u of a subset's extension
+    list gets the entries after u, then u's larger allowed neighbours not
+    yet ``seen`` under this root, in adjacency order."""
+    nbrs = [sum(1 << w for w in ws) for ws in g.adjacency]
+    rest = allowed
+    while rest:
+        low = rest & -rest
+        rest ^= low                       # the allowed ids above the root
+        root = low.bit_length() - 1
+        stack = [(low, 1, [w for w in g.adjacency[root] if rest >> w & 1],
+                  low | nbrs[root] & rest)]
+        while stack:
+            sub, size, ext, seen = stack.pop()
+            yield sub
+            if size == max_size:
+                continue
+            free = rest & ~seen
+            for i in range(len(ext) - 1, -1, -1):    # pushed last, popped first
+                u = ext[i]
+                fresh = nbrs[u] & free
+                stack.append((sub | 1 << u, size + 1,
+                              ext[i + 1:] + [w for w in g.adjacency[u] if fresh >> w & 1],
+                              seen | fresh))
 
 
 def sample_connected_subset(g: Graph, size: int, seed,
@@ -128,6 +143,8 @@ def sample_connected_subset(g: Graph, size: int, seed,
     else:
         pool, nbrs = _sampling_pool(
             g, allowed if isinstance(allowed, frozenset) else tuple(allowed))
+    if not _is_id(size):
+        raise InputError(f"size must be an int, got {size!r}")
     if not 1 <= size <= len(pool):
         raise InputError(f"cannot grow {size} vertices out of {len(pool)} candidates")
     rng = random.Random(seed)
@@ -321,12 +338,11 @@ class TrialConfig:
     ``margin ≥ 2``.  ``probe`` overrides the connectivity probe of ``dp``
     campaigns (default ``plus``); ``g_prime`` overrides the adjacency
     graph of ``k`` campaigns (default ``star``) — both exist mainly for
-    negative controls.  ``lemma`` campaigns are sampling-only; they ignore
-    margin and x_policy (``x_vertex`` still follows the rule above) and
-    alternate between the configured box and seeded random connected
-    graphs.  ``max_size``, ``trials``, ``seed``,
-    ``margin`` and ``x_vertex`` must be ints; bools and floats are
-    refused.
+    negative controls.  ``lemma`` campaigns sample their own observers,
+    so they refuse any ``x_policy`` but ``apex`` and any ``margin`` but 2,
+    and alternate between the configured box and seeded random connected
+    graphs.  ``max_size``, ``trials``, ``seed``, ``margin`` and
+    ``x_vertex`` must be ints; bools and floats are refused.
     """
 
     theorem: str
@@ -372,7 +388,11 @@ class TrialConfig:
                 f"x_vertex must be a box vertex id in 0..{box_vertices - 1} under "
                 f"x_policy 'fixed' and unset otherwise, got {self.x_vertex!r} under "
                 f"{self.x_policy!r}; the apex observes under x_policy 'apex' (CLI: --x apex)")
-        if self.x_policy != "fixed" and self.theorem != "lemma" and self.margin < 2:
+        if self.theorem == "lemma" and (self.x_policy, self.margin) != ("apex", 2):
+            raise InputError("the crossing-lemma campaign picks its own observers: "
+                             "keep x_policy 'apex' and margin 2 (CLI: leave out --x "
+                             "and --margin)")
+        if self.x_policy != "fixed" and self.margin < 2:
             raise InputError("apex observers need margin ≥ 2 to stay faithful")
         if self.theorem == "lemma" and self.mode != "random":
             raise InputError("the crossing-lemma campaign samples instances; use mode=random")
@@ -423,12 +443,12 @@ def _trial_seed(seed: int, index: int) -> str:
 
 # --- boundary campaigns (dp / k) -------------------------------------------
 
-def _observers(cfg: TrialConfig, full: int, c: frozenset, cm: int,
+def _observers(cfg: TrialConfig, full: int, cm: int,
                rng: Optional[random.Random] = None) -> int:
-    """The mask of the observers of subset ``c`` (mask ``cm``) in the
+    """The mask of the observers of the subset with mask ``cm`` in the
     apexed graph with vertex mask ``full``, whose largest id is the apex.
-    Under ``all-outside`` every vertex outside ``c`` observes, unless a
-    random trial passes its ``rng``, which draws one of them by rank."""
+    Under ``all-outside`` every vertex outside the subset observes, unless
+    a random trial passes its ``rng``, which draws one of them by rank."""
     apex = full.bit_length() - 1
     if cfg.x_policy == "apex":
         return 1 << apex
@@ -436,73 +456,72 @@ def _observers(cfg: TrialConfig, full: int, c: frozenset, cm: int,
         return 1 << cfg.x_vertex & ~cm
     if rng is None:
         return full ^ cm
-    outside = apex + 1 - len(c)
-    return 1 << (_kth_outside(c, rng.randrange(outside)) if outside > 1 else apex)
+    outside = apex + 1 - cm.bit_count()
+    return 1 << (_kth_outside(cm, rng.randrange(outside)) if outside > 1 else apex)
 
 
-def _kth_outside(c: frozenset, k: int) -> int:
-    """The ``k``-th smallest id (from 0) outside ``c``: the k-th
-    all-outside observer, since the apex is the largest id, found by
-    walking the sorted subset instead of listing the observers."""
-    for v in sorted(c):
-        if v > k:
-            break
+def _kth_outside(cm: int, k: int) -> int:
+    """The ``k``-th smallest id (from 0) outside the subset with mask
+    ``cm``: the k-th all-outside observer, since the apex is the largest
+    id, found by walking the subset's bits upward instead of listing the
+    observers."""
+    while cm and (cm & -cm).bit_length() <= k + 1:      # lowest member ≤ k
         k += 1
+        cm &= cm - 1
     return k
 
 
 def _boundary_instances(cfg: TrialConfig, setting: _BoxSetting,
                         fixed_c: Optional[frozenset]) -> Iterator[tuple]:
-    """Yield ``(seed string or None, subset, subset mask, observer mask)``
-    for every subset of a dp/k campaign, in trial order.  The campaign's
-    checks run once, before the first subset."""
+    """Yield ``(seed string or None, subset mask, observer mask)`` for every
+    subset of a dp/k campaign, in trial order.  The campaign's checks run
+    once, before the first subset."""
     trav = _neighbourhood_plan(setting.roles[0])
-    allowed = margin_interior(setting.box, cfg.margin)
+    interior = margin_interior(setting.box, cfg.margin)
+    allowed = trav.mask(interior)
     host = setting.connect_host
     if fixed_c is not None:
-        c = frozenset(fixed_c)
-        if not c:
+        plan = _neighbourhood_plan(host)
+        cm = plan.mask(fixed_c)
+        if not cm:
             raise InputError("the supplied subset is empty; a campaign needs a nonempty subset")
-        for v in c:
-            setting.box.require_vertex(v)
-        if not is_connected_in(host, c):
+        if plan.flood(cm & -cm, cm) != cm:
             raise InputError(
                 "precondition: the supplied subset is not connected in the graph "
                 "the theorem requires (dp: plain box, k: the adjacency graph)")
-        if cfg.x_policy != "fixed" and not c <= allowed:
+        if cfg.x_policy != "fixed" and cm & ~allowed:
             raise InputError(
                 f"precondition: apex observers need the subset inside margin {cfg.margin}")
-        subsets = [c]
+        masks = [cm]
     elif not allowed:
         raise InputError(f"margin {cfg.margin} leaves no room for subsets in {cfg.box}")
     elif cfg.mode == "exhaustive":
-        subsets = enumerate_connected_subsets(host, cfg.max_size, allowed=allowed)
+        # TrialConfig has refused a size cap beyond the enumeration budget
+        masks = _connected_masks(host, cfg.max_size, allowed)
     else:
-        yield from _sampled_instances(cfg, host, trav, allowed)
+        yield from _sampled_instances(cfg, host, trav, interior)
         return
-    for c in subsets:
-        cm = trav.mask(c)
-        yield None, c, cm, _observers(cfg, trav.full, c, cm)
+    for cm in masks:
+        yield None, cm, _observers(cfg, trav.full, cm)
 
 
 def _sampled_instances(cfg: TrialConfig, host: Graph, trav,
-                       allowed: frozenset) -> Iterator[tuple]:
+                       interior: frozenset) -> Iterator[tuple]:
     """The instances of a random dp/k campaign, one observer per trial."""
-    size_cap = min(cfg.max_size, len(allowed))
+    size_cap = min(cfg.max_size, len(interior))
     for i in range(cfg.trials):
         seed_str = _trial_seed(cfg.seed, i)
         rng = random.Random(seed_str)
         size = rng.randint(1, size_cap)
         for attempt in range(64):
-            c = sample_connected_subset(host, size, seed=f"{seed_str}/c{attempt}",
-                                        allowed=allowed)
-            cm = trav.mask(c)
-            observers = _observers(cfg, trav.full, c, cm, rng)
+            cm = trav.mask(sample_connected_subset(
+                host, size, seed=f"{seed_str}/c{attempt}", allowed=interior))
+            observers = _observers(cfg, trav.full, cm, rng)
             if observers:
                 break
         else:
             raise InputError("could not sample a subset compatible with the observer policy")
-        yield seed_str, c, cm, observers
+        yield seed_str, cm, observers
 
 
 def _shape_key(cm: int) -> int:
@@ -532,8 +551,9 @@ def _shape_key(cm: int) -> int:
 
 
 def _failure_record(setting: _BoxSetting, trial: int, seed_str: Optional[str],
-                    c: frozenset, x: int) -> dict:
+                    cm: int, x: int) -> dict:
     g_t, gp_t, probe_t = setting.roles
+    c = _members(cm)
     return {
         "trial": trial,
         "seed": seed_str,
@@ -558,7 +578,7 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
     trials_run = 0
     failures: List[dict] = []
     trial_seeds: List[str] = []
-    for seed_str, c, cm, observers in _boundary_instances(cfg, setting, fixed_c):
+    for seed_str, cm, observers in _boundary_instances(cfg, setting, fixed_c):
         if observers == apex_only:
             key = _shape_key(cm)
             failing = verdicts.get(key)
@@ -571,7 +591,7 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
             order = sorted(_members(observers), key=lambda v: (v != setting.apex, v))
             for i, x in enumerate(order):
                 if failing >> x & 1:
-                    failures.append(_failure_record(setting, trials_run + i, seed_str, c, x))
+                    failures.append(_failure_record(setting, trials_run + i, seed_str, cm, x))
         if seed_str is not None:
             trial_seeds.append(seed_str)
         trials_run += observers.bit_count()

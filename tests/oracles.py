@@ -4,13 +4,16 @@ Everything here is deliberately written with different data structures and
 algorithms than the library: union-find instead of BFS, DFS path search
 instead of component intersection, sorted-tuple GF(2) elimination instead of
 int bitmasks, and powerset filtering instead of incremental growth.  Slow is
-fine; these only run on small inputs.
+fine; these only run on small inputs.  The one exception is the order oracle
+of the subset enumerator, the same growth on tuples and frozensets: the
+order it pins is the point, so it keeps the algorithm.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 
 # --- connectivity ------------------------------------------------------------
@@ -233,3 +236,28 @@ def connected_subsets_by_powerset(vertex_count: int,
             if connected_by_flood(edges, combo):
                 out.add(frozenset(combo))
     return out
+
+
+def connected_subsets_by_growth(adjacency: Sequence[Sequence[int]], max_size: int,
+                                allowed: Optional[Iterable[int]] = None
+                                ) -> Iterator[FrozenSet[int]]:
+    """The order oracle of the enumerator: Redelmeier's growth on tuples
+    and frozensets, recursive.  Per root in ascending order, each subset
+    comes before its extensions; the child adding the i-th extension u
+    keeps the extensions after u, then u's unseen larger allowed
+    neighbours in adjacency order."""
+    allowed = frozenset(range(len(adjacency)) if allowed is None else allowed)
+
+    def grow(sub, ext, seen, root):
+        yield frozenset(sub)
+        if len(sub) == max_size:
+            return
+        for i, u in enumerate(ext):
+            fresh = [w for w in adjacency[u]
+                     if w > root and w in allowed and w not in seen]
+            yield from grow(sub + (u,), ext[i + 1:] + fresh,
+                            seen | frozenset(fresh), root)
+
+    for root in sorted(allowed):
+        ext = [w for w in adjacency[root] if w > root and w in allowed]
+        yield from grow((root,), ext, frozenset([root, *ext]), root)

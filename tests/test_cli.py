@@ -359,6 +359,22 @@ def test_lemma_campaign_refuses_a_flavored_box(capsys):
     assert err == "error: lemma campaigns run on the plain box, not on z2:5:star\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--x", "[2,2]", "--margin", "0"],
+    ["--x", "[2,2]"],
+    ["--x", "all-outside"],
+    ["--margin", "3"],
+], ids=["fixed-margin-0", "fixed", "all-outside", "margin-3"])
+def test_lemma_campaign_refuses_observer_fields(capsys, argv):
+    """The lemma picks its own observers; an observer or margin it would
+    never read is refused instead of being echoed in the report."""
+    code, out, err = run_cli(capsys, "verify", "lemma", "--box", "z2:5:plain",
+                             "--trials", "3", *argv)
+    assert code == 2 and out == ""
+    assert err == ("error: the crossing-lemma campaign picks its own observers: keep "
+                   "x_policy 'apex' and margin 2 (CLI: leave out --x and --margin)\n")
+
+
 def test_boundary_and_enumerate_keep_box_flavors(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--box", "z2:2:star",
                              "--max-size", "4")

@@ -426,7 +426,7 @@ def test_edges_between_matches_scan():
     bits = edges_between(g, a, b)
     expect = {e for e in g.edges
               if (e[0] in a and e[1] in b) or (e[1] in a and e[0] in b)}
-    got = {g.endpoints(i) for i in EdgeVector(g, bits).edge_ids()}
+    got = {g.edges[i] for i in EdgeVector(g, bits).edge_ids()}
     assert got == expect and len(expect) == 2
 
 

@@ -17,7 +17,8 @@ from boundarykit import (BoxSpec, CycleGen, EdgeVector, InputError,
                          run_verification, sample_connected_subset,
                          vertexset_to_json)
 
-from oracles import connected_subsets_by_powerset
+from boundarykit.graphs import _members
+from oracles import connected_subsets_by_growth, connected_subsets_by_powerset
 
 
 # --- exhaustive enumeration -----------------------------------------------------
@@ -84,6 +85,38 @@ def test_enumeration_canonical_order_is_stable():
     assert first[0] == (0,)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=11), st.integers(min_value=0, max_value=12),
+       st.integers(min_value=0, max_value=5000), st.integers(min_value=1, max_value=5),
+       st.data())
+def test_enumeration_order_matches_the_growth_oracle(nv, extra, seed, max_size, data):
+    """Failure-record trial indices and pinned report digests rest on the
+    order of the subsets, so the enumerator must list them as the
+    frozenset growth does: as a sequence, not only as a set."""
+    g = random_connected_graph(nv, extra, seed)
+    allowed = data.draw(st.none() | st.frozensets(st.integers(0, nv - 1)))
+    got = list(enumerate_connected_subsets(g, max_size, allowed=allowed))
+    assert got == list(connected_subsets_by_growth(g.adjacency, max_size, allowed))
+
+
+@pytest.mark.parametrize("box", [BoxSpec(2, 7, "star"), BoxSpec(3, 5, "plain")], ids=str)
+@pytest.mark.parametrize("margin", [1, 2])
+def test_enumeration_order_on_boxes(box, margin):
+    g = build_box(box)
+    inner = margin_interior(g, margin)
+    got = list(enumerate_connected_subsets(g, 4, allowed=inner))
+    assert got == list(connected_subsets_by_growth(g.adjacency, 4, inner))
+
+
+@pytest.mark.parametrize("max_size", [2.5, 2.0, True, "3", None])
+def test_enumeration_refuses_a_size_cap_that_is_no_int(max_size):
+    """A float cap was never reached, so 2.5 listed every connected subset
+    of the box; True read as 1."""
+    g = build_box(BoxSpec(2, 4, "plain"))
+    with pytest.raises(InputError, match=f"^max_size must be an int, got {re.escape(repr(max_size))}$"):
+        next(enumerate_connected_subsets(g, max_size))
+
+
 # --- randomized sampling -----------------------------------------------------------
 
 def test_sample_connected_subset_basics():
@@ -135,6 +168,14 @@ def test_sampler_outputs_are_pinned():
     evens = frozenset(range(0, 40, 2)) | frozenset(range(1, 12))
     assert sorted(sample_connected_subset(r, 7, "c", allowed=evens)) == [
         2, 10, 12, 14, 18, 24, 30]
+
+
+@pytest.mark.parametrize("size", [2.5, 3.0, True, "3"])
+def test_sampler_refuses_a_size_that_is_no_int(size):
+    g = build_box(BoxSpec(2, 6, "plain"))
+    for allowed in (None, margin_interior(g, 2)):
+        with pytest.raises(InputError, match=f"^size must be an int, got {re.escape(repr(size))}$"):
+            sample_connected_subset(g, size, "s", allowed=allowed)
 
 
 def test_sampler_rejects_an_out_of_range_pool():
@@ -331,8 +372,14 @@ def test_trial_config_validation():
             TrialConfig(theorem="dp", box=box, **policy)
     # margin 1 is fine when the observer is a fixed vertex
     TrialConfig(theorem="dp", box=box, margin=1, x_policy="fixed", x_vertex=0)
-    # ... and so is any margin for the lemma, which has no apex
-    TrialConfig(theorem="lemma", box=box, mode="random", margin=0, x_policy="all-outside")
+    # ... but the lemma picks its own observers, so it refuses both fields
+    for fields in ({"margin": 0, "x_policy": "all-outside"}, {"margin": 0},
+                   {"margin": 3}, {"x_policy": "all-outside"},
+                   {"x_policy": "fixed", "x_vertex": 6}):
+        with pytest.raises(InputError, match="^the crossing-lemma campaign picks its "
+                                             "own observers: keep x_policy 'apex' and margin 2"):
+            TrialConfig(theorem="lemma", box=box, mode="random", **fields)
+    TrialConfig(theorem="lemma", box=box, mode="random", margin=2, x_policy="apex")
 
 
 _X_VERTEX_RULE = ("x_vertex must be a box vertex id in 0..{last} under x_policy "
@@ -574,7 +621,7 @@ def _per_observer_reference(cfg, fixed_c=None):
     g, g_prime, probe = setting.roles
     apex = setting.apex
     if fixed_c is None and cfg.mode == "random":
-        instances = [(seed, c, drawn.bit_length() - 1) for seed, c, _, drawn
+        instances = [(seed, _members(cm), drawn.bit_length() - 1) for seed, cm, drawn
                      in harness._boundary_instances(cfg, setting, None)]
     else:
         subsets = [fixed_c] if fixed_c is not None else enumerate_connected_subsets(
@@ -737,7 +784,8 @@ def test_rank_pick_is_the_kth_sorted_observer():
                    frozenset(range(0, apex, 3)), frozenset(range(1, apex))]
         for c in subsets:
             xs = [v for v in range(apex + 1) if v not in c]
-            assert [harness._kth_outside(c, k) for k in range(len(xs))] == xs
+            cm = sum(1 << v for v in c)
+            assert [harness._kth_outside(cm, k) for k in range(len(xs))] == xs
 
 
 def test_random_all_outside_observers_are_drawn_by_rank():
@@ -749,12 +797,26 @@ def test_random_all_outside_observers_are_drawn_by_rank():
     cfg = TrialConfig(theorem="k", box=BoxSpec(3, 5, "plain"), mode="random",
                       trials=60, seed=2, max_size=6, x_policy="all-outside")
     setting = harness._box_setting("k", cfg.box, "star")
-    for seed, c, cm, observers in harness._boundary_instances(cfg, setting, None):
+    interior = margin_interior(setting.box, cfg.margin)
+    for seed, cm, observers in harness._boundary_instances(cfg, setting, None):
         rng = random.Random(seed)
-        rng.randint(1, min(cfg.max_size, 27))      # the subset size draw
+        size = rng.randint(1, min(cfg.max_size, 27))      # the subset size draw
+        # an all-outside draw always finds an observer, so attempt 0 stands
+        c = sample_connected_subset(setting.connect_host, size, f"{seed}/c0",
+                                    allowed=interior)
         xs = [v for v in range(setting.apex + 1) if v not in c]
         assert observers == 1 << xs[rng.randrange(len(xs))]
         assert cm == sum(1 << v for v in c)
+
+
+@pytest.mark.parametrize("theorem", ["dp", "k"])
+@pytest.mark.parametrize("bad", [25, -1])
+def test_a_supplied_subset_is_range_checked(theorem, bad):
+    """25 is the apex id of z2:5, not a box vertex."""
+    cfg = TrialConfig(theorem=theorem, box=BoxSpec(2, 5, "plain"), max_size=3,
+                      x_policy="fixed", x_vertex=0)
+    with pytest.raises(InputError, match=f"^vertex id {bad} outside 0..24$"):
+        run_verification(cfg, fixed_c=frozenset({12, bad}))
 
 
 def test_fixed_observer_policy():
