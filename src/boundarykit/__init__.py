@@ -13,12 +13,11 @@ from .boundary import (BoundaryReport, full_report, inner_boundary_variants,
                        visible_boundary)
 from .cyclespace import (CycleGen, EdgeVector, crossing_cycle_witness,
                          cycle_space_rank, decompose, edges_between,
-                         fundamental_basis, is_chordal_cycle, is_generating)
+                         fundamental_basis, is_generating)
 from .errors import InputError, NotInSpanError
 from .graphs import (Graph, GraphPair, component_of, count_components,
-                     is_connected_in, is_cutset, is_minimal_cutset,
-                     set_components, shortest_path, vertexset_from_json,
-                     vertexset_to_json)
+                     is_cutset, is_minimal_cutset, set_components,
+                     shortest_path, vertexset_from_json, vertexset_to_json)
 from .harness import (TrialConfig, VerifyReport, check_dp_hypotheses,
                       check_k_hypotheses, enumerate_connected_subsets,
                       hypothesis_report, random_connected_graph,
@@ -39,8 +38,7 @@ __all__ = [
     "cube_patch_cycle", "cycle_space_rank", "decompose", "edges_between",
     "enumerate_connected_subsets", "extra_edge_patches", "four_cycle_gen",
     "full_report", "fundamental_basis", "hypothesis_report",
-    "inner_boundary_variants", "is_chordal_cycle",
-    "is_connected_in", "is_cutset", "is_generating", "is_minimal_cutset",
+    "inner_boundary_variants", "is_cutset", "is_generating", "is_minimal_cutset",
     "margin_interior", "outer_boundary", "outer_visible_boundary",
     "parse_box_spec", "random_connected_graph", "report_to_json",
     "run_verification", "sample_connected_subset", "set_components",

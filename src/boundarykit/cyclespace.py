@@ -255,17 +255,6 @@ def is_generating(gen: CycleGen, g: Graph) -> bool:
     return gen.rank == cycle_space_rank(g)
 
 
-def is_chordal_cycle(o: EdgeVector, g_plus: Graph) -> bool:
-    """Whether every pair of vertices touched by the cycle ``o`` is adjacent
-    in ``g_plus``."""
-    touched = o._cycle_vertices()
-    if not touched:
-        raise InputError("chordality is defined for cycles only")
-    if o.host.vertex_count != g_plus.vertex_count:
-        raise InputError("cycle host and adjacency graph differ in vertex count")
-    return _is_clique(touched, g_plus)
-
-
 def _is_clique(touched: int, g_plus: Graph) -> bool:
     """Whether the vertices of the mask ``touched`` are pairwise adjacent in
     ``g_plus``: the chordality test for the vertices of a cycle on

@@ -307,16 +307,6 @@ def component_of(g: Graph, start: int, forbidden: frozenset = frozenset()) -> fr
     return _members(plan.flood(1 << start, plan.full ^ fm))
 
 
-def is_connected_in(g: Graph, s: frozenset) -> bool:
-    """Whether the subgraph of ``g`` induced on ``s`` is connected.
-
-    The empty set and singletons count as connected.
-    """
-    plan = _neighbourhood_plan(g)
-    m = plan.mask(s)
-    return plan.flood(m & -m, m) == m
-
-
 def set_components(g: Graph, s: frozenset) -> list:
     """Connected components of the subgraph induced on ``s``, each a
     frozenset, ordered by their smallest member."""

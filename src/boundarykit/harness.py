@@ -43,7 +43,11 @@ Campaign subsets are int masks from enumeration to verdict: the private
 Redelmeier enumerator ``_connected_masks`` grows masks, and observers,
 keys and the kernel read them.  Frozensets appear only in the public
 ``enumerate_connected_subsets``, a view of that one enumerator, and in
-failure records.  The sampler prepares its pool once per (graph, pool).
+failure records.  Sampled subsets are masks too: a random campaign builds
+its sampling pool once, and ``_grow`` draws each subset from it as a
+mask; ``sample_connected_subset`` is the frozenset view of one draw.  The
+crossing lemma draws its observer by rank among the vertices neither in
+the subset nor next to it, with the same ``_kth_outside`` walk.
 
 Campaigns run their trials in one sequential loop; every trial is a pure
 function of immutable graphs plus the seed string ``"{seed}:{index}"``, so
@@ -138,11 +142,26 @@ def sample_connected_subset(g: Graph, size: int, seed,
                             allowed: Optional[frozenset] = None) -> frozenset:
     """Seeded randomized growth of a connected subset of exactly ``size``
     vertices (within ``allowed`` when given).  Deterministic per seed."""
+    return _members(_grow(*_sampling_pool(g, allowed), size, seed))
+
+
+def _sampling_pool(g: Graph, allowed=None) -> tuple:
+    """The sorted, range-checked pool of ``allowed`` (every vertex when
+    None) and each pool vertex's neighbours inside it, in adjacency order:
+    what every ``_grow`` from the pool reads.  A campaign builds it once."""
     if allowed is None:
-        pool, nbrs = range(g.vertex_count), g.adjacency
-    else:
-        pool, nbrs = _sampling_pool(
-            g, allowed if isinstance(allowed, frozenset) else tuple(allowed))
+        return range(g.vertex_count), g.adjacency
+    pool = tuple(sorted(allowed))
+    for v in pool:
+        g.require_vertex(v)
+    inside = frozenset(pool)
+    return pool, {v: tuple(w for w in g.adjacency[v] if w in inside) for v in pool}
+
+
+def _grow(pool, nbrs, size: int, seed) -> int:
+    """The mask of a connected subset of exactly ``size`` vertices of
+    ``pool``, grown from a seeded random start by popping random frontier
+    entries; up to 64 starts.  Deterministic per seed."""
     if not _is_id(size):
         raise InputError(f"size must be an int, got {size!r}")
     if not 1 <= size <= len(pool):
@@ -150,29 +169,18 @@ def sample_connected_subset(g: Graph, size: int, seed,
     rng = random.Random(seed)
     for _attempt in range(64):
         start = pool[rng.randrange(len(pool))]
-        chosen = {start}
+        chosen, count = 1 << start, 1
         frontier = list(nbrs[start])
-        while frontier and len(chosen) < size:
+        while frontier and count < size:
             w = frontier.pop(rng.randrange(len(frontier)))
-            if w in chosen:
+            if chosen >> w & 1:
                 continue
-            chosen.add(w)
-            frontier.extend([z for z in nbrs[w] if z not in chosen])
-        if len(chosen) == size:
-            return frozenset(chosen)
+            chosen |= 1 << w
+            count += 1
+            frontier.extend([z for z in nbrs[w] if not chosen >> z & 1])
+        if count == size:
+            return chosen
     raise InputError("the allowed region cannot grow a connected subset of the requested size")
-
-
-@lru_cache(maxsize=16)
-def _sampling_pool(g: Graph, allowed) -> tuple:
-    """The sorted, range-checked pool of ``allowed`` and each pool vertex's
-    neighbours inside it, in adjacency order: what every sample from the
-    pool reads, built once per (graph, pool) and shared, so read-only."""
-    pool = tuple(sorted(allowed))
-    for v in pool:
-        g.require_vertex(v)
-    inside = frozenset(pool)
-    return pool, {v: tuple(w for w in g.adjacency[v] if w in inside) for v in pool}
 
 
 def random_connected_graph(vertex_count: int, extra_edges: int, seed) -> Graph:
@@ -461,10 +469,10 @@ def _observers(cfg: TrialConfig, full: int, cm: int,
 
 
 def _kth_outside(cm: int, k: int) -> int:
-    """The ``k``-th smallest id (from 0) outside the subset with mask
-    ``cm``: the k-th all-outside observer, since the apex is the largest
-    id, found by walking the subset's bits upward instead of listing the
-    observers."""
+    """The ``k``-th smallest id (from 0) outside the mask ``cm``, found by
+    walking its bits upward instead of listing the ids outside it.  For a
+    subset mask that is the k-th all-outside observer, the apex, the
+    largest id, last."""
     while cm and (cm & -cm).bit_length() <= k + 1:      # lowest member ≤ k
         k += 1
         cm &= cm - 1
@@ -499,24 +507,23 @@ def _boundary_instances(cfg: TrialConfig, setting: _BoxSetting,
         # TrialConfig has refused a size cap beyond the enumeration budget
         masks = _connected_masks(host, cfg.max_size, allowed)
     else:
-        yield from _sampled_instances(cfg, host, trav, interior)
+        yield from _sampled_instances(cfg, _sampling_pool(host, interior), trav.full)
         return
     for cm in masks:
         yield None, cm, _observers(cfg, trav.full, cm)
 
 
-def _sampled_instances(cfg: TrialConfig, host: Graph, trav,
-                       interior: frozenset) -> Iterator[tuple]:
-    """The instances of a random dp/k campaign, one observer per trial."""
-    size_cap = min(cfg.max_size, len(interior))
+def _sampled_instances(cfg: TrialConfig, pool: tuple, full: int) -> Iterator[tuple]:
+    """The instances of a random dp/k campaign, one observer per trial,
+    grown from the campaign's one sampling ``pool``."""
+    size_cap = min(cfg.max_size, len(pool[0]))
     for i in range(cfg.trials):
         seed_str = _trial_seed(cfg.seed, i)
         rng = random.Random(seed_str)
         size = rng.randint(1, size_cap)
         for attempt in range(64):
-            cm = trav.mask(sample_connected_subset(
-                host, size, seed=f"{seed_str}/c{attempt}", allowed=interior))
-            observers = _observers(cfg, trav.full, cm, rng)
+            cm = _grow(*pool, size, f"{seed_str}/c{attempt}")
+            observers = _observers(cfg, full, cm, rng)
             if observers:
                 break
         else:
@@ -577,7 +584,6 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
     verdicts: Dict[int, int] = {}   # shape key -> failing mask, apex observer only
     trials_run = 0
     failures: List[dict] = []
-    trial_seeds: List[str] = []
     for seed_str, cm, observers in _boundary_instances(cfg, setting, fixed_c):
         if observers == apex_only:
             key = _shape_key(cm)
@@ -592,13 +598,11 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
             for i, x in enumerate(order):
                 if failing >> x & 1:
                     failures.append(_failure_record(setting, trials_run + i, seed_str, cm, x))
-        if seed_str is not None:
-            trial_seeds.append(seed_str)
         trials_run += observers.bit_count()
     if not trials_run:
         raise InputError("the campaign has no instance to judge: every subset "
                          "holds the fixed observer")
-    return trials_run, failures, trial_seeds
+    return trials_run, failures
 
 
 # --- crossing-lemma campaign ------------------------------------------------
@@ -637,13 +641,13 @@ def _run_crossing_campaign(cfg: TrialConfig, skip_hypotheses: bool,
     box, box_gen, generating = _lemma_box(cfg.box)
     if not skip_hypotheses and not generating:
         raise InputError("the box generating set does not span its cycle space")
-    trial_seeds = [_trial_seed(cfg.seed, i) for i in range(cfg.trials)]
     failures = []
-    for index, seed_str in enumerate(trial_seeds):
-        failure = _crossing_trial(index, seed_str, box, box_gen, cfg.max_size)
+    for index in range(cfg.trials):
+        failure = _crossing_trial(index, _trial_seed(cfg.seed, index), box, box_gen,
+                                  cfg.max_size)
         if failure is not None:
             failures.append(failure)
-    return cfg.trials, failures, trial_seeds
+    return cfg.trials, failures
 
 
 def _crossing_trial(index: int, seed_str: str, box: Graph, box_gen: CycleGen,
@@ -691,19 +695,23 @@ def _crossing_trial(index: int, seed_str: str, box: Graph, box_gen: CycleGen,
 
 def _sample_crossing_instance(g: Graph, rng: random.Random, max_size: int,
                               seed_str: str, round_: int):
-    """One attempt batch at (c, x, y, cutset, halves) on a host graph."""
+    """One attempt batch at (c, x, y, cutset, halves) on a host graph.
+    The observer x is drawn by rank among the vertices neither in c nor
+    next to it."""
+    pool = _sampling_pool(g)
+    plan = _neighbourhood_plan(g)
     for attempt in range(40):
         size = rng.randint(1, max(1, min(max_size, g.vertex_count - 3)))
         try:
-            c = sample_connected_subset(
-                g, size, seed=f"{seed_str}/r{round_}/c{attempt}")
+            cm = _grow(*pool, size, f"{seed_str}/r{round_}/c{attempt}")
         except InputError:
             continue
-        eligible = [v for v in range(g.vertex_count)
-                    if v not in c and not any(w in c for w in g.adjacency[v])]
+        blocked = cm | plan.expand(cm)
+        eligible = g.vertex_count - blocked.bit_count()
         if not eligible:
             continue
-        x = eligible[rng.randrange(len(eligible))]
+        x = _kth_outside(blocked, rng.randrange(eligible))
+        c = _members(cm)
         s = outer_visible_boundary(g, g, c, x)
         if len(s) < 2:
             continue
@@ -728,7 +736,10 @@ def run_verification(cfg: TrialConfig, skip_hypotheses: bool = False,
     start = time.perf_counter()
     run = (_run_boundary_campaign if cfg.theorem in _BOUNDARY_THEOREMS
            else _run_crossing_campaign)
-    trials_run, failures, trial_seeds = run(cfg, skip_hypotheses, fixed_c)
+    trials_run, failures = run(cfg, skip_hypotheses, fixed_c)
+    # a random campaign echoes the seed of every trial; a given subset has none
+    trial_seeds = ([_trial_seed(cfg.seed, i) for i in range(cfg.trials)]
+                   if cfg.mode == "random" and fixed_c is None else [])
     return VerifyReport(cfg.echo(), trials_run, failures, trial_seeds,
                         time.perf_counter() - start)
 

@@ -223,8 +223,8 @@ def margin_interior(g: Graph, margin: int) -> frozenset:
     box's complement: every coordinate in [margin, n+1−margin]."""
     if g.labels is None:
         raise InputError("margins are defined for labeled boxes")
-    if margin <= 0:
-        return frozenset(range(g.vertex_count))
+    if margin < 0:
+        raise InputError("margin must be ≥ 0")
     n = max(max(lab) for lab in g.labels)
     lo, hi = margin, n + 1 - margin
     return frozenset(v for v, lab in enumerate(g.labels)

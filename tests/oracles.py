@@ -53,6 +53,15 @@ def connected_by_flood(edges: Sequence[Tuple[int, int]],
     return len(flood_components(edges, s)) <= 1
 
 
+def chordal_by_pairs(cycle_edges: Iterable[Tuple[int, int]],
+                     plus_edges: Iterable[Tuple[int, int]]) -> bool:
+    """Whether every two vertices of the cycle with edges ``cycle_edges``
+    are joined by one of ``plus_edges``."""
+    joined = {frozenset(e) for e in plus_edges}
+    touched = {v for e in cycle_edges for v in e}
+    return all(frozenset(p) in joined for p in combinations(touched, 2))
+
+
 def path_exists_avoiding(vertex_count: int, edges: Sequence[Tuple[int, int]],
                          x: int, y: int, forbidden: Iterable[int]) -> bool:
     """Iterative DFS for an x→y path avoiding ``forbidden`` internally and at

@@ -406,6 +406,16 @@ def test_enumerate_with_margin(capsys):
     assert sorted(coords) == [(i, j) for i in (2, 3, 4) for j in (2, 3, 4)]
 
 
+@pytest.mark.parametrize("margin", ["-1", "-3"])
+def test_enumerate_refuses_a_negative_margin(capsys, margin):
+    """A negative margin used to exit 0 and list the whole box, while
+    ``verify`` refused it."""
+    code, out, err = run_cli(capsys, "enumerate", "--box", "z2:3:plain",
+                             "--max-size", "1", "--margin", margin)
+    assert code == 2 and out == ""
+    assert err == "error: margin must be ≥ 0\n"
+
+
 @pytest.mark.parametrize("max_size", ["0", "-2"])
 def test_enumerate_refuses_a_size_cap_below_one(capsys, max_size):
     """A cap below one used to exit 0 with no output; it is bad input."""

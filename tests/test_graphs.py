@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boundarykit import (Graph, GraphPair, InputError, component_of,
-                         count_components, is_connected_in, is_cutset,
+                         count_components, is_cutset,
                          is_minimal_cutset, random_connected_graph,
                          set_components, shortest_path, vertexset_from_json,
                          vertexset_to_json)
@@ -149,17 +149,17 @@ def test_connectivity_predicates_match_oracle(g, data):
         st.integers(min_value=0, max_value=g.vertex_count - 1), max_size=6)))
     if data.draw(st.booleans()):
         s = frozenset(range(g.vertex_count)) - s
-    assert is_connected_in(g, s) == connected_by_flood(g.edges, s)
     comps = set_components(g, s)
     assert [set(c) for c in comps] == flood_components(g.edges, s)
+    assert (len(comps) <= 1) == connected_by_flood(g.edges, s)
     assert frozenset().union(*comps) == s if comps else s == frozenset()
 
 
 def test_empty_and_singleton_sets_count_as_connected():
     g = Graph(3, [])
-    assert is_connected_in(g, frozenset())
-    assert is_connected_in(g, frozenset({2}))
-    assert not is_connected_in(g, frozenset({0, 1}))
+    assert set_components(g, frozenset()) == []
+    assert set_components(g, frozenset({2})) == [frozenset({2})]
+    assert len(set_components(g, frozenset({0, 1}))) == 2
     assert count_components(g) == 3
 
 
@@ -179,7 +179,6 @@ def test_set_components_ordered_by_smallest_member():
 
 _SET_ARGUMENT_CALLS = {
     "component_of": lambda g, bad: component_of(g, 0, frozenset({1, bad})),
-    "is_connected_in": lambda g, bad: is_connected_in(g, frozenset({0, bad})),
     "set_components": lambda g, bad: set_components(g, frozenset({0, bad})),
     "is_cutset-s": lambda g, bad: is_cutset(g, frozenset({1, bad}), 0, frozenset({3})),
     "is_cutset-target": lambda g, bad: is_cutset(g, frozenset({1}), 0, frozenset({3, bad})),

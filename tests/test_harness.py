@@ -1,5 +1,6 @@
 """Harness: enumeration, sampling, premise checks, campaigns, determinism."""
 
+import hashlib
 import json
 import re
 
@@ -11,14 +12,14 @@ from boundarykit import (BoxSpec, CycleGen, EdgeVector, InputError,
                          check_dp_hypotheses, check_k_hypotheses,
                          cube_patch_cycle, enumerate_connected_subsets,
                          extra_edge_patches, four_cycle_gen, full_report,
-                         fundamental_basis, hypothesis_report, is_chordal_cycle,
-                         is_connected_in, margin_interior,
+                         fundamental_basis, hypothesis_report, margin_interior,
                          random_connected_graph, report_to_json,
                          run_verification, sample_connected_subset,
                          vertexset_to_json)
 
 from boundarykit.graphs import _members
-from oracles import connected_subsets_by_growth, connected_subsets_by_powerset
+from oracles import (chordal_by_pairs, connected_by_flood,
+                     connected_subsets_by_growth, connected_subsets_by_powerset)
 
 
 # --- exhaustive enumeration -----------------------------------------------------
@@ -134,7 +135,7 @@ def test_ten_thousand_samples_in_six_by_six_are_connected():
     for i in range(10_000):
         s = sample_connected_subset(g, 8, seed=f"bulk:{i}")
         assert len(s) == 8
-        assert is_connected_in(g, s)
+        assert connected_by_flood(g.edges, s)
 
 
 def test_sampling_respects_allowed_region():
@@ -142,12 +143,13 @@ def test_sampling_respects_allowed_region():
     inner = margin_interior(g, 2)
     for i in range(50):
         s = sample_connected_subset(g, 4, seed=i, allowed=inner)
-        assert s <= inner and is_connected_in(g, s)
+        assert s <= inner and connected_by_flood(g.edges, s)
 
 
 def test_sampler_outputs_are_pinned():
-    """The pool is prepared once per (graph, pool); the draws, and so the
-    subsets, are those of a sampler that rebuilt it on every call."""
+    """The subsets drawn per seed, for a pool given as a frozenset, a set
+    or a sorted list and for the whole graph: random campaigns grow their
+    subsets with the same draws, so these pin their instances too."""
     g = build_box(BoxSpec(3, 7, "plain"))
     inner = margin_interior(g, 2)
     pins = [("0:0/c0", 12, [65, 66, 72, 73, 74, 80, 81, 87, 122, 123, 130, 137]),
@@ -282,7 +284,7 @@ def test_k_premises_fail_on_a_patch_without_e_as_its_one_new_edge(ring_coords):
     gp = pair.g_plus
     e = tuple(sorted((gp.id_of_label((1, 1)), gp.id_of_label((2, 2)))))
     vec = EdgeVector.from_vertex_path(gp, [gp.id_of_label(c) for c in ring_coords])
-    assert vec.is_cycle() and is_chordal_cycle(vec, gp)
+    assert vec.is_cycle() and chordal_by_pairs(vec.edges(), gp.edges)
     assert check_k_hypotheses(pair, gen, patches)
     patches[e] = vec
     assert not check_k_hypotheses(pair, gen, patches)
@@ -605,6 +607,33 @@ def test_lemma_campaign_with_one_dimensional_box():
                       mode="random", trials=10, seed=2)
     rep = run_verification(cfg)
     assert rep.passed
+
+
+def test_lemma_instance_stream_is_pinned(monkeypatch):
+    """A passing report holds only config, seeds and counts, so its digest
+    does not depend on which instances were drawn.  This pins every
+    ``(seed, round, instance)`` the crossing sampler returns on three
+    campaigns (z2:5, z3:4 and the one-dimensional z1:9 box)."""
+    import boundarykit.harness as harness
+    sample = harness._sample_crossing_instance
+    draws = []
+
+    def recording(g, rng, max_size, seed_str, round_):
+        instance = sample(g, rng, max_size, seed_str, round_)
+        draws.append([seed_str, round_, instance and [
+            sorted(part) if isinstance(part, frozenset) else part for part in instance]])
+        return instance
+
+    monkeypatch.setattr(harness, "_sample_crossing_instance", recording)
+    for box, trials, seed in [(BoxSpec(2, 5, "plain"), 4000, 0),
+                              (BoxSpec(3, 4, "plain"), 500, 3),
+                              (BoxSpec(1, 9, "plain"), 100, 2)]:
+        assert run_verification(TrialConfig(theorem="lemma", box=box, mode="random",
+                                            trials=trials, seed=seed)).passed
+    blob = json.dumps(draws, separators=(",", ":")).encode()
+    assert len(draws) == 4673
+    assert hashlib.sha256(blob).hexdigest() == (
+        "0c7b4374bf207fab1fee699838aafb2203e054eacf52461dcf74a1b563910452")
 
 
 def _per_observer_reference(cfg, fixed_c=None):

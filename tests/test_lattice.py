@@ -7,10 +7,11 @@ from boundarykit import (BoxSpec, EdgeVector, GraphPair, InputError,
                          attach_apex, basic_four_cycles, box_shell, build_box,
                          build_box_pair, cube_patch_cycle, cycle_space_rank,
                          decompose, extra_edge_patches, four_cycle_gen,
-                         is_chordal_cycle, is_generating, margin_interior,
+                         is_generating, margin_interior,
                          parse_box_spec, with_apex)
 
-from oracles import expected_edge_pairs, gf2_rank_sets, patch_path_by_search
+from oracles import (chordal_by_pairs, expected_edge_pairs, gf2_rank_sets,
+                     patch_path_by_search)
 
 
 # --- specs --------------------------------------------------------------------
@@ -136,8 +137,8 @@ def test_four_cycles_are_chordal_in_plus_never_in_plain():
         plain = build_box(BoxSpec(d, n, "plain"))
         plus = build_box(BoxSpec(d, n, "plus"))
         for c in basic_four_cycles(BoxSpec(d, n, "plain")):
-            assert is_chordal_cycle(c, plus)
-            assert not is_chordal_cycle(c, plain)
+            assert chordal_by_pairs(c.edges(), plus.edges)
+            assert not chordal_by_pairs(c.edges(), plain.edges)
 
 
 def test_basic_four_cycles_preconditions():
@@ -193,7 +194,7 @@ def test_patch_cycles_satisfy_their_contract():
             for pe in vec.edges():
                 if tuple(sorted(pe)) != tuple(sorted(e)):
                     assert pair.g.has_edge(*pe)
-            assert is_chordal_cycle(vec, pair.g_plus)
+            assert chordal_by_pairs(vec.edges(), pair.g_plus.edges)
 
 
 @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (4, 2)])
@@ -265,6 +266,14 @@ def test_margin_interior():
     assert margin_interior(g, 0) == frozenset(range(25))
     assert margin_interior(g, 3) == frozenset({g.id_of_label((3, 3))})
     assert margin_interior(g, 4) == frozenset()
+
+
+@pytest.mark.parametrize("margin", [-1, -3])
+def test_margin_interior_refuses_a_negative_margin(margin):
+    """A negative margin used to give the whole box."""
+    g = build_box(BoxSpec(2, 5, "plain"))
+    with pytest.raises(InputError, match="^margin must be ≥ 0$"):
+        margin_interior(g, margin)
 
 
 @settings(max_examples=20, deadline=None)
