@@ -12,8 +12,8 @@ from .boundary import (BoundaryReport, full_report, inner_boundary_variants,
                        outer_boundary, outer_visible_boundary, report_to_json,
                        visible_boundary)
 from .cyclespace import (CycleGen, EdgeVector, crossing_cycle_witness,
-                         cycle_space_rank, decompose, edges_between,
-                         fundamental_basis, is_generating)
+                         cycle_space_rank, decompose, fundamental_basis,
+                         is_generating)
 from .errors import InputError, NotInSpanError
 from .graphs import (Graph, GraphPair, component_of, count_components,
                      is_cutset, is_minimal_cutset, set_components,
@@ -35,7 +35,7 @@ __all__ = [
     "attach_apex", "basic_four_cycles", "box_shell", "build_box",
     "build_box_pair", "check_dp_hypotheses", "check_k_hypotheses",
     "component_of", "count_components", "crossing_cycle_witness",
-    "cube_patch_cycle", "cycle_space_rank", "decompose", "edges_between",
+    "cube_patch_cycle", "cycle_space_rank", "decompose",
     "enumerate_connected_subsets", "extra_edge_patches", "four_cycle_gen",
     "full_report", "fundamental_basis", "hypothesis_report",
     "inner_boundary_variants", "is_cutset", "is_generating", "is_minimal_cutset",

@@ -50,7 +50,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import InputError
-from .graphs import Graph, _members, _neighbourhood_plan, vertexset_to_json
+from .graphs import (Graph, _members, _neighbourhood_plan, _vertex_json,
+                     vertexset_to_json)
 
 
 @dataclass(frozen=True)
@@ -221,9 +222,5 @@ def report_to_json(report: BoundaryReport, g: Graph) -> dict:
         "components": report.component_count,
     }
     if report.witness_disconnect is not None:
-        u, v = report.witness_disconnect
-        if g.labels is not None:
-            out["witness"] = [list(g.labels[u]), list(g.labels[v])]
-        else:
-            out["witness"] = [u, v]
+        out["witness"] = [_vertex_json(g, v) for v in report.witness_disconnect]
     return out

@@ -14,7 +14,9 @@ The module ends with `crossing_cycle_witness`, a constructive procedure
 that, given a minimal vertex cutset split into two halves, produces a
 generator crossing both halves with an odd number of edges into the
 observer's side — the engine behind the boundary-connectivity checks in
-the verification harness.
+the verification harness.  It runs on the graph's neighbourhood plan, and
+its scan is one parity test per summand: by the lemma's parity argument,
+an odd crossing into one half implies that the summand touches both.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from itertools import combinations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, NotInSpanError
-from .graphs import (Graph, _members, component_of, count_components,
-                     is_minimal_cutset, shortest_path)
+from .graphs import (Graph, _bit_ids, _members, _neighbourhood_plan,
+                     count_components, is_minimal_cutset, shortest_path)
 
 
 def _require_same_host(a: "EdgeVector", b: "EdgeVector") -> None:
@@ -80,13 +82,7 @@ class EdgeVector:
         return self.bits.bit_count()
 
     def edge_ids(self) -> List[int]:
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return out
+        return _bit_ids(self.bits)
 
     def edges(self) -> List[Tuple[int, int]]:
         edges = self.host.edges     # ``bits`` was range-checked on the way in
@@ -139,16 +135,6 @@ class EdgeVector:
             prev, cur = cur, nbr_xor[cur] ^ prev
             steps += 1
         return touched if steps == len(edges) else 0
-
-    def touches(self, s: frozenset) -> bool:
-        """Whether any edge of the vector has an endpoint in ``s``."""
-        touched = self._endpoint_masks()[0]
-        while touched:
-            low = touched & -touched
-            if low.bit_length() - 1 in s:
-                return True
-            touched ^= low
-        return False
 
     def to_json(self) -> list:
         return [list(e) for e in self.edges()]
@@ -276,32 +262,13 @@ def decompose(target: EdgeVector, gen: CycleGen) -> List[int]:
     combo = gen.solve(target.bits)
     if combo is None:
         raise NotInSpanError("target is not in the span of the generating set")
-    idxs = []
+    idxs = _bit_ids(combo)
     acc = 0
-    b = combo
-    while b:
-        low = b & -b
-        i = low.bit_length() - 1
-        idxs.append(i)
+    for i in idxs:
         acc ^= gen.cycles[i].bits
-        b ^= low
     if acc != target.bits:
         raise RuntimeError("echelon bookkeeping produced an invalid combination")
     return idxs
-
-
-def edges_between(g: Graph, a: frozenset, b: frozenset) -> int:
-    """Bitmask of the edges of ``g`` with one endpoint in ``a`` and the other
-    in ``b``.  Members of ``a`` that are no vertex of ``g`` match no edge."""
-    ids = range(g.vertex_count)
-    bits = 0
-    for u in a:
-        if u in ids:
-            u = int(u)              # a member equal to an id, as ``in`` sees it
-            for v in g.adjacency[u]:
-                if v in b:
-                    bits |= 1 << g.edge_id(u, v)
-    return bits
 
 
 def crossing_cycle_witness(g: Graph, gen: CycleGen, s1: frozenset,
@@ -315,9 +282,9 @@ def crossing_cycle_witness(g: Graph, gen: CycleGen, s1: frozenset,
 
     Construction: take a shortest x–y path avoiding ``s2`` and one avoiding
     ``s1`` (both exist by minimality), decompose their sum over ``gen``, and
-    scan the summands touching ``s1`` for one with an odd crossing count.
-    The scan provably succeeds; if it ever does not, that is a bug worth a
-    loud crash, so this raises RuntimeError rather than returning a default.
+    return the first summand with an odd crossing count.  The scan provably
+    succeeds; if it ever does not, that is a bug worth a loud crash, so this
+    raises RuntimeError rather than returning a default.
     """
     if not s1 or not s2:
         raise InputError("both cutset halves must be nonempty")
@@ -339,17 +306,19 @@ def crossing_cycle_witness(g: Graph, gen: CycleGen, s1: frozenset,
         raise RuntimeError("minimality guaranteed a path around either half; none found")
     target = (EdgeVector.from_vertex_path(g, p1)
               + EdgeVector.from_vertex_path(g, p2))
-    summands = decompose(target, gen)
 
-    side_x = component_of(g, x, s)
-    crossing_bits = edges_between(g, s2, side_x)
-    for i in summands:
+    plan = _neighbourhood_plan(g)
+    side = plan.flood(1 << x, plan.full ^ plan.mask(s))
+    # the edges joining s2 to x's side, each met once from its s2 end
+    crossing = sum(1 << g.edge_id(u, w) for u in s2 for w in g.adjacency[u]
+                   if side >> w & 1)
+    # A summand O is an even edge set, so it leaves ``side`` an even number
+    # of times, and every edge leaving ``side`` ends in s = s1 ∪ s2.  An odd
+    # count into s2 thus forces an odd count into s1: O touches both halves,
+    # and no summand needs a separate touch test.
+    for i in decompose(target, gen):
         o = gen.cycles[i]
-        if not o.touches(s1):
-            continue
-        if (o.bits & crossing_bits).bit_count() % 2 == 1:
-            if not o.touches(s2):
-                raise RuntimeError("witness crosses into s2 yet touches no s2 vertex")
+        if (o.bits & crossing).bit_count() % 2 == 1:
             return o
     raise RuntimeError(
         "no summand touching s1 has an odd crossing count; this contradicts "

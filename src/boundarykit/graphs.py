@@ -14,14 +14,13 @@ bitmasks (bit ``v`` set for vertex ``v``) through the private
 ``expand`` maps a mask to the mask of its neighbours with a few whole-int
 operations, ``flood`` grows a mask inside an allowed mask one BFS level
 per step and stops once the allowed mask is filled, and ``components``
-peels a mask into its components.  The component, connectivity and
-cutset queries here and every boundary operator share that one engine;
-only ``shortest_path`` keeps a vertex queue, because it needs parents.
+peels a mask into its components.  The component, connectivity,
+cutset and shortest-path queries here, every boundary operator and the
+crossing witness share that one engine; no query keeps a vertex queue.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -286,14 +285,19 @@ def _neighbourhood_plan(g: Graph) -> _NeighbourhoodPlan:
     return g._plan
 
 
-def _members(m: int) -> frozenset:
-    """Vertex ids of the bits set in ``m``."""
+def _bit_ids(m: int) -> list:
+    """Indices of the bits set in ``m``, ascending."""
     out = []
     while m:
         low = m & -m
         out.append(low.bit_length() - 1)
         m ^= low
-    return frozenset(out)
+    return out
+
+
+def _members(m: int) -> frozenset:
+    """Vertex ids of the bits set in ``m``."""
+    return frozenset(_bit_ids(m))
 
 
 def component_of(g: Graph, start: int, forbidden: frozenset = frozenset()) -> frozenset:
@@ -357,37 +361,46 @@ def is_minimal_cutset(g: Graph, s: frozenset, x: int, target: frozenset) -> bool
 def shortest_path(g: Graph, x: int, y: int,
                   forbidden: frozenset = frozenset()):
     """Shortest ``x``-``y`` path avoiding ``forbidden``, as a vertex list, or
-    None when no such path exists.  Deterministic: BFS scans neighbors in id
-    order, so ties resolve toward smaller ids."""
+    None when no such path exists.  Deterministic: of all shortest paths it
+    returns the lexicographically smallest vertex list, the one a BFS from
+    ``x`` scanning neighbours in id order finds.  The distance levels of
+    ``y`` are flooded until one holds ``x``.  The walk from ``x`` then
+    steps to the smallest neighbour one level closer to ``y``: every such
+    step still ends in a shortest path, so the greedy choice is the
+    smallest at each position."""
     g.require_vertex(x)
     g.require_vertex(y)
-    _neighbourhood_plan(g).mask(forbidden)         # range-checks the ids
-    if x in forbidden or y in forbidden:
+    plan = _neighbourhood_plan(g)
+    rest = plan.full ^ plan.mask(forbidden)
+    xm, frontier = 1 << x, 1 << y
+    if not (rest & xm and rest & frontier):
         return None
-    parent = {x: None}
-    queue = deque([x])
-    while queue:
-        v = queue.popleft()
-        if v == y:
-            path = []
-            while v is not None:
+    levels = []                     # levels[k]: vertices at distance k from y
+    while not frontier & xm:
+        rest ^= frontier
+        levels.append(frontier)
+        frontier = plan.expand(frontier) & rest
+        if not frontier:
+            return None
+    path = [x]
+    for level in reversed(levels):
+        for v in g.adjacency[path[-1]]:     # ascending ids: the first one wins
+            if level >> v & 1:
                 path.append(v)
-                v = parent[v]
-            return path[::-1]
-        for w in g.adjacency[v]:
-            if w not in parent and w not in forbidden:
-                parent[w] = v
-                queue.append(w)
-    return None
+                break
+    return path
+
+
+def _vertex_json(g: Graph, v: int):
+    """Serialize a vertex: its coordinate list if ``g`` is labeled, else its id."""
+    return list(g.labels[v]) if g.labels is not None else v
 
 
 def vertexset_to_json(g: Graph, s: frozenset) -> list:
     """Serialize a vertex set: sorted coordinate tuples for labeled graphs,
     sorted ids otherwise."""
     _neighbourhood_plan(g).mask(s)                 # range-checks the ids
-    if g.labels is not None:
-        return sorted([list(g.labels[v]) for v in s])
-    return sorted(s)
+    return sorted([_vertex_json(g, v) for v in s])
 
 
 def vertexset_from_json(g: Graph, data: list) -> frozenset:

@@ -71,8 +71,8 @@ from .cyclespace import (CycleGen, EdgeVector, _is_clique,
                          is_generating)
 from .errors import InputError
 from .graphs import (Graph, GraphPair, _is_id, _members, _neighbourhood_plan,
-                     component_of, vertexset_to_json)
-from .lattice import (BoxSpec, build_box, build_box_pair,
+                     _vertex_json, component_of, vertexset_to_json)
+from .lattice import (FLAVORS, BoxSpec, build_box, build_box_pair,
                       extra_edge_patches, four_cycle_gen, margin_interior,
                       with_apex)
 
@@ -279,6 +279,11 @@ _BOUNDARY_THEOREMS = {
 }
 
 
+def _require_box_spec(box) -> None:
+    if not isinstance(box, BoxSpec):
+        raise InputError(f"box must be a BoxSpec, got {box!r}")
+
+
 def _augmentation(theorem: str, box: BoxSpec, probe: Optional[str],
                   g_prime: Optional[str]) -> Optional[str]:
     """The augmentation flavor of a ``theorem`` campaign: its override
@@ -286,9 +291,14 @@ def _augmentation(theorem: str, box: BoxSpec, probe: Optional[str],
     that belongs to another theorem, and a box that is not plain: every
     campaign runs on the plain box, and only the override picks the
     augmentation."""
+    _require_box_spec(box)
     overrides = {"probe": probe, "g_prime": g_prime}
     for name, row in _BOUNDARY_THEOREMS.items():
-        if overrides[row.override] is not None and theorem != name:
+        value = overrides[row.override]
+        if value is not None and value not in FLAVORS:
+            raise InputError(f"{row.override} (CLI: {row.flag}) must be one of "
+                             f"{FLAVORS}, got {value!r}")
+        if value is not None and theorem != name:
             raise InputError(f"{row.override} (CLI: {row.flag}) overrides "
                              f"apply to {name} campaigns only")
     row = _BOUNDARY_THEOREMS.get(theorem)
@@ -382,14 +392,14 @@ class TrialConfig:
             raise InputError("margin must be ≥ 0")
         if self.mode == "random" and self.trials < 1:
             raise InputError("random mode needs trials ≥ 1")
-        if self.mode == "exhaustive":
-            if (self.box.side ** self.box.d > EXHAUSTIVE_VERTEX_BUDGET
-                    and self.max_size > EXHAUSTIVE_SIZE_BUDGET):
-                raise InputError(
-                    "exhaustive budget: box must have ≤ "
-                    f"{EXHAUSTIVE_VERTEX_BUDGET} vertices or max_size ≤ "
-                    f"{EXHAUSTIVE_SIZE_BUDGET}")
+        _require_box_spec(self.box)
         box_vertices = self.box.side ** self.box.d
+        if (self.mode == "exhaustive" and box_vertices > EXHAUSTIVE_VERTEX_BUDGET
+                and self.max_size > EXHAUSTIVE_SIZE_BUDGET):
+            raise InputError(
+                "exhaustive budget: box must have ≤ "
+                f"{EXHAUSTIVE_VERTEX_BUDGET} vertices or max_size ≤ "
+                f"{EXHAUSTIVE_SIZE_BUDGET}")
         if ((self.x_policy == "fixed") != (self.x_vertex is not None)
                 or self.x_vertex is not None and not 0 <= self.x_vertex < box_vertices):
             raise InputError(
@@ -439,10 +449,6 @@ class VerifyReport:
         if include_elapsed:
             out["elapsed"] = round(self.elapsed, 6)
         return out
-
-
-def _vertex_json(g: Graph, v: int):
-    return list(g.labels[v]) if g.labels is not None else v
 
 
 def _trial_seed(seed: int, index: int) -> str:
@@ -702,10 +708,8 @@ def _sample_crossing_instance(g: Graph, rng: random.Random, max_size: int,
     plan = _neighbourhood_plan(g)
     for attempt in range(40):
         size = rng.randint(1, max(1, min(max_size, g.vertex_count - 3)))
-        try:
-            cm = _grow(*pool, size, f"{seed_str}/r{round_}/c{attempt}")
-        except InputError:
-            continue
+        # every host is connected and ``size`` ≤ its vertex count: one start grows it
+        cm = _grow(*pool, size, f"{seed_str}/r{round_}/c{attempt}")
         blocked = cm | plan.expand(cm)
         eligible = g.vertex_count - blocked.bit_count()
         if not eligible:

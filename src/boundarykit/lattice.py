@@ -223,6 +223,8 @@ def margin_interior(g: Graph, margin: int) -> frozenset:
     box's complement: every coordinate in [margin, n+1−margin]."""
     if g.labels is None:
         raise InputError("margins are defined for labeled boxes")
+    if not _is_id(margin):
+        raise InputError(f"margin must be an int, got {margin!r}")
     if margin < 0:
         raise InputError("margin must be ≥ 0")
     n = max(max(lab) for lab in g.labels)

@@ -4,13 +4,16 @@ Everything here is deliberately written with different data structures and
 algorithms than the library: union-find instead of BFS, DFS path search
 instead of component intersection, sorted-tuple GF(2) elimination instead of
 int bitmasks, and powerset filtering instead of incremental growth.  Slow is
-fine; these only run on small inputs.  The one exception is the order oracle
-of the subset enumerator, the same growth on tuples and frozensets: the
-order it pins is the point, so it keeps the algorithm.
+fine; these only run on small inputs.  Two exceptions keep the
+algorithm, because the order they pin is the point: the order oracle of
+the subset enumerator, the same growth on tuples and frozensets, and the
+path oracle, the vertex-queue BFS that ``shortest_path`` replaced.  A
+brute-force search over all simple paths judges the path oracle's order.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, permutations
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
@@ -83,6 +86,80 @@ def path_exists_avoiding(vertex_count: int, edges: Sequence[Tuple[int, int]],
                 seen.add(w)
                 stack.append(w)
     return False
+
+
+def shortest_path_by_queue(adjacency: Sequence[Sequence[int]], x: int, y: int,
+                           forbidden: Iterable[int]) -> Optional[List[int]]:
+    """The path oracle: BFS from x over a vertex queue, scanning each
+    adjacency row in its (id) order, and the parent chain back from y;
+    None when forbidden vertices cut y off."""
+    forbidden = set(forbidden)
+    if x in forbidden or y in forbidden:
+        return None
+    parent = {x: None}
+    queue = deque([x])
+    while queue:
+        v = queue.popleft()
+        if v == y:
+            path = []
+            while v is not None:
+                path.append(v)
+                v = parent[v]
+            return path[::-1]
+        for w in adjacency[v]:
+            if w not in parent and w not in forbidden:
+                parent[w] = v
+                queue.append(w)
+    return None
+
+
+def distance_by_relaxation(vertex_count: int, edges: Sequence[Tuple[int, int]],
+                           x: int, y: int, forbidden: Iterable[int]) -> Optional[int]:
+    """Number of edges of a shortest x→y path avoiding ``forbidden``, by
+    relaxing every edge until no distance drops; None when y is cut off."""
+    forbidden = set(forbidden)
+    if x in forbidden or y in forbidden:
+        return None
+    dist = {x: 0}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges:
+            if u in forbidden or v in forbidden:
+                continue
+            for a, b in ((u, v), (v, u)):
+                if a in dist and dist[a] + 1 < dist.get(b, vertex_count):
+                    dist[b] = dist[a] + 1
+                    changed = True
+    return dist.get(y)
+
+
+def lexmin_shortest_path_by_search(vertex_count: int,
+                                   edges: Sequence[Tuple[int, int]], x: int,
+                                   y: int, forbidden: Iterable[int]
+                                   ) -> Optional[List[int]]:
+    """The smallest of all simple x→y paths avoiding ``forbidden``, by
+    (length, vertex list), found by listing every such path with a DFS;
+    None when there is none.  Exponential: small graphs only."""
+    forbidden = set(forbidden)
+    if x in forbidden or y in forbidden:
+        return None
+    adj: Dict[int, Set[int]] = {v: set() for v in range(vertex_count)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    best = None
+    stack = [[x]]
+    while stack:
+        path = stack.pop()
+        if path[-1] == y:
+            if best is None or (len(path), path) < (len(best), best):
+                best = path
+            continue
+        for w in adj[path[-1]]:
+            if w not in forbidden and w not in path:
+                stack.append(path + [w])
+    return best
 
 
 def is_minimal_cutset_oracle(vertex_count: int, edges: Sequence[Tuple[int, int]],

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boundarykit import (BoxSpec, CycleGen, EdgeVector, Graph, InputError,
-                         NotInSpanError, build_box, component_of,
-                         crossing_cycle_witness, cycle_space_rank, decompose,
-                         edges_between, four_cycle_gen, fundamental_basis,
+                         NotInSpanError, build_box, crossing_cycle_witness,
+                         cycle_space_rank, decompose, four_cycle_gen,
+                         fundamental_basis,
                          is_generating, is_minimal_cutset,
                          random_connected_graph)
 from boundarykit.cyclespace import _is_clique
 
-from oracles import (cycle_check_by_degrees, gf2_in_span, gf2_rank_sets,
-                     is_minimal_cutset_oracle)
+from oracles import (cycle_check_by_degrees, flood_components, gf2_in_span,
+                     gf2_rank_sets, is_minimal_cutset_oracle)
 
 
 def ring(k):
@@ -157,17 +157,6 @@ def _shifted(edges, by):
 def test_is_cycle_matches_degree_oracle_on_shapes(edges, want):
     v = _shape(edges)
     assert v.is_cycle() == cycle_check_by_degrees(v.host.vertex_count, v.edges()) == want
-
-
-def test_touches():
-    g = ring(4)
-    v = EdgeVector.from_edges(g, [(1, 2)])
-    assert v.touches(frozenset({2}))
-    assert not v.touches(frozenset({0, 3}))
-    assert not EdgeVector(g).touches(frozenset({0}))
-    # ids that are no vertex of the host touch nothing
-    assert not v.touches(frozenset({-1, -3, 4, 99}))
-    assert v.touches(frozenset({-1, 99, 1}))
 
 
 # --- rank and generating sets --------------------------------------------------
@@ -420,43 +409,29 @@ def test_dependent_generators_never_get_coefficients():
     assert decompose(c, gen) == [0]     # later copies stay at coefficient 0
 
 
-# --- edges_between and the crossing witness ---------------------------------------
+# --- the crossing witness ----------------------------------------------------------
 
-def test_edges_between_matches_scan():
-    g = build_box(BoxSpec(2, 3, "plain"))
-    a = frozenset({g.id_of_label((1, 1)), g.id_of_label((1, 2))})
-    b = frozenset({g.id_of_label((2, 1)), g.id_of_label((2, 2))})
-    bits = edges_between(g, a, b)
-    expect = {e for e in g.edges
-              if (e[0] in a and e[1] in b) or (e[1] in a and e[0] in b)}
-    got = {g.edges[i] for i in EdgeVector(g, bits).edge_ids()}
-    assert got == expect and len(expect) == 2
-
-
-def test_edges_between_matches_scan_on_any_ids():
-    """Only the adjacency of ``a`` is scanned; members that are no vertex
-    of the host (negative or too large) still match no edge, and ``a``
-    and ``b`` may overlap."""
-    g = build_box(BoxSpec(2, 4, "plain"))
-    rng = random.Random(5)
-    ids = list(range(-3, g.vertex_count + 3))
-    for _ in range(200):
-        a = frozenset(rng.sample(ids, rng.randint(0, 8)))
-        b = frozenset(rng.sample(ids, rng.randint(0, 8)))
-        expect = 0
-        for eid, (u, v) in enumerate(g.edges):
-            if (u in a and v in b) or (v in a and u in b):
-                expect |= 1 << eid
-        assert edges_between(g, a, b) == expect
+def _judge_witness(g, o, s1, s2, x):
+    """Whether ``o`` touches ``s1``, whether it touches ``s2``, and how many
+    of its edges join ``s2`` to x's side of ``g`` minus ``s1 ∪ s2``, from
+    definitions: the side by union-find, the rest by scanning the edges
+    whose ids are set in ``o.bits``."""
+    rest = set(range(g.vertex_count)) - s1 - s2
+    side = next(c for c in flood_components(g.edges, rest) if x in c)
+    edges = [e for i, e in enumerate(g.edges) if o.bits >> i & 1]
+    crossing = sum(1 for u, v in edges
+                   if (u in s2 and v in side) or (v in s2 and u in side))
+    return (any(u in s1 or v in s1 for u, v in edges),
+            any(u in s2 or v in s2 for u, v in edges), crossing)
 
 
 def test_witness_on_a_plain_ring():
     g = ring(4)                          # a-b-c-d-a as 0-1-2-3-0
     gen = fundamental_basis(g)
-    o = crossing_cycle_witness(g, gen, frozenset({1}), frozenset({3}), 0, 2)
+    s1, s2 = frozenset({1}), frozenset({3})
+    o = crossing_cycle_witness(g, gen, s1, s2, 0, 2)
     assert o == gen.cycles[0] and len(o) == 4
-    e2 = edges_between(g, frozenset({3}), component_of(g, 0, frozenset({1, 3})))
-    assert (o.bits & e2).bit_count() == 1
+    assert _judge_witness(g, o, s1, s2, 0) == (True, True, 1)
 
 
 def test_witness_on_hexagon_split():
@@ -477,11 +452,11 @@ def test_witness_on_box_antidiagonal():
     assert is_minimal_cutset(g, s, x, frozenset({y}))
     o = crossing_cycle_witness(g, gen, s1, s2, x, y)
     # independently: scan all generators for the postconditions
-    side = component_of(g, x, s)
-    e2 = edges_between(g, s2, side)
-    valid = [c for c in gen.cycles
-             if c.touches(s1) and c.touches(s2)
-             and (c.bits & e2).bit_count() % 2 == 1]
+    valid = []
+    for c in gen.cycles:
+        touches1, touches2, crossing = _judge_witness(g, c, s1, s2, x)
+        if touches1 and touches2 and crossing % 2 == 1:
+            valid.append(c)
     assert o in valid
 
 
@@ -529,7 +504,8 @@ def _prune_to_minimal_cutset(g, s, x, y):
 @given(small_graphs(), st.data())
 def test_witness_postconditions_on_random_minimal_cutsets(g, data):
     """Build minimal cutsets by pruning a neighborhood separator, then check
-    every witness postcondition against the flood-fill oracle."""
+    every witness postcondition against the union-find and edge-scan
+    oracle."""
     gen = fundamental_basis(g)
     pool = st.integers(min_value=0, max_value=g.vertex_count - 1)
     x = data.draw(pool)
@@ -547,8 +523,5 @@ def test_witness_postconditions_on_random_minimal_cutsets(g, data):
     s1, s2 = frozenset(members[:cut]), frozenset(members[cut:])
     o = crossing_cycle_witness(g, gen, s1, s2, x, y)
     assert any(o.bits == c.bits for c in gen.cycles)
-    assert o.touches(s1) and o.touches(s2)
-    side = component_of(g, x, s)
-    crossing = sum(1 for u, v in o.edges()
-                   if (u in s2 and v in side) or (v in s2 and u in side))
-    assert crossing % 2 == 1
+    touches1, touches2, crossing = _judge_witness(g, o, s1, s2, x)
+    assert touches1 and touches2 and crossing % 2 == 1

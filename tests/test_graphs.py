@@ -9,8 +9,10 @@ from boundarykit import (Graph, GraphPair, InputError, component_of,
                          set_components, shortest_path, vertexset_from_json,
                          vertexset_to_json)
 
-from oracles import (connected_by_flood, flood_components,
-                     is_minimal_cutset_oracle, path_exists_avoiding)
+from oracles import (connected_by_flood, distance_by_relaxation,
+                     flood_components, is_minimal_cutset_oracle,
+                     lexmin_shortest_path_by_search, path_exists_avoiding,
+                     shortest_path_by_queue)
 
 
 def small_graphs():
@@ -300,19 +302,48 @@ def test_shortest_path_properties(g, data):
     forbidden = frozenset(data.draw(st.sets(pool, max_size=3)))
     path = shortest_path(g, x, y, forbidden)
     reachable = path_exists_avoiding(g.vertex_count, g.edges, x, y, forbidden)
+    distance = distance_by_relaxation(g.vertex_count, g.edges, x, y, forbidden)
+    assert (distance is not None) == reachable
     if path is None:
         assert not reachable
         return
     assert reachable
+    assert len(path) - 1 == distance
     assert path[0] == x and path[-1] == y
     assert not (set(path) & forbidden)
     assert len(set(path)) == len(path)  # simple
     for u, v in zip(path, path[1:]):
         assert g.has_edge(u, v)
-    # no shorter path exists: every path of smaller length is ruled out by BFS
-    if len(path) >= 3:
-        for mid in path[1:-1]:
-            assert not g.has_edge(x, y) or len(path) == 2
+
+
+def tiny_graphs():
+    """Hypothesis strategy: seeded random connected graphs, ≤ 9 vertices,
+    few enough for a search over every simple path."""
+    return st.builds(
+        random_connected_graph,
+        st.integers(min_value=2, max_value=9),
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=10_000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_graphs(), st.data())
+def test_shortest_path_is_the_lexicographically_smallest(g, data):
+    pool = st.integers(min_value=0, max_value=g.vertex_count - 1)
+    x, y = data.draw(pool), data.draw(pool)
+    forbidden = frozenset(data.draw(st.sets(pool, max_size=3)))
+    assert shortest_path(g, x, y, forbidden) == lexmin_shortest_path_by_search(
+        g.vertex_count, g.edges, x, y, forbidden)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_graphs(), st.data())
+def test_shortest_path_matches_the_queue_oracle_beyond_one_word(g, data):
+    pool = st.integers(min_value=0, max_value=g.vertex_count - 1)
+    x, y = data.draw(pool), data.draw(pool)
+    forbidden = frozenset(data.draw(st.sets(pool, max_size=8)))
+    assert shortest_path(g, x, y, forbidden) == shortest_path_by_queue(
+        g.adjacency, x, y, forbidden)
 
 
 def test_shortest_path_breaks_ties_toward_small_ids():

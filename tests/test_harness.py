@@ -444,6 +444,38 @@ def test_campaigns_refuse_a_flavored_box(theorem, hint, flavor):
             hypothesis_report(theorem, box, **override)
 
 
+@pytest.mark.parametrize("box", ["z2:5:plain", (2, 5, "plain"), None],
+                         ids=["spec-string", "tuple", "none"])
+def test_a_box_that_is_no_box_spec_is_refused(box):
+    """A spec string used to crash with an ``AttributeError`` on
+    ``box.side`` (``TrialConfig``) or ``box.flavor`` (``hypothesis_report``)."""
+    message = f"^box must be a BoxSpec, got {re.escape(repr(box))}$"
+    for theorem in ("dp", "k", "lemma"):
+        for mode in ("exhaustive", "random"):
+            with pytest.raises(InputError, match=message):
+                TrialConfig(theorem=theorem, box=box, mode=mode)
+    for theorem in ("dp", "k"):
+        with pytest.raises(InputError, match=message):
+            hypothesis_report(theorem, box)
+
+
+@pytest.mark.parametrize("field, flag, theorem", [
+    ("probe", "--probe", "dp"), ("g_prime", "--gplus", "k"),
+])
+@pytest.mark.parametrize("value", ["bogus", "Plain", 3])
+def test_an_override_outside_the_flavors_is_refused(field, flag, theorem, value):
+    """An unknown override used to pass construction and fail only when
+    the campaign built its box pair, with a message about ``flavor``."""
+    message = re.escape(f"{field} (CLI: {flag}) must be one of ('plain', 'star', "
+                        f"'plus'), got {value!r}")
+    box = BoxSpec(2, 5, "plain")
+    for th in (theorem, "lemma"):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            TrialConfig(theorem=th, box=box, mode="random", **{field: value})
+    with pytest.raises(InputError, match=f"^{message}$"):
+        hypothesis_report(theorem, box, **{field: value})
+
+
 # --- campaigns ----------------------------------------------------------------------------
 
 def test_dp_exhaustive_small_box_passes():
@@ -611,12 +643,14 @@ def test_lemma_campaign_with_one_dimensional_box():
 
 def test_lemma_instance_stream_is_pinned(monkeypatch):
     """A passing report holds only config, seeds and counts, so its digest
-    does not depend on which instances were drawn.  This pins every
-    ``(seed, round, instance)`` the crossing sampler returns on three
-    campaigns (z2:5, z3:4 and the one-dimensional z1:9 box)."""
+    does not depend on which instances were drawn or which witnesses came
+    back.  This pins every ``(seed, round, instance)`` the crossing
+    sampler returns on three campaigns (z2:5, z3:4 and the one-dimensional
+    z1:9 box), and the edge bits of every witness found for them."""
     import boundarykit.harness as harness
     sample = harness._sample_crossing_instance
-    draws = []
+    witness = harness.crossing_cycle_witness
+    draws, witnesses = [], []
 
     def recording(g, rng, max_size, seed_str, round_):
         instance = sample(g, rng, max_size, seed_str, round_)
@@ -624,7 +658,13 @@ def test_lemma_instance_stream_is_pinned(monkeypatch):
             sorted(part) if isinstance(part, frozenset) else part for part in instance]])
         return instance
 
+    def recording_witness(*args):
+        o = witness(*args)
+        witnesses.append(o.bits)
+        return o
+
     monkeypatch.setattr(harness, "_sample_crossing_instance", recording)
+    monkeypatch.setattr(harness, "crossing_cycle_witness", recording_witness)
     for box, trials, seed in [(BoxSpec(2, 5, "plain"), 4000, 0),
                               (BoxSpec(3, 4, "plain"), 500, 3),
                               (BoxSpec(1, 9, "plain"), 100, 2)]:
@@ -634,6 +674,10 @@ def test_lemma_instance_stream_is_pinned(monkeypatch):
     assert len(draws) == 4673
     assert hashlib.sha256(blob).hexdigest() == (
         "0c7b4374bf207fab1fee699838aafb2203e054eacf52461dcf74a1b563910452")
+    blob = json.dumps(witnesses, separators=(",", ":")).encode()
+    assert len(witnesses) == 4600
+    assert hashlib.sha256(blob).hexdigest() == (
+        "86bab689641d2fb0e8f502f117d7d4f36ede7f4f5c2bb625a80171a65c8ac4af")
 
 
 def _per_observer_reference(cfg, fixed_c=None):

@@ -1,5 +1,7 @@
 """Lattice boxes, flavors, unit-face cycles, patch cycles, apex, margins."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -273,6 +275,14 @@ def test_margin_interior_refuses_a_negative_margin(margin):
     """A negative margin used to give the whole box."""
     g = build_box(BoxSpec(2, 5, "plain"))
     with pytest.raises(InputError, match="^margin must be ≥ 0$"):
+        margin_interior(g, margin)
+
+
+@pytest.mark.parametrize("margin", [2.5, 2.0, True, "2", None])
+def test_margin_interior_refuses_a_margin_that_is_no_int(margin):
+    """``2.5`` used to give the centre alone and ``True`` read as 1."""
+    g = build_box(BoxSpec(2, 5, "plain"))
+    with pytest.raises(InputError, match=f"^margin must be an int, got {re.escape(repr(margin))}$"):
         margin_interior(g, margin)
 
 
