@@ -26,8 +26,8 @@ from itertools import combinations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, NotInSpanError
-from .graphs import (Graph, _bit_ids, _members, _neighbourhood_plan,
-                     count_components, is_minimal_cutset, shortest_path)
+from .graphs import (Graph, _bit_ids, _members, _minimal_side,
+                     count_components, shortest_path)
 
 
 def _require_same_host(a: "EdgeVector", b: "EdgeVector") -> None:
@@ -297,7 +297,8 @@ def crossing_cycle_witness(g: Graph, gen: CycleGen, s1: frozenset,
         raise InputError("x and y must avoid the cutset")
     if not is_generating(gen, g):
         raise InputError("the generating set does not span the cycle space")
-    if not is_minimal_cutset(g, s, x, frozenset({y})):
+    side = _minimal_side(g, s, x, frozenset({y}))     # x's side of g minus s
+    if side is None:
         raise InputError("s1 ∪ s2 is not a minimal cutset between x and y")
 
     p1 = shortest_path(g, x, y, forbidden=s2)
@@ -307,8 +308,6 @@ def crossing_cycle_witness(g: Graph, gen: CycleGen, s1: frozenset,
     target = (EdgeVector.from_vertex_path(g, p1)
               + EdgeVector.from_vertex_path(g, p2))
 
-    plan = _neighbourhood_plan(g)
-    side = plan.flood(1 << x, plan.full ^ plan.mask(s))
     # the edges joining s2 to x's side, each met once from its s2 end
     crossing = sum(1 << g.edge_id(u, w) for u in s2 for w in g.adjacency[u]
                    if side >> w & 1)

@@ -108,6 +108,8 @@ class Graph:
         return len(self.edges)
 
     def require_vertex(self, v: int) -> None:
+        if not _is_id(v):
+            raise InputError(f"a vertex id is an int, got {v!r}")
         if not (0 <= v < self.vertex_count):
             raise InputError(f"vertex id {v} outside 0..{self.vertex_count - 1}")
 
@@ -225,10 +227,12 @@ class _NeighbourhoodPlan:
         self._count = None
 
     def mask(self, s) -> int:
-        """Bitmask of the vertex ids in ``s``, each range-checked."""
+        """Bitmask of the vertex ids in ``s``, each type- and range-checked."""
         n = self.vertex_count
         m = 0
         for v in s:
+            if type(v) is not int and not _is_id(v):    # exact ints skip the call
+                raise InputError(f"a vertex id is an int, got {v!r}")
             if not 0 <= v < n:
                 raise InputError(f"vertex id {v} outside 0..{n - 1}")
             m |= 1 << v
@@ -345,7 +349,13 @@ def is_cutset(g: Graph, s: frozenset, x: int, target: frozenset) -> bool:
 
 
 def is_minimal_cutset(g: Graph, s: frozenset, x: int, target: frozenset) -> bool:
-    """Whether ``s`` separates ``x`` from ``target`` but no proper subset does.
+    """Whether ``s`` separates ``x`` from ``target`` but no proper subset does."""
+    return _minimal_side(g, s, x, target) is not None
+
+
+def _minimal_side(g: Graph, s: frozenset, x: int, target: frozenset) -> Optional[int]:
+    """The mask of ``x``'s side of ``g`` minus ``s`` when ``s`` is a
+    minimal cutset between ``x`` and ``target``, else None.
 
     It suffices that dropping any single member reopens a path, since
     dropping more members only opens more.  Dropping ``v`` reopens one
@@ -353,9 +363,11 @@ def is_minimal_cutset(g: Graph, s: frozenset, x: int, target: frozenset) -> bool
     ``s`` and one on the targets' side, so two floods decide it."""
     plan, sm, tm, side = _separation(g, s, x, target)
     if side & tm:
-        return False
+        return None
     targets_side = plan.flood(tm, plan.full ^ sm)
-    return not sm & ~(plan.expand(side) & plan.expand(targets_side))
+    if sm & ~(plan.expand(side) & plan.expand(targets_side)):
+        return None
+    return side
 
 
 def shortest_path(g: Graph, x: int, y: int,

@@ -40,8 +40,11 @@ subset mask shifted down to its lowest id and runs the kernel only on an
 unseen key (z2:9 with subsets of up to 8 vertices: 61,167 subsets, 3,790
 kernel calls).  Failure records are still built per instance.
 Campaign subsets are int masks from enumeration to verdict: the private
-Redelmeier enumerator ``_connected_masks`` grows masks, and observers,
-keys and the kernel read them.  Frozensets appear only in the public
+Redelmeier enumerator ``_connected_masks`` grows masks on an explicit
+stack, and observers, keys and the kernel read them.  Most subsets it
+lists have the largest size (40,401 of the 61,167 above); they are leaves
+of the growth, yielded inline without a stack frame, in the order the
+stack would give them.  Frozensets appear only in the public
 ``enumerate_connected_subsets``, a view of that one enumerator, and in
 failure records.  Sampled subsets are masks too: a random campaign builds
 its sampling pool once, and ``_grow`` draws each subset from it as a
@@ -115,7 +118,10 @@ def _connected_masks(g: Graph, max_size: int, allowed: int) -> Iterator[int]:
     in ascending order grows, depth first, the subsets it is the smallest
     member of.  The child adding the i-th entry u of a subset's extension
     list gets the entries after u, then u's larger allowed neighbours not
-    yet ``seen`` under this root, in adjacency order."""
+    yet ``seen`` under this root, in adjacency order.  The children of a
+    subset of ``max_size - 1`` vertices are leaves, so they are yielded
+    inline, in extension-list order, which is the order the stack would
+    pop them in; they get no stack frame."""
     nbrs = [sum(1 << w for w in ws) for ws in g.adjacency]
     rest = allowed
     while rest:
@@ -127,7 +133,10 @@ def _connected_masks(g: Graph, max_size: int, allowed: int) -> Iterator[int]:
         while stack:
             sub, size, ext, seen = stack.pop()
             yield sub
-            if size == max_size:
+            if size + 1 >= max_size:
+                if size < max_size:
+                    for u in ext:
+                        yield sub | 1 << u
                 continue
             free = rest & ~seen
             for i in range(len(ext) - 1, -1, -1):    # pushed last, popped first

@@ -474,6 +474,9 @@ def test_witness_validates_inputs():
     with pytest.raises(InputError, match="minimal"):
         # {1, 2} fails to separate 0 from 3 around the other side
         crossing_cycle_witness(g, gen, frozenset({1}), frozenset({2}), 0, 3)
+    for x, y in [(0.0, 2), (False, 2), (0, 2.0), (2, False)]:
+        with pytest.raises(InputError, match="^a vertex id is an int, got "):
+            crossing_cycle_witness(g, gen, frozenset({1}), frozenset({3}), x, y)
     weak = CycleGen(build_box(BoxSpec(2, 3, "plain")),
                     four_cycle_gen(BoxSpec(2, 3, "plain")).cycles[:1])
     gbox = build_box(BoxSpec(2, 3, "plain"))

@@ -1,10 +1,12 @@
 """Graph core: construction, queries, connectivity, cutsets, serialization."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundarykit import (Graph, GraphPair, InputError, component_of,
-                         count_components, is_cutset,
+from boundarykit import (BoxSpec, Graph, GraphPair, InputError, build_box,
+                         component_of, count_components, is_cutset,
                          is_minimal_cutset, random_connected_graph,
                          set_components, shortest_path, vertexset_from_json,
                          vertexset_to_json)
@@ -198,6 +200,30 @@ def test_vertex_set_arguments_are_range_checked(call, bad):
     is an ``InputError``, never a ``ValueError`` from ``1 << -1``."""
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(InputError, match="outside"):
+        call(g, bad)
+
+
+_VERTEX_ARGUMENT_CALLS = {
+    "component_of": lambda g, bad: component_of(g, bad),
+    "component_of-forbidden": lambda g, bad: component_of(g, 0, frozenset({bad})),
+    "shortest_path-x": lambda g, bad: shortest_path(g, bad, 5),
+    "shortest_path-y": lambda g, bad: shortest_path(g, 5, bad),
+    "is_cutset-x": lambda g, bad: is_cutset(g, frozenset({4}), bad, frozenset({8})),
+    "is_cutset-target": lambda g, bad: is_cutset(g, frozenset({4}), 0, frozenset({bad})),
+    "is_minimal_cutset-x": lambda g, bad: is_minimal_cutset(
+        g, frozenset({4}), bad, frozenset({8})),
+    "set_components": lambda g, bad: set_components(g, frozenset({bad})),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.5])
+@pytest.mark.parametrize("call", _VERTEX_ARGUMENT_CALLS.values(), ids=_VERTEX_ARGUMENT_CALLS.keys())
+def test_vertex_arguments_that_are_no_int_are_refused(call, bad):
+    """A bool passed the range check as 0 or 1, so ``shortest_path(g, True,
+    5)`` returned ``[True, 2, 5]``; a float crashed in ``1 << x`` with a
+    ``TypeError``.  Both are bad input."""
+    g = build_box(BoxSpec(2, 3, "plain"))
+    with pytest.raises(InputError, match=f"^a vertex id is an int, got {re.escape(repr(bad))}$"):
         call(g, bad)
 
 

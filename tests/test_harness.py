@@ -17,7 +17,8 @@ from boundarykit import (BoxSpec, CycleGen, EdgeVector, InputError,
                          run_verification, sample_connected_subset,
                          vertexset_to_json)
 
-from boundarykit.graphs import _members
+from boundarykit.graphs import _members, _neighbourhood_plan
+from boundarykit.harness import _connected_masks
 from oracles import (chordal_by_pairs, connected_by_flood,
                      connected_subsets_by_growth, connected_subsets_by_powerset)
 
@@ -107,6 +108,35 @@ def test_enumeration_order_on_boxes(box, margin):
     inner = margin_interior(g, margin)
     got = list(enumerate_connected_subsets(g, 4, allowed=inner))
     assert got == list(connected_subsets_by_growth(g.adjacency, 4, inner))
+
+
+def test_enumeration_order_on_the_exhaustive_dp_workload():
+    """The campaign's own setting: z2:9, margin 2, subsets of up to 8
+    vertices.  Its 40,401 leaves of size 8 are yielded without a stack
+    frame, in the order the stack would pop them."""
+    g = build_box(BoxSpec(2, 9, "plain"))
+    inner = margin_interior(g, 2)
+    got = [_members(m) for m in _connected_masks(g, 8, _neighbourhood_plan(g).mask(inner))]
+    assert len(got) == 61_167
+    sizes = [0] * 9
+    for sub in got:
+        sizes[len(sub)] += 1
+    assert sizes[1:] == [49, 84, 214, 572, 1603, 4628, 13616, 40401]
+    assert got == list(connected_subsets_by_growth(g.adjacency, 8, inner))
+
+
+@pytest.mark.parametrize("max_size", [1, 2])
+@pytest.mark.parametrize("holed", [False, True], ids=["whole", "holed"])
+def test_enumeration_order_when_the_root_or_its_children_are_leaves(holed, max_size):
+    """At size cap 1 every root is a leaf; at cap 2 the roots' children
+    are.  ``holed`` allows the margin-1 interior less its centre."""
+    g = build_box(BoxSpec(2, 7, "star"))
+    plan = _neighbourhood_plan(g)
+    inner = margin_interior(g, 1) - {g.id_of_label((4, 4))} if holed else None
+    got = [_members(m) for m in
+           _connected_masks(g, max_size, plan.mask(inner) if holed else plan.full)]
+    assert got == list(connected_subsets_by_growth(g.adjacency, max_size, inner))
+    assert len(got) == len(set(got)) > 0
 
 
 @pytest.mark.parametrize("max_size", [2.5, 2.0, True, "3", None])
