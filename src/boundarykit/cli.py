@@ -60,6 +60,8 @@ def _parse_vertex(g: Graph, text: str) -> int:
 def _cmd_boundary(args) -> int:
     if (args.box is None) == (args.pair is None):
         raise InputError("give exactly one of --box or --pair")
+    if args.inner and args.probe is not None:
+        raise InputError("--inner probes in the adjacency graph (--gprime); leave out --probe")
     if args.box is not None:
         spec = parse_box_spec(args.box)
         g = build_box(spec)
@@ -163,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="connectivity probe graph (box flavor, or g/gplus); "
                         "defaults to the adjacency graph")
     b.add_argument("--inner", action="store_true",
-                   help="report the inner-boundary mirror variants")
+                   help="report the inner-boundary mirror variants (refuses --probe)")
     b.set_defaults(func=_cmd_boundary)
 
     v = sub.add_parser("verify", help="run a verification campaign")

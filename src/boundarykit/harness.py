@@ -35,22 +35,13 @@ as one trial, in the order apex first, then by id, and only a failing
 observer gets a full ``BoundaryReport``, for its failure record.
 An instance whose only observer is the apex is judged once per
 translation class: with margin ≥ 2 its verdict is the verdict in ℤ^d,
-which translation does not change, so a campaign keys its verdicts by the
-subset mask shifted down to its lowest id and runs the kernel only on an
-unseen key (z2:9 with subsets of up to 8 vertices: 61,167 subsets, 3,790
-kernel calls).  Failure records are still built per instance.
-Campaign subsets are int masks from enumeration to verdict: the private
-Redelmeier enumerator ``_connected_masks`` grows masks on an explicit
-stack, and observers, keys and the kernel read them.  Most subsets it
-lists have the largest size (40,401 of the 61,167 above); they are leaves
-of the growth, yielded inline without a stack frame, in the order the
-stack would give them.  Frozensets appear only in the public
-``enumerate_connected_subsets``, a view of that one enumerator, and in
-failure records.  Sampled subsets are masks too: a random campaign builds
-its sampling pool once, and ``_grow`` draws each subset from it as a
-mask; ``sample_connected_subset`` is the frozenset view of one draw.  The
-crossing lemma draws its observer by rank among the vertices neither in
-the subset nor next to it, with the same ``_kth_outside`` walk.
+which translation does not change.  An exhaustive campaign judges each
+shape of ``_apex_shapes`` once and counts its translates (z2:9, size ≤ 8:
+3,790 kernel calls for 61,167 trials), walking every subset for records
+only if a shape fails; a random one judges each unseen ``_shape_key`` once.
+Campaign subsets are int masks from enumeration (``_connected_masks``) or
+sampling (``_grow``) to verdict; frozensets appear only in the public views
+of those two and in failure records.
 
 Campaigns run their trials in one sequential loop; every trial is a pure
 function of immutable graphs plus the seed string ``"{seed}:{index}"``, so
@@ -73,7 +64,7 @@ from .cyclespace import (CycleGen, EdgeVector, _is_clique,
                          crossing_cycle_witness, fundamental_basis,
                          is_generating)
 from .errors import InputError
-from .graphs import (Graph, GraphPair, _is_id, _members, _neighbourhood_plan,
+from .graphs import (Graph, GraphPair, _bit_ids, _is_id, _members, _neighbourhood_plan,
                      _vertex_json, component_of, vertexset_to_json)
 from .lattice import (FLAVORS, BoxSpec, build_box, build_box_pair,
                       extra_edge_patches, four_cycle_gen, margin_interior,
@@ -139,12 +130,13 @@ def _connected_masks(g: Graph, max_size: int, allowed: int) -> Iterator[int]:
                         yield sub | 1 << u
                 continue
             free = rest & ~seen
+            deep = size + 2 < max_size        # else the children only yield leaves
             for i in range(len(ext) - 1, -1, -1):    # pushed last, popped first
                 u = ext[i]
                 fresh = nbrs[u] & free
                 stack.append((sub | 1 << u, size + 1,
                               ext[i + 1:] + [w for w in g.adjacency[u] if fresh >> w & 1],
-                              seen | fresh))
+                              deep and seen | fresh))
 
 
 def sample_connected_subset(g: Graph, size: int, seed,
@@ -516,8 +508,6 @@ def _boundary_instances(cfg: TrialConfig, setting: _BoxSetting,
             raise InputError(
                 f"precondition: apex observers need the subset inside margin {cfg.margin}")
         masks = [cm]
-    elif not allowed:
-        raise InputError(f"margin {cfg.margin} leaves no room for subsets in {cfg.box}")
     elif cfg.mode == "exhaustive":
         # TrialConfig has refused a size cap beyond the enumeration budget
         masks = _connected_masks(host, cfg.max_size, allowed)
@@ -549,7 +539,9 @@ def _sampled_instances(cfg: TrialConfig, pool: tuple, full: int) -> Iterator[tup
 def _shape_key(cm: int) -> int:
     """The subset mask ``cm`` shifted down to its lowest id: equal for the
     translates of one shape, so an apex-observer verdict is judged once
-    per key.
+    per key.  Translation keeps id order, so ``_apex_shapes`` grows each key
+    once, from its lowest cell; with axis spans ``span_i`` it fits the
+    interior cube of side ``w`` at ``∏(w − span_i)`` places, its subsets.
 
     Why one verdict serves every subset with the key:
 
@@ -572,6 +564,37 @@ def _shape_key(cm: int) -> int:
     return cm >> ((cm & -cm).bit_length() - 1)
 
 
+def _apex_shapes(cfg: TrialConfig, augmentation: str) -> Iterator[Tuple[int, int]]:
+    """``(mask at its lowest placement, placements)`` per shape of an exhaustive
+    apex campaign, grown from one root at ``(s, …, s, 1)`` of a box of side ``2s − 1``,
+    ``s = min(w, max_size)``, over the ids above it whose last coordinate is ≤ s."""
+    d, n, margin = cfg.box.d, cfg.box.side, cfg.margin
+    w = n + 2 - 2 * margin          # ≥ 1: the campaign has refused a margin without room
+    s = min(w, cfg.max_size)
+    side = 2 * s - 1
+    host = getattr(build_box_pair(BoxSpec(d, side, "plain"), augmentation),
+                   _BOUNDARY_THEOREMS[cfg.theorem].connect_in)
+    root = (s - 1) * sum(side ** i for i in range(d - 1))
+    strides, axis_bits = [n ** i for i in range(d)], (1 << side) - 1
+    # per shape-box id: its campaign id, each coordinate up by margin − 1; a bit per coordinate
+    place = [sum((c + margin - 2) * k for c, k in zip(lab, strides)) for lab in host.labels]
+    occupy = [sum(1 << i * side + c - 1 for i, c in enumerate(lab)) for lab in host.labels]
+    for cm in _connected_masks(host, cfg.max_size, (1 << s * side ** (d - 1)) - (1 << root)):
+        if not cm >> root & 1:
+            return
+        axes, mapped, shift, placements = 0, 0, 0, 1
+        for v in _bit_ids(cm):
+            axes |= occupy[v]
+            mapped |= 1 << place[v]
+        for k in strides:
+            axis, axes = axes & axis_bits, axes >> side
+            low = (axis & -axis).bit_length() - 1
+            placements *= max(w - axis.bit_length() + 1 + low, 0)     # w − span
+            shift += low * k
+        if placements:
+            yield mapped >> shift, placements
+
+
 def _failure_record(setting: _BoxSetting, trial: int, seed_str: Optional[str],
                     cm: int, x: int) -> dict:
     g_t, gp_t, probe_t = setting.roles
@@ -588,17 +611,32 @@ def _failure_record(setting: _BoxSetting, trial: int, seed_str: Optional[str],
 
 def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
                            fixed_c: Optional[frozenset]):
-    setting = _box_setting(cfg.theorem, cfg.box,
-                           _augmentation(cfg.theorem, cfg.box, cfg.probe, cfg.g_prime))
+    augmentation = _augmentation(cfg.theorem, cfg.box, cfg.probe, cfg.g_prime)
+    setting = _box_setting(cfg.theorem, cfg.box, augmentation)
     if not setting.premises_hold and not skip_hypotheses:
         raise InputError(
             "theorem premises fail for this configuration; "
             "pass skip_hypotheses (CLI: --skip-hypotheses) to run it as a negative control")
+    if fixed_c is None and 2 * cfg.margin >= cfg.box.side + 2:     # an empty interior
+        raise InputError(f"margin {cfg.margin} leaves no room for subsets in {cfg.box}")
     trav, adj, probe = (_neighbourhood_plan(g) for g in setting.roles)
     apex_only = 1 << setting.apex
-    verdicts: Dict[int, int] = {}   # shape key -> failing mask, apex observer only
     trials_run = 0
     failures: List[dict] = []
+    if cfg.mode == "exhaustive" and cfg.x_policy == "apex" and fixed_c is None:
+        failing_keys = set()
+        for cm, placements in _apex_shapes(cfg, augmentation):
+            trials_run += placements
+            if _failing_observers(trav, adj, probe, cm, apex_only):
+                failing_keys.add(_shape_key(cm))
+        walk = _boundary_instances(cfg, setting, None) if failing_keys else ()
+        for index, (_, cm, _) in enumerate(walk):        # every subset, in trial order
+            if _shape_key(cm) in failing_keys:
+                failures.append(_failure_record(setting, index, None, cm, setting.apex))
+        if failing_keys and index + 1 != trials_run:
+            raise RuntimeError(f"{trials_run} placements, but {index + 1} subsets")
+        return trials_run, failures
+    verdicts: Dict[int, int] = {}   # shape key -> failing mask, random apex trials only
     for seed_str, cm, observers in _boundary_instances(cfg, setting, fixed_c):
         if observers == apex_only:
             key = _shape_key(cm)

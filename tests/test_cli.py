@@ -66,6 +66,33 @@ def test_boundary_inner_variants(capsys):
     assert data["components"] == 1
 
 
+@pytest.mark.parametrize("probe", ["plus", "plain"])
+def test_boundary_inner_refuses_a_probe_on_a_box(capsys, probe):
+    """The inner variants probe in the adjacency graph; a --probe would be
+    ignored (the plus-shaped set's four arms count 4 under either)."""
+    code, out, err = run_cli(capsys, "boundary", "--box", "z2:7:plain",
+                             "--set", "[[3,4],[4,3],[4,4],[4,5],[5,4]]",
+                             "--x", "apex", "--inner", "--probe", probe)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--inner" in err and "--probe" in err
+
+
+@pytest.mark.parametrize("probe", ["g", "gplus"])
+def test_boundary_inner_refuses_a_probe_on_a_pair_file(capsys, tmp_path, probe):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({
+        "g": {"vertices": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]},
+        "extra_plus_edges": [[0, 2]],
+    }))
+    code, out, err = run_cli(capsys, "boundary", "--pair", str(pair), "--set", "[0]",
+                             "--x", "2", "--inner", "--probe", probe)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--inner" in err and "--probe" in err
+    code, data = run_json(capsys, "boundary", "--pair", str(pair), "--set", "[0]",
+                          "--x", "2", "--inner")
+    assert code == 0 and data["schema"] == 1
+
+
 def test_boundary_requires_exactly_one_source(capsys, tmp_path):
     code, out, err = run_cli(capsys, "boundary", "--set", "[0]", "--x", "1")
     assert code == 2 and out == "" and err.startswith("error:")

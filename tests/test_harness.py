@@ -877,6 +877,113 @@ def test_a_translation_class_shares_its_apex_report(theorem, box, max_size, augm
     assert len(first) < subsets
 
 
+def _translation_classes(box, flavor, margin, max_size):
+    """Every connected subset of the box's margin interior (connected in
+    the ``flavor`` box), by shape key: its lowest translate, the first
+    the enumeration lists, and its number of translates."""
+    import boundarykit.harness as harness
+    host = build_box(BoxSpec(box.d, box.side, flavor))
+    allowed = _neighbourhood_plan(host).mask(margin_interior(host, margin))
+    classes = {}
+    for cm in _connected_masks(host, max_size, allowed):
+        first, count = classes.get(harness._shape_key(cm), (cm, 0))
+        classes[harness._shape_key(cm)] = (first, count + 1)
+    return classes
+
+
+def _assert_shapes_are_the_classes(cfg, augmentation, classes):
+    """The shape source lists each class of size ≤ ``cfg.max_size`` once,
+    at its lowest translate, with its number of translates."""
+    import boundarykit.harness as harness
+    shapes = list(harness._apex_shapes(cfg, augmentation))
+    got = {harness._shape_key(cm): (cm, placements) for cm, placements in shapes}
+    assert len(got) == len(shapes)
+    assert got == {key: v for key, v in classes.items() if key.bit_count() <= cfg.max_size}
+
+
+@pytest.mark.parametrize("side", range(6, 11))
+@pytest.mark.parametrize("margin", [2, 3, 4])
+def test_the_shape_source_lists_the_polyomino_classes(side, margin):
+    """dp on z2:6..10 at margins 2..4, every size cap 1..8; the caps above
+    the interior side ``n + 2 − 2·margin`` (down to 2 on z2:6) keep their
+    shapes within it."""
+    box = BoxSpec(2, side, "plain")
+    if side + 2 - 2 * margin < 1:
+        with pytest.raises(InputError, match="leaves no room"):
+            run_verification(TrialConfig(theorem="dp", box=box, margin=margin))
+        return
+    classes = _translation_classes(box, "plain", margin, 8)
+    for max_size in range(1, 9):
+        cfg = TrialConfig(theorem="dp", box=box, margin=margin, max_size=max_size)
+        _assert_shapes_are_the_classes(cfg, "plus", classes)
+
+
+@pytest.mark.parametrize("theorem, box, augmentation, flavor, max_size", [
+    ("k", BoxSpec(2, 7, "plain"), "star", "star", 5),
+    ("k", BoxSpec(3, 6, "plain"), "star", "star", 3),
+    ("k", BoxSpec(3, 6, "plain"), "plus", "plus", 3),
+    ("dp", BoxSpec(3, 6, "plain"), "plus", "plain", 4),
+    ("dp", BoxSpec(2, 6, "plain"), "plain", "plain", 8),    # max size 8 > w = 4
+    ("dp", BoxSpec(2, 3, "plain"), "plus", "plain", 3),     # a one-cell interior
+], ids=["k-z2-star", "k-z3-star", "k-z3-plus", "dp-z3", "dp-size-above-w", "dp-one-cell"])
+def test_the_shape_source_lists_the_translation_classes(theorem, box, augmentation,
+                                                        flavor, max_size):
+    """The shapes are connected as the theorem row says: in the plain box
+    for dp, in the augmentation (``g_prime`` included) for k."""
+    classes = _translation_classes(box, flavor, 2, max_size)
+    field = "probe" if theorem == "dp" else "g_prime"
+    for cap in range(1, max_size + 1):
+        cfg = TrialConfig(theorem=theorem, box=box, max_size=cap, **{field: augmentation})
+        _assert_shapes_are_the_classes(cfg, augmentation, classes)
+
+
+@pytest.mark.parametrize("cfg, trials, failing", [
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 6, "plain"), max_size=5,
+                 probe="plain"), 449, 449),
+    (TrialConfig(theorem="k", box=BoxSpec(2, 6, "plain"), max_size=4,
+                 g_prime="plain"), 205, 205),
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 9, "plain"), max_size=5, margin=3,
+                 probe="plain"), 958, 958),
+    (TrialConfig(theorem="dp", box=BoxSpec(3, 6, "plain"), max_size=3,
+                 probe="plain"), 736, 736),
+    (TrialConfig(theorem="k", box=BoxSpec(3, 6, "plain"), max_size=3,
+                 g_prime="plus"), 3208, 0),
+], ids=["dp-z2", "k-z2", "dp-margin-3", "dp-z3", "k-z3-plus"])
+def test_apex_campaigns_by_shape_match_the_per_observer_loop(cfg, trials, failing):
+    """An exhaustive apex campaign judges each shape once and counts its
+    translates; its report must still be the per-instance one."""
+    want_trials, want = _per_observer_reference(cfg)
+    rep = run_verification(cfg, skip_hypotheses=True)
+    assert (rep.trials_run, len(rep.failures)) == (want_trials, len(want)) == (trials, failing)
+    assert rep.failures == want
+    assert json.dumps(rep.failures) == json.dumps(want)
+
+
+def test_only_the_translates_of_failing_shapes_get_records(monkeypatch):
+    """With a verdict that fails the shapes of odd size only, the failure
+    records are exactly the odd subsets, by their index in the listing."""
+    import boundarykit.harness as harness
+    monkeypatch.setattr(harness, "_failing_observers",
+                        lambda trav, adj, probe, cm, observers: observers * (cm.bit_count() % 2))
+    cfg = TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), max_size=4)
+    rep = run_verification(cfg)
+    g = build_box(cfg.box)
+    subsets = list(enumerate_connected_subsets(g, 4, allowed=margin_interior(g, 2)))
+    assert rep.trials_run == len(subsets) == 387
+    assert [(f["trial"], f["c"]) for f in rep.failures] == [
+        (i, vertexset_to_json(g, c)) for i, c in enumerate(subsets) if len(c) % 2]
+
+
+def test_a_placement_count_the_listing_disagrees_with_is_an_error(monkeypatch):
+    import boundarykit.harness as harness
+    shapes = harness._apex_shapes
+    monkeypatch.setattr(harness, "_apex_shapes", lambda cfg, augmentation: (
+        (cm, placements + (cm.bit_count() == 3)) for cm, placements in shapes(cfg, augmentation)))
+    cfg = TrialConfig(theorem="dp", box=BoxSpec(2, 6, "plain"), max_size=4, probe="plain")
+    with pytest.raises(RuntimeError, match="placements"):
+        run_verification(cfg, skip_hypotheses=True)
+
+
 def test_rank_pick_is_the_kth_sorted_observer():
     import boundarykit.harness as harness
     for box in (BoxSpec(2, 5, "plain"), BoxSpec(3, 4, "plain")):
