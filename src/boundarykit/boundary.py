@@ -21,8 +21,9 @@ maps a mask to its neighbours with a few shifts and hub stars, and
 reachability is a level-synchronous flood: ``frontier = expand(frontier)
 & allowed & ~seen``.  A flood then costs one plan pass per BFS level
 instead of one adjacency scan per visited vertex.  This matters because
-exhaustive campaigns judge every subset and observer, and two of a
-report's floods cover the whole box.  A report is
+a campaign judges every subset and observer, an apex-only subset once
+per translation class, and two of a report's floods cover the whole
+box.  A report is
 
     boundary      = expand_g′(C) & ~C
     visible       = boundary & flood_g(x, ~C)

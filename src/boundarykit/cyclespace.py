@@ -88,19 +88,12 @@ class EdgeVector:
         edges = self.host.edges     # ``bits`` was range-checked on the way in
         return [edges[i] for i in self.edge_ids()]
 
-    def _endpoint_masks(self) -> Tuple[int, int]:
-        """Masks of the vertices the vector touches and of those with odd
-        degree, in one pass over its edges."""
-        touched = odd = 0
-        for u, v in self.edges():
-            m = (1 << u) | (1 << v)
-            touched |= m
-            odd ^= m
-        return touched, odd
-
     def is_even(self) -> bool:
         """Whether every vertex has even degree (cycle-space membership)."""
-        return not self._endpoint_masks()[1]
+        odd = 0
+        for u, v in self.edges():
+            odd ^= (1 << u) | (1 << v)
+        return not odd
 
     def is_cycle(self) -> bool:
         """Nonzero, 2-regular on its touched vertices, and connected."""

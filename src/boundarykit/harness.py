@@ -35,10 +35,12 @@ as one trial, in the order apex first, then by id, and only a failing
 observer gets a full ``BoundaryReport``, for its failure record.
 An instance whose only observer is the apex is judged once per
 translation class: with margin ≥ 2 its verdict is the verdict in ℤ^d,
-which translation does not change.  An exhaustive campaign judges each
-shape of ``_apex_shapes`` once and counts its translates (z2:9, size ≤ 8:
-3,790 kernel calls for 61,167 trials), walking every subset for records
-only if a shape fails; a random one judges each unseen ``_shape_key`` once.
+which translation does not change.  An exhaustive campaign judges the
+shapes of ``_apex_shapes`` once each and counts their translates (z2:9,
+size ≤ 8: 3,790 kernel calls for 61,167 trials).  Once a shape fails, it
+runs the per-instance loop instead, as every other campaign does, whose
+memo judges each unseen ``_shape_key`` once and records every failing
+subset.
 Campaign subsets are int masks from enumeration (``_connected_masks``) or
 sampling (``_grow``) to verdict; frozensets appear only in the public views
 of those two and in failure records.
@@ -218,7 +220,7 @@ def check_dp_hypotheses(pair: GraphPair, gen: CycleGen) -> bool:
         raise InputError("generators must live in the pair's base graph")
     # CycleGen admits cycles only, so chordality is the clique test alone.
     return (is_generating(gen, pair.g)
-            and all(_is_clique(o._endpoint_masks()[0], pair.g_plus) for o in gen.cycles))
+            and all(_is_clique(o._cycle_vertices(), pair.g_plus) for o in gen.cycles))
 
 
 def check_k_hypotheses(pair: GraphPair, gen: CycleGen,
@@ -621,22 +623,18 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
         raise InputError(f"margin {cfg.margin} leaves no room for subsets in {cfg.box}")
     trav, adj, probe = (_neighbourhood_plan(g) for g in setting.roles)
     apex_only = 1 << setting.apex
+    placements = None
+    if cfg.mode == "exhaustive" and cfg.x_policy == "apex" and fixed_c is None:
+        placements = failing = 0
+        for cm, count in _apex_shapes(cfg, augmentation):
+            placements += count
+            failing = failing or _failing_observers(trav, adj, probe, cm, apex_only)
+        if not failing:
+            return placements, []
+        # a shape fails: the loop below lists every subset for its records
     trials_run = 0
     failures: List[dict] = []
-    if cfg.mode == "exhaustive" and cfg.x_policy == "apex" and fixed_c is None:
-        failing_keys = set()
-        for cm, placements in _apex_shapes(cfg, augmentation):
-            trials_run += placements
-            if _failing_observers(trav, adj, probe, cm, apex_only):
-                failing_keys.add(_shape_key(cm))
-        walk = _boundary_instances(cfg, setting, None) if failing_keys else ()
-        for index, (_, cm, _) in enumerate(walk):        # every subset, in trial order
-            if _shape_key(cm) in failing_keys:
-                failures.append(_failure_record(setting, index, None, cm, setting.apex))
-        if failing_keys and index + 1 != trials_run:
-            raise RuntimeError(f"{trials_run} placements, but {index + 1} subsets")
-        return trials_run, failures
-    verdicts: Dict[int, int] = {}   # shape key -> failing mask, random apex trials only
+    verdicts: Dict[int, int] = {}   # shape key -> failing mask, apex-only trials
     for seed_str, cm, observers in _boundary_instances(cfg, setting, fixed_c):
         if observers == apex_only:
             key = _shape_key(cm)
@@ -655,6 +653,8 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
     if not trials_run:
         raise InputError("the campaign has no instance to judge: every subset "
                          "holds the fixed observer")
+    if placements not in (None, trials_run):
+        raise RuntimeError(f"{placements} placements, but {trials_run} subsets")
     return trials_run, failures
 
 
@@ -678,21 +678,13 @@ def _crossing_postconditions(g: Graph, o: EdgeVector, s1: frozenset,
     return problems
 
 
-@lru_cache(maxsize=None)
-def _lemma_box(box: BoxSpec):
-    """The plain box of a crossing campaign, its generating set, and
-    whether that set spans the box's cycle space."""
-    g = build_box(box)
-    gen = four_cycle_gen(box) if box.d >= 2 else fundamental_basis(g)
-    return g, gen, is_generating(gen, g)
-
-
 def _run_crossing_campaign(cfg: TrialConfig, skip_hypotheses: bool,
                            fixed_c: Optional[frozenset]):
     if fixed_c is not None:
         raise InputError("crossing-lemma campaigns sample their own instances")
-    box, box_gen, generating = _lemma_box(cfg.box)
-    if not skip_hypotheses and not generating:
+    box = build_box(cfg.box)
+    box_gen = four_cycle_gen(cfg.box) if cfg.box.d >= 2 else fundamental_basis(box)
+    if not skip_hypotheses and not is_generating(box_gen, box):
         raise InputError("the box generating set does not span its cycle space")
     failures = []
     for index in range(cfg.trials):

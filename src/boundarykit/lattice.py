@@ -136,8 +136,10 @@ def basic_four_cycles(spec: BoxSpec) -> List[EdgeVector]:
     return out
 
 
+@lru_cache(maxsize=None)
 def four_cycle_gen(spec: BoxSpec) -> CycleGen:
-    """The unit-face cycles wrapped as a generating collection."""
+    """The unit-face cycles wrapped as a generating collection (memoized,
+    like ``build_box``)."""
     plain = BoxSpec(spec.d, spec.side, "plain")
     return CycleGen(build_box(plain), basic_four_cycles(plain))
 

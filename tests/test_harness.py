@@ -984,6 +984,58 @@ def test_a_placement_count_the_listing_disagrees_with_is_an_error(monkeypatch):
         run_verification(cfg, skip_hypotheses=True)
 
 
+@pytest.mark.parametrize("cfg, shapes, failing", [
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 6, "plain"), max_size=5,
+                 probe="plain"), 89, 449),
+    (TrialConfig(theorem="k", box=BoxSpec(2, 6, "plain"), max_size=4,
+                 g_prime="plain"), 28, 205),
+], ids=["dp-z2", "k-z2"])
+def test_a_failing_apex_campaign_hands_over_to_the_per_instance_loop(
+        monkeypatch, cfg, shapes, failing):
+    """The shape pass stops judging at its first failing shape, here the
+    single cell; the per-instance loop then judges each translation class
+    once through its shape-key memo: one kernel call more than there are
+    shapes, not one per subset."""
+    import boundarykit.harness as harness
+    augmentation = cfg.probe or cfg.g_prime
+    assert sum(1 for _ in harness._apex_shapes(cfg, augmentation)) == shapes
+    kernel, calls = harness._failing_observers, []
+
+    def counting(*args):
+        calls.append(args[3])
+        return kernel(*args)
+
+    monkeypatch.setattr(harness, "_failing_observers", counting)
+    rep = run_verification(cfg, skip_hypotheses=True)
+    assert (rep.trials_run, len(rep.failures)) == (failing, failing)
+    assert len(calls) == 1 + shapes
+    assert calls[0].bit_count() == 1
+
+
+@pytest.mark.parametrize("cfg, count, digest", [
+    # the k-random-outside benchmark workload at seed 0
+    (TrialConfig(theorem="k", box=BoxSpec(3, 7, "plain"), mode="random", max_size=12,
+                 trials=3000, x_policy="all-outside"),
+     3000, "beaf24df1498bddbf10a840e3b30145e1a415b04aaaa156157e07442c0c87e75"),
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 8, "plain"), mode="random", max_size=8,
+                 trials=500, seed=5),
+     500, "067b5fa249be4c4d7acac1205b0f3f8a9fadfcee722be3bd9c62ab01991b8e4e"),
+], ids=["k-random-outside", "dp-random-apex"])
+def test_the_sampled_instance_streams_are_pinned(cfg, count, digest):
+    """A passing report holds only config, seeds and counts, so its digest
+    does not see which subsets and observers the sampler drew.  This pins
+    every ``(seed, subset mask, observer mask)`` a random dp/k campaign
+    judges: the draws from the margin-interior pool, the size draw and the
+    rank draw of an all-outside observer."""
+    import boundarykit.harness as harness
+    augmentation = harness._augmentation(cfg.theorem, cfg.box, cfg.probe, cfg.g_prime)
+    setting = harness._box_setting(cfg.theorem, cfg.box, augmentation)
+    rows = [list(row) for row in harness._boundary_instances(cfg, setting, None)]
+    assert len(rows) == count
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def test_rank_pick_is_the_kth_sorted_observer():
     import boundarykit.harness as harness
     for box in (BoxSpec(2, 5, "plain"), BoxSpec(3, 4, "plain")):
