@@ -17,13 +17,15 @@ boundary mirrors swap the roles of ``c`` and its complement.
 Every operator runs on one private bitmask kernel.  Vertex sets become int
 masks, validated once on the way in and turned back into frozensets once
 per result.  A graph's neighbourhood plan (``graphs._NeighbourhoodPlan``)
-maps a mask to its neighbours with a few shifts and hub stars, and
-reachability is a level-synchronous flood: ``frontier = expand(frontier)
-& allowed & ~seen``.  A flood then costs one plan pass per BFS level
-instead of one adjacency scan per visited vertex.  This matters because
-a campaign judges every subset and observer, an apex-only subset once
-per translation class, and two of a report's floods cover the whole
-box.  A report is
+maps a mask to its neighbours, ORing one neighbour row per vertex for a
+small mask and otherwise shifting the whole mask along a few shifts and
+hub stars.  Reachability is a level-synchronous flood: ``frontier =
+expand(frontier) & allowed & ~seen``.  A flood level then costs one
+row per frontier vertex or one shift/star pass, as the frontier's size
+picks, instead of one adjacency scan per visited vertex.  This matters
+because a campaign judges every subset and observer, an apex-only subset
+once per translation class, and two of a report's floods cover the
+whole box.  A report is
 
     boundary      = expand_g′(C) & ~C
     visible       = boundary & flood_g(x, ~C)

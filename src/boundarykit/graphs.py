@@ -11,10 +11,11 @@ Vertex sets cross the public API as ``frozenset`` objects over vertex ids.
 Reachability in this module and in the boundary layer runs on int
 bitmasks (bit ``v`` set for vertex ``v``) through the private
 ``_NeighbourhoodPlan``: ``mask`` range-checks a set into a mask,
-``expand`` maps a mask to the mask of its neighbours with a few whole-int
-operations, ``flood`` grows a mask inside an allowed mask one BFS level
-per step and stops once the allowed mask is filled, and ``components``
-peels a mask into its components.  The component, connectivity,
+``expand`` maps a mask to the mask of its neighbours, by ORing
+per-vertex neighbour rows when the mask holds few vertices and by a few
+whole-int shifts otherwise, ``flood`` grows a mask inside an allowed
+mask one BFS level per step and stops once the allowed mask is filled,
+and ``components`` peels a mask into its components.  The component, connectivity,
 cutset and shortest-path queries here, every boundary operator and the
 crossing witness share that one engine; no query keeps a vertex queue.
 """
@@ -195,19 +196,24 @@ class _NeighbourhoodPlan:
     mask of those edges' lower endpoints.  Every other edge joins the star
     of whichever endpoint has more such edges (the smaller id on a tie).
     On a lattice box the shifts are the axis and diagonal steps and the
-    apex is the one star, so a neighbourhood costs a few int operations
-    however many vertices the mask holds.  The plan is exact for every
-    graph; there is no lattice-only path.
+    apex is the one star.  ``rows`` holds each vertex's neighbour mask.
+    ``expand`` ORs the rows of a mask with at most as many vertices as
+    the plan has shifts and stars, and otherwise runs the shift/star pass,
+    whose cost does not grow with the mask.  Both passes are exact for
+    every graph; there is no lattice-only path.
     """
 
-    __slots__ = ("vertex_count", "full", "shifts", "stars", "_count")
+    __slots__ = ("vertex_count", "full", "shifts", "stars", "rows", "_row_limit", "_count")
 
     def __init__(self, g: Graph):
         self.vertex_count = g.vertex_count
         self.full = (1 << g.vertex_count) - 1
         lows = {}
+        rows = [0] * g.vertex_count
         for u, v in g.edges:
             lows.setdefault(v - u, []).append(u)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         shifts, rest = [], []
         degree = [0] * g.vertex_count        # counts the edges left for stars
         for delta, us in sorted(lows.items()):
@@ -224,6 +230,8 @@ class _NeighbourhoodPlan:
             stars[hub] = stars.get(hub, 0) | 1 << leaf
         self.shifts = tuple(shifts)
         self.stars = tuple((1 << hub, leaves) for hub, leaves in sorted(stars.items()))
+        self.rows = tuple(rows)
+        self._row_limit = len(self.shifts) + len(self.stars)
         self._count = None
 
     def mask(self, s) -> int:
@@ -239,7 +247,21 @@ class _NeighbourhoodPlan:
         return m
 
     def expand(self, m: int) -> int:
-        """Mask of the vertices with a neighbour in ``m``."""
+        """Mask of the vertices with a neighbour in ``m``: the rows of
+        ``m``'s vertices when it has no more of them than the plan has
+        shifts and stars, else the shift/star pass."""
+        if m.bit_count() > self._row_limit:
+            return self._expand_by_shifts(m)
+        rows = self.rows
+        out = 0
+        while m:
+            low = m & -m
+            out |= rows[low.bit_length() - 1]
+            m ^= low
+        return out
+
+    def _expand_by_shifts(self, m: int) -> int:
+        """``expand`` by one pass over the shifts and stars."""
         out = 0
         for delta, low in self.shifts:
             out |= ((m & low) << delta) | ((m >> delta) & low)

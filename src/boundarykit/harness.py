@@ -60,7 +60,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .boundary import (_failing_observers, full_report, outer_visible_boundary,
+from .boundary import (_failing_observers, _outer_visible_mask, full_report,
                        report_to_json)
 from .cyclespace import (CycleGen, EdgeVector, _is_clique,
                          crossing_cycle_witness, fundamental_basis,
@@ -115,7 +115,7 @@ def _connected_masks(g: Graph, max_size: int, allowed: int) -> Iterator[int]:
     subset of ``max_size - 1`` vertices are leaves, so they are yielded
     inline, in extension-list order, which is the order the stack would
     pop them in; they get no stack frame."""
-    nbrs = [sum(1 << w for w in ws) for ws in g.adjacency]
+    nbrs = _neighbourhood_plan(g).rows
     rest = allowed
     while rest:
         low = rest & -rest
@@ -754,17 +754,18 @@ def _sample_crossing_instance(g: Graph, rng: random.Random, max_size: int,
         if not eligible:
             continue
         x = _kth_outside(blocked, rng.randrange(eligible))
-        c = _members(cm)
-        s = outer_visible_boundary(g, g, c, x)
-        if len(s) < 2:
+        boundary = blocked ^ cm
+        visible = boundary & plan.flood(1 << x, plan.full ^ cm)
+        sm = _outer_visible_mask(plan, cm, x, visible)
+        if sm.bit_count() < 2:
             continue
-        members = sorted(s)
+        members = _bit_ids(sm)
         rng.shuffle(members)
         cut = rng.randrange(1, len(members))
         s1, s2 = frozenset(members[:cut]), frozenset(members[cut:])
-        ys = sorted(c)
+        ys = _bit_ids(cm)
         y = ys[rng.randrange(len(ys))]
-        return c, x, y, s, s1, s2
+        return _members(cm), x, y, _members(sm), s1, s2
     return None
 
 

@@ -436,8 +436,32 @@ def test_full_report_matches_oracles_beyond_one_word(setting):
     graph for _, pair, _ in apexed_box_pairs() for graph in (pair.g, pair.g_plus)
 ] + [Graph(1, []), Graph(5, [])], ids=lambda g: f"V{g.vertex_count}E{g.edge_count}")
 def test_outer_boundary_of_a_vertex_is_its_neighbourhood(g):
-    """Exact per-edge coverage of the neighbourhood plan: a shift mask that
-    wraps across a box row, or an edge missing from every hub star, shows
-    up as a singleton whose outer boundary differs from its adjacency."""
+    """Exact per-edge coverage of the public operator: every singleton's
+    outer boundary is its adjacency.  Singletons take the row pass of the
+    neighbourhood plan; the next test covers the shift/star pass."""
     for v in range(g.vertex_count):
         assert outer_boundary(g, frozenset({v})) == frozenset(g.adjacency[v])
+
+
+@pytest.mark.parametrize("g", oracle_corpus() + [
+    graph for _, pair, _ in apexed_box_pairs() for graph in (pair.g, pair.g_plus)
+], ids=lambda g: f"V{g.vertex_count}E{g.edge_count}")
+def test_both_expand_passes_give_the_adjacency_union(g):
+    """``expand`` ORs neighbour rows for masks of at most one vertex per
+    shift and star, so singletons never reach the shift/star pass there.
+    Both passes are checked against the union of the members' adjacency:
+    on every singleton, where a wrapping shift mask or an edge missing
+    from every star shows, and on seeded masks whose sizes straddle the
+    row-pass limit."""
+    plan = _neighbourhood_plan(g)
+    limit = len(plan.shifts) + len(plan.stars)
+    rng = random.Random(g.vertex_count)
+    masks = [1 << v for v in range(g.vertex_count)]
+    for _ in range(40):
+        size = rng.randint(max(1, limit - 2), min(g.vertex_count, limit + 3))
+        masks.append(sum(1 << v for v in rng.sample(range(g.vertex_count), size)))
+    assert any(m.bit_count() > limit for m in masks)
+    for m in masks:
+        want = sum(1 << w for w in {w for v in range(g.vertex_count) if m >> v & 1
+                                    for w in g.adjacency[v]})
+        assert plan.expand(m) == plan._expand_by_shifts(m) == want, bin(m)

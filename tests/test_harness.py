@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1010,6 +1011,23 @@ def test_a_failing_apex_campaign_hands_over_to_the_per_instance_loop(
     assert (rep.trials_run, len(rep.failures)) == (failing, failing)
     assert len(calls) == 1 + shapes
     assert calls[0].bit_count() == 1
+
+
+def test_a_failing_3d_apex_control_is_pinned():
+    """A 3-D negative control: dp on z3:6 probed in the plain box fails
+    every one of its 2,908 placements, with 6 to 9 probe components
+    each.  The digest pins each record's probe witness, the two smallest
+    vertices of the two components with the smallest members, whichever
+    ``expand`` pass the component floods take."""
+    cfg = TrialConfig(theorem="dp", box=BoxSpec(3, 6, "plain"), max_size=4, probe="plain")
+    rep = run_verification(cfg, skip_hypotheses=True)
+    assert (rep.trials_run, len(rep.failures)) == (2908, 2908)
+    counts = Counter(failure["report"]["components"] for failure in rep.failures)
+    assert counts == {6: 460, 7: 1656, 8: 576, 9: 216}
+    blob = json.dumps(rep.to_json(include_elapsed=False), sort_keys=True,
+                      separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "58303d68ba5b1eea7f11ba96476b8056ce4c50b3a861352f279fd1ceda99a60f")
 
 
 @pytest.mark.parametrize("cfg, count, digest", [
