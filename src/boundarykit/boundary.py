@@ -36,15 +36,26 @@ and the probe components come from the plan's ``components``, which peels
 them off from the lowest remaining bit, so they come ordered by smallest
 member.  A campaign needs only verdicts, and the visible boundary depends
 on the observer only through the observer's component of the traversal
-graph minus C.  So its one verdict kernel, ``_failing_observers``,
-takes a subset's observers as a mask, computes the boundary once,
-floods each component that holds an observer once and judges the
-boundary inside it: no outer-visible flood, no frozensets and no
-report.  The campaign builds a full report only for an observer that
-fails.  The kernel's judges are the definition-level oracles of
+graph minus C.  So its verdict kernel, ``_failing_observers``, takes a
+subset's observers as a mask, computes the boundary once, floods each
+component that holds an observer once and judges the boundary inside
+it: no outer-visible flood, no frozensets and no report.  The campaign
+builds a full report only for an observer that fails.
+
+An exhaustive apex campaign judges its shapes, interior subsets that
+only the apex observes, in batches through ``_failing_batch``: each
+shape is one copy of the box in one int, on ``tiled`` plans of the box's
+roles without the apex, so each flood level advances every copy's flood
+at once.  That is the bit-parallel traversal of Then et al. (*The More
+the Merrier: Efficient Multi-Source Graph Traversal*, PVLDB 8(4), 2014),
+with disjoint copies of one graph in place of many sources in it.
+``harness._shape_key`` says why a copy's verdict is the kernel's apex
+verdict.  The kernel's judges are the definition-level oracles of
 ``tests/oracles.py`` (boundary scans, DFS path searches, union-find
-components), compared in ``tests/test_boundary.py`` on graphs
-up to and beyond 64 vertices, where masks span several machine words.
+components), compared in ``tests/test_boundary.py`` on graphs up to and
+beyond 64 vertices, where masks span several machine words; the batch
+judge's is the kernel itself, on every shape of five campaigns and on
+drawn masks.
 """
 
 from __future__ import annotations
@@ -137,6 +148,33 @@ def _failing_observers(trav, adj, probe, cm: int, observers: int) -> int:
             failing |= comp & observers
         observers &= ~comp
     return failing
+
+
+def _failing_batch(trav, adj, probe, surface: int, width: int, shapes) -> int:
+    """The apex verdicts of a batch of interior ``shapes`` (masks on a
+    box of ``width`` vertices, each at L∞ distance ≥ 2 from the box's
+    complement), judged at once on ``tiled`` plans of the box's roles
+    without the apex: shape ``i`` is copy ``i``, at bits ``i·width`` and
+    up.  ``surface`` is the box surface, the apex's neighbourhood.  In
+    every copy S is the adjacency boundary inside the traversal flood
+    from the surface, and S is flooded in the probe graph from its
+    lowest vertex.  Returns the S vertices those floods miss, so copy
+    ``i`` fails exactly when the result has a bit in it, as
+    ``_failing_observers(…, 1 << apex)`` does for its shape on the
+    apexed graphs; ``harness._shape_key`` says why."""
+    c = bits = 0
+    for cm in shapes:
+        c |= cm << bits
+        bits += width
+    full = (1 << bits) - 1
+    ones = full // ((1 << width) - 1)       # bit 0 of every copy
+    s = adj.expand(c) & trav.flood(surface * ones, full ^ c)
+    # a nonempty copy's lowest bit; an empty copy borrows from the next one
+    # up, so the batch holds fewer bits than shapes
+    seeds = s & ~(s - ones)
+    if seeds.bit_count() != len(shapes):
+        raise RuntimeError("a shape of the batch has an empty visible boundary")
+    return s & ~probe.flood(seeds, s)
 
 
 def _report(boundary: int, visible: int, outer_visible: int, count: int,

@@ -18,6 +18,10 @@ mask one BFS level per step and stops once the allowed mask is filled,
 and ``components`` peels a mask into its components.  The component, connectivity,
 cutset and shortest-path queries here, every boundary operator and the
 crossing witness share that one engine; no query keeps a vertex queue.
+A plan with no stars, such as a lattice box's, also has a ``tiled`` view:
+``k`` disjoint copies of the graph in one int, so that one flood floods
+every copy at once.  The boundary layer judges batches of apex-only
+subsets on it.
 """
 
 from __future__ import annotations
@@ -200,7 +204,10 @@ class _NeighbourhoodPlan:
     ``expand`` ORs the rows of a mask with at most as many vertices as
     the plan has shifts and stars, and otherwise runs the shift/star pass,
     whose cost does not grow with the mask.  Both passes are exact for
-    every graph; there is no lattice-only path.
+    every graph; there is no lattice-only path.  ``tiled(k)`` is a view of
+    ``k`` disjoint copies of a plan without stars: the same shifts, each
+    ``low`` repeated in every copy, and no rows, so every mask takes the
+    shift pass and one pass expands every copy.
     """
 
     __slots__ = ("vertex_count", "full", "shifts", "stars", "rows", "_row_limit", "_count")
@@ -259,6 +266,27 @@ class _NeighbourhoodPlan:
             out |= rows[low.bit_length() - 1]
             m ^= low
         return out
+
+    def tiled(self, k: int) -> "_NeighbourhoodPlan":
+        """``k`` disjoint copies of this plan, copy ``i`` on ids
+        ``i·n … i·n + n − 1`` for ``n = vertex_count``.  One multiplication
+        repeats each shift's ``low`` mask in every copy; a shift joins
+        ``u`` to ``u + δ`` only for ``u`` in ``low``, where both lie in one
+        copy, so no shift crosses a seam.  A star is one hub, not a
+        pattern, so a plan with stars refuses to tile.  The view has no
+        rows: every mask takes the shift pass."""
+        if self.stars:
+            raise ValueError(f"a plan with {len(self.stars)} stars cannot tile")
+        n = self.vertex_count
+        ones = ((1 << k * n) - 1) // ((1 << n) - 1) if n else 0    # bit 0 of each copy
+        tile = object.__new__(_NeighbourhoodPlan)
+        tile.vertex_count = k * n
+        tile.full = self.full * ones
+        tile.shifts = tuple((delta, low * ones) for delta, low in self.shifts)
+        tile.stars = tile.rows = ()
+        tile._row_limit = -1
+        tile._count = None
+        return tile
 
     def _expand_by_shifts(self, m: int) -> int:
         """``expand`` by one pass over the shifts and stars."""

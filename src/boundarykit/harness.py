@@ -36,11 +36,13 @@ observer gets a full ``BoundaryReport``, for its failure record.
 An instance whose only observer is the apex is judged once per
 translation class: with margin ≥ 2 its verdict is the verdict in ℤ^d,
 which translation does not change.  An exhaustive campaign judges the
-shapes of ``_apex_shapes`` once each and counts their translates (z2:9,
-size ≤ 8: 3,790 kernel calls for 61,167 trials).  Once a shape fails, it
-runs the per-instance loop instead, as every other campaign does, whose
-memo judges each unseen ``_shape_key`` once and records every failing
-subset.
+shapes of ``_apex_shapes`` once each and counts their translates.  It
+judges them in bit-parallel batches, one shape per copy of a tiled
+neighbourhood plan of the box without the apex, ``_TILE_BITS`` box bits
+per batch (``boundary._failing_batch``; z2:9, size ≤ 8: 3,790 shapes in
+10 batches for 61,167 trials).  Once a batch fails, the campaign runs
+the per-instance loop instead, as every other campaign does, whose memo
+judges each unseen ``_shape_key`` once and records every failing subset.
 Campaign subsets are int masks from enumeration (``_connected_masks``) or
 sampling (``_grow``) to verdict; frozensets appear only in the public views
 of those two and in failure records.
@@ -58,10 +60,11 @@ import random
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .boundary import (_failing_observers, _outer_visible_mask, full_report,
-                       report_to_json)
+from .boundary import (_failing_batch, _failing_observers, _outer_visible_mask,
+                       full_report, report_to_json)
 from .cyclespace import (CycleGen, EdgeVector, _is_clique,
                          crossing_cycle_witness, fundamental_basis,
                          is_generating)
@@ -80,6 +83,10 @@ X_POLICIES = ("apex", "all-outside", "fixed")
 # desk-scale: either few candidate vertices or small subsets.
 EXHAUSTIVE_VERTEX_BUDGET = 25
 EXHAUSTIVE_SIZE_BUDGET = 9
+
+# An exhaustive apex campaign judges its shapes in batches of this many
+# box bits, one shape per box-sized copy (``boundary._failing_batch``).
+_TILE_BITS = 1 << 15
 
 
 def enumerate_connected_subsets(g: Graph, max_size: int,
@@ -319,6 +326,7 @@ class _BoxSetting:
     box: Graph                          # the plain box
     apex: int                           # apex id in the role graphs
     roles: Tuple[Graph, Graph, Graph]   # traversal, adjacency, probe; apexed
+    box_roles: Tuple[Graph, Graph, Graph]   # the same roles without the apex
     connect_host: Graph
     premises_hold: bool
     detail: dict                        # premise-report fields
@@ -338,7 +346,8 @@ def _box_setting(theorem: str, box: BoxSpec, augmentation: str) -> _BoxSetting:
         premises_hold = check_dp_hypotheses(pair, gen)
     apexed = with_apex(pair)
     roles = tuple(getattr(apexed, name) for name in row.roles)
-    return _BoxSetting(pair.g, pair.g.vertex_count, roles,
+    box_roles = tuple(getattr(pair, name) for name in row.roles)
+    return _BoxSetting(pair.g, pair.g.vertex_count, roles, box_roles,
                        getattr(pair, row.connect_in), premises_hold, detail)
 
 
@@ -562,6 +571,21 @@ def _shape_key(cm: int) -> int:
       than n give one number only when they agree, so the offset cannot
       wrap a row: every edge keeps its coordinate move, and along the
       connected subset every member shifts by the same vector.
+
+    Why ``boundary._failing_batch`` may judge an interior subset C on the
+    box without the apex, and so on a tiled plan:
+
+    * The apex's neighbours are exactly the box surface, and C (margin
+      ≥ 2) misses the surface.  So the apex's component of the traversal
+      graph minus C is the apex plus the flood from the surface inside
+      the box minus C.
+    * The apex lies in no boundary of C: its only neighbours are surface
+      vertices, none in C.  So the visible boundary S is the adjacency
+      boundary of C inside that surface flood, with or without the apex.
+    * The probe components of S are those of the subgraph induced on S,
+      which the apex is not in, so its edges never join two of them.
+      ``_failing_observers(…, 1 << apex)`` fails C exactly when one flood
+      from a vertex of S inside S misses part of S.
     """
     return cm >> ((cm & -cm).bit_length() - 1)
 
@@ -625,13 +649,19 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
     apex_only = 1 << setting.apex
     placements = None
     if cfg.mode == "exhaustive" and cfg.x_policy == "apex" and fixed_c is None:
+        width = setting.apex                    # box vertices, the apex's id
+        copies = max(1, _TILE_BITS // width)
+        tiles = [_neighbourhood_plan(g).tiled(copies) for g in setting.box_roles]
+        surface = trav.rows[setting.apex]       # the apex's neighbours
+        shapes = _apex_shapes(cfg, augmentation)
         placements = failing = 0
-        for cm, count in _apex_shapes(cfg, augmentation):
-            placements += count
-            failing = failing or _failing_observers(trav, adj, probe, cm, apex_only)
+        while batch := list(islice(shapes, copies)):
+            placements += sum(count for _, count in batch)
+            failing = failing or _failing_batch(*tiles, surface, width,
+                                                [cm for cm, _ in batch])
         if not failing:
             return placements, []
-        # a shape fails: the loop below lists every subset for its records
+        # a batch fails: the loop below lists every subset for its records
     trials_run = 0
     failures: List[dict] = []
     verdicts: Dict[int, int] = {}   # shape key -> failing mask, apex-only trials

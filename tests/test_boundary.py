@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boundarykit import (BoundaryReport, BoxSpec, Graph, GraphPair, InputError,
-                         build_box, build_box_pair, component_of, full_report,
+                         TrialConfig, build_box, build_box_pair, component_of, full_report,
                          inner_boundary_variants, margin_interior, outer_boundary,
                          outer_visible_boundary, random_connected_graph,
                          report_to_json, sample_connected_subset,
                          visible_boundary, with_apex)
 
-from boundarykit.boundary import _failing_observers
+from boundarykit import harness
+from boundarykit.boundary import _failing_batch, _failing_observers
 from boundarykit.graphs import _neighbourhood_plan
 
 from oracles import (boundary_by_scan, flood_components, outer_visible_by_paths,
@@ -465,3 +466,150 @@ def test_both_expand_passes_give_the_adjacency_union(g):
         want = sum(1 << w for w in {w for v in range(g.vertex_count) if m >> v & 1
                                     for w in g.adjacency[v]})
         assert plan.expand(m) == plan._expand_by_shifts(m) == want, bin(m)
+
+
+# --- tiled plans and the batch judge --------------------------------------------
+
+@pytest.mark.parametrize("spec", [BoxSpec(d, side, flavor) for d in (2, 3, 4)
+                                  for side in (3, 4, 5) for flavor in ("plain", "plus", "star")],
+                         ids=str)
+def test_a_tiled_plan_expands_each_copy_on_its_own(spec):
+    """``tiled(k)`` holds ``k`` disjoint copies of the plan: its ``expand``
+    is the OR, over copies, of the plan's ``expand`` on that copy's slice.
+    Singletons at each copy's first and last id and seeded masks spanning
+    every copy would show a shift that leaks across a copy seam."""
+    plan = _neighbourhood_plan(build_box(spec))
+    n, k = plan.vertex_count, 3
+    tile = plan.tiled(k)
+    assert tile.vertex_count == k * n
+    assert tile.full == (1 << k * n) - 1
+    rng = random.Random(str(spec))
+    masks = [1 << i * n + v for i in range(k) for v in (0, n - 1)]
+    masks += [rng.getrandbits(k * n) & rng.getrandbits(k * n) for _ in range(12)]
+    for m in masks:
+        want = 0
+        for i in range(k):
+            want |= plan.expand(m >> i * n & plan.full) << i * n
+        assert tile.expand(m) == want, bin(m)
+
+
+def test_a_plan_with_stars_refuses_to_tile():
+    """The apex is a star hub, not a repeated shift: an apexed box must
+    not tile at all rather than tile wrongly."""
+    for spec, aug in ((BoxSpec(2, 5, "plain"), "plus"), (BoxSpec(3, 4, "plain"), "star")):
+        apexed = with_apex(build_box_pair(spec, aug))
+        for g in (apexed.g, apexed.g_plus):
+            assert _neighbourhood_plan(g).stars
+            with pytest.raises(ValueError, match="stars"):
+                _neighbourhood_plan(g).tiled(2)
+
+
+class BatchJudge:
+    """A dp/k campaign's apexed role plans, for ``_failing_observers``, and
+    its tiled plans without the apex, for ``_failing_batch``."""
+
+    def __init__(self, cfg, copies):
+        self.augmentation = harness._augmentation(cfg.theorem, cfg.box, cfg.probe,
+                                                  cfg.g_prime)
+        setting = harness._box_setting(cfg.theorem, cfg.box, self.augmentation)
+        self.plans = [_neighbourhood_plan(g) for g in setting.roles]
+        self.tiles = [_neighbourhood_plan(g).tiled(copies) for g in setting.box_roles]
+        self.apex = self.width = setting.apex
+        self.surface = self.plans[0].rows[self.apex]
+        self.interior = sorted(margin_interior(setting.box, cfg.margin))
+        self.connect_host = setting.connect_host
+
+    def kernel(self, cm):
+        """Whether ``_failing_observers`` fails the apex for ``cm``."""
+        return bool(_failing_observers(*self.plans, cm, 1 << self.apex))
+
+    def batch(self, shapes):
+        """Per shape, whether ``_failing_batch`` fails its copy."""
+        missed = _failing_batch(*self.tiles, self.surface, self.width, shapes)
+        box = (1 << self.width) - 1
+        assert not missed >> len(shapes) * self.width, "a miss beyond the batch"
+        return [bool(missed >> i * self.width & box) for i in range(len(shapes))]
+
+
+@pytest.mark.parametrize("cfg, failing", [
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 9, "plain"), max_size=6), 0),
+    (TrialConfig(theorem="k", box=BoxSpec(3, 6, "plain"), max_size=3), 0),
+    (TrialConfig(theorem="dp", box=BoxSpec(4, 5, "plain"), max_size=3), 0),
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 6, "plain"), max_size=5, probe="plain"), 89),
+    (TrialConfig(theorem="k", box=BoxSpec(2, 6, "plain"), max_size=4, g_prime="plain"), 28),
+], ids=["dp-z2:9/6", "k-z3:6/3", "dp-z4:5/3", "dp-449-control", "k-205-control"])
+def test_the_batch_judge_fails_the_shapes_the_kernel_fails(cfg, failing):
+    """On every shape of a campaign, judged in batches of 10 (so the last
+    batch is short) and in one batch, the batch judge fails exactly the
+    shapes whose apex ``_failing_observers`` fails."""
+    judge = BatchJudge(cfg, 10)
+    shapes = [cm for cm, _ in harness._apex_shapes(cfg, judge.augmentation)]
+    want = [judge.kernel(cm) for cm in shapes]
+    assert sum(want) == failing
+    assert len(shapes) % 10
+    got = [v for i in range(0, len(shapes), 10) for v in judge.batch(shapes[i:i + 10])]
+    assert got == want
+    assert BatchJudge(cfg, len(shapes)).batch(shapes) == want
+
+
+# Batch judges of 12 copies for drawn interior masks: dp probed in
+# ``plus`` and in the plain box (a control that fails every mask), k on a
+# star adjacency, in 2-D and 3-D, and at margin 3.
+DRAWN_MASK_JUDGES = [BatchJudge(cfg, 12) for cfg in (
+    TrialConfig(theorem="dp", box=BoxSpec(2, 8, "plain")),
+    TrialConfig(theorem="dp", box=BoxSpec(2, 8, "plain"), probe="plain"),
+    TrialConfig(theorem="k", box=BoxSpec(2, 8, "plain")),
+    TrialConfig(theorem="dp", box=BoxSpec(3, 6, "plain")),
+    TrialConfig(theorem="k", box=BoxSpec(3, 7, "plain"), margin=3),
+    TrialConfig(theorem="dp", box=BoxSpec(2, 9, "plain"), margin=3),
+)]
+
+
+def interior_masks(judge):
+    """Hypothesis strategy: nonempty masks inside a judge's margin
+    interior, connected in the campaign's host or any subset at all."""
+    grown = st.builds(lambda size, seed: sum(1 << v for v in sample_connected_subset(
+        judge.connect_host, size, seed, allowed=frozenset(judge.interior))),
+        st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10_000))
+    loose = st.sets(st.sampled_from(judge.interior), min_size=1, max_size=6).map(
+        lambda vs: sum(1 << v for v in vs))
+    return st.one_of(grown, loose)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_the_batch_judge_fails_the_drawn_masks_the_kernel_fails(data):
+    """Connected and disconnected interior masks, so that verdicts mix,
+    in batches of 1 to 12 on a tile of 12 copies, so that short batches
+    leave copies unused."""
+    judge = data.draw(st.sampled_from(DRAWN_MASK_JUDGES), label="judge")
+    shapes = data.draw(st.lists(interior_masks(judge), min_size=1, max_size=12),
+                       label="shapes")
+    assert judge.batch(shapes) == [judge.kernel(cm) for cm in shapes]
+
+
+def test_a_failing_copy_is_found_wherever_it_sits():
+    """One failing mask among passing ones, first, in the middle, last and
+    in a short last batch: exactly its copy fails."""
+    judge = DRAWN_MASK_JUDGES[0]                    # dp, z2:8, probed in plus
+    g = build_box(BoxSpec(2, 8, "plain"))
+    cell = lambda *coords: sum(1 << g.id_of_label(c) for c in coords)
+    apart = cell((3, 3), (6, 6))                    # two far cells: two rings
+    passing = [cell((3, 3)), cell((4, 5), (5, 5)), cell((4, 4), (4, 5), (5, 4)),
+               cell((6, 3))]
+    assert judge.kernel(apart) and not any(judge.kernel(cm) for cm in passing)
+    for at in (0, len(passing) // 2, len(passing)):
+        shapes = passing[:at] + [apart] + passing[at:]
+        assert judge.batch(shapes) == [cm == apart for cm in shapes]
+    assert judge.batch([passing[0], apart]) == [False, True]
+    assert judge.batch([apart]) == [True]
+
+
+def test_a_copy_with_an_empty_visible_boundary_is_an_error():
+    """An empty mask has no boundary at all; the judge must refuse its
+    batch wherever the copy sits, never read it as a pass."""
+    judge = DRAWN_MASK_JUDGES[0]
+    ok = 1 << judge.interior[0]
+    for shapes in ([0], [0, ok, ok], [ok, 0, ok], [ok, ok, 0], [ok, 0]):
+        with pytest.raises(RuntimeError, match="empty visible boundary"):
+            judge.batch(shapes)

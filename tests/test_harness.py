@@ -962,8 +962,14 @@ def test_apex_campaigns_by_shape_match_the_per_observer_loop(cfg, trials, failin
 
 def test_only_the_translates_of_failing_shapes_get_records(monkeypatch):
     """With a verdict that fails the shapes of odd size only, the failure
-    records are exactly the odd subsets, by their index in the listing."""
+    records are exactly the odd subsets, by their index in the listing.
+    The fake verdict reaches the shape pass through the batch judge,
+    which fails a batch holding an odd shape, and the per-instance loop
+    through ``_failing_observers``."""
     import boundarykit.harness as harness
+    monkeypatch.setattr(harness, "_failing_batch",
+                        lambda trav, adj, probe, surface, width, shapes:
+                        int(any(cm.bit_count() % 2 for cm in shapes)))
     monkeypatch.setattr(harness, "_failing_observers",
                         lambda trav, adj, probe, cm, observers: observers * (cm.bit_count() % 2))
     cfg = TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), max_size=4)
@@ -993,24 +999,31 @@ def test_a_placement_count_the_listing_disagrees_with_is_an_error(monkeypatch):
 ], ids=["dp-z2", "k-z2"])
 def test_a_failing_apex_campaign_hands_over_to_the_per_instance_loop(
         monkeypatch, cfg, shapes, failing):
-    """The shape pass stops judging at its first failing shape, here the
-    single cell; the per-instance loop then judges each translation class
-    once through its shape-key memo: one kernel call more than there are
-    shapes, not one per subset."""
+    """The shape pass judges its shapes in batches and stops at its first
+    failing batch, here the first, which holds every shape; the
+    per-instance loop then judges each translation class once through its
+    shape-key memo: one batch-judge call, then one kernel call per shape,
+    not one per subset."""
     import boundarykit.harness as harness
     augmentation = cfg.probe or cfg.g_prime
     assert sum(1 for _ in harness._apex_shapes(cfg, augmentation)) == shapes
-    kernel, calls = harness._failing_observers, []
+    judge, kernel, batches, calls = harness._failing_batch, harness._failing_observers, [], []
+
+    def counting_judge(*args):
+        batches.append(args[5])
+        return judge(*args)
 
     def counting(*args):
         calls.append(args[3])
         return kernel(*args)
 
+    monkeypatch.setattr(harness, "_failing_batch", counting_judge)
     monkeypatch.setattr(harness, "_failing_observers", counting)
     rep = run_verification(cfg, skip_hypotheses=True)
     assert (rep.trials_run, len(rep.failures)) == (failing, failing)
-    assert len(calls) == 1 + shapes
-    assert calls[0].bit_count() == 1
+    assert [len(batch) for batch in batches] == [shapes]
+    assert batches[0][0].bit_count() == 1
+    assert len(calls) == shapes
 
 
 def test_a_failing_3d_apex_control_is_pinned():
