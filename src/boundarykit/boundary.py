@@ -34,28 +34,34 @@ whole box.  A report is
 
 and the probe components come from the plan's ``components``, which peels
 them off from the lowest remaining bit, so they come ordered by smallest
-member.  A campaign needs only verdicts, and the visible boundary depends
-on the observer only through the observer's component of the traversal
-graph minus C.  So its verdict kernel, ``_failing_observers``, takes a
-subset's observers as a mask, computes the boundary once, floods each
-component that holds an observer once and judges the boundary inside
-it: no outer-visible flood, no frozensets and no report.  The campaign
-builds a full report only for an observer that fails.
+member.  A campaign needs only verdicts, and S, the visible boundary, is
+connected exactly when one probe flood from its lowest vertex covers it.
+Two verdict functions run that test, with no outer-visible flood, no
+frozensets and no report; the campaign builds a full report only for an
+observer that fails.
 
-An exhaustive apex campaign judges its shapes, interior subsets that
-only the apex observes, in batches through ``_failing_batch``: each
-shape is one copy of the box in one int, on ``tiled`` plans of the box's
-roles without the apex, so each flood level advances every copy's flood
-at once.  That is the bit-parallel traversal of Then et al. (*The More
-the Merrier: Efficient Multi-Source Graph Traversal*, PVLDB 8(4), 2014),
-with disjoint copies of one graph in place of many sources in it.
-``harness._shape_key`` says why a copy's verdict is the kernel's apex
-verdict.  The kernel's judges are the definition-level oracles of
-``tests/oracles.py`` (boundary scans, DFS path searches, union-find
-components), compared in ``tests/test_boundary.py`` on graphs up to and
-beyond 64 vertices, where masks span several machine words; the batch
-judge's is the kernel itself, on every shape of five campaigns and on
-drawn masks.
+* ``_failing_batch`` decides every instance whose one observer is the
+  apex.  Each shape, an interior subset, is one copy of the box in one
+  int, on plans of the box's roles without the apex: ``tiled`` plans for
+  the batches of an exhaustive campaign's shape pass, so each flood level
+  advances every copy's flood at once, and the box's own plans for a
+  batch of one.  That is the bit-parallel traversal of Then et al. (*The
+  More the Merrier: Efficient Multi-Source Graph Traversal*, PVLDB 8(4),
+  2014), with disjoint copies of one graph in place of many sources in
+  it.  ``harness._shape_key`` says why a copy's verdict is the apex
+  verdict.
+* ``_failing_observers`` takes the observer masks that hold a box vertex
+  (``fixed``, ``all-outside``).  The visible boundary depends on the
+  observer only through the observer's component of the traversal graph
+  minus C, so it computes the boundary once and floods and judges each
+  component that holds an observer once.
+
+The operators' and ``_failing_observers``' judges are the definition-level
+oracles of ``tests/oracles.py`` (boundary scans, DFS path searches,
+union-find components), compared in ``tests/test_boundary.py`` on graphs
+up to and beyond 64 vertices, where masks span several machine words;
+``_failing_observers`` on the apex is the batch judge's, on every shape
+of five campaigns, in batches and one by one, and on drawn masks.
 """
 
 from __future__ import annotations
@@ -138,43 +144,48 @@ def _failing_observers(trav, adj, probe, cm: int, observers: int) -> int:
     visible boundary of ``cm`` is disconnected in the probe graph.  That
     boundary depends on the observer only through its component of the
     traversal graph minus ``cm``, so each component holding an observer
-    is flooded and judged once."""
+    is flooded once, and its boundary S is judged by one probe flood
+    from S's lowest vertex, as ``_failing_batch`` judges a copy.
+    Campaigns call it on observer masks that hold a box vertex; on the
+    apex alone it is the tests' oracle for ``_failing_batch``."""
     boundary = adj.expand(cm) & ~cm
     outside = trav.full ^ cm
     failing = 0
     while observers:
         comp = trav.flood(observers & -observers, outside)
-        if len(probe.components(boundary & comp)) > 1:
+        if (s := boundary & comp) & ~probe.flood(s & -s, s):
             failing |= comp & observers
         observers &= ~comp
     return failing
 
 
-def _failing_batch(trav, adj, probe, surface: int, width: int, shapes) -> int:
-    """The apex verdicts of a batch of interior ``shapes`` (masks on a
-    box of ``width`` vertices, each at L∞ distance ≥ 2 from the box's
-    complement), judged at once on ``tiled`` plans of the box's roles
-    without the apex: shape ``i`` is copy ``i``, at bits ``i·width`` and
-    up.  ``surface`` is the box surface, the apex's neighbourhood.  In
-    every copy S is the adjacency boundary inside the traversal flood
-    from the surface, and S is flooded in the probe graph from its
-    lowest vertex.  Returns the S vertices those floods miss, so copy
-    ``i`` fails exactly when the result has a bit in it, as
-    ``_failing_observers(…, 1 << apex)`` does for its shape on the
-    apexed graphs; ``harness._shape_key`` says why."""
+def _failing_batch(trav, adj, probe, surface: int, width: int, shapes) -> list:
+    """The ``shapes`` whose apex verdict fails, in batch order.  The shapes
+    are interior masks on a box of ``width`` vertices, each at L∞ distance
+    ≥ 2 from the box's complement, judged at once on plans of the box's
+    roles without the apex: ``tiled`` plans for a batch, shape ``i`` as
+    copy ``i`` at bits ``i·width`` and up, or the box's own plans for a
+    batch of one.  ``surface`` is the box surface, the apex's
+    neighbourhood.  In every copy S is the adjacency boundary inside the
+    traversal flood from the surface, and a copy fails when the probe
+    flood of S from its lowest vertex misses part of S, exactly when
+    ``_failing_observers(…, 1 << apex)`` fails its shape on the apexed
+    graphs; ``harness._shape_key`` says why."""
     c = bits = 0
     for cm in shapes:
         c |= cm << bits
         bits += width
-    full = (1 << bits) - 1
-    ones = full // ((1 << width) - 1)       # bit 0 of every copy
-    s = adj.expand(c) & trav.flood(surface * ones, full ^ c)
+    box = (1 << width) - 1
+    ones = ((1 << bits) - 1) // box         # bit 0 of every copy; 1 for one copy
+    # ``box * ones`` is every copy's whole box
+    s = adj.expand(c) & trav.flood(surface * ones, box * ones ^ c)
     # a nonempty copy's lowest bit; an empty copy borrows from the next one
     # up, so the batch holds fewer bits than shapes
     seeds = s & ~(s - ones)
     if seeds.bit_count() != len(shapes):
         raise RuntimeError("a shape of the batch has an empty visible boundary")
-    return s & ~probe.flood(seeds, s)
+    missed = s & ~probe.flood(seeds, s)
+    return [cm for i, cm in enumerate(shapes) if missed >> i * width & box] if missed else []
 
 
 def _report(boundary: int, visible: int, outer_visible: int, count: int,

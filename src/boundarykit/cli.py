@@ -211,10 +211,7 @@ def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

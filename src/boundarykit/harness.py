@@ -26,23 +26,25 @@ vertex unless the subset holds it, or, under ``all-outside``, every
 vertex outside an enumerated or given subset.  A random ``all-outside``
 trial draws one of those by rank k, the k-th id outside the subset (the
 apex, the largest id, last), found by walking the subset's bits.  Every
-policy then runs the same verdict loop on ``boundary._failing_observers``.
-The visible boundary depends on the observer only through the observer's
-component of the traversal graph minus the subset (it is the exterior
-boundary of Kesten and of Deuschel–Pisztora), so the kernel floods and
-judges each component that holds an observer once.  Each observer counts
-as one trial, in the order apex first, then by id, and only a failing
-observer gets a full ``BoundaryReport``, for its failure record.
-An instance whose only observer is the apex is judged once per
-translation class: with margin ≥ 2 its verdict is the verdict in ℤ^d,
-which translation does not change.  An exhaustive campaign judges the
-shapes of ``_apex_shapes`` once each and counts their translates.  It
-judges them in bit-parallel batches, one shape per copy of a tiled
-neighbourhood plan of the box without the apex, ``_TILE_BITS`` box bits
-per batch (``boundary._failing_batch``; z2:9, size ≤ 8: 3,790 shapes in
-10 batches for 61,167 trials).  Once a batch fails, the campaign runs
-the per-instance loop instead, as every other campaign does, whose memo
-judges each unseen ``_shape_key`` once and records every failing subset.
+policy then runs the same verdict loop.  Each observer counts as one
+trial, in the order apex first, then by id, and only a failing observer
+gets a full ``BoundaryReport``, for its failure record.  An instance
+whose only observer is the apex is judged once per translation class
+(``_shape_key`` says why), always by ``boundary._failing_batch``.  An
+exhaustive campaign judges the shapes of ``_apex_shapes`` once each, in
+bit-parallel batches of one shape per copy of a tiled plan of the box
+without the apex, ``_TILE_BITS`` box bits per batch (z2:9, size ≤ 8:
+3,790 shapes in 10 batches for 61,167 trials), and counts their
+translates.  The failing shapes' keys seed the verdict memo of the
+per-instance loop, which such a campaign runs once a shape fails, as
+every other campaign does; there a key the memo lacks is judged as a
+batch of one on the box's own plans.  Every other observer mask holds a
+box vertex and goes to ``boundary._failing_observers``, which floods and
+judges once each component of the traversal graph minus the subset that
+holds an observer: the visible boundary depends on the observer only
+through that component (it is the exterior boundary of Kesten and of
+Deuschel–Pisztora).
+
 Campaign subsets are int masks from enumeration (``_connected_masks``) or
 sampling (``_grow``) to verdict; frozensets appear only in the public views
 of those two and in failure records.
@@ -550,9 +552,11 @@ def _sampled_instances(cfg: TrialConfig, pool: tuple, full: int) -> Iterator[tup
 def _shape_key(cm: int) -> int:
     """The subset mask ``cm`` shifted down to its lowest id: equal for the
     translates of one shape, so an apex-observer verdict is judged once
-    per key.  Translation keeps id order, so ``_apex_shapes`` grows each key
-    once, from its lowest cell; with axis spans ``span_i`` it fits the
-    interior cube of side ``w`` at ``∏(w − span_i)`` places, its subsets.
+    per key; the shape pass seeds the memo with its failing shapes' keys.
+    Translation keeps id order, so ``_apex_shapes`` grows each key once,
+    from its lowest cell; with axis spans ``span_i`` it fits the interior
+    cube of side ``w`` at ``∏(w − span_i)`` places, its subsets.  What
+    follows justifies every apex-only verdict.
 
     Why one verdict serves every subset with the key:
 
@@ -573,7 +577,7 @@ def _shape_key(cm: int) -> int:
       connected subset every member shifts by the same vector.
 
     Why ``boundary._failing_batch`` may judge an interior subset C on the
-    box without the apex, and so on a tiled plan:
+    box without the apex, on its own plans or as one copy of a tiled one:
 
     * The apex's neighbours are exactly the box surface, and C (margin
       ≥ 2) misses the surface.  So the apex's component of the traversal
@@ -584,8 +588,9 @@ def _shape_key(cm: int) -> int:
       boundary of C inside that surface flood, with or without the apex.
     * The probe components of S are those of the subgraph induced on S,
       which the apex is not in, so its edges never join two of them.
-      ``_failing_observers(…, 1 << apex)`` fails C exactly when one flood
-      from a vertex of S inside S misses part of S.
+      So the apex fails C exactly when one probe flood from a vertex of S
+      inside S misses part of S, the test ``_failing_batch`` runs on each
+      copy; the tests' oracle, ``_failing_observers(…, 1 << apex)``, agrees.
     """
     return cm >> ((cm & -cm).bit_length() - 1)
 
@@ -647,30 +652,33 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
         raise InputError(f"margin {cfg.margin} leaves no room for subsets in {cfg.box}")
     trav, adj, probe = (_neighbourhood_plan(g) for g in setting.roles)
     apex_only = 1 << setting.apex
+    width = setting.apex                        # box vertices, the apex's id
+    surface = trav.rows[setting.apex]           # the apex's neighbours
+    verdicts: Dict[int, int] = {}   # shape key -> failing mask, apex-only trials
     placements = None
     if cfg.mode == "exhaustive" and cfg.x_policy == "apex" and fixed_c is None:
-        width = setting.apex                    # box vertices, the apex's id
         copies = max(1, _TILE_BITS // width)
         tiles = [_neighbourhood_plan(g).tiled(copies) for g in setting.box_roles]
-        surface = trav.rows[setting.apex]       # the apex's neighbours
         shapes = _apex_shapes(cfg, augmentation)
-        placements = failing = 0
+        placements = 0
         while batch := list(islice(shapes, copies)):
             placements += sum(count for _, count in batch)
-            failing = failing or _failing_batch(*tiles, surface, width,
-                                                [cm for cm, _ in batch])
-        if not failing:
+            for cm in _failing_batch(*tiles, surface, width, [cm for cm, _ in batch]):
+                verdicts[_shape_key(cm)] = apex_only
+        if not verdicts:
             return placements, []
-        # a batch fails: the loop below lists every subset for its records
+        # a shape fails: the loop below lists every subset for its records
     trials_run = 0
     failures: List[dict] = []
-    verdicts: Dict[int, int] = {}   # shape key -> failing mask, apex-only trials
     for seed_str, cm, observers in _boundary_instances(cfg, setting, fixed_c):
         if observers == apex_only:
             key = _shape_key(cm)
             failing = verdicts.get(key)
             if failing is None:
-                failing = verdicts[key] = _failing_observers(trav, adj, probe, cm, observers)
+                # a batch of one on the plans without the apex, built on first use
+                box_plans = (_neighbourhood_plan(g) for g in setting.box_roles)
+                failing = verdicts[key] = (
+                    apex_only if _failing_batch(*box_plans, surface, width, [cm]) else 0)
         else:
             failing = _failing_observers(trav, adj, probe, cm, observers)
         if failing:

@@ -506,14 +506,16 @@ def test_a_plan_with_stars_refuses_to_tile():
 
 class BatchJudge:
     """A dp/k campaign's apexed role plans, for ``_failing_observers``, and
-    its tiled plans without the apex, for ``_failing_batch``."""
+    its plans without the apex for ``_failing_batch``: tiled for batches,
+    untiled for the batches of one a campaign's memo misses make."""
 
     def __init__(self, cfg, copies):
         self.augmentation = harness._augmentation(cfg.theorem, cfg.box, cfg.probe,
                                                   cfg.g_prime)
         setting = harness._box_setting(cfg.theorem, cfg.box, self.augmentation)
         self.plans = [_neighbourhood_plan(g) for g in setting.roles]
-        self.tiles = [_neighbourhood_plan(g).tiled(copies) for g in setting.box_roles]
+        self.box_plans = [_neighbourhood_plan(g) for g in setting.box_roles]
+        self.tiles = [plan.tiled(copies) for plan in self.box_plans]
         self.apex = self.width = setting.apex
         self.surface = self.plans[0].rows[self.apex]
         self.interior = sorted(margin_interior(setting.box, cfg.margin))
@@ -524,11 +526,22 @@ class BatchJudge:
         return bool(_failing_observers(*self.plans, cm, 1 << self.apex))
 
     def batch(self, shapes):
-        """Per shape, whether ``_failing_batch`` fails its copy."""
-        missed = _failing_batch(*self.tiles, self.surface, self.width, shapes)
-        box = (1 << self.width) - 1
-        assert not missed >> len(shapes) * self.width, "a miss beyond the batch"
-        return [bool(missed >> i * self.width & box) for i in range(len(shapes))]
+        """Per shape, whether ``_failing_batch`` fails its copy.  The judge
+        hands back the failing shapes in copy order, and equal masks share
+        a verdict, so membership gives each copy's verdict."""
+        failing = _failing_batch(*self.tiles, self.surface, self.width, shapes)
+        failed = set(failing)
+        verdicts = [cm in failed for cm in shapes]
+        assert failing == [cm for cm, fails in zip(shapes, verdicts) if fails]
+        return verdicts
+
+    def single(self, cm):
+        """Whether ``_failing_batch`` fails ``cm`` as a batch of one on the
+        untiled plans, where a copy's repunit is 1 and small masks take
+        the row pass."""
+        failing = _failing_batch(*self.box_plans, self.surface, self.width, [cm])
+        assert failing in ([], [cm])
+        return bool(failing)
 
 
 @pytest.mark.parametrize("cfg, failing", [
@@ -540,8 +553,9 @@ class BatchJudge:
 ], ids=["dp-z2:9/6", "k-z3:6/3", "dp-z4:5/3", "dp-449-control", "k-205-control"])
 def test_the_batch_judge_fails_the_shapes_the_kernel_fails(cfg, failing):
     """On every shape of a campaign, judged in batches of 10 (so the last
-    batch is short) and in one batch, the batch judge fails exactly the
-    shapes whose apex ``_failing_observers`` fails."""
+    batch is short), in one batch and one by one on the untiled plans, the
+    batch judge fails exactly the shapes whose apex ``_failing_observers``
+    fails."""
     judge = BatchJudge(cfg, 10)
     shapes = [cm for cm, _ in harness._apex_shapes(cfg, judge.augmentation)]
     want = [judge.kernel(cm) for cm in shapes]
@@ -550,6 +564,7 @@ def test_the_batch_judge_fails_the_shapes_the_kernel_fails(cfg, failing):
     got = [v for i in range(0, len(shapes), 10) for v in judge.batch(shapes[i:i + 10])]
     assert got == want
     assert BatchJudge(cfg, len(shapes)).batch(shapes) == want
+    assert [judge.single(cm) for cm in shapes] == want
 
 
 # Batch judges of 12 copies for drawn interior masks: dp probed in
@@ -581,16 +596,18 @@ def interior_masks(judge):
 def test_the_batch_judge_fails_the_drawn_masks_the_kernel_fails(data):
     """Connected and disconnected interior masks, so that verdicts mix,
     in batches of 1 to 12 on a tile of 12 copies, so that short batches
-    leave copies unused."""
+    leave copies unused, and one by one on the untiled plans."""
     judge = data.draw(st.sampled_from(DRAWN_MASK_JUDGES), label="judge")
     shapes = data.draw(st.lists(interior_masks(judge), min_size=1, max_size=12),
                        label="shapes")
-    assert judge.batch(shapes) == [judge.kernel(cm) for cm in shapes]
+    want = [judge.kernel(cm) for cm in shapes]
+    assert judge.batch(shapes) == [judge.single(cm) for cm in shapes] == want
 
 
 def test_a_failing_copy_is_found_wherever_it_sits():
     """One failing mask among passing ones, first, in the middle, last and
-    in a short last batch: exactly its copy fails."""
+    in a short last batch: exactly its copy fails, and the judge hands
+    back that mask alone."""
     judge = DRAWN_MASK_JUDGES[0]                    # dp, z2:8, probed in plus
     g = build_box(BoxSpec(2, 8, "plain"))
     cell = lambda *coords: sum(1 << g.id_of_label(c) for c in coords)
@@ -598,9 +615,11 @@ def test_a_failing_copy_is_found_wherever_it_sits():
     passing = [cell((3, 3)), cell((4, 5), (5, 5)), cell((4, 4), (4, 5), (5, 4)),
                cell((6, 3))]
     assert judge.kernel(apart) and not any(judge.kernel(cm) for cm in passing)
+    assert judge.single(apart) and not any(judge.single(cm) for cm in passing)
     for at in (0, len(passing) // 2, len(passing)):
         shapes = passing[:at] + [apart] + passing[at:]
         assert judge.batch(shapes) == [cm == apart for cm in shapes]
+        assert _failing_batch(*judge.tiles, judge.surface, judge.width, shapes) == [apart]
     assert judge.batch([passing[0], apart]) == [False, True]
     assert judge.batch([apart]) == [True]
 
@@ -613,3 +632,5 @@ def test_a_copy_with_an_empty_visible_boundary_is_an_error():
     for shapes in ([0], [0, ok, ok], [ok, 0, ok], [ok, ok, 0], [ok, 0]):
         with pytest.raises(RuntimeError, match="empty visible boundary"):
             judge.batch(shapes)
+    with pytest.raises(RuntimeError, match="empty visible boundary"):
+        judge.single(0)

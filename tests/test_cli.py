@@ -195,6 +195,25 @@ def test_boundary_malformed_pair_file_exits_two(capsys, tmp_path, data):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("source, flags, message", [
+    ("box", ("--gprime", "g"), "--gprime for boxes must be one of"),
+    ("box", ("--probe", "gplus"), "--probe for boxes must be one of"),
+    ("pair", ("--probe", "plain"), "--probe for pair files must be 'g' or 'gplus'"),
+    ("no-g", (), "graph-pair files need a 'g' entry"),
+], ids=["box-gprime-g", "box-probe-gplus", "pair-probe-plain", "pair-file-without-g"])
+def test_boundary_refuses_a_role_its_source_does_not_have(capsys, tmp_path, source,
+                                                          flags, message):
+    """Boxes take flavors and pair files take ``g``/``gplus``; a pair file
+    needs its ``g``.  Each mix-up exits 2 with its message."""
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"h": PATH_G} if source == "no-g" else {"g": PATH_G}))
+    where = (("--box", "z2:5:plain", "--set", "[[3,3]]", "--x", "apex") if source == "box"
+             else ("--pair", str(pair), "--set", "[0]", "--x", "2"))
+    code, out, err = run_cli(capsys, "boundary", *where, *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 BOX_BOUNDARY = ("boundary", "--box", "z2:5:plain")
 BOX_VERIFY = ("verify", "dp", "--box", "z2:5:plain")
 
@@ -279,16 +298,24 @@ def test_verify_refuses_a_margin_without_room(capsys):
     assert "leaves no room" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["dp", "--box", "z2:3:plain", "--x", "[2,2]"],
-    ["dp", "--box", "z2:3:plain", "--margin", "0", "--x", "[2,2]", "--set", "[[2,2]]"],
-    ["k", "--box", "z2:5:plain", "--x", "[3,3]", "--set", "[[3,3],[3,4]]"],
-], ids=["margin-leaves-only-x", "set-is-x", "k-set-holds-x"])
-def test_verify_refuses_a_campaign_with_no_instance(capsys, argv):
-    """Every subset holds the fixed observer: exit 2, not a pass with 0 trials."""
+NO_INSTANCE = "no instance to judge"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dp", "--box", "z2:3:plain", "--x", "[2,2]"], NO_INSTANCE),
+    (["dp", "--box", "z2:3:plain", "--margin", "0", "--x", "[2,2]", "--set", "[[2,2]]"],
+     NO_INSTANCE),
+    (["k", "--box", "z2:5:plain", "--x", "[3,3]", "--set", "[[3,3],[3,4]]"], NO_INSTANCE),
+    (["dp", "--box", "z2:3:plain", "--x", "[2,2]", "--trials", "5"],
+     "could not sample a subset compatible with the observer policy"),
+], ids=["margin-leaves-only-x", "set-is-x", "k-set-holds-x", "random-draws-only-x"])
+def test_verify_refuses_a_campaign_with_no_instance(capsys, argv, message):
+    """Every subset holds the fixed observer: exit 2, not a pass with 0
+    trials.  A random campaign, whose every draw is the observer's vertex,
+    gives up sampling with its own message."""
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2 and out == "" and err.startswith("error:")
-    assert "no instance to judge" in err
+    assert message in err
 
 
 def test_verify_refuses_broken_premises_without_skip(capsys):

@@ -159,6 +159,13 @@ def test_sample_connected_subset_basics():
     assert a == b
     with pytest.raises(InputError, match="grow"):
         sample_connected_subset(g, 37, seed="too-big")
+    # two cells apart cannot grow a connected pair, and a graph needs a vertex
+    apart = frozenset({g.id_of_label((2, 2)), g.id_of_label((4, 4))})
+    with pytest.raises(InputError, match="^the allowed region cannot grow a connected "
+                                         "subset of the requested size$"):
+        sample_connected_subset(g, 2, seed="apart", allowed=apart)
+    with pytest.raises(InputError, match="^need at least one vertex$"):
+        random_connected_graph(0, 3, seed="empty")
 
 
 def test_ten_thousand_samples_in_six_by_six_are_connected():
@@ -389,6 +396,12 @@ def test_trial_config_validation():
         TrialConfig(theorem="k", box=box, probe="plain")
     with pytest.raises(InputError, match="g_prime"):
         TrialConfig(theorem="dp", box=box, g_prime="plain")
+    for fields, message in [({"x_policy": "somewhere"}, "x_policy must be one of"),
+                            ({"max_size": 0}, "max_size must be ≥ 1"),
+                            ({"margin": -1}, "margin must be ≥ 0"),
+                            ({"mode": "random", "trials": 0}, "random mode needs trials ≥ 1")]:
+        with pytest.raises(InputError, match=f"^{message}"):
+            TrialConfig(theorem="dp", box=box, **fields)
     # the apex observes under all-outside too, and it sees the whole surface
     for policy in ({"x_policy": "apex"}, {"x_policy": "all-outside"}):
         for margin in (0, 1):
@@ -656,6 +669,71 @@ def test_lemma_non_minimal_cutset_is_a_witness_error(monkeypatch):
                                        mode="random", trials=1))
     assert [f["kind"] for f in rep.failures] == ["witness-error"]
     assert "not a minimal cutset" in rep.failures[0]["error"]
+
+
+LEMMA_CONTROL = TrialConfig(theorem="lemma", box=BoxSpec(2, 5, "plain"),
+                            mode="random", trials=40, seed=6)
+
+
+def test_a_wrong_lemma_witness_is_a_postcondition_failure(monkeypatch):
+    """Negative control for the lemma judge: a witness that is always the
+    first generator fails the definition-level postconditions on 31 of
+    40 trials, each record naming exactly the postconditions it breaks."""
+    import boundarykit.harness as harness
+    monkeypatch.setattr(harness, "crossing_cycle_witness",
+                        lambda g, gen, s1, s2, x, y: gen.cycles[0])
+    rep = run_verification(LEMMA_CONTROL)
+    assert (rep.trials_run, len(rep.failures)) == (40, 31)
+    assert {f["kind"] for f in rep.failures} == {"postcondition-failure"}
+    assert [f["trial"] for f in rep.failures] == [
+        0, 2, 4, 5, 6, 7, 9, 11, 12, 13, 14, 15, 16, 18, 19, 20, 21, 22, 23, 24,
+        25, 26, 28, 30, 31, 32, 33, 34, 35, 36, 38]
+    first, second = "witness does not touch the first half", "witness does not touch the second half"
+    even, even_two = "crossing count 0 is even", "crossing count 2 is even"
+    assert Counter(tuple(f["problems"]) for f in rep.failures) == {
+        (even,): 1, (first, even): 2, (first, even_two): 4, (first, second, even): 14,
+        (second, even): 10}
+
+
+def test_a_witness_outside_the_generating_set_is_a_postcondition_failure(monkeypatch):
+    """A valid witness plus a generator that shares no vertex with it or
+    with the cutset still touches both halves with an odd crossing count,
+    but is no generator: the membership check alone fails it, on every
+    trial where such a generator exists."""
+    import boundarykit.harness as harness
+    witness = harness.crossing_cycle_witness
+
+    def vertices(o):
+        return {v for edge in o.edges() for v in edge}
+
+    def widened(g, gen, s1, s2, x, y):
+        o = witness(g, gen, s1, s2, x, y)
+        used = vertices(o) | s1 | s2
+        apart = [other for other in gen.cycles if not used & vertices(other)]
+        return o + apart[0] if apart else o
+
+    monkeypatch.setattr(harness, "crossing_cycle_witness", widened)
+    rep = run_verification(LEMMA_CONTROL)
+    assert (rep.trials_run, len(rep.failures)) == (40, 23)
+    assert [f["trial"] for f in rep.failures] == [
+        0, 2, 4, 6, 8, 9, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 29, 30, 32, 33, 34, 36, 38]
+    assert all(f["kind"] == "postcondition-failure"
+               and f["problems"] == ["witness is not a member of the generating set"]
+               for f in rep.failures)
+
+
+def test_a_box_generating_set_that_does_not_span_is_refused(monkeypatch):
+    """The lemma campaign checks its box generators first: a set that does
+    not span is refused, and ``skip_hypotheses`` runs the campaign anyway,
+    with the report of an unpatched run."""
+    import boundarykit.harness as harness
+    want = run_verification(LEMMA_CONTROL).to_json(include_elapsed=False)
+    monkeypatch.setattr(harness, "is_generating", lambda gen, g: False)
+    with pytest.raises(InputError, match="^the box generating set does not span its cycle space$"):
+        run_verification(LEMMA_CONTROL)
+    rep = run_verification(LEMMA_CONTROL, skip_hypotheses=True)
+    assert rep.passed and rep.trials_run == 40
+    assert rep.to_json(include_elapsed=False) == want
 
 
 def test_lemma_campaign_rejects_fixed_subsets():
@@ -963,15 +1041,22 @@ def test_apex_campaigns_by_shape_match_the_per_observer_loop(cfg, trials, failin
 def test_only_the_translates_of_failing_shapes_get_records(monkeypatch):
     """With a verdict that fails the shapes of odd size only, the failure
     records are exactly the odd subsets, by their index in the listing.
-    The fake verdict reaches the shape pass through the batch judge,
-    which fails a batch holding an odd shape, and the per-instance loop
-    through ``_failing_observers``."""
+    The fake verdict is the batch judge's, which hands back the odd shapes
+    of its batch.  The shape pass seeds the memo with their keys, so the
+    per-instance loop judges each even shape once, as a batch of one, and
+    no odd shape again; ``_failing_observers`` is never called."""
     import boundarykit.harness as harness
-    monkeypatch.setattr(harness, "_failing_batch",
-                        lambda trav, adj, probe, surface, width, shapes:
-                        int(any(cm.bit_count() % 2 for cm in shapes)))
-    monkeypatch.setattr(harness, "_failing_observers",
-                        lambda trav, adj, probe, cm, observers: observers * (cm.bit_count() % 2))
+    batches = []
+
+    def judge(trav, adj, probe, surface, width, shapes):
+        batches.append(shapes)
+        return [cm for cm in shapes if cm.bit_count() % 2]
+
+    def kernel(*args):
+        raise AssertionError("an apex-only instance reached _failing_observers")
+
+    monkeypatch.setattr(harness, "_failing_batch", judge)
+    monkeypatch.setattr(harness, "_failing_observers", kernel)
     cfg = TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), max_size=4)
     rep = run_verification(cfg)
     g = build_box(cfg.box)
@@ -979,6 +1064,12 @@ def test_only_the_translates_of_failing_shapes_get_records(monkeypatch):
     assert rep.trials_run == len(subsets) == 387
     assert [(f["trial"], f["c"]) for f in rep.failures] == [
         (i, vertexset_to_json(g, c)) for i, c in enumerate(subsets) if len(c) % 2]
+    shapes = [cm for cm, _ in harness._apex_shapes(cfg, "plus")]
+    assert batches[0] == shapes
+    misses = [harness._shape_key(cm) for batch in batches[1:] for cm in batch]
+    assert all(len(batch) == 1 for batch in batches[1:])
+    assert sorted(misses) == sorted(cm for cm in map(harness._shape_key, shapes)
+                                    if cm.bit_count() % 2 == 0)
 
 
 def test_a_placement_count_the_listing_disagrees_with_is_an_error(monkeypatch):
@@ -999,11 +1090,10 @@ def test_a_placement_count_the_listing_disagrees_with_is_an_error(monkeypatch):
 ], ids=["dp-z2", "k-z2"])
 def test_a_failing_apex_campaign_hands_over_to_the_per_instance_loop(
         monkeypatch, cfg, shapes, failing):
-    """The shape pass judges its shapes in batches and stops at its first
-    failing batch, here the first, which holds every shape; the
-    per-instance loop then judges each translation class once through its
-    shape-key memo: one batch-judge call, then one kernel call per shape,
-    not one per subset."""
+    """The shape pass judges every batch, here one that holds every shape,
+    and seeds the shape-key memo with the failing shapes; the per-instance
+    loop then lists every subset for its records and judges none again:
+    one batch-judge call, and no ``_failing_observers`` call."""
     import boundarykit.harness as harness
     augmentation = cfg.probe or cfg.g_prime
     assert sum(1 for _ in harness._apex_shapes(cfg, augmentation)) == shapes
@@ -1023,7 +1113,44 @@ def test_a_failing_apex_campaign_hands_over_to_the_per_instance_loop(
     assert (rep.trials_run, len(rep.failures)) == (failing, failing)
     assert [len(batch) for batch in batches] == [shapes]
     assert batches[0][0].bit_count() == 1
-    assert len(calls) == shapes
+    assert calls == []
+
+
+@pytest.mark.parametrize("cfg, fixed_c, trials, failing, kernel_calls, keys", [
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), mode="random", trials=300,
+                 seed=5, max_size=3, probe="plain"), None, 300, 300, 0, 9),
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), mode="random", trials=300,
+                 seed=3, x_policy="all-outside", probe="plain"), None, 300, 300, 292, 6),
+    (TrialConfig(theorem="k", box=BoxSpec(2, 6, "plain"), g_prime="plain"),
+     frozenset({14, 15}), 1, 1, 0, 1),
+], ids=["dp-random-apex", "dp-random-all-outside", "k-set-apex"])
+def test_apex_only_instances_are_judged_by_the_batch_judge(
+        monkeypatch, cfg, fixed_c, trials, failing, kernel_calls, keys):
+    """Every instance whose one observer is the apex (a random apex trial,
+    an apex draw of a random all-outside trial, a given subset) is judged
+    by the batch judge as a batch of one, once per shape key;
+    ``_failing_observers`` sees only observer masks that hold a box
+    vertex.  The random apex campaign never calls it."""
+    import boundarykit.harness as harness
+    judge, kernel, batches, calls = harness._failing_batch, harness._failing_observers, [], []
+
+    def counting_judge(*args):
+        batches.append(args[5])
+        return judge(*args)
+
+    def counting(trav, adj, probe, cm, observers):
+        assert observers >> trav.full.bit_length() - 1 == 0, "an apex-only mask"
+        calls.append(cm)
+        return kernel(trav, adj, probe, cm, observers)
+
+    monkeypatch.setattr(harness, "_failing_batch", counting_judge)
+    monkeypatch.setattr(harness, "_failing_observers", counting)
+    rep = run_verification(cfg, skip_hypotheses=True, fixed_c=fixed_c)
+    assert (rep.trials_run, len(rep.failures)) == (trials, failing)
+    assert len(calls) == kernel_calls
+    assert all(len(batch) == 1 for batch in batches)
+    judged = [harness._shape_key(batch[0]) for batch in batches]
+    assert len(judged) == len(set(judged)) == keys
 
 
 def test_a_failing_3d_apex_control_is_pinned():
