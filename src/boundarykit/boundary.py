@@ -188,15 +188,6 @@ def _failing_batch(trav, adj, probe, surface: int, width: int, shapes) -> list:
     return [cm for i, cm in enumerate(shapes) if missed >> i * width & box] if missed else []
 
 
-def _report(boundary: int, visible: int, outer_visible: int, count: int,
-            witness) -> BoundaryReport:
-    """A report from masks; nested sets that are equal share one frozenset."""
-    boundary_set = _members(boundary)
-    visible_set = boundary_set if visible == boundary else _members(visible)
-    outer_set = visible_set if outer_visible == visible else _members(outer_visible)
-    return BoundaryReport(boundary_set, visible_set, outer_set, count, witness)
-
-
 # --- the operators ------------------------------------------------------------
 
 def outer_boundary(g_prime: Graph, c: frozenset) -> frozenset:
@@ -239,7 +230,8 @@ def full_report(g: Graph, g_prime: Graph, probe: Graph, c: frozenset,
     boundary, visible = _visible_masks(trav, adj, cm, x)
     outer_visible = _outer_visible_mask(trav, cm, x, visible)
     count, witness = _probe_components(_neighbourhood_plan(probe), visible)
-    return _report(boundary, visible, outer_visible, count, witness)
+    return BoundaryReport(_members(boundary), _members(visible), _members(outer_visible),
+                          count, witness)
 
 
 def inner_boundary_variants(g: Graph, g_prime: Graph, c: frozenset,
@@ -261,7 +253,8 @@ def inner_boundary_variants(g: Graph, g_prime: Graph, c: frozenset,
     inner = cm & adj.expand(outside)
     visible_inner = inner & adj.expand(trav.flood(1 << x, outside))
     count, witness = _probe_components(adj, visible_inner)
-    return _report(inner, visible_inner, visible_inner, count, witness)
+    visible_set = _members(visible_inner)
+    return BoundaryReport(_members(inner), visible_set, visible_set, count, witness)
 
 
 def report_to_json(report: BoundaryReport, g: Graph) -> dict:

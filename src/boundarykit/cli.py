@@ -29,10 +29,24 @@ from .lattice import (FLAVORS, BoxSpec, attach_apex, box_shell, build_box,
                       margin_interior, parse_box_spec)
 
 
+def _decode_json(text, complaint: str):
+    """``text``, a CLI argument or the bytes of a UTF-8 file, decoded as
+    JSON.  Every way decoding can fail (bad JSON, bad UTF-8, nesting too
+    deep for the decoder, an int too long to convert) is an InputError
+    that starts with ``complaint``."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except RecursionError:
+        reason = "nested too deeply"
+    except ValueError as exc:       # JSONDecodeError and UnicodeDecodeError among them
+        reason = str(exc)
+    raise InputError(f"{complaint}: {reason}")
+
+
 def _load_pair_file(path: str) -> GraphPair:
     """Read a graph-pair file: ``{"g": <graph>, "extra_plus_edges": [[u,v],…]}``."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    with open(path, "rb") as fh:
+        data = _decode_json(fh.read(), f"{path} is not a UTF-8 JSON file")
     if not isinstance(data, dict) or "g" not in data:
         raise InputError(f"{path}: graph-pair files need a 'g' entry")
     g = Graph.from_json(data["g"])
@@ -45,10 +59,7 @@ def _load_pair_file(path: str) -> GraphPair:
 
 def _parse_vertex(g: Graph, text: str) -> int:
     """A vertex given as an integer id or a JSON coordinate tuple."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        raise InputError(f"vertex {text!r} is neither an id nor a coordinate tuple") from None
+    data = _decode_json(text, f"vertex {text!r} is neither an id nor a coordinate tuple")
     if isinstance(data, int) and not isinstance(data, bool):
         g.require_vertex(data)
         return data
@@ -83,7 +94,7 @@ def _cmd_boundary(args) -> int:
         if probe is None:
             raise InputError("--probe for pair files must be 'g' or 'gplus'")
 
-    c = vertexset_from_json(g, json.loads(args.set))
+    c = vertexset_from_json(g, _decode_json(args.set, "--set is not a JSON vertex set"))
     if args.x == "apex":
         if c & box_shell(g):
             raise InputError("precondition: apex observers need the subset inside "
@@ -120,7 +131,8 @@ def _cmd_verify(args) -> int:
                       probe=args.probe, g_prime=args.gplus)
     fixed_c = None
     if args.set is not None:
-        fixed_c = vertexset_from_json(build_box(spec), json.loads(args.set))
+        fixed_c = vertexset_from_json(build_box(spec),
+                                      _decode_json(args.set, "--set is not a JSON vertex set"))
     report = run_verification(cfg, skip_hypotheses=args.skip_hypotheses,
                               fixed_c=fixed_c)
     print(json.dumps(report.to_json(include_elapsed=not args.no_elapsed),
@@ -211,7 +223,7 @@ def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -148,9 +148,11 @@ class CycleGen:
     input cycles sum to them.  A generator that reduces to zero depends on
     earlier ones: it never receives a pivot and never appears in a
     decomposition, which is thus the unique combination of the others.
+    ``_vertices`` keeps each generator's vertex mask, from the one walk
+    that checks it is a cycle, for the premise checks to read.
     """
 
-    __slots__ = ("host", "cycles", "_rows")
+    __slots__ = ("host", "cycles", "_vertices", "_rows")
 
     def __init__(self, host: Graph, cycles: Sequence[EdgeVector]):
         self.host = host
@@ -158,8 +160,9 @@ class CycleGen:
         for i, c in enumerate(self.cycles):
             if not c.host.same_as(host):
                 raise InputError(f"cycle {i} lives in a different host graph")
-            if not c.is_cycle():
-                raise InputError(f"generator {i} is not a cycle")
+        self._vertices = [c._cycle_vertices() for c in self.cycles]
+        if 0 in self._vertices:
+            raise InputError(f"generator {self._vertices.index(0)} is not a cycle")
         rows = {}           # pivot edge id -> (vector, combination over generators)
         for i, cyc in enumerate(self.cycles):
             v, combo = cyc.bits, 1 << i
@@ -237,7 +240,8 @@ def is_generating(gen: CycleGen, g: Graph) -> bool:
 def _is_clique(touched: int, g_plus: Graph) -> bool:
     """Whether the vertices of the mask ``touched`` are pairwise adjacent in
     ``g_plus``: the chordality test for the vertices of a cycle on
-    ``g_plus``'s vertex set, as ``EdgeVector._cycle_vertices`` gives them."""
+    ``g_plus``'s vertex set, as ``EdgeVector._cycle_vertices`` gives them
+    (``CycleGen._vertices`` keeps them for generators)."""
     return all(g_plus.has_edge(u, v) for u, v in combinations(_members(touched), 2))
 
 

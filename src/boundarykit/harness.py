@@ -53,7 +53,9 @@ Campaigns run their trials in one sequential loop; every trial is a pure
 function of immutable graphs plus the seed string ``"{seed}:{index}"``, so
 the same config and seed give byte-identical reports.  The graphs,
 generators and premise verdict of a box are built once per process and
-shared by every campaign on that box.
+shared by every campaign on that box.  A graph's plan is built where a
+campaign first reads it: a passing exhaustive apex campaign reads, of
+the apexed graphs, only the traversal plan, for the apex's neighbours.
 """
 
 from __future__ import annotations
@@ -101,16 +103,21 @@ def enumerate_connected_subsets(g: Graph, max_size: int,
         raise InputError(f"max_size must be an int, got {max_size!r}")
     plan = _neighbourhood_plan(g)
     allowed_mask = plan.full if allowed is None else plan.mask(allowed)
-    candidates = allowed_mask.bit_count()
-    if max_size > EXHAUSTIVE_SIZE_BUDGET and candidates > EXHAUSTIVE_VERTEX_BUDGET:
-        raise InputError(
-            f"enumeration budget exceeded: {candidates} candidate vertices with "
-            f"max_size {max_size}; need ≤ {EXHAUSTIVE_VERTEX_BUDGET} vertices or "
-            f"max_size ≤ {EXHAUSTIVE_SIZE_BUDGET}")
+    _require_budget(allowed_mask.bit_count(), max_size)
     if max_size < 1:
         raise InputError("max_size must be ≥ 1")
     for m in _connected_masks(g, max_size, allowed_mask):
         yield _members(m)
+
+
+def _require_budget(vertices: int, max_size: int) -> None:
+    """Refuse an exhaustive enumeration of subsets of up to ``max_size``
+    out of ``vertices`` candidates beyond the budget."""
+    if max_size > EXHAUSTIVE_SIZE_BUDGET and vertices > EXHAUSTIVE_VERTEX_BUDGET:
+        raise InputError(
+            f"enumeration budget exceeded: {vertices} vertices with "
+            f"max_size {max_size}; need ≤ {EXHAUSTIVE_VERTEX_BUDGET} vertices or "
+            f"max_size ≤ {EXHAUSTIVE_SIZE_BUDGET}")
 
 
 def _connected_masks(g: Graph, max_size: int, allowed: int) -> Iterator[int]:
@@ -229,7 +236,7 @@ def check_dp_hypotheses(pair: GraphPair, gen: CycleGen) -> bool:
         raise InputError("generators must live in the pair's base graph")
     # CycleGen admits cycles only, so chordality is the clique test alone.
     return (is_generating(gen, pair.g)
-            and all(_is_clique(o._cycle_vertices(), pair.g_plus) for o in gen.cycles))
+            and all(_is_clique(touched, pair.g_plus) for touched in gen._vertices))
 
 
 def check_k_hypotheses(pair: GraphPair, gen: CycleGen,
@@ -408,12 +415,8 @@ class TrialConfig:
             raise InputError("random mode needs trials ≥ 1")
         _require_box_spec(self.box)
         box_vertices = self.box.side ** self.box.d
-        if (self.mode == "exhaustive" and box_vertices > EXHAUSTIVE_VERTEX_BUDGET
-                and self.max_size > EXHAUSTIVE_SIZE_BUDGET):
-            raise InputError(
-                "exhaustive budget: box must have ≤ "
-                f"{EXHAUSTIVE_VERTEX_BUDGET} vertices or max_size ≤ "
-                f"{EXHAUSTIVE_SIZE_BUDGET}")
+        if self.mode == "exhaustive":
+            _require_budget(box_vertices, self.max_size)
         if ((self.x_policy == "fixed") != (self.x_vertex is not None)
                 or self.x_vertex is not None and not 0 <= self.x_vertex < box_vertices):
             raise InputError(
@@ -484,8 +487,7 @@ def _observers(cfg: TrialConfig, full: int, cm: int,
         return 1 << cfg.x_vertex & ~cm
     if rng is None:
         return full ^ cm
-    outside = apex + 1 - cm.bit_count()
-    return 1 << (_kth_outside(cm, rng.randrange(outside)) if outside > 1 else apex)
+    return 1 << _kth_outside(cm, rng.randrange(apex + 1 - cm.bit_count()))
 
 
 def _kth_outside(cm: int, k: int) -> int:
@@ -603,8 +605,8 @@ def _apex_shapes(cfg: TrialConfig, augmentation: str) -> Iterator[Tuple[int, int
     w = n + 2 - 2 * margin          # ≥ 1: the campaign has refused a margin without room
     s = min(w, cfg.max_size)
     side = 2 * s - 1
-    host = getattr(build_box_pair(BoxSpec(d, side, "plain"), augmentation),
-                   _BOUNDARY_THEOREMS[cfg.theorem].connect_in)
+    plain = _BOUNDARY_THEOREMS[cfg.theorem].connect_in == "g"     # else connected in g_plus
+    host = build_box(BoxSpec(d, side, "plain" if plain else augmentation))
     root = (s - 1) * sum(side ** i for i in range(d - 1))
     strides, axis_bits = [n ** i for i in range(d)], (1 << side) - 1
     # per shape-box id: its campaign id, each coordinate up by margin − 1; a bit per coordinate
@@ -650,10 +652,10 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
             "pass skip_hypotheses (CLI: --skip-hypotheses) to run it as a negative control")
     if fixed_c is None and 2 * cfg.margin >= cfg.box.side + 2:     # an empty interior
         raise InputError(f"margin {cfg.margin} leaves no room for subsets in {cfg.box}")
-    trav, adj, probe = (_neighbourhood_plan(g) for g in setting.roles)
     apex_only = 1 << setting.apex
     width = setting.apex                        # box vertices, the apex's id
-    surface = trav.rows[setting.apex]           # the apex's neighbours
+    # the apex's neighbours; the other roles' plans are built where first read
+    surface = _neighbourhood_plan(setting.roles[0]).rows[setting.apex]
     verdicts: Dict[int, int] = {}   # shape key -> failing mask, apex-only trials
     placements = None
     if cfg.mode == "exhaustive" and cfg.x_policy == "apex" and fixed_c is None:
@@ -680,7 +682,8 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
                 failing = verdicts[key] = (
                     apex_only if _failing_batch(*box_plans, surface, width, [cm]) else 0)
         else:
-            failing = _failing_observers(trav, adj, probe, cm, observers)
+            failing = _failing_observers(*map(_neighbourhood_plan, setting.roles),
+                                         cm, observers)
         if failing:
             # trial order: the apex first, then by id
             order = sorted(_members(observers), key=lambda v: (v != setting.apex, v))

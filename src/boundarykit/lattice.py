@@ -37,8 +37,12 @@ from .graphs import Graph, GraphPair, _is_id
 _REACH = {"plain": 1, "star": None, "plus": 2}
 FLAVORS = tuple(_REACH)
 
-# Guard against accidentally huge boxes; verification targets are tiny.
-MAX_BOX_VERTICES = 2_000_000
+# Guard against boxes whose plans cannot fit in memory: a neighbourhood
+# plan keeps one neighbour mask per vertex, as wide as its largest id, so
+# V vertices take about V²/16 bytes per plan (``boundary --x apex`` on
+# z2:181, 32,761 vertices, peaks at 327 MiB RSS on Python 3.11).
+# Verification targets are far smaller.
+MAX_BOX_VERTICES = 32_768
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,8 @@ class BoxSpec:
         if self.flavor == "plus" and self.d < 2:
             raise InputError("plus flavor needs d ≥ 2 (no 2-faces in one dimension)")
         if self.side ** self.d > MAX_BOX_VERTICES:
-            raise InputError(f"box with {self.side}^{self.d} vertices exceeds the id-space guard")
+            raise InputError(f"box with {self.side}^{self.d} vertices exceeds the id-space "
+                             f"guard of {MAX_BOX_VERTICES} vertices")
 
     def __str__(self) -> str:
         return f"z{self.d}:{self.side}:{self.flavor}"
@@ -192,10 +197,18 @@ def extra_edge_patches(pair: GraphPair) -> Dict[Tuple[int, int], EdgeVector]:
             for e in pair.g_plus.edges if not pair.g.has_edge(*e)}
 
 
+def _require_box_labels(g: Graph) -> None:
+    """Refuse a graph whose labels cannot be a box's coordinates: no
+    labels, no vertex, or labels that are empty or of unequal length."""
+    lengths = {len(lab) for lab in g.labels or ()}
+    if len(lengths) != 1 or 0 in lengths:
+        raise InputError("the apex and margins need coordinate labels: nonempty "
+                         "tuples of one length, on at least one vertex")
+
+
 def box_shell(g: Graph) -> frozenset:
     """Surface vertices of a labeled box: those with some extreme coordinate."""
-    if g.labels is None:
-        raise InputError("apex construction needs coordinate labels")
+    _require_box_labels(g)
     lo = min(min(lab) for lab in g.labels)
     hi = max(max(lab) for lab in g.labels)
     return frozenset(v for v, lab in enumerate(g.labels)
@@ -223,8 +236,7 @@ def with_apex(pair: GraphPair) -> GraphPair:
 def margin_interior(g: Graph, margin: int) -> frozenset:
     """Vertices of a labeled box that keep L∞-distance ≥ ``margin`` from the
     box's complement: every coordinate in [margin, n+1−margin]."""
-    if g.labels is None:
-        raise InputError("margins are defined for labeled boxes")
+    _require_box_labels(g)
     if not _is_id(margin):
         raise InputError(f"margin must be an int, got {margin!r}")
     if margin < 0:

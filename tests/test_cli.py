@@ -195,6 +195,22 @@ def test_boundary_malformed_pair_file_exits_two(capsys, tmp_path, data):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("pair_bytes, x, message", [
+    (b'{"g": {"vertices": 1, "edges": [], "labels": [[]]}}', "apex", "one length"),
+    (b'{"g": {"vertices": 3, "edges": [[0, 1], [1, 2]]}, "note": "\xff"}', "0",
+     "is not a UTF-8 JSON file"),
+], ids=["empty-label-apex", "not-utf8"])
+def test_boundary_bad_pair_file_exits_two(capsys, tmp_path, pair_bytes, x, message):
+    """An empty coordinate label under ``--x apex`` used to end in a
+    ValueError traceback from ``min``, and a file that is not UTF-8 in a
+    UnicodeDecodeError one, both with exit 1."""
+    pair = tmp_path / "pair.json"
+    pair.write_bytes(pair_bytes)
+    code, out, err = run_cli(capsys, "boundary", "--pair", str(pair), "--set", "[]", "--x", x)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("source, flags, message", [
     ("box", ("--gprime", "g"), "--gprime for boxes must be one of"),
     ("box", ("--probe", "gplus"), "--probe for boxes must be one of"),
@@ -216,6 +232,7 @@ def test_boundary_refuses_a_role_its_source_does_not_have(capsys, tmp_path, sour
 
 BOX_BOUNDARY = ("boundary", "--box", "z2:5:plain")
 BOX_VERIFY = ("verify", "dp", "--box", "z2:5:plain")
+DEEP = "[" * 3000 + "]" * 3000      # deeper than the JSON decoder's recursion limit
 
 
 @pytest.mark.parametrize("argv", [
@@ -227,11 +244,18 @@ BOX_VERIFY = ("verify", "dp", "--box", "z2:5:plain")
     (*BOX_BOUNDARY, "--set", "[[3,3]]", "--x", "[[1,1]]"),
     (*BOX_BOUNDARY, "--set", "[[[3,3]]]", "--x", "0"),
     (*BOX_VERIFY, "--set", "[[3,3]]", "--x", "[[1,1]]"),
+    (*BOX_BOUNDARY, "--set", DEEP, "--x", "apex"),
+    (*BOX_BOUNDARY, "--set", "[[3,3]]", "--x", DEEP),
+    (*BOX_VERIFY, "--set", DEEP),
+    (*BOX_VERIFY, "--x", DEEP),
 ], ids=["set", "observer", "set-bool-coordinate", "set-float-coordinate",
         "observer-float-coordinate", "observer-nested", "set-nested",
-        "verify-observer-nested"])
+        "verify-observer-nested", "set-nested-deep", "observer-nested-deep",
+        "verify-set-nested-deep", "verify-observer-nested-deep"])
 def test_booleans_are_not_vertex_ids(capsys, argv):
-    """Ids and coordinates are ints: bools, floats and nested lists exit 2."""
+    """Ids and coordinates are ints: bools, floats and nested lists exit 2.
+    So does a list nested deeper than the JSON decoder can go, which used
+    to end in a RecursionError traceback with exit 1."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:")
     assert "Traceback" not in err

@@ -71,6 +71,20 @@ def test_enumeration_budget_guard():
     assert sum(1 for _ in enumerate_connected_subsets(g, 1)) == 36
 
 
+def test_one_function_states_the_enumeration_budget():
+    """``TrialConfig`` and ``enumerate_connected_subsets`` refuse an
+    enumeration beyond the budget through one check, with one message."""
+    box = BoxSpec(2, 6, "plain")           # 36 > 25 vertices
+    refusals = []
+    for refuse in (lambda: TrialConfig(theorem="dp", box=box, max_size=10),
+                   lambda: list(enumerate_connected_subsets(build_box(box), 10))):
+        with pytest.raises(InputError, match="budget") as info:
+            refuse()
+        refusals.append((info.traceback[-1].name, str(info.value)))
+    assert refusals[0] == refusals[1]
+    assert refusals[0][0] == "_require_budget"
+
+
 @pytest.mark.parametrize("max_size", [0, -2])
 def test_enumeration_refuses_a_size_cap_below_one(max_size):
     """No subset has fewer than one vertex: a cap below one is bad input,
@@ -247,6 +261,26 @@ def test_dp_premises_need_matching_host():
     gen = four_cycle_gen(BoxSpec(2, 3, "plain"))
     with pytest.raises(InputError, match="base graph"):
         check_dp_hypotheses(build_box_pair(BoxSpec(2, 4, "plain"), "plus"), gen)
+
+
+def test_the_premise_checks_walk_each_generator_once(monkeypatch):
+    """``CycleGen`` keeps each generator's vertex mask from the walk that
+    checks it is a cycle, and ``check_dp_hypotheses`` reads those masks:
+    it walks no generator again, and ``check_k_hypotheses`` walks only its
+    patch cycles."""
+    base = BoxSpec(3, 4, "plain")
+    gen = four_cycle_gen(base)
+    walk, walks = EdgeVector._cycle_vertices, []
+    assert gen._vertices == [walk(o) for o in gen.cycles] and all(gen._vertices)
+    monkeypatch.setattr(EdgeVector, "_cycle_vertices",
+                        lambda self: walks.append(self) or walk(self))
+    assert check_dp_hypotheses(build_box_pair(base, "plus"), gen)
+    assert not check_dp_hypotheses(build_box_pair(base, "plain"), gen)
+    assert walks == []
+    pair = build_box_pair(base, "star")
+    patches = extra_edge_patches(pair)
+    assert check_k_hypotheses(pair, gen, patches)
+    assert sorted(map(id, walks)) == sorted(map(id, patches.values()))
 
 
 def test_k_premises_hold_with_generated_patches():
@@ -929,6 +963,26 @@ def test_shape_keys_count_the_fixed_animals(box, max_size, counts):
     assert [len(k) for k in keys] == counts
 
 
+@pytest.mark.parametrize("theorem, d, counts", [
+    ("dp", 2, [1, 2, 6, 19, 63, 216, 760, 2725, 9910]),    # polyominoes, OEIS A001168
+    ("dp", 3, [1, 3, 15, 86, 534, 3481, 23502]),           # polycubes, OEIS A001931
+    ("dp", 4, [1, 4, 28, 234, 2162]),                      # 4-D polyominoes, OEIS A151830
+    ("k", 2, [1, 4, 20, 110, 638, 3832, 23592]),           # polyplets, OEIS A006770
+], ids=["dp-d2", "dp-d3", "dp-d4", "k-d2"])
+def test_a_side_n_plus_2_apex_campaign_lists_every_fixed_animal(theorem, d, counts):
+    """With n = len(counts), a box of side n + 2 keeps an interior of side
+    n at margin 2, which every lattice animal of ≤ n cells fits.  So, per
+    size, the shape pass of an apex campaign with max size n lists exactly
+    the fixed animals: dp the plainly connected ones, k the king-connected
+    ones."""
+    import boundarykit.harness as harness
+    n = len(counts)
+    cfg = TrialConfig(theorem=theorem, box=BoxSpec(d, n + 2, "plain"), max_size=n)
+    augmentation = harness._augmentation(theorem, cfg.box, None, None)
+    sizes = Counter(cm.bit_count() for cm, _ in harness._apex_shapes(cfg, augmentation))
+    assert [sizes[size] for size in range(1, n + 1)] == counts
+
+
 @pytest.mark.parametrize("theorem, box, max_size, augmentation", [
     ("dp", BoxSpec(2, 7, "plain"), 5, "plain"),
     ("dp", BoxSpec(3, 6, "plain"), 4, "plus"),
@@ -1070,6 +1124,35 @@ def test_only_the_translates_of_failing_shapes_get_records(monkeypatch):
     assert all(len(batch) == 1 for batch in batches[1:])
     assert sorted(misses) == sorted(cm for cm in map(harness._shape_key, shapes)
                                     if cm.bit_count() % 2 == 0)
+
+
+@pytest.mark.parametrize("theorem, box, max_size, flavor", [
+    ("dp", BoxSpec(2, 9, "plain"), 6, "plain"),
+    ("k", BoxSpec(3, 6, "plain"), 3, "star"),
+], ids=["dp", "k"])
+def test_a_passing_apex_campaign_builds_only_what_it_reads(monkeypatch, theorem, box,
+                                                          max_size, flavor):
+    """Of its apexed role graphs, a passing exhaustive apex campaign reads
+    the traversal graph's plan only (dp's probe and k's adjacency are read
+    by ``_failing_observers`` and failure records), and its shape pass
+    builds one box, the graph its shapes are connected in, of side
+    2·min(w, max size) − 1."""
+    import boundarykit.harness as harness
+    augmentation = harness._augmentation(theorem, box, None, None)
+    setting = harness._box_setting(theorem, box, augmentation)     # the set-up, untested here
+    plan, build, planned, built = harness._neighbourhood_plan, harness.build_box, [], []
+
+    def no_pair(*args):
+        raise AssertionError("the shape pass built a box pair")
+
+    monkeypatch.setattr(harness, "_neighbourhood_plan", lambda g: planned.append(g) or plan(g))
+    monkeypatch.setattr(harness, "build_box", lambda spec: built.append(spec) or build(spec))
+    monkeypatch.setattr(harness, "build_box_pair", no_pair)
+    rep = run_verification(TrialConfig(theorem=theorem, box=box, max_size=max_size))
+    assert rep.passed and rep.trials_run > 0
+    roles = {id(g) for g in setting.roles}
+    assert {id(g) for g in planned} & roles == {id(setting.roles[0])} != roles
+    assert built == [BoxSpec(box.d, 2 * min(box.side - 2, max_size) - 1, flavor)]
 
 
 def test_a_placement_count_the_listing_disagrees_with_is_an_error(monkeypatch):

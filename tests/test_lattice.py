@@ -44,6 +44,12 @@ def test_box_spec_validation():
         BoxSpec(1, 3, "plus")
     with pytest.raises(InputError, match="id-space"):
         BoxSpec(9, 10, "plain")
+    # each neighbourhood plan takes about V²/16 bytes: 32,768 vertices at most
+    for d, side in [(2, 182), (3, 33), (16, 2)]:
+        with pytest.raises(InputError, match="id-space guard of 32768"):
+            BoxSpec(d, side, "plain")
+    for d, side in [(2, 181), (3, 32), (15, 2)]:
+        assert BoxSpec(d, side, "plain").side ** d <= 32768
     for d, side in [(True, 3), (2, True), (2.0, 3), (2, 3.0), ("2", 3)]:
         with pytest.raises(InputError, match="must be an int"):
             BoxSpec(d, side, "plain")
@@ -256,6 +262,18 @@ def test_apex_requires_labels():
     from boundarykit import Graph
     with pytest.raises(InputError, match="labels"):
         attach_apex(Graph(3, [(0, 1)]))
+
+
+@pytest.mark.parametrize("labels", [[()], [(1,), (1, 2)], [(1, 2), ()], []],
+                         ids=["empty", "unequal-lengths", "one-empty", "no-vertex"])
+def test_box_labels_are_nonempty_coordinates_of_one_length(labels):
+    """Labels that cannot be box coordinates are refused; an empty label
+    or no vertex used to end in a ValueError from ``min``."""
+    from boundarykit import Graph
+    g = Graph(len(labels), [], labels=labels)
+    for refuse in (box_shell, attach_apex, lambda g: margin_interior(g, 1)):
+        with pytest.raises(InputError, match="one length"):
+            refuse(g)
 
 
 # --- margins ------------------------------------------------------------------------
