@@ -8,9 +8,8 @@ constructive cutset-crossing-cycle witness; and ships a harness that checks
 boundary-connectivity statements exhaustively or randomly on lattice boxes.
 """
 
-from .boundary import (BoundaryReport, full_report, inner_boundary_variants,
-                       outer_boundary, outer_visible_boundary, report_to_json,
-                       visible_boundary)
+from .boundary import (BoundaryReport, full_report, outer_boundary,
+                       outer_visible_boundary, report_to_json, visible_boundary)
 from .cyclespace import (CycleGen, EdgeVector, crossing_cycle_witness,
                          cycle_space_rank, decompose, fundamental_basis,
                          is_generating)
@@ -37,9 +36,9 @@ __all__ = [
     "component_of", "count_components", "crossing_cycle_witness",
     "cube_patch_cycle", "cycle_space_rank", "decompose",
     "enumerate_connected_subsets", "extra_edge_patches", "four_cycle_gen",
-    "full_report", "fundamental_basis", "hypothesis_report",
-    "inner_boundary_variants", "is_cutset", "is_generating", "is_minimal_cutset",
-    "margin_interior", "outer_boundary", "outer_visible_boundary",
+    "full_report", "fundamental_basis", "hypothesis_report", "is_cutset",
+    "is_generating", "is_minimal_cutset", "margin_interior",
+    "outer_boundary", "outer_visible_boundary",
     "parse_box_spec", "random_connected_graph", "report_to_json",
     "run_verification", "sample_connected_subset", "set_components",
     "shortest_path", "vertexset_from_json", "vertexset_to_json",

@@ -11,8 +11,7 @@ edges), a subset ``c``, and an observer vertex ``x`` outside ``c``:
   internal vertices also avoid the visible boundary.
 
 "Path avoiding a set" is implemented as reachability with the set
-forbidden; endpoints are never counted as internal vertices.  Inner-
-boundary mirrors swap the roles of ``c`` and its complement.
+forbidden; endpoints are never counted as internal vertices.
 
 Every operator runs on one private bitmask kernel.  Vertex sets become int
 masks, validated once on the way in and turned back into frozensets once
@@ -128,17 +127,6 @@ def _outer_visible_mask(trav, cm: int, x: int, visible: int) -> int:
     return visible & (trav.expand(region) | xm)
 
 
-def _probe_components(probe, s: int):
-    """Component count of ``s`` inside the probe graph (the empty set
-    counts as one component, matching the convention that it is
-    connected) and, when disconnected, the smallest vertices of the two
-    components with the smallest members."""
-    comps = probe.components(s)
-    if len(comps) <= 1:
-        return 1, None
-    return len(comps), tuple((m & -m).bit_length() - 1 for m in comps[:2])
-
-
 def _failing_observers(trav, adj, probe, cm: int, observers: int) -> int:
     """The mask of those ``observers`` (a mask disjoint from ``cm``) whose
     visible boundary of ``cm`` is disconnected in the probe graph.  That
@@ -221,7 +209,10 @@ def outer_visible_boundary(g: Graph, g_prime: Graph, c: frozenset, x: int) -> fr
 def full_report(g: Graph, g_prime: Graph, probe: Graph, c: frozenset,
                 x: int) -> BoundaryReport:
     """All three boundary sets of (c, x) plus connectivity of the visible
-    set inside ``probe``."""
+    set inside ``probe``: its component count (the empty set counts as
+    one component, matching the convention that it is connected) and,
+    when disconnected, the smallest vertices of the two components with
+    the smallest members."""
     _require_same_vertices(g, g_prime, probe)
     adj = _neighbourhood_plan(g_prime)
     cm = adj.mask(c)
@@ -229,32 +220,10 @@ def full_report(g: Graph, g_prime: Graph, probe: Graph, c: frozenset,
     trav = _neighbourhood_plan(g)
     boundary, visible = _visible_masks(trav, adj, cm, x)
     outer_visible = _outer_visible_mask(trav, cm, x, visible)
-    count, witness = _probe_components(_neighbourhood_plan(probe), visible)
+    comps = _neighbourhood_plan(probe).components(visible)
+    witness = tuple((m & -m).bit_length() - 1 for m in comps[:2]) if len(comps) > 1 else None
     return BoundaryReport(_members(boundary), _members(visible), _members(outer_visible),
-                          count, witness)
-
-
-def inner_boundary_variants(g: Graph, g_prime: Graph, c: frozenset,
-                            x: int) -> BoundaryReport:
-    """Mirror report with the roles of ``c`` and its complement exchanged.
-
-    Inner boundary: members of ``c`` with a ``g_prime``-neighbor outside.
-    Visible-inner: those ``g_prime``-adjacent to the component of ``x`` in
-    ``g`` minus ``c``.  The outer-visible refinement mirrors vacuously — a
-    path from ``x`` that avoids ``c`` except at its final vertex has no
-    internal vertex inside ``c``, hence none in the visible-inner set — so
-    it equals the visible-inner set.  Connectivity is probed in ``g_prime``.
-    """
-    _require_same_vertices(g, g_prime)
-    _require_observer(g, c, x)
-    trav, adj = _neighbourhood_plan(g), _neighbourhood_plan(g_prime)
-    cm = trav.mask(c)
-    outside = trav.full ^ cm
-    inner = cm & adj.expand(outside)
-    visible_inner = inner & adj.expand(trav.flood(1 << x, outside))
-    count, witness = _probe_components(adj, visible_inner)
-    visible_set = _members(visible_inner)
-    return BoundaryReport(_members(inner), visible_set, visible_set, count, witness)
+                          max(len(comps), 1), witness)
 
 
 def report_to_json(report: BoundaryReport, g: Graph) -> dict:

@@ -20,10 +20,10 @@ import json
 import sys
 from typing import Optional
 
-from .boundary import full_report, inner_boundary_variants, report_to_json
+from .boundary import full_report, report_to_json
 from .errors import InputError
 from .graphs import Graph, GraphPair, vertexset_from_json, vertexset_to_json
-from .harness import (MODES, THEOREMS, TrialConfig, enumerate_connected_subsets,
+from .harness import (THEOREMS, TrialConfig, enumerate_connected_subsets,
                       hypothesis_report, run_verification)
 from .lattice import (FLAVORS, BoxSpec, attach_apex, box_shell, build_box,
                       margin_interior, parse_box_spec)
@@ -71,8 +71,6 @@ def _parse_vertex(g: Graph, text: str) -> int:
 def _cmd_boundary(args) -> int:
     if (args.box is None) == (args.pair is None):
         raise InputError("give exactly one of --box or --pair")
-    if args.inner and args.probe is not None:
-        raise InputError("--inner probes in the adjacency graph (--gprime); leave out --probe")
     if args.box is not None:
         spec = parse_box_spec(args.box)
         g = build_box(spec)
@@ -104,10 +102,7 @@ def _cmd_boundary(args) -> int:
     else:
         x = _parse_vertex(g, args.x)
 
-    if args.inner:
-        rep = inner_boundary_variants(g, g_prime, c, x)
-    else:
-        rep = full_report(g, g_prime, probe, c, x)
+    rep = full_report(g, g_prime, probe, c, x)
     out = {"schema": 1, **report_to_json(rep, g)}
     print(json.dumps(out, sort_keys=True))
     return 0
@@ -115,7 +110,7 @@ def _cmd_boundary(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = parse_box_spec(args.box)
-    mode = args.mode or ("random" if args.trials is not None else "exhaustive")
+    mode = "random" if args.trials is not None else "exhaustive"
     trials = args.trials if args.trials is not None else 1000
 
     x_policy, x_vertex = "apex", None
@@ -176,17 +171,14 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--probe",
                    help="connectivity probe graph (box flavor, or g/gplus); "
                         "defaults to the adjacency graph")
-    b.add_argument("--inner", action="store_true",
-                   help="report the inner-boundary mirror variants (refuses --probe)")
     b.set_defaults(func=_cmd_boundary)
 
     v = sub.add_parser("verify", help="run a verification campaign")
     v.add_argument("theorem", choices=THEOREMS)
     v.add_argument("--box", required=True, help="box spec, e.g. z2:4:plain")
-    v.add_argument("--mode", choices=MODES,
-                   help="default: random when --trials is given, else exhaustive")
     v.add_argument("--max-size", type=int, default=6, dest="max_size")
-    v.add_argument("--trials", type=int)
+    v.add_argument("--trials", type=int,
+                   help="sample this many random trials instead of enumerating")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--margin", type=int, default=2)
     v.add_argument("--x", default="apex",

@@ -17,9 +17,11 @@ Observers default to the apex vertex (the far-away surrogate).  Whenever
 the apex observes (every policy but ``fixed``, whose one observer is a
 box vertex, never the apex id), subsets must keep an L∞ margin of at
 least 2 from the box surface so the apex faithfully models the unbounded
-outside.  A margin that leaves no room for subsets is refused, in
-exhaustive as in random mode, rather than passing with no trials; so is
-a campaign in which every subset holds the fixed observer.
+outside.  Only there is the apex attached: a ``fixed`` campaign at a
+margin below 2 runs on the box itself.  A margin that leaves no room for
+subsets is refused, in exhaustive as in random mode, rather than passing
+with no trials; so is a campaign in which every subset holds the fixed
+observer.
 
 A dp/k campaign gives each subset an observer mask: the apex, the fixed
 vertex unless the subset holds it, or, under ``all-outside``, every
@@ -430,7 +432,8 @@ class TrialConfig:
         if self.x_policy != "fixed" and self.margin < 2:
             raise InputError("apex observers need margin ≥ 2 to stay faithful")
         if self.theorem == "lemma" and self.mode != "random":
-            raise InputError("the crossing-lemma campaign samples instances; use mode=random")
+            raise InputError("the crossing-lemma campaign samples instances; "
+                             "use mode=random (CLI: --trials)")
         if self.theorem != "lemma" and self.box.d < 2:
             raise InputError("boundary campaigns need d ≥ 2 (cycle space is trivial otherwise)")
         _augmentation(self.theorem, self.box, self.probe, self.g_prime)
@@ -628,9 +631,9 @@ def _apex_shapes(cfg: TrialConfig, augmentation: str) -> Iterator[Tuple[int, int
             yield mapped >> shift, placements
 
 
-def _failure_record(setting: _BoxSetting, trial: int, seed_str: Optional[str],
-                    cm: int, x: int) -> dict:
-    g_t, gp_t, probe_t = setting.roles
+def _failure_record(setting: _BoxSetting, roles: Tuple[Graph, Graph, Graph], trial: int,
+                    seed_str: Optional[str], cm: int, x: int) -> dict:
+    g_t, gp_t, probe_t = roles
     c = _members(cm)
     return {
         "trial": trial,
@@ -653,6 +656,9 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
     if fixed_c is None and 2 * cfg.margin >= cfg.box.side + 2:     # an empty interior
         raise InputError(f"margin {cfg.margin} leaves no room for subsets in {cfg.box}")
     apex_only = 1 << setting.apex
+    # the apex stands for the outside only at margin ≥ 2; below that (fixed
+    # observers only) a subset may touch the surface, so judge on the box
+    roles = setting.roles if cfg.margin >= 2 else setting.box_roles
     width = setting.apex                        # box vertices, the apex's id
     # the apex's neighbours; the other roles' plans are built where first read
     surface = _neighbourhood_plan(setting.roles[0]).rows[setting.apex]
@@ -682,14 +688,14 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
                 failing = verdicts[key] = (
                     apex_only if _failing_batch(*box_plans, surface, width, [cm]) else 0)
         else:
-            failing = _failing_observers(*map(_neighbourhood_plan, setting.roles),
-                                         cm, observers)
+            failing = _failing_observers(*map(_neighbourhood_plan, roles), cm, observers)
         if failing:
             # trial order: the apex first, then by id
             order = sorted(_members(observers), key=lambda v: (v != setting.apex, v))
             for i, x in enumerate(order):
                 if failing >> x & 1:
-                    failures.append(_failure_record(setting, trials_run + i, seed_str, cm, x))
+                    failures.append(
+                        _failure_record(setting, roles, trials_run + i, seed_str, cm, x))
         trials_run += observers.bit_count()
     if not trials_run:
         raise InputError("the campaign has no instance to judge: every subset "

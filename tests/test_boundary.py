@@ -1,4 +1,4 @@
-"""Boundary operators: spec'd instances, mirror variants, oracle equivalence."""
+"""Boundary operators: spec'd instances, oracle equivalence."""
 
 import random
 
@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from boundarykit import (BoundaryReport, BoxSpec, Graph, GraphPair, InputError,
                          TrialConfig, build_box, build_box_pair, component_of, full_report,
-                         inner_boundary_variants, margin_interior, outer_boundary,
-                         outer_visible_boundary, random_connected_graph,
-                         report_to_json, sample_connected_subset,
-                         visible_boundary, with_apex)
+                         margin_interior, outer_boundary, outer_visible_boundary,
+                         random_connected_graph, report_to_json,
+                         sample_connected_subset, visible_boundary, with_apex)
 
 from boundarykit import harness
 from boundarykit.boundary import _failing_batch, _failing_observers
@@ -160,42 +159,6 @@ def test_outer_visible_can_be_strictly_smaller():
     assert labels_of(g, ov) == {(3, 1), (3, 2)}            # (3,3) is blocked
     assert x in ov
     assert ov < vis
-
-
-# --- inner variants --------------------------------------------------------------------
-
-def test_inner_boundary_of_centered_block():
-    g5 = build_box(BoxSpec(2, 5, "plain"))
-    star5 = build_box(BoxSpec(2, 5, "star"))
-    block = ids_of(g5, [(a, b) for a in (2, 3, 4) for b in (2, 3, 4)])
-    apexed = with_apex(build_box_pair(BoxSpec(2, 5, "plain"), "star"))
-    ga, sa, apex = apexed.g, apexed.g_plus, g5.vertex_count
-    rep = inner_boundary_variants(ga, ga, block, apex)
-    want = labels_of(g5, block) - {(3, 3)}
-    assert labels_of(ga, rep.boundary) == want            # 8 ring vertices
-    rep_star = inner_boundary_variants(ga, sa, block, apex)
-    assert labels_of(ga, rep_star.boundary) == want       # same 8 with star
-
-
-def test_inner_boundary_of_singleton_is_itself():
-    g = build_box(BoxSpec(2, 5, "plain"))
-    c = ids_of(g, [(3, 3)])
-    rep = inner_boundary_variants(g, g, c, g.id_of_label((1, 1)))
-    assert rep.boundary == c == rep.visible == rep.outer_visible
-
-
-def test_inner_variants_mirror_definitions_directly():
-    g = build_box(BoxSpec(2, 4, "plain"))
-    star = build_box(BoxSpec(2, 4, "star"))
-    c = ids_of(g, [(2, 2), (2, 3), (3, 2)])
-    x = g.id_of_label((4, 4))
-    rep = inner_boundary_variants(g, star, c, x)
-    region = component_of(g, x, c)
-    want_inner = {v for v in c if any(w not in c for w in star.adjacency[v])}
-    want_vis = {v for v in want_inner
-                if any(w in region for w in star.adjacency[v])}
-    assert rep.boundary == frozenset(want_inner)
-    assert rep.visible == frozenset(want_vis)
 
 
 # --- full reports ------------------------------------------------------------------------

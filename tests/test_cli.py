@@ -57,42 +57,6 @@ def test_boundary_fixed_observer_coordinate_and_id(capsys):
     assert code_a == code_b == 0 and by_coord == by_id
 
 
-def test_boundary_inner_variants(capsys):
-    code, data = run_json(capsys, "boundary", "--box", "z2:5:plain",
-                          "--set", "[[2,2],[2,3],[3,2],[3,3]]",
-                          "--x", "apex", "--inner")
-    assert code == 0
-    assert set(map(tuple, data["boundary"])) == {(2, 2), (2, 3), (3, 2), (3, 3)}
-    assert data["components"] == 1
-
-
-@pytest.mark.parametrize("probe", ["plus", "plain"])
-def test_boundary_inner_refuses_a_probe_on_a_box(capsys, probe):
-    """The inner variants probe in the adjacency graph; a --probe would be
-    ignored (the plus-shaped set's four arms count 4 under either)."""
-    code, out, err = run_cli(capsys, "boundary", "--box", "z2:7:plain",
-                             "--set", "[[3,4],[4,3],[4,4],[4,5],[5,4]]",
-                             "--x", "apex", "--inner", "--probe", probe)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "--inner" in err and "--probe" in err
-
-
-@pytest.mark.parametrize("probe", ["g", "gplus"])
-def test_boundary_inner_refuses_a_probe_on_a_pair_file(capsys, tmp_path, probe):
-    pair = tmp_path / "pair.json"
-    pair.write_text(json.dumps({
-        "g": {"vertices": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]},
-        "extra_plus_edges": [[0, 2]],
-    }))
-    code, out, err = run_cli(capsys, "boundary", "--pair", str(pair), "--set", "[0]",
-                             "--x", "2", "--inner", "--probe", probe)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "--inner" in err and "--probe" in err
-    code, data = run_json(capsys, "boundary", "--pair", str(pair), "--set", "[0]",
-                          "--x", "2", "--inner")
-    assert code == 0 and data["schema"] == 1
-
-
 def test_boundary_requires_exactly_one_source(capsys, tmp_path):
     code, out, err = run_cli(capsys, "boundary", "--set", "[0]", "--x", "1")
     assert code == 2 and out == "" and err.startswith("error:")
@@ -272,7 +236,7 @@ def test_boundary_apex_refuses_subsets_on_the_box_surface(capsys):
 
 def test_verify_dp_exhaustive_passes(capsys):
     code, data = run_json(capsys, "verify", "dp", "--box", "z2:4:plain",
-                          "--mode", "exhaustive", "--max-size", "6")
+                          "--max-size", "6")
     assert code == 0
     assert data["passed"] is True and data["failures"] == []
     assert data["config"]["mode"] == "exhaustive"
@@ -289,6 +253,46 @@ def test_verify_mode_inference(capsys):
     code, data = run_json(capsys, "verify", "dp", "--box", "z2:4:plain",
                           "--max-size", "3")
     assert data["config"]["mode"] == "exhaustive"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["boundary", "--box", "z2:5:plain", "--set", "[[3,3]]", "--x", "apex", "--inner"],
+     "--inner"),
+    (["verify", "dp", "--box", "z2:4:plain", "--mode", "exhaustive"], "--mode"),
+])
+def test_removed_flags_are_usage_errors(capsys, argv, flag):
+    """The inner-boundary mirror and ``--mode`` (which ``--trials``
+    decides) are gone: argparse refuses them with its usage message."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage:") and f"unrecognized arguments: {flag}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_lemma_campaign_without_trials_names_the_flag(capsys):
+    code, out, err = run_cli(capsys, "verify", "lemma", "--box", "z2:5:plain")
+    assert code == 2 and out == ""
+    assert err == ("error: the crossing-lemma campaign samples instances; "
+                   "use mode=random (CLI: --trials)\n")
+
+
+def test_fixed_observer_below_margin_2_is_judged_on_the_box(capsys):
+    """A subset on the surface, seen from a fixed corner at margin 0: the
+    campaign judges it on the box itself, with no apex to join the two
+    pieces of its visible boundary, so its one record is the ``boundary``
+    report of the same instance."""
+    subset = "[[2,1],[3,1],[4,1],[2,2],[3,2],[4,2]]"
+    code, data = run_json(capsys, "verify", "dp", "--box", "z2:4:plain", "--x", "[1,1]",
+                          "--margin", "0", "--set", subset, "--probe", "plain",
+                          "--skip-hypotheses")
+    assert code == 1 and data["trials_run"] == 1
+    code, report = run_json(capsys, "boundary", "--box", "z2:4:plain", "--x", "[1,1]",
+                            "--set", subset, "--gprime", "plain", "--probe", "plain")
+    assert code == 0 and report.pop("schema") == 1
+    assert [f["report"] for f in data["failures"]] == [report]
+    assert report["components"] == 2 and report["witness"] == [[1, 1], [2, 3]]
 
 
 def test_verify_negative_control_exits_one(capsys):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -829,12 +830,14 @@ def _per_observer_reference(cfg, fixed_c=None):
     per-observer loop that the campaign's verdict kernel must reproduce.
     Each subset's observers are listed from their definition; a random
     ``all-outside`` trial keeps the observer its rank drew, which
-    ``test_random_all_outside_observers_are_drawn_by_rank`` checks."""
+    ``test_random_all_outside_observers_are_drawn_by_rank`` checks.  The
+    apex is attached only at margin ≥ 2, where it stands for the outside;
+    below that a fixed observer judges on the box itself."""
     import boundarykit.harness as harness
     row = harness._BOUNDARY_THEOREMS[cfg.theorem]
     setting = harness._box_setting(cfg.theorem, cfg.box,
                                    getattr(cfg, row.override) or row.augmentation)
-    g, g_prime, probe = setting.roles
+    g, g_prime, probe = setting.roles if cfg.margin >= 2 else setting.box_roles
     apex = setting.apex
     if fixed_c is None and cfg.mode == "random":
         instances = [(seed, _members(cm), drawn.bit_length() - 1) for seed, cm, drawn
@@ -884,7 +887,7 @@ _X44, _X33 = _Z27.id_of_label((4, 4)), _Z27.id_of_label((3, 3))
                  probe="plain", x_policy="fixed", x_vertex=_X44), 292, 292),
     (TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), mode="random",
                  trials=200, seed=3, max_size=4, margin=1, probe="plain",
-                 x_policy="fixed", x_vertex=_X33), 200, 177),
+                 x_policy="fixed", x_vertex=_X33), 200, 200),
     (TrialConfig(theorem="k", box=BoxSpec(2, 6, "plain"), max_size=4,
                  g_prime="plain"), 205, 205),
     (TrialConfig(theorem="k", box=BoxSpec(3, 5, "plain"), max_size=4), 8977, 0),
@@ -903,6 +906,42 @@ def test_failures_are_exactly_the_disconnected_full_reports(cfg, trials, failing
     rep = run_verification(cfg, skip_hypotheses=True)
     assert rep.failures == want
     assert (rep.trials_run, len(rep.failures)) == (want_trials, len(want)) == (trials, failing)
+
+
+@pytest.mark.parametrize("theorem, override", [
+    ("dp", None), ("dp", {"probe": "plain"}), ("k", None), ("k", {"g_prime": "plain"})],
+    ids=["dp", "dp-plain-probe", "k", "k-plain-adjacency"])
+def test_fixed_observers_at_margin_2_judge_alike_with_and_without_the_apex(theorem, override):
+    """A fixed campaign attaches the apex only at margin ≥ 2, and there its
+    verdicts are those of the box alone: the box surface misses C, so it
+    stays connected in the box minus C, and the apex, adjacent only to
+    the surface, is never in a boundary of C.  So a failing observer's
+    boundary, visible boundary and probe components agree too; only the
+    outer-visible set may differ, as a path through the apex can go round
+    the visible boundary.  Checked for every subset of the margin-2
+    interior of z2:5 and every box vertex outside it."""
+    import boundarykit.harness as harness
+    cfg = TrialConfig(theorem=theorem, box=BoxSpec(2, 5, "plain"), **(override or {}))
+    row = harness._BOUNDARY_THEOREMS[theorem]
+    setting = harness._box_setting(theorem, cfg.box,
+                                   getattr(cfg, row.override) or row.augmentation)
+    apexed = [_neighbourhood_plan(g) for g in setting.roles]
+    box = [_neighbourhood_plan(g) for g in setting.box_roles]
+    full = box[0].full
+    subsets = enumerate_connected_subsets(setting.connect_host, 9,
+                                          allowed=margin_interior(setting.box, 2))
+    failing_observers = 0
+    for c in subsets:
+        cm = box[0].mask(c)
+        failing = harness._failing_observers(*box, cm, full ^ cm)
+        assert harness._failing_observers(*apexed, cm, full ^ cm) == failing
+        for x in _members(failing):
+            apexed_rep, box_rep = (full_report(*roles, c, x)
+                                   for roles in (setting.roles, setting.box_roles))
+            assert apexed_rep.outer_visible >= box_rep.outer_visible
+            assert replace(apexed_rep, outer_visible=box_rep.outer_visible) == box_rep
+        failing_observers += failing.bit_count()
+    assert (failing_observers > 0) == (override is not None)
 
 
 # An 8-ring whose one-cell hole passes while the outside fails, and a
