@@ -33,7 +33,10 @@ trial, in the order apex first, then by id, and only a failing observer
 gets a full ``BoundaryReport``, for its failure record.  An instance
 whose only observer is the apex is judged once per translation class
 (``_shape_key`` says why), always by ``boundary._failing_batch``.  An
-exhaustive campaign judges the shapes of ``_apex_shapes`` once each, in
+exhaustive campaign lists its shapes with ``_apex_shapes``, whose
+enumeration carries each shape's campaign mask and axis occupancy on
+the Redelmeier stack, one OR per added cell, so listing a shape costs
+O(d) int operations beyond its growth step.  It judges each shape once, in
 bit-parallel batches of one shape per copy of a tiled plan of the box
 without the apex, ``_TILE_BITS`` box bits per batch (z2:9, size ≤ 8:
 3,790 shapes in 10 batches for 61,167 trials), and counts their
@@ -122,39 +125,42 @@ def _require_budget(vertices: int, max_size: int) -> None:
             f"max_size ≤ {EXHAUSTIVE_SIZE_BUDGET}")
 
 
-def _connected_masks(g: Graph, max_size: int, allowed: int) -> Iterator[int]:
-    """Masks of the subsets of ``allowed`` with 1..max_size vertices,
-    connected inside it, each once: Redelmeier's growth (*Counting
-    polyominoes: yet another attack*, Discrete Math. 36, 1981).  Each root
-    in ascending order grows, depth first, the subsets it is the smallest
-    member of.  The child adding the i-th entry u of a subset's extension
-    list gets the entries after u, then u's larger allowed neighbours not
-    yet ``seen`` under this root, in adjacency order.  The children of a
-    subset of ``max_size - 1`` vertices are leaves, so they are yielded
-    inline, in extension-list order, which is the order the stack would
-    pop them in; they get no stack frame."""
+def _connected_masks(g: Graph, max_size: int, allowed: int, tags=None) -> Iterator[int]:
+    """The OR of ``tags`` (a list, one int per vertex; by default v's tag
+    is ``1 << v``, so the OR is the subset's mask) over each subset of
+    ``allowed`` with 1..max_size vertices, connected inside it, each subset
+    once: Redelmeier's growth (*Counting polyominoes: yet another attack*,
+    Discrete Math. 36, 1981).  Each root in ascending order grows, depth
+    first, the subsets it is the smallest member of.  The child adding the
+    i-th entry u of a subset's extension list carries its parent's value OR
+    u's tag, and gets the entries after u, then u's larger allowed
+    neighbours not yet ``seen`` under this root, in adjacency order.  The
+    children of a subset of ``max_size - 1`` vertices are leaves, so they
+    are yielded inline, in extension-list order, which is the order the
+    stack would pop them in; they get no stack frame."""
     nbrs = _neighbourhood_plan(g).rows
+    tags = tags or [1 << v for v in range(g.vertex_count)]
     rest = allowed
     while rest:
         low = rest & -rest
         rest ^= low                       # the allowed ids above the root
         root = low.bit_length() - 1
-        stack = [(low, 1, [w for w in g.adjacency[root] if rest >> w & 1],
+        stack = [(tags[root], 1, [w for w in g.adjacency[root] if rest >> w & 1],
                   low | nbrs[root] & rest)]
         while stack:
-            sub, size, ext, seen = stack.pop()
-            yield sub
+            acc, size, ext, seen = stack.pop()
+            yield acc
             if size + 1 >= max_size:
                 if size < max_size:
                     for u in ext:
-                        yield sub | 1 << u
+                        yield acc | tags[u]
                 continue
             free = rest & ~seen
             deep = size + 2 < max_size        # else the children only yield leaves
             for i in range(len(ext) - 1, -1, -1):    # pushed last, popped first
                 u = ext[i]
                 fresh = nbrs[u] & free
-                stack.append((sub | 1 << u, size + 1,
+                stack.append((acc | tags[u], size + 1,
                               ext[i + 1:] + [w for w in g.adjacency[u] if fresh >> w & 1],
                               deep and seen | fresh))
 
@@ -603,7 +609,11 @@ def _shape_key(cm: int) -> int:
 def _apex_shapes(cfg: TrialConfig, augmentation: str) -> Iterator[Tuple[int, int]]:
     """``(mask at its lowest placement, placements)`` per shape of an exhaustive
     apex campaign, grown from one root at ``(s, …, s, 1)`` of a box of side ``2s − 1``,
-    ``s = min(w, max_size)``, over the ids above it whose last coordinate is ≤ s."""
+    ``s = min(w, max_size)``, over the ids above it whose last coordinate is ≤ s.
+    ``_connected_masks`` ORs each shape's packed value from one tag per vertex:
+    bit ``i·side + c_i − 1`` per coordinate (the shape's occupancy of each axis),
+    then a flag bit set on the root only, which ends the pass with the root's
+    shapes, then the vertex's campaign-box bit, each coordinate up by margin − 1."""
     d, n, margin = cfg.box.d, cfg.box.side, cfg.margin
     w = n + 2 - 2 * margin          # ≥ 1: the campaign has refused a margin without room
     s = min(w, cfg.max_size)
@@ -611,24 +621,22 @@ def _apex_shapes(cfg: TrialConfig, augmentation: str) -> Iterator[Tuple[int, int
     plain = _BOUNDARY_THEOREMS[cfg.theorem].connect_in == "g"     # else connected in g_plus
     host = build_box(BoxSpec(d, side, "plain" if plain else augmentation))
     root = (s - 1) * sum(side ** i for i in range(d - 1))
-    strides, axis_bits = [n ** i for i in range(d)], (1 << side) - 1
-    # per shape-box id: its campaign id, each coordinate up by margin − 1; a bit per coordinate
-    place = [sum((c + margin - 2) * k for c, k in zip(lab, strides)) for lab in host.labels]
-    occupy = [sum(1 << i * side + c - 1 for i, c in enumerate(lab)) for lab in host.labels]
-    for cm in _connected_masks(host, cfg.max_size, (1 << s * side ** (d - 1)) - (1 << root)):
-        if not cm >> root & 1:
+    strides, axis_bits, flag = [n ** i for i in range(d)], (1 << side) - 1, d * side
+    tags = [sum(1 << i * side + c - 1 for i, c in enumerate(lab)) | (v == root) << flag
+            | 2 << flag + sum((c + margin - 2) * k for c, k in zip(lab, strides))
+            for v, lab in enumerate(host.labels)]
+    for packed in _connected_masks(host, cfg.max_size, (1 << s * side ** (d - 1)) - (1 << root),
+                                   tags):
+        if not packed >> flag & 1:
             return
-        axes, mapped, shift, placements = 0, 0, 0, 1
-        for v in _bit_ids(cm):
-            axes |= occupy[v]
-            mapped |= 1 << place[v]
+        axes, shift, placements = packed, flag + 1, 1
         for k in strides:
             axis, axes = axes & axis_bits, axes >> side
             low = (axis & -axis).bit_length() - 1
             placements *= max(w - axis.bit_length() + 1 + low, 0)     # w − span
             shift += low * k
         if placements:
-            yield mapped >> shift, placements
+            yield packed >> shift, placements
 
 
 def _failure_record(setting: _BoxSetting, roles: Tuple[Graph, Graph, Graph], trial: int,

@@ -1090,22 +1090,29 @@ def test_the_shape_source_lists_the_polyomino_classes(side, margin):
         _assert_shapes_are_the_classes(cfg, "plus", classes)
 
 
-@pytest.mark.parametrize("theorem, box, augmentation, flavor, max_size", [
-    ("k", BoxSpec(2, 7, "plain"), "star", "star", 5),
-    ("k", BoxSpec(3, 6, "plain"), "star", "star", 3),
-    ("k", BoxSpec(3, 6, "plain"), "plus", "plus", 3),
-    ("dp", BoxSpec(3, 6, "plain"), "plus", "plain", 4),
-    ("dp", BoxSpec(2, 6, "plain"), "plain", "plain", 8),    # max size 8 > w = 4
-    ("dp", BoxSpec(2, 3, "plain"), "plus", "plain", 3),     # a one-cell interior
-], ids=["k-z2-star", "k-z3-star", "k-z3-plus", "dp-z3", "dp-size-above-w", "dp-one-cell"])
+@pytest.mark.parametrize("theorem, box, augmentation, flavor, margin, max_size", [
+    ("k", BoxSpec(2, 7, "plain"), "star", "star", 2, 5),
+    ("k", BoxSpec(3, 6, "plain"), "star", "star", 2, 3),
+    ("k", BoxSpec(3, 6, "plain"), "plus", "plus", 2, 3),
+    ("dp", BoxSpec(3, 6, "plain"), "plus", "plain", 2, 4),
+    ("dp", BoxSpec(2, 6, "plain"), "plain", "plain", 2, 8),    # max size 8 > w = 4
+    ("dp", BoxSpec(2, 3, "plain"), "plus", "plain", 2, 3),     # a one-cell interior
+    ("k", BoxSpec(3, 8, "plain"), "star", "star", 3, 3),       # w = 4, offset margin − 2 = 1
+    ("dp", BoxSpec(4, 5, "plain"), "plus", "plain", 2, 3),     # four occupancy fields
+    ("dp", BoxSpec(3, 5, "plain"), "plus", "plain", 2, 5),     # max size 5 > w = 3
+], ids=["k-z2-star", "k-z3-star", "k-z3-plus", "dp-z3", "dp-size-above-w", "dp-one-cell",
+        "k-z3-margin-3", "dp-z4", "dp-z3-size-above-w"])
 def test_the_shape_source_lists_the_translation_classes(theorem, box, augmentation,
-                                                        flavor, max_size):
+                                                        flavor, margin, max_size):
     """The shapes are connected as the theorem row says: in the plain box
-    for dp, in the augmentation (``g_prime`` included) for k."""
-    classes = _translation_classes(box, flavor, 2, max_size)
+    for dp, in the augmentation (``g_prime`` included) for k.  The rows
+    away from d = 2 and margin 2 pin the offsets of the packed value that
+    ``_apex_shapes`` carries on the enumeration stack."""
+    classes = _translation_classes(box, flavor, margin, max_size)
     field = "probe" if theorem == "dp" else "g_prime"
     for cap in range(1, max_size + 1):
-        cfg = TrialConfig(theorem=theorem, box=box, max_size=cap, **{field: augmentation})
+        cfg = TrialConfig(theorem=theorem, box=box, max_size=cap, margin=margin,
+                          **{field: augmentation})
         _assert_shapes_are_the_classes(cfg, augmentation, classes)
 
 
