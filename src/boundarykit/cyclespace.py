@@ -22,12 +22,11 @@ an odd crossing into one half implies that the summand touches both.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, NotInSpanError
-from .graphs import (Graph, _bit_ids, _members, _minimal_side,
-                     count_components, shortest_path)
+from .graphs import (Graph, _bit_ids, _minimal_side, _neighbourhood_plan, count_components,
+                     shortest_path)
 
 
 def _require_same_host(a: "EdgeVector", b: "EdgeVector") -> None:
@@ -241,8 +240,17 @@ def _is_clique(touched: int, g_plus: Graph) -> bool:
     """Whether the vertices of the mask ``touched`` are pairwise adjacent in
     ``g_plus``: the chordality test for the vertices of a cycle on
     ``g_plus``'s vertex set, as ``EdgeVector._cycle_vertices`` gives them
-    (``CycleGen._vertices`` keeps them for generators)."""
-    return all(g_plus.has_edge(u, v) for u, v in combinations(_members(touched), 2))
+    (``CycleGen._vertices`` keeps them for generators).  Each vertex's
+    row of ``g_plus``'s neighbourhood plan, the plan a campaign builds
+    anyway, must hold every other touched vertex."""
+    rows = _neighbourhood_plan(g_plus).rows
+    rest = touched
+    while rest:
+        low = rest & -rest
+        if touched & ~(rows[low.bit_length() - 1] | low):
+            return False
+        rest ^= low
+    return True
 
 
 def decompose(target: EdgeVector, gen: CycleGen) -> List[int]:

@@ -20,8 +20,8 @@ cutset and shortest-path queries here, every boundary operator and the
 crossing witness share that one engine; no query keeps a vertex queue.
 A plan with no stars, such as a lattice box's, also has a ``tiled`` view:
 ``k`` disjoint copies of the graph in one int, so that one flood floods
-every copy at once.  The boundary layer judges batches of apex-only
-subsets on it.
+every copy at once.  The boundary layer judges batches of one-observer
+instances on it.
 """
 
 from __future__ import annotations
@@ -207,14 +207,17 @@ class _NeighbourhoodPlan:
     every graph; there is no lattice-only path.  ``tiled(k)`` is a view of
     ``k`` disjoint copies of a plan without stars: the same shifts, each
     ``low`` repeated in every copy, and no rows, so every mask takes the
-    shift pass and one pass expands every copy.
+    shift pass and one pass expands every copy.  ``ones`` holds bit 0 of
+    every copy: 1 for a plan that is not tiled.
     """
 
-    __slots__ = ("vertex_count", "full", "shifts", "stars", "rows", "_row_limit", "_count")
+    __slots__ = ("vertex_count", "full", "ones", "shifts", "stars", "rows", "_row_limit",
+                 "_count")
 
     def __init__(self, g: Graph):
         self.vertex_count = g.vertex_count
         self.full = (1 << g.vertex_count) - 1
+        self.ones = 1
         lows = {}
         rows = [0] * g.vertex_count
         for u, v in g.edges:
@@ -282,6 +285,7 @@ class _NeighbourhoodPlan:
         tile = object.__new__(_NeighbourhoodPlan)
         tile.vertex_count = k * n
         tile.full = self.full * ones
+        tile.ones = ones
         tile.shifts = tuple((delta, low * ones) for delta, low in self.shifts)
         tile.stars = tile.rows = ()
         tile._row_limit = -1

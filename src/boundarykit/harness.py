@@ -27,40 +27,54 @@ A dp/k campaign gives each subset an observer mask: the apex, the fixed
 vertex unless the subset holds it, or, under ``all-outside``, every
 vertex outside an enumerated or given subset.  A random ``all-outside``
 trial draws one of those by rank k, the k-th id outside the subset (the
-apex, the largest id, last), found by walking the subset's bits.  Every
-policy then runs the same verdict loop.  Each observer counts as one
-trial, in the order apex first, then by id, and only a failing observer
-gets a full ``BoundaryReport``, for its failure record.  An instance
-whose only observer is the apex is judged once per translation class
-(``_shape_key`` says why), always by ``boundary._failing_batch``.  An
-exhaustive campaign lists its shapes with ``_apex_shapes``, whose
-enumeration carries each shape's campaign mask and axis occupancy on
-the Redelmeier stack, one OR per added cell, so listing a shape costs
-O(d) int operations beyond its growth step.  It judges each shape once, in
-bit-parallel batches of one shape per copy of a tiled plan of the box
-without the apex, ``_TILE_BITS`` box bits per batch (z2:9, size ≤ 8:
-3,790 shapes in 10 batches for 61,167 trials), and counts their
-translates.  The failing shapes' keys seed the verdict memo of the
-per-instance loop, which such a campaign runs once a shape fails, as
-every other campaign does; there a key the memo lacks is judged as a
-batch of one on the box's own plans.  Every other observer mask holds a
-box vertex and goes to ``boundary._failing_observers``, which floods and
-judges once each component of the traversal graph minus the subset that
-holds an observer: the visible boundary depends on the observer only
-through that component (it is the exterior boundary of Kesten and of
-Deuschel–Pisztora).
+apex, the largest id, last), found by walking the subset's bits.  Each
+observer counts as one trial, in the order apex first, then by id, and
+only a failing observer gets a full ``BoundaryReport``, for its failure
+record.  Which judge takes an instance depends on its observer mask,
+and on whether its subset touches the box surface:
+
+* No observer (a subset holding the fixed observer): no trial, no judge.
+* One observer, the apex or a box vertex (every random trial, every
+  exhaustive ``apex`` or ``fixed`` subset, a given subset under ``apex``
+  or ``fixed``): ``boundary._failing_batch``, as one copy of a
+  bit-parallel batch on tiled plans of the box without the apex,
+  ``_TILE_BITS`` box bits per batch.  The copy is flooded from the box
+  surface for the apex and from the observer's own bit for a box vertex;
+  ``_failing_batch`` says why that is the verdict on the apexed graphs
+  when the subset misses the surface, as every enumerated or sampled
+  subset does at margin ≥ 2.  A box whose role plans have stars (side
+  2, ``plus`` or ``star``) cannot tile and takes one copy per batch on
+  its own plans.
+* Several observers (exhaustive or given ``all-outside``), or a given
+  ``fixed`` subset that touches the surface at margin ≥ 2:
+  ``boundary._failing_observers`` on the apexed graphs, which floods and
+  judges once each component of the traversal graph minus the subset
+  that holds an observer: the visible boundary depends on the observer
+  only through that component (it is the exterior boundary of Kesten and
+  of Deuschel–Pisztora).
+
+An exhaustive ``apex`` campaign first judges each translation class
+once: ``_apex_shapes`` lists the shapes, carrying each shape's campaign
+mask and axis occupancy on the Redelmeier stack, one OR per added cell,
+so listing a shape costs O(d) int operations beyond its growth step.
+The batch judge takes one shape per copy (z2:9, size ≤ 8: 3,790 shapes
+in 10 batches for 61,167 trials), and the campaign counts their
+translates.  Only once a shape fails does it walk every subset, judging
+each again in batches, for the failure records.
 
 Campaign subsets are int masks from enumeration (``_connected_masks``) or
 sampling (``_grow``) to verdict; frozensets appear only in the public views
 of those two and in failure records.
 
-Campaigns run their trials in one sequential loop; every trial is a pure
-function of immutable graphs plus the seed string ``"{seed}:{index}"``, so
-the same config and seed give byte-identical reports.  The graphs,
-generators and premise verdict of a box are built once per process and
-shared by every campaign on that box.  A graph's plan is built where a
-campaign first reads it: a passing exhaustive apex campaign reads, of
-the apexed graphs, only the traversal plan, for the apex's neighbours.
+Campaigns run their trials in one sequential loop, in batches whose
+records come out in trial order; every trial is a pure function of
+immutable graphs plus the seed string ``"{seed}:{index}"``, so the same
+config and seed give byte-identical reports.  The graphs, generators and
+premise verdict of a box are built once per process and shared by every
+campaign on that box.  A graph's plan is built where a campaign first
+reads it: a passing campaign whose instances have one observer reads, of
+the apexed graphs, only the traversal plan, for the interior, the
+observer ids and the apex's neighbours.
 """
 
 from __future__ import annotations
@@ -93,8 +107,9 @@ X_POLICIES = ("apex", "all-outside", "fixed")
 EXHAUSTIVE_VERTEX_BUDGET = 25
 EXHAUSTIVE_SIZE_BUDGET = 9
 
-# An exhaustive apex campaign judges its shapes in batches of this many
-# box bits, one shape per box-sized copy (``boundary._failing_batch``).
+# A campaign judges its one-observer instances, and an exhaustive apex
+# campaign its shapes, in batches of this many box bits, one per box-sized
+# copy (``boundary._failing_batch``).
 _TILE_BITS = 1 << 15
 
 
@@ -169,7 +184,7 @@ def sample_connected_subset(g: Graph, size: int, seed,
                             allowed: Optional[frozenset] = None) -> frozenset:
     """Seeded randomized growth of a connected subset of exactly ``size``
     vertices (within ``allowed`` when given).  Deterministic per seed."""
-    return _members(_grow(*_sampling_pool(g, allowed), size, seed))
+    return _members(_grow(*_sampling_pool(g, allowed), size, random.Random(seed)))
 
 
 def _sampling_pool(g: Graph, allowed=None) -> tuple:
@@ -185,15 +200,15 @@ def _sampling_pool(g: Graph, allowed=None) -> tuple:
     return pool, {v: tuple(w for w in g.adjacency[v] if w in inside) for v in pool}
 
 
-def _grow(pool, nbrs, size: int, seed) -> int:
+def _grow(pool, nbrs, size: int, rng: random.Random) -> int:
     """The mask of a connected subset of exactly ``size`` vertices of
-    ``pool``, grown from a seeded random start by popping random frontier
-    entries; up to 64 starts.  Deterministic per seed."""
+    ``pool``, grown from a random start drawn from the seeded ``rng`` by
+    popping random frontier entries; up to 64 starts.  Deterministic per
+    seed."""
     if not _is_id(size):
         raise InputError(f"size must be an int, got {size!r}")
     if not 1 <= size <= len(pool):
         raise InputError(f"cannot grow {size} vertices out of {len(pool)} candidates")
-    rng = random.Random(seed)
     for _attempt in range(64):
         start = pool[rng.randrange(len(pool))]
         chosen, count = 1 << start, 1
@@ -544,14 +559,19 @@ def _boundary_instances(cfg: TrialConfig, setting: _BoxSetting,
 
 def _sampled_instances(cfg: TrialConfig, pool: tuple, full: int) -> Iterator[tuple]:
     """The instances of a random dp/k campaign, one observer per trial,
-    grown from the campaign's one sampling ``pool``."""
+    grown from the campaign's one sampling ``pool``.  Its two streams, the
+    trial's draws and each subset's growth, are one ``Random`` each,
+    re-seeded per seed string: the same draws as a fresh ``Random`` per
+    string, without building one."""
     size_cap = min(cfg.max_size, len(pool[0]))
+    rng, grow_rng = random.Random(), random.Random()
     for i in range(cfg.trials):
         seed_str = _trial_seed(cfg.seed, i)
-        rng = random.Random(seed_str)
+        rng.seed(seed_str)
         size = rng.randint(1, size_cap)
         for attempt in range(64):
-            cm = _grow(*pool, size, f"{seed_str}/c{attempt}")
+            grow_rng.seed(f"{seed_str}/c{attempt}")
+            cm = _grow(*pool, size, grow_rng)
             observers = _observers(cfg, full, cm, rng)
             if observers:
                 break
@@ -560,16 +580,20 @@ def _sampled_instances(cfg: TrialConfig, pool: tuple, full: int) -> Iterator[tup
         yield seed_str, cm, observers
 
 
-def _shape_key(cm: int) -> int:
-    """The subset mask ``cm`` shifted down to its lowest id: equal for the
-    translates of one shape, so an apex-observer verdict is judged once
-    per key; the shape pass seeds the memo with its failing shapes' keys.
-    Translation keeps id order, so ``_apex_shapes`` grows each key once,
-    from its lowest cell; with axis spans ``span_i`` it fits the interior
-    cube of side ``w`` at ``∏(w − span_i)`` places, its subsets.  What
-    follows justifies every apex-only verdict.
+def _apex_shapes(cfg: TrialConfig, augmentation: str) -> Iterator[Tuple[int, int]]:
+    """``(mask at its lowest placement, placements)`` per shape of an exhaustive
+    apex campaign, grown from one root at ``(s, …, s, 1)`` of a box of side ``2s − 1``,
+    ``s = min(w, max_size)``, over the ids above it whose last coordinate is ≤ s.
+    ``_connected_masks`` ORs each shape's packed value from one tag per vertex:
+    bit ``i·side + c_i − 1`` per coordinate (the shape's occupancy of each axis),
+    then a flag bit set on the root only, which ends the pass with the root's
+    shapes, then the vertex's campaign-box bit, each coordinate up by margin − 1.
 
-    Why one verdict serves every subset with the key:
+    A shape is a translation class of the campaign's subsets, keyed by the
+    mask shifted down to its lowest id.  Translation keeps id order, so the
+    pass grows each key once, from its lowest cell; with axis spans
+    ``span_i`` it fits the interior cube of side ``w`` at ``∏(w − span_i)``
+    places, its subsets.  Why one apex verdict serves every placement:
 
     * Every apex-observing instance keeps margin ≥ 2 (``TrialConfig`` and
       ``_boundary_instances`` enforce it): each subset vertex keeps L∞
@@ -586,34 +610,7 @@ def _shape_key(cm: int) -> int:
       than n give one number only when they agree, so the offset cannot
       wrap a row: every edge keeps its coordinate move, and along the
       connected subset every member shifts by the same vector.
-
-    Why ``boundary._failing_batch`` may judge an interior subset C on the
-    box without the apex, on its own plans or as one copy of a tiled one:
-
-    * The apex's neighbours are exactly the box surface, and C (margin
-      ≥ 2) misses the surface.  So the apex's component of the traversal
-      graph minus C is the apex plus the flood from the surface inside
-      the box minus C.
-    * The apex lies in no boundary of C: its only neighbours are surface
-      vertices, none in C.  So the visible boundary S is the adjacency
-      boundary of C inside that surface flood, with or without the apex.
-    * The probe components of S are those of the subgraph induced on S,
-      which the apex is not in, so its edges never join two of them.
-      So the apex fails C exactly when one probe flood from a vertex of S
-      inside S misses part of S, the test ``_failing_batch`` runs on each
-      copy; the tests' oracle, ``_failing_observers(…, 1 << apex)``, agrees.
     """
-    return cm >> ((cm & -cm).bit_length() - 1)
-
-
-def _apex_shapes(cfg: TrialConfig, augmentation: str) -> Iterator[Tuple[int, int]]:
-    """``(mask at its lowest placement, placements)`` per shape of an exhaustive
-    apex campaign, grown from one root at ``(s, …, s, 1)`` of a box of side ``2s − 1``,
-    ``s = min(w, max_size)``, over the ids above it whose last coordinate is ≤ s.
-    ``_connected_masks`` ORs each shape's packed value from one tag per vertex:
-    bit ``i·side + c_i − 1`` per coordinate (the shape's occupancy of each axis),
-    then a flag bit set on the root only, which ends the pass with the root's
-    shapes, then the vertex's campaign-box bit, each coordinate up by margin − 1."""
     d, n, margin = cfg.box.d, cfg.box.side, cfg.margin
     w = n + 2 - 2 * margin          # ≥ 1: the campaign has refused a margin without room
     s = min(w, cfg.max_size)
@@ -663,48 +660,64 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
             "pass skip_hypotheses (CLI: --skip-hypotheses) to run it as a negative control")
     if fixed_c is None and 2 * cfg.margin >= cfg.box.side + 2:     # an empty interior
         raise InputError(f"margin {cfg.margin} leaves no room for subsets in {cfg.box}")
-    apex_only = 1 << setting.apex
+    apex = width = setting.apex                 # the apex's id, the box's vertex count
     # the apex stands for the outside only at margin ≥ 2; below that (fixed
     # observers only) a subset may touch the surface, so judge on the box
     roles = setting.roles if cfg.margin >= 2 else setting.box_roles
-    width = setting.apex                        # box vertices, the apex's id
-    # the apex's neighbours; the other roles' plans are built where first read
-    surface = _neighbourhood_plan(setting.roles[0]).rows[setting.apex]
-    verdicts: Dict[int, int] = {}   # shape key -> failing mask, apex-only trials
+    # the apex's neighbours; the other apexed plans are built where first read
+    surface = _neighbourhood_plan(setting.roles[0]).rows[apex]
+    # the batch judge's premise at margin ≥ 2: the subset misses the surface.
+    # Only a given ``fixed`` subset can touch it, and the apex may then join
+    # parts of its boundary, so it goes to ``_failing_observers``
+    rim = surface if cfg.margin >= 2 else 0
+    box_plans = [_neighbourhood_plan(g) for g in setting.box_roles]
+    copies = max(1, _TILE_BITS // width)
+    if any(plan.stars for plan in box_plans):     # side-2 plus/star boxes refuse to tile
+        tiles, copies = box_plans, 1
+    else:
+        tiles = [plan.tiled(copies) for plan in box_plans]
     placements = None
     if cfg.mode == "exhaustive" and cfg.x_policy == "apex" and fixed_c is None:
-        copies = max(1, _TILE_BITS // width)
-        tiles = [_neighbourhood_plan(g).tiled(copies) for g in setting.box_roles]
+        placements, failed = 0, False
+        # the surface in every copy; a short batch keeps its first copies
+        surfaces = surface * tiles[0].ones
         shapes = _apex_shapes(cfg, augmentation)
-        placements = 0
         while batch := list(islice(shapes, copies)):
             placements += sum(count for _, count in batch)
-            for cm in _failing_batch(*tiles, surface, width, [cm for cm, _ in batch]):
-                verdicts[_shape_key(cm)] = apex_only
-        if not verdicts:
+            failed = failed or bool(_failing_batch(*tiles, width, [cm for cm, _ in batch],
+                                                   surfaces & (1 << len(batch) * width) - 1))
+        if not failed:
             return placements, []
         # a shape fails: the loop below lists every subset for its records
     trials_run = 0
     failures: List[dict] = []
-    for seed_str, cm, observers in _boundary_instances(cfg, setting, fixed_c):
-        if observers == apex_only:
-            key = _shape_key(cm)
-            failing = verdicts.get(key)
-            if failing is None:
-                # a batch of one on the plans without the apex, built on first use
-                box_plans = (_neighbourhood_plan(g) for g in setting.box_roles)
-                failing = verdicts[key] = (
-                    apex_only if _failing_batch(*box_plans, surface, width, [cm]) else 0)
-        else:
-            failing = _failing_observers(*map(_neighbourhood_plan, roles), cm, observers)
-        if failing:
-            # trial order: the apex first, then by id
-            order = sorted(_members(observers), key=lambda v: (v != setting.apex, v))
-            for i, x in enumerate(order):
-                if failing >> x & 1:
-                    failures.append(
-                        _failure_record(setting, roles, trials_run + i, seed_str, cm, x))
-        trials_run += observers.bit_count()
+    instances = _boundary_instances(cfg, setting, fixed_c)
+    while batch := list(islice(instances, copies)):
+        # one copy per instance with one observer, flooded from the surface
+        # for the apex and from the observer's own bit for a box vertex
+        shapes, sources = [], 0
+        for _, cm, observers in batch:
+            if observers and not observers & observers - 1 and not cm & rim:
+                sources |= (surface if observers >> apex else observers) << len(shapes) * width
+                shapes.append(cm)
+        failing_copies = set(_failing_batch(*tiles, width, shapes, sources)) if shapes else ()
+        copy = 0
+        for seed_str, cm, observers in batch:
+            if not observers:
+                continue                                # a subset holding the fixed observer
+            if observers & observers - 1 or cm & rim:
+                failing = _failing_observers(*map(_neighbourhood_plan, roles), cm, observers)
+            else:
+                failing = observers if copy in failing_copies else 0
+                copy += 1
+            if failing:
+                # trial order: the apex first, then by id
+                order = sorted(_members(observers), key=lambda v: (v != apex, v))
+                for i, x in enumerate(order):
+                    if failing >> x & 1:
+                        failures.append(
+                            _failure_record(setting, roles, trials_run + i, seed_str, cm, x))
+            trials_run += observers.bit_count()
     if not trials_run:
         raise InputError("the campaign has no instance to judge: every subset "
                          "holds the fixed observer")
@@ -803,7 +816,7 @@ def _sample_crossing_instance(g: Graph, rng: random.Random, max_size: int,
     for attempt in range(40):
         size = rng.randint(1, max(1, min(max_size, g.vertex_count - 3)))
         # every host is connected and ``size`` ≤ its vertex count: one start grows it
-        cm = _grow(*pool, size, f"{seed_str}/r{round_}/c{attempt}")
+        cm = _grow(*pool, size, random.Random(f"{seed_str}/r{round_}/c{attempt}"))
         blocked = cm | plan.expand(cm)
         eligible = g.vertex_count - blocked.bit_count()
         if not eligible:

@@ -65,6 +65,13 @@ def chordal_by_pairs(cycle_edges: Iterable[Tuple[int, int]],
     return all(frozenset(p) in joined for p in combinations(touched, 2))
 
 
+def clique_by_pairs(touched: int, g) -> bool:
+    """Whether the vertices of the mask ``touched`` are pairwise adjacent
+    in the graph ``g``: one ``has_edge`` lookup per pair."""
+    vs = [v for v in range(touched.bit_length()) if touched >> v & 1]
+    return all(g.has_edge(u, v) for u, v in combinations(vs, 2))
+
+
 def path_exists_avoiding(vertex_count: int, edges: Sequence[Tuple[int, int]],
                          x: int, y: int, forbidden: Iterable[int]) -> bool:
     """Iterative DFS for an x→y path avoiding ``forbidden`` internally and at

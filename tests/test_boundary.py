@@ -446,6 +446,7 @@ def test_a_tiled_plan_expands_each_copy_on_its_own(spec):
     tile = plan.tiled(k)
     assert tile.vertex_count == k * n
     assert tile.full == (1 << k * n) - 1
+    assert (plan.ones, tile.ones) == (1, sum(1 << i * n for i in range(k)))
     rng = random.Random(str(spec))
     masks = [1 << i * n + v for i in range(k) for v in (0, n - 1)]
     masks += [rng.getrandbits(k * n) & rng.getrandbits(k * n) for _ in range(12)]
@@ -470,7 +471,9 @@ def test_a_plan_with_stars_refuses_to_tile():
 class BatchJudge:
     """A dp/k campaign's apexed role plans, for ``_failing_observers``, and
     its plans without the apex for ``_failing_batch``: tiled for batches,
-    untiled for the batches of one a campaign's memo misses make."""
+    untiled for a batch of one.  An observer is a vertex id of the apexed
+    graphs, the apex by default; its copy is flooded from the box surface
+    for the apex and from its own bit otherwise."""
 
     def __init__(self, cfg, copies):
         self.augmentation = harness._augmentation(cfg.theorem, cfg.box, cfg.probe,
@@ -484,26 +487,31 @@ class BatchJudge:
         self.interior = sorted(margin_interior(setting.box, cfg.margin))
         self.connect_host = setting.connect_host
 
-    def kernel(self, cm):
-        """Whether ``_failing_observers`` fails the apex for ``cm``."""
-        return bool(_failing_observers(*self.plans, cm, 1 << self.apex))
+    def source(self, x):
+        return self.surface if x == self.apex else 1 << x
 
-    def batch(self, shapes):
-        """Per shape, whether ``_failing_batch`` fails its copy.  The judge
-        hands back the failing shapes in copy order, and equal masks share
-        a verdict, so membership gives each copy's verdict."""
-        failing = _failing_batch(*self.tiles, self.surface, self.width, shapes)
-        failed = set(failing)
-        verdicts = [cm in failed for cm in shapes]
-        assert failing == [cm for cm, fails in zip(shapes, verdicts) if fails]
+    def kernel(self, cm, x=None):
+        """Whether ``_failing_observers`` fails the observer ``x`` for ``cm``."""
+        return bool(_failing_observers(*self.plans, cm, 1 << (self.apex if x is None else x)))
+
+    def batch(self, shapes, observers=None):
+        """Per copy, whether ``_failing_batch`` fails it: copy ``i`` holds
+        ``shapes[i]`` seen from ``observers[i]``.  The judge hands back the
+        failing copies' indices in copy order."""
+        observers = observers or [self.apex] * len(shapes)
+        sources = sum(self.source(x) << i * self.width for i, x in enumerate(observers))
+        failing = _failing_batch(*self.tiles, self.width, shapes, sources)
+        verdicts = [i in failing for i in range(len(shapes))]
+        assert failing == [i for i, fails in enumerate(verdicts) if fails]
         return verdicts
 
-    def single(self, cm):
+    def single(self, cm, x=None):
         """Whether ``_failing_batch`` fails ``cm`` as a batch of one on the
         untiled plans, where a copy's repunit is 1 and small masks take
         the row pass."""
-        failing = _failing_batch(*self.box_plans, self.surface, self.width, [cm])
-        assert failing in ([], [cm])
+        x = self.apex if x is None else x
+        failing = _failing_batch(*self.box_plans, self.width, [cm], self.source(x))
+        assert failing in ([], [0])
         return bool(failing)
 
 
@@ -559,12 +567,17 @@ def interior_masks(judge):
 def test_the_batch_judge_fails_the_drawn_masks_the_kernel_fails(data):
     """Connected and disconnected interior masks, so that verdicts mix,
     in batches of 1 to 12 on a tile of 12 copies, so that short batches
-    leave copies unused, and one by one on the untiled plans."""
+    leave copies unused, and one by one on the untiled plans; each seen
+    from the apex or from a drawn box vertex outside it."""
     judge = data.draw(st.sampled_from(DRAWN_MASK_JUDGES), label="judge")
     shapes = data.draw(st.lists(interior_masks(judge), min_size=1, max_size=12),
                        label="shapes")
-    want = [judge.kernel(cm) for cm in shapes]
-    assert judge.batch(shapes) == [judge.single(cm) for cm in shapes] == want
+    observers = [data.draw(st.one_of(st.just(judge.apex), st.sampled_from(
+        [v for v in range(judge.apex) if not cm >> v & 1])), label="observer")
+        for cm in shapes]
+    want = [judge.kernel(cm, x) for cm, x in zip(shapes, observers)]
+    assert judge.batch(shapes, observers) == want
+    assert [judge.single(cm, x) for cm, x in zip(shapes, observers)] == want
 
 
 def test_a_failing_copy_is_found_wherever_it_sits():
@@ -582,7 +595,8 @@ def test_a_failing_copy_is_found_wherever_it_sits():
     for at in (0, len(passing) // 2, len(passing)):
         shapes = passing[:at] + [apart] + passing[at:]
         assert judge.batch(shapes) == [cm == apart for cm in shapes]
-        assert _failing_batch(*judge.tiles, judge.surface, judge.width, shapes) == [apart]
+        surfaces = judge.surface * judge.tiles[0].ones & (1 << len(shapes) * judge.width) - 1
+        assert _failing_batch(*judge.tiles, judge.width, shapes, surfaces) == [at]
     assert judge.batch([passing[0], apart]) == [False, True]
     assert judge.batch([apart]) == [True]
 
@@ -597,3 +611,45 @@ def test_a_copy_with_an_empty_visible_boundary_is_an_error():
             judge.batch(shapes)
     with pytest.raises(RuntimeError, match="empty visible boundary"):
         judge.single(0)
+    # a copy with no flood source sees no boundary either
+    for sources in (0, judge.surface, judge.surface << judge.width):
+        with pytest.raises(RuntimeError, match="empty visible boundary"):
+            _failing_batch(*judge.tiles, judge.width, [ok, ok], sources)
+
+
+# Every single-observer instance of three campaigns, judged in batches of
+# this many copies: each subset's apex and box observers are consecutive,
+# so batches mix the two kinds of source, and no count below is a
+# multiple of it, so the last batch is short.
+_OBSERVER_COPIES = 97
+
+
+@pytest.mark.parametrize("theorem, box, max_size", [
+    ("dp", BoxSpec(2, 6, "plain"), 4),
+    ("k", BoxSpec(2, 6, "plain"), 3),
+    ("dp", BoxSpec(3, 5, "plain"), 3),
+], ids=["dp-z2:6", "k-z2:6", "dp-z3:5"])
+@pytest.mark.parametrize("plain", [False, True], ids=["default", "plain"])
+def test_the_batch_judge_fails_the_observers_the_kernel_fails(theorem, box, max_size, plain):
+    """For every connected subset of the margin-2 interior and every one
+    observer, the apex or a box vertex outside the subset, the batch
+    judge on the plans without the apex fails exactly the instances that
+    ``_failing_observers`` fails on the apexed plans: at margin 2 the
+    surface misses C and stays connected, so a box observer's flood
+    reaches the apex exactly when it reaches the surface.  With the plain
+    augmentation (dp probed in the plain box, k with plain adjacency)
+    some of them fail."""
+    field = "probe" if theorem == "dp" else "g_prime"
+    cfg = TrialConfig(theorem=theorem, box=box, **({field: "plain"} if plain else {}))
+    judge = BatchJudge(cfg, _OBSERVER_COPIES)
+    allowed = sum(1 << v for v in judge.interior)
+    instances = [(cm, x) for cm in harness._connected_masks(judge.connect_host, max_size, allowed)
+                 for x in range(judge.apex + 1) if not cm >> x & 1]
+    assert len(instances) % _OBSERVER_COPIES
+    want = [judge.kernel(cm, x) for cm, x in instances]
+    got = []
+    for i in range(0, len(instances), _OBSERVER_COPIES):
+        shapes, observers = zip(*instances[i:i + _OBSERVER_COPIES])
+        got += judge.batch(list(shapes), list(observers))
+    assert got == want
+    assert (sum(want) > 0) == plain

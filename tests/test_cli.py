@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, JSON output, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -383,6 +384,39 @@ def test_verify_fixed_observer_is_a_box_vertex(capsys):
     apex is spelled ``--x apex``."""
     code, out, err = run_cli(capsys, "verify", "dp", "--box", "z2:9:plain", "--x", "81")
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("extra, want_code, trials, failures, digest", [
+    ((), 0, 6, 0, "f7b001494149f01ef767cbbf68de40e919c4fec0aea814af06f37d8903705231"),
+    (("--gplus", "plain", "--skip-hypotheses"), 1, 5, 3,
+     "659f2569b92bfec17c07bc442ee7ab4f5026f159273117203c182b6a2ebb708c"),
+], ids=["star", "plain-adjacency"])
+def test_a_side_2_box_is_judged_one_copy_at_a_time(capsys, extra, want_code, trials,
+                                                   failures, digest):
+    """On z2:2 the king box's one long diagonal is a star, so its plan
+    cannot tile and each instance is judged on the box's own plans; with
+    plain adjacency the plans tile.  Trial and failure counts and report
+    bytes are pinned."""
+    code, out, err = run_cli(capsys, "verify", "k", "--box", "z2:2:plain", "--x", "[1,1]",
+                             "--margin", "0", "--max-size", "2", *extra, "--no-elapsed")
+    data = json.loads(out)
+    assert (code, err, data["trials_run"], len(data["failures"])) == (
+        want_code, "", trials, failures)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_a_given_subset_on_the_surface_is_judged_with_the_apex(capsys):
+    """A wall across z2:5 touches the surface at margin 2.  Seen from
+    (1, 1), the apex joins the wall's two sides and its visible boundary
+    is one probe component; the box alone would split it into three.  The
+    report bytes are pinned."""
+    code, out, err = run_cli(capsys, "verify", "dp", "--box", "z2:5:plain", "--x", "[1,1]",
+                             "--set", "[[3,1],[3,2],[3,3],[3,4],[3,5],[2,3]]",
+                             "--probe", "plain", "--skip-hypotheses", "--no-elapsed")
+    data = json.loads(out)
+    assert (code, err, data["trials_run"], len(data["failures"])) == (0, "", 1, 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5e8d6c39063cb08be0af82e03016accc6a6a63fb324becbdf360b3fb92d533f7")
 
 
 def test_verify_no_elapsed_flag(capsys):

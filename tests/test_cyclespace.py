@@ -6,15 +6,15 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundarykit import (BoxSpec, CycleGen, EdgeVector, Graph, InputError,
-                         NotInSpanError, build_box, crossing_cycle_witness,
+from boundarykit import (BoxSpec, CycleGen, EdgeVector, Graph, GraphPair, InputError,
+                         NotInSpanError, build_box, build_box_pair, extra_edge_patches, crossing_cycle_witness,
                          cycle_space_rank, decompose, four_cycle_gen,
                          fundamental_basis,
                          is_generating, is_minimal_cutset,
                          random_connected_graph)
 from boundarykit.cyclespace import _is_clique
 
-from oracles import (cycle_check_by_degrees, flood_components, gf2_in_span,
+from oracles import (clique_by_pairs, cycle_check_by_degrees, flood_components, gf2_in_span,
                      gf2_rank_sets, is_minimal_cutset_oracle)
 
 
@@ -260,6 +260,41 @@ def test_chordality_examples():
     vec = EdgeVector.from_vertex_path(
         plain5, [plain5.id_of_label(c) for c in domino_ring])
     assert not is_chordal(vec, star5)
+
+
+def _half_diagonal_pair(box):
+    """The plain box with the augmentation edges of its star box whose
+    endpoints' coordinate-wise minimum has an even coordinate sum: in
+    d = 2, both diagonals of every other unit face and none of the rest,
+    so the premises fail on some cycles and hold on others."""
+    plain, star = build_box(box), build_box(BoxSpec(box.d, box.side, "star"))
+    kept = [(u, v) for u, v in star.edges if plain.has_edge(u, v) or sum(
+        map(min, zip(star.labels[u], star.labels[v]))) % 2 == 0]
+    return GraphPair(plain, Graph(star.vertex_count, kept, star.labels))
+
+
+@pytest.mark.parametrize("box", [BoxSpec(d, side, "plain") for d in (2, 3) for side in (3, 4)],
+                         ids=str)
+def test_the_clique_test_matches_the_pairwise_oracle(box):
+    """The premise checks' clique test, on the rows of the augmentation's
+    neighbourhood plan, against one ``has_edge`` lookup per pair: every
+    generator and every patch cycle of the box, against the plain, plus
+    and star augmentations and against a failing one with half the
+    diagonals."""
+    gen = four_cycle_gen(box)
+    pairs = [build_box_pair(box, flavor) for flavor in ("plain", "plus", "star")]
+    pairs.append(_half_diagonal_pair(box))
+    passing = []
+    for pair in pairs:
+        cycles = list(gen._vertices)
+        cycles += [vec._cycle_vertices() for vec in extra_edge_patches(pair).values()]
+        got = [_is_clique(touched, pair.g_plus) for touched in cycles]
+        assert got == [clique_by_pairs(touched, pair.g_plus) for touched in cycles]
+        passing.append((sum(got), len(got)))
+    # plain fails every generator, plus and star pass every cycle, and the
+    # half augmentation gives verdicts of both kinds
+    (plain, _), (plus, plus_all), (star, star_all), (half, half_all) = passing
+    assert plain == 0 and plus == plus_all and star == star_all and 0 < half < half_all
 
 
 # --- decomposition ---------------------------------------------------------------

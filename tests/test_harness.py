@@ -981,6 +981,45 @@ def test_component_verdicts_match_the_per_observer_loop(cfg, ring, trials, faili
     assert rep.trial_seeds == []
 
 
+_WALL = [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (2, 3)]
+
+
+@pytest.mark.parametrize("theorem, override, cells", [
+    ("dp", {"probe": "plain"}, _WALL),
+    ("k", {"g_prime": "plain"}, _WALL),
+    ("dp", {"probe": "plain"}, [(1, 3), (2, 3), (2, 4)]),
+    ("k", {}, [(1, 1), (2, 2), (3, 3)]),
+], ids=["dp-wall", "k-wall", "dp-foot", "k-diagonal"])
+def test_a_given_fixed_subset_on_the_surface_is_judged_with_the_apex(theorem, override,
+                                                                       cells):
+    """At margin 2 a given ``fixed`` subset may touch the box surface, and
+    the apex, joined to it, may then join parts of its visible boundary.
+    The wall splits the box: from (1, 1) the box-only flood sees three
+    probe components, the apexed graph one.  For every observer outside
+    the subset the report must be the per-observer loop's, on the apexed
+    graphs."""
+    box = BoxSpec(2, 5, "plain")
+    g = build_box(box)
+    fixed_c = frozenset(g.id_of_label(p) for p in cells)
+    for x in range(g.vertex_count):
+        if x in fixed_c:
+            continue
+        cfg = TrialConfig(theorem=theorem, box=box, x_policy="fixed", x_vertex=x, **override)
+        want_trials, want = _per_observer_reference(cfg, fixed_c)
+        rep = run_verification(cfg, skip_hypotheses=True, fixed_c=fixed_c)
+        assert (rep.trials_run, rep.failures) == (want_trials, want) == (1, want), x
+    if cells == _WALL:
+        cfg = TrialConfig(theorem=theorem, box=box, x_policy="fixed",
+                          x_vertex=g.id_of_label((1, 1)), **override)
+        assert run_verification(cfg, skip_hypotheses=True, fixed_c=fixed_c).passed
+
+
+def _shape_key(cm: int) -> int:
+    """The subset mask ``cm`` shifted down to its lowest id: equal for the
+    translates of one shape, the key of ``harness._apex_shapes``' classes."""
+    return cm >> ((cm & -cm).bit_length() - 1)
+
+
 @pytest.mark.parametrize("box, max_size, counts", [
     # fixed polyominoes, OEIS A001168; the 7-wide interior holds no 8-cell
     # line, so size 8 has 2725 − 2 classes
@@ -998,7 +1037,7 @@ def test_shape_keys_count_the_fixed_animals(box, max_size, counts):
     g = build_box(box)
     keys = [set() for _ in counts]
     for c in enumerate_connected_subsets(g, max_size, allowed=margin_interior(g, 2)):
-        keys[len(c) - 1].add(harness._shape_key(sum(1 << v for v in c)))
+        keys[len(c) - 1].add(_shape_key(sum(1 << v for v in c)))
     assert [len(k) for k in keys] == counts
 
 
@@ -1040,7 +1079,7 @@ def test_a_translation_class_shares_its_apex_report(theorem, box, max_size, augm
                                          allowed=margin_interior(setting.box, 2)):
         subsets += 1
         rep = full_report(g, g_prime, probe, c, setting.apex)
-        key = harness._shape_key(sum(1 << v for v in c))
+        key = _shape_key(sum(1 << v for v in c))
         rep0, low0 = first.setdefault(key, (rep, min(c)))
         t = min(c) - low0
         for name in ("boundary", "visible", "outer_visible"):
@@ -1058,8 +1097,8 @@ def _translation_classes(box, flavor, margin, max_size):
     allowed = _neighbourhood_plan(host).mask(margin_interior(host, margin))
     classes = {}
     for cm in _connected_masks(host, max_size, allowed):
-        first, count = classes.get(harness._shape_key(cm), (cm, 0))
-        classes[harness._shape_key(cm)] = (first, count + 1)
+        first, count = classes.get(_shape_key(cm), (cm, 0))
+        classes[_shape_key(cm)] = (first, count + 1)
     return classes
 
 
@@ -1068,7 +1107,7 @@ def _assert_shapes_are_the_classes(cfg, augmentation, classes):
     at its lowest translate, with its number of translates."""
     import boundarykit.harness as harness
     shapes = list(harness._apex_shapes(cfg, augmentation))
-    got = {harness._shape_key(cm): (cm, placements) for cm, placements in shapes}
+    got = {_shape_key(cm): (cm, placements) for cm, placements in shapes}
     assert len(got) == len(shapes)
     assert got == {key: v for key, v in classes.items() if key.bit_count() <= cfg.max_size}
 
@@ -1138,22 +1177,30 @@ def test_apex_campaigns_by_shape_match_the_per_observer_loop(cfg, trials, failin
     assert json.dumps(rep.failures) == json.dumps(want)
 
 
+def _surface_sources(setting, copies):
+    """The flood sources of a batch of ``copies`` apex copies: the box
+    surface in every copy."""
+    surface = _neighbourhood_plan(setting.roles[0]).rows[setting.apex]
+    return surface * _neighbourhood_plan(setting.box_roles[0]).tiled(copies).ones
+
+
 def test_only_the_translates_of_failing_shapes_get_records(monkeypatch):
     """With a verdict that fails the shapes of odd size only, the failure
     records are exactly the odd subsets, by their index in the listing.
-    The fake verdict is the batch judge's, which hands back the odd shapes
-    of its batch.  The shape pass seeds the memo with their keys, so the
-    per-instance loop judges each even shape once, as a batch of one, and
-    no odd shape again; ``_failing_observers`` is never called."""
+    The fake verdict is the batch judge's, which hands back the odd copies
+    of its batch.  The shape pass judges every shape in one batch; as one
+    fails, the walk lists every subset and judges each again, all 387 in
+    one batch, every copy flooded from the surface; ``_failing_observers``
+    is never called."""
     import boundarykit.harness as harness
     batches = []
 
-    def judge(trav, adj, probe, surface, width, shapes):
-        batches.append(shapes)
-        return [cm for cm in shapes if cm.bit_count() % 2]
+    def judge(trav, adj, probe, width, shapes, sources):
+        batches.append((shapes, sources))
+        return [i for i, cm in enumerate(shapes) if cm.bit_count() % 2]
 
     def kernel(*args):
-        raise AssertionError("an apex-only instance reached _failing_observers")
+        raise AssertionError("a one-observer instance reached _failing_observers")
 
     monkeypatch.setattr(harness, "_failing_batch", judge)
     monkeypatch.setattr(harness, "_failing_observers", kernel)
@@ -1165,11 +1212,10 @@ def test_only_the_translates_of_failing_shapes_get_records(monkeypatch):
     assert [(f["trial"], f["c"]) for f in rep.failures] == [
         (i, vertexset_to_json(g, c)) for i, c in enumerate(subsets) if len(c) % 2]
     shapes = [cm for cm, _ in harness._apex_shapes(cfg, "plus")]
-    assert batches[0] == shapes
-    misses = [harness._shape_key(cm) for batch in batches[1:] for cm in batch]
-    assert all(len(batch) == 1 for batch in batches[1:])
-    assert sorted(misses) == sorted(cm for cm in map(harness._shape_key, shapes)
-                                    if cm.bit_count() % 2 == 0)
+    assert [batch for batch, _ in batches] == [shapes, [sum(1 << v for v in c) for c in subsets]]
+    setting = harness._box_setting("dp", cfg.box, "plus")
+    assert [sources for _, sources in batches] == [
+        _surface_sources(setting, len(shapes)), _surface_sources(setting, 387)]
 
 
 @pytest.mark.parametrize("theorem, box, max_size, flavor", [
@@ -1201,6 +1247,31 @@ def test_a_passing_apex_campaign_builds_only_what_it_reads(monkeypatch, theorem,
     assert built == [BoxSpec(box.d, 2 * min(box.side - 2, max_size) - 1, flavor)]
 
 
+@pytest.mark.parametrize("cfg", [
+    TrialConfig(theorem="k", box=BoxSpec(3, 7, "plain"), mode="random", max_size=12,
+                trials=300, x_policy="all-outside"),
+    TrialConfig(theorem="dp", box=BoxSpec(2, 8, "plain"), mode="random", max_size=8,
+                trials=300, seed=5),
+    TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), max_size=4, x_policy="fixed",
+                x_vertex=_X44),
+], ids=["k-random-outside", "dp-random-apex", "dp-fixed"])
+def test_a_passing_single_observer_campaign_reads_only_the_apexed_traversal(monkeypatch, cfg):
+    """The batch judge runs on the plans without the apex, so a passing
+    campaign whose instances all have one observer reads, of its apexed
+    role graphs, the traversal graph's plan only: for the interior, the
+    observer ids and the surface.  The apexed adjacency and probe plans
+    serve ``_failing_observers`` and failure records alone."""
+    import boundarykit.harness as harness
+    augmentation = harness._augmentation(cfg.theorem, cfg.box, cfg.probe, cfg.g_prime)
+    setting = harness._box_setting(cfg.theorem, cfg.box, augmentation)
+    plan, planned = harness._neighbourhood_plan, []
+    monkeypatch.setattr(harness, "_neighbourhood_plan", lambda g: planned.append(g) or plan(g))
+    rep = run_verification(cfg)
+    assert rep.passed and rep.trials_run > 0
+    roles = {id(g) for g in setting.roles}
+    assert {id(g) for g in planned} & roles == {id(setting.roles[0])} != roles
+
+
 def test_a_placement_count_the_listing_disagrees_with_is_an_error(monkeypatch):
     import boundarykit.harness as harness
     shapes = harness._apex_shapes
@@ -1219,17 +1290,17 @@ def test_a_placement_count_the_listing_disagrees_with_is_an_error(monkeypatch):
 ], ids=["dp-z2", "k-z2"])
 def test_a_failing_apex_campaign_hands_over_to_the_per_instance_loop(
         monkeypatch, cfg, shapes, failing):
-    """The shape pass judges every batch, here one that holds every shape,
-    and seeds the shape-key memo with the failing shapes; the per-instance
-    loop then lists every subset for its records and judges none again:
-    one batch-judge call, and no ``_failing_observers`` call."""
+    """The shape pass judges its shapes, here all in one batch, and once
+    one fails the walk lists every subset for its records and batch-judges
+    each subset again, here all in one batch: two batch-judge calls, and
+    no ``_failing_observers`` call."""
     import boundarykit.harness as harness
     augmentation = cfg.probe or cfg.g_prime
     assert sum(1 for _ in harness._apex_shapes(cfg, augmentation)) == shapes
     judge, kernel, batches, calls = harness._failing_batch, harness._failing_observers, [], []
 
     def counting_judge(*args):
-        batches.append(args[5])
+        batches.append(args[4])
         return judge(*args)
 
     def counting(*args):
@@ -1240,46 +1311,71 @@ def test_a_failing_apex_campaign_hands_over_to_the_per_instance_loop(
     monkeypatch.setattr(harness, "_failing_observers", counting)
     rep = run_verification(cfg, skip_hypotheses=True)
     assert (rep.trials_run, len(rep.failures)) == (failing, failing)
-    assert [len(batch) for batch in batches] == [shapes]
+    assert [len(batch) for batch in batches] == [shapes, failing]
     assert batches[0][0].bit_count() == 1
     assert calls == []
 
 
-@pytest.mark.parametrize("cfg, fixed_c, trials, failing, kernel_calls, keys", [
+_Z22, _Z25 = build_box(BoxSpec(2, 2, "plain")), build_box(BoxSpec(2, 5, "plain"))
+
+
+@pytest.mark.parametrize("cfg, fixed_c, trials, failing, batch_sizes, kernel_observers", [
     (TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), mode="random", trials=300,
-                 seed=5, max_size=3, probe="plain"), None, 300, 300, 0, 9),
+                 seed=5, max_size=3, probe="plain"), None, 300, 300, [300], []),
     (TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), mode="random", trials=300,
-                 seed=3, x_policy="all-outside", probe="plain"), None, 300, 300, 292, 6),
+                 seed=3, x_policy="all-outside", probe="plain"), None, 300, 300, [300], []),
     (TrialConfig(theorem="k", box=BoxSpec(2, 6, "plain"), g_prime="plain"),
-     frozenset({14, 15}), 1, 1, 0, 1),
-], ids=["dp-random-apex", "dp-random-all-outside", "k-set-apex"])
+     frozenset({14, 15}), 1, 1, [1], []),
+    # 125 box bits: 262 copies per batch
+    (TrialConfig(theorem="k", box=BoxSpec(3, 5, "plain"), mode="random", trials=300,
+                 seed=4, x_policy="all-outside", g_prime="plain"), None, 300, 300, [262, 38], []),
+    # 95 of the 387 subsets hold the observer and take no copy
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), max_size=4, probe="plain",
+                 x_policy="fixed", x_vertex=_X44), None, 292, 292, [292], []),
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), probe="plain",
+                 x_policy="all-outside"), _RING, 42, 41, [], [42]),
+    # z2:2's king box has a star, so its plans do not tile: one copy per batch
+    (TrialConfig(theorem="k", box=BoxSpec(2, 2, "plain"), max_size=2, margin=0,
+                 x_policy="fixed", x_vertex=_Z22.id_of_label((1, 1))), None, 6, 0, [1] * 6, []),
+    # a given subset on the surface at margin 2: the apexed graphs judge it
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 5, "plain"), probe="plain", x_policy="fixed",
+                 x_vertex=_Z25.id_of_label((1, 1))), _WALL, 1, 0, [], [1]),
+    # the same wall at margin 1 is judged on the box itself, by the batch judge
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 5, "plain"), probe="plain", x_policy="fixed",
+                 x_vertex=_Z25.id_of_label((1, 1)), margin=1), _WALL, 1, 1, [1], []),
+], ids=["dp-random-apex", "dp-random-all-outside", "k-set-apex", "k-random-two-batches",
+        "dp-fixed", "dp-set-all-outside", "k-star-plan", "dp-set-fixed-on-the-surface",
+        "dp-set-fixed-below-margin-2"])
 def test_apex_only_instances_are_judged_by_the_batch_judge(
-        monkeypatch, cfg, fixed_c, trials, failing, kernel_calls, keys):
-    """Every instance whose one observer is the apex (a random apex trial,
-    an apex draw of a random all-outside trial, a given subset) is judged
-    by the batch judge as a batch of one, once per shape key;
-    ``_failing_observers`` sees only observer masks that hold a box
-    vertex.  The random apex campaign never calls it."""
+        monkeypatch, cfg, fixed_c, trials, failing, batch_sizes, kernel_observers):
+    """Every instance with one observer, the apex or a box vertex (a
+    random trial under any policy, an exhaustive fixed subset, a given
+    subset with the apex), is judged by the batch judge, up to
+    ``_TILE_BITS // box vertices`` instances per batch; a subset holding
+    the fixed observer takes no copy.  ``_failing_observers`` sees only
+    observer masks with several observers, and a given subset that touches
+    the surface at margin 2, whose one observer it judges on the apexed
+    graphs; ``kernel_observers`` lists each call's observer count."""
     import boundarykit.harness as harness
     judge, kernel, batches, calls = harness._failing_batch, harness._failing_observers, [], []
 
     def counting_judge(*args):
-        batches.append(args[5])
+        batches.append(args[4])
         return judge(*args)
 
     def counting(trav, adj, probe, cm, observers):
-        assert observers >> trav.full.bit_length() - 1 == 0, "an apex-only mask"
-        calls.append(cm)
+        calls.append(observers.bit_count())
         return kernel(trav, adj, probe, cm, observers)
 
     monkeypatch.setattr(harness, "_failing_batch", counting_judge)
     monkeypatch.setattr(harness, "_failing_observers", counting)
+    if isinstance(fixed_c, list):
+        box = build_box(cfg.box)
+        fixed_c = frozenset(box.id_of_label(p) for p in fixed_c)
     rep = run_verification(cfg, skip_hypotheses=True, fixed_c=fixed_c)
     assert (rep.trials_run, len(rep.failures)) == (trials, failing)
-    assert len(calls) == kernel_calls
-    assert all(len(batch) == 1 for batch in batches)
-    judged = [harness._shape_key(batch[0]) for batch in batches]
-    assert len(judged) == len(set(judged)) == keys
+    assert [len(batch) for batch in batches] == batch_sizes
+    assert calls == kernel_observers
 
 
 def test_a_failing_3d_apex_control_is_pinned():
