@@ -35,39 +35,32 @@ and the probe components come from the plan's ``components``, which peels
 them off from the lowest remaining bit, so they come ordered by smallest
 member.  A campaign needs only verdicts, and S, the visible boundary, is
 connected exactly when one probe flood from its lowest vertex covers it.
-Two verdict functions run that test, with no outer-visible flood, no
-frozensets and no report; the campaign builds a full report only for an
-observer that fails.
+One judge, ``_failing_batch``, runs that test for every dp/k instance,
+with no outer-visible flood, no frozensets and no report; the campaign
+builds a full report only for an observer that fails.
 
-* ``_failing_batch`` decides every instance whose observer mask has
-  exactly one bit, the apex or a box vertex, and whose subset misses the
-  box surface (or is judged on the box itself, below margin 2).  Each
-  instance is one copy of the box in one int, on plans of the box's roles
-  without the apex, flooded from its own source: the box surface for
-  the apex, the observer's bit for a box vertex.  ``tiled`` plans carry
-  the batches, so each flood level advances every copy's flood at once;
-  a box whose plans have stars, which cannot tile, takes batches of one
-  on its own plans.  That is the bit-parallel traversal of Then et al.
-  (*The More the Merrier: Efficient Multi-Source Graph Traversal*,
-  PVLDB 8(4), 2014), with disjoint copies of one graph in place of many
-  sources in it.  Its docstring says why a copy's verdict is the
-  verdict on the apexed graphs, for a subset that misses the box
-  surface.
-* ``_failing_observers`` takes the observer masks with several bits
-  (exhaustive or given ``all-outside``), and a given ``fixed`` subset
-  that touches the surface at margin ≥ 2.  The visible boundary depends
-  on the observer only through the observer's component of the
-  traversal graph minus C, so it computes the boundary once and floods
-  and judges each component that holds an observer once.
+Each instance is one copy of the box in one int, on plans of the box's
+roles without the apex, flooded from the box surface while it judges the
+apex and from one box observer otherwise.  ``tiled`` plans carry the
+batches, so each flood level advances every copy's flood at once.  That
+is the bit-parallel traversal of Then et al. (*The More the Merrier:
+Efficient Multi-Source Graph Traversal*, PVLDB 8(4), 2014), with
+disjoint copies of one graph in place of many sources in it.  The judge
+returns each copy's traversal flood with its verdict: the visible
+boundary depends on the observer only through its component of the
+traversal graph minus C, so one copy settles every observer its flood
+reached, and an instance with several observers takes one copy per
+component, in rounds.  Its docstring says why a copy's verdict is the
+verdict on the apexed graphs.
 
-The operators' and ``_failing_observers``' judges are the definition-level
-oracles of ``tests/oracles.py`` (boundary scans, DFS path searches,
-union-find components), compared in ``tests/test_boundary.py`` on graphs
-up to and beyond 64 vertices, where masks span several machine words.
-``_failing_observers`` with one observer is the batch judge's oracle:
-on every shape of five campaigns, in batches and one by one; on every
-single observer of every subset of three campaigns; and on drawn masks
-and observers.
+The operators are checked against the definition-level oracles of
+``tests/oracles.py`` (boundary scans, DFS path searches, union-find
+components) in ``tests/test_boundary.py``, on graphs up to and beyond 64
+vertices, where masks span several machine words.  The batch judge's
+oracle there is ``_failing_observers``, which floods and judges each
+observer component on the apexed plans: on every shape of five
+campaigns, in batches and one by one; on every single observer of every
+subset of three campaigns; and on drawn masks and observers.
 """
 
 from __future__ import annotations
@@ -134,52 +127,36 @@ def _outer_visible_mask(trav, cm: int, x: int, visible: int) -> int:
     return visible & (trav.expand(region) | xm)
 
 
-def _failing_observers(trav, adj, probe, cm: int, observers: int) -> int:
-    """The mask of those ``observers`` (a mask disjoint from ``cm``) whose
-    visible boundary of ``cm`` is disconnected in the probe graph.  That
-    boundary depends on the observer only through its component of the
-    traversal graph minus ``cm``, so each component holding an observer
-    is flooded once, and its boundary S is judged by one probe flood
-    from S's lowest vertex, as ``_failing_batch`` judges a copy.
-    Campaigns call it on observer masks with several observers and on a
-    given subset that touches the box surface at margin ≥ 2; on one
-    observer it is the tests' oracle for ``_failing_batch``."""
-    boundary = adj.expand(cm) & ~cm
-    outside = trav.full ^ cm
-    failing = 0
-    while observers:
-        comp = trav.flood(observers & -observers, outside)
-        if (s := boundary & comp) & ~probe.flood(s & -s, s):
-            failing |= comp & observers
-        observers &= ~comp
-    return failing
-
-
-def _failing_batch(trav, adj, probe, width: int, shapes, sources: int) -> list:
-    """The indices of the copies of the batch whose verdict fails.  Copy
+def _failing_batch(trav, adj, probe, width: int, shapes, sources: int) -> tuple:
+    """The traversal flood and the missed mask of a batch of copies.  Copy
     ``i`` holds the subset mask ``shapes[i]`` at bits ``i·width`` and up,
-    on plans of the box's roles without the apex: ``tiled`` plans for a
-    batch, the box's own plans for a batch of one.  ``sources`` holds
-    each copy's flood source at the copy's offset: the box surface (the
-    apex's neighbourhood) for the apex, or the observer's own bit for a
-    box vertex outside the shape.  In every copy S is the adjacency
-    boundary inside the traversal flood from the source, and a copy fails
-    when the probe flood of S from its lowest vertex misses part of S.
+    on ``tiled`` plans of the box's roles without the apex (or the box's
+    own plans for a batch of one), and ``sources`` holds each copy's
+    flood source at the copy's offset: the box surface (the apex's
+    neighbourhood) while the copy judges the apex, or one box vertex
+    outside the shape.  In every copy the flood is the traversal flood
+    from the source in the box minus the shape, S is the adjacency
+    boundary inside it, and the missed mask holds the members of S that
+    the probe flood of S from its lowest vertex misses: the copy fails
+    when its slice of it is not empty.
 
-    That is the verdict of ``_failing_observers(…, 1 << x)`` on the
-    campaign's graphs for the copy's subset C and observer x, when C
-    misses the box surface or the campaign judges on the box itself:
+    That copy's verdict is the apexed campaign's verdict for every
+    observer in the flood, and for the apex when the flood touches the
+    surface.  The visible boundary depends on the observer only through
+    its component of the traversal graph minus C, so a copy judges a
+    whole component:
 
     * Below margin 2 only a fixed box vertex observes, and the campaign
       judges on the box itself, so x's flood in the box minus C is x's
       component there.
-    * At margin ≥ 2 the apex's neighbours are exactly the box surface,
-      which C misses.  The surface is connected in the plain box, the
-      traversal graph of both statements, so it lies in one component of
-      the box minus C.  So x's component of (box + apex) − C, restricted
-      to the box, is x's flood in the box minus C, and it takes in the
-      apex exactly when that flood reaches the surface; the apex's own
-      component is the apex plus the flood from the surface.
+    * At margin ≥ 2 every subset lies in the margin interior, so it
+      misses the box surface, which is the apex's neighbourhood.  The
+      surface is connected in the plain box, the traversal graph of both
+      statements, so it lies in one component of the box minus C.  So x's
+      component of (box + apex) − C, restricted to the box, is x's flood
+      in the box minus C, and it takes in the apex exactly when that
+      flood reaches the surface; the apex's own component is the apex
+      plus the flood from the surface.
     * The apex lies in no boundary of C: its only neighbours are surface
       vertices, none in C.  So S is the adjacency boundary of C inside
       that flood, with or without the apex.  S is never empty: the box is
@@ -189,24 +166,24 @@ def _failing_batch(trav, adj, probe, width: int, shapes, sources: int) -> list:
     * The probe components of S are those of the subgraph induced on S,
       which the apex is not in, so its edges never join two of them.
 
-    A given ``fixed`` subset may touch the surface at margin ≥ 2; the apex
-    may then join two parts of S, so the campaign judges it with
-    ``_failing_observers`` instead."""
+    So a campaign judges an instance with several observers in rounds:
+    each round floods one copy from the surface while the apex is
+    undecided and from the lowest undecided observer after that, and
+    settles every observer the flood reached."""
     c = bits = 0
     for cm in shapes:
         c |= cm << bits
         bits += width
     batch = (1 << bits) - 1
     ones = trav.ones & batch                # bit 0 of every copy
-    s = adj.expand(c) & trav.flood(sources, (trav.full & batch) ^ c)
+    flood = trav.flood(sources, (trav.full & batch) ^ c)
+    s = adj.expand(c) & flood
     # a nonempty copy's lowest bit; an empty copy borrows from the next one
     # up, so the batch holds fewer bits than shapes
     seeds = s & ~(s - ones)
     if seeds.bit_count() != len(shapes):
         raise RuntimeError("a copy of the batch has an empty visible boundary")
-    missed = s & ~probe.flood(seeds, s)
-    box = (1 << width) - 1
-    return [i for i in range(len(shapes)) if missed >> i * width & box] if missed else []
+    return flood, s & ~probe.flood(seeds, s)
 
 
 # --- the operators ------------------------------------------------------------

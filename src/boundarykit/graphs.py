@@ -18,10 +18,10 @@ mask one BFS level per step and stops once the allowed mask is filled,
 and ``components`` peels a mask into its components.  The component, connectivity,
 cutset and shortest-path queries here, every boundary operator and the
 crossing witness share that one engine; no query keeps a vertex queue.
-A plan with no stars, such as a lattice box's, also has a ``tiled`` view:
-``k`` disjoint copies of the graph in one int, so that one flood floods
-every copy at once.  The boundary layer judges batches of one-observer
-instances on it.
+Every plan also has a ``tiled`` view: ``k`` disjoint copies of the graph
+in one int, so that one flood floods every copy at once; a star's edges
+become one-edge shifts there.  The boundary layer judges its batches of
+dp/k instances on it.
 """
 
 from __future__ import annotations
@@ -205,10 +205,10 @@ class _NeighbourhoodPlan:
     the plan has shifts and stars, and otherwise runs the shift/star pass,
     whose cost does not grow with the mask.  Both passes are exact for
     every graph; there is no lattice-only path.  ``tiled(k)`` is a view of
-    ``k`` disjoint copies of a plan without stars: the same shifts, each
-    ``low`` repeated in every copy, and no rows, so every mask takes the
-    shift pass and one pass expands every copy.  ``ones`` holds bit 0 of
-    every copy: 1 for a plan that is not tiled.
+    ``k`` disjoint copies of the plan: the same shifts plus one per star
+    edge, each ``low`` repeated in every copy, and no rows or stars, so
+    every mask takes the shift pass and one pass expands every copy.
+    ``ones`` holds bit 0 of every copy: 1 for a plan that is not tiled.
     """
 
     __slots__ = ("vertex_count", "full", "ones", "shifts", "stars", "rows", "_row_limit",
@@ -272,21 +272,21 @@ class _NeighbourhoodPlan:
 
     def tiled(self, k: int) -> "_NeighbourhoodPlan":
         """``k`` disjoint copies of this plan, copy ``i`` on ids
-        ``i·n … i·n + n − 1`` for ``n = vertex_count``.  One multiplication
-        repeats each shift's ``low`` mask in every copy; a shift joins
-        ``u`` to ``u + δ`` only for ``u`` in ``low``, where both lie in one
-        copy, so no shift crosses a seam.  A star is one hub, not a
-        pattern, so a plan with stars refuses to tile.  The view has no
-        rows: every mask takes the shift pass."""
-        if self.stars:
-            raise ValueError(f"a plan with {len(self.stars)} stars cannot tile")
+        ``i·n … i·n + n − 1`` for ``n = vertex_count``.  Each star edge
+        ``{u, v}`` becomes a one-edge shift ``(|u − v|, 1 << min(u, v))``,
+        and one multiplication repeats each shift's ``low`` mask in every
+        copy; a shift joins ``u`` to ``u + δ`` only for ``u`` in ``low``,
+        where both lie in one copy, so no shift crosses a seam.  The view
+        has no rows and no stars: every mask takes the shift pass."""
         n = self.vertex_count
         ones = ((1 << k * n) - 1) // ((1 << n) - 1) if n else 0    # bit 0 of each copy
+        edges = [(hub.bit_length() - 1, v) for hub, leaves in self.stars for v in _bit_ids(leaves)]
+        shifts = self.shifts + tuple((abs(u - v), 1 << min(u, v)) for u, v in edges)
         tile = object.__new__(_NeighbourhoodPlan)
         tile.vertex_count = k * n
         tile.full = self.full * ones
         tile.ones = ones
-        tile.shifts = tuple((delta, low * ones) for delta, low in self.shifts)
+        tile.shifts = tuple((delta, low * ones) for delta, low in shifts)
         tile.stars = tile.rows = ()
         tile._row_limit = -1
         tile._count = None

@@ -18,10 +18,11 @@ the apex observes (every policy but ``fixed``, whose one observer is a
 box vertex, never the apex id), subsets must keep an L∞ margin of at
 least 2 from the box surface so the apex faithfully models the unbounded
 outside.  Only there is the apex attached: a ``fixed`` campaign at a
-margin below 2 runs on the box itself.  A margin that leaves no room for
-subsets is refused, in exhaustive as in random mode, rather than passing
-with no trials; so is a campaign in which every subset holds the fixed
-observer.
+margin below 2 runs on the box itself.  A given subset must lie inside
+the margin interior under every policy, as enumerated and sampled ones
+do.  A margin that leaves no room for subsets is refused, in exhaustive
+as in random mode, rather than passing with no trials; so is a campaign
+in which every subset holds the fixed observer.
 
 A dp/k campaign gives each subset an observer mask: the apex, the fixed
 vertex unless the subset holds it, or, under ``all-outside``, every
@@ -30,28 +31,24 @@ trial draws one of those by rank k, the k-th id outside the subset (the
 apex, the largest id, last), found by walking the subset's bits.  Each
 observer counts as one trial, in the order apex first, then by id, and
 only a failing observer gets a full ``BoundaryReport``, for its failure
-record.  Which judge takes an instance depends on its observer mask,
-and on whether its subset touches the box surface:
+record.  One judge, ``boundary._failing_batch``, takes every instance but
+a subset holding the fixed observer, which has no observer, no trial and
+no copy.
 
-* No observer (a subset holding the fixed observer): no trial, no judge.
-* One observer, the apex or a box vertex (every random trial, every
-  exhaustive ``apex`` or ``fixed`` subset, a given subset under ``apex``
-  or ``fixed``): ``boundary._failing_batch``, as one copy of a
-  bit-parallel batch on tiled plans of the box without the apex,
-  ``_TILE_BITS`` box bits per batch.  The copy is flooded from the box
-  surface for the apex and from the observer's own bit for a box vertex;
-  ``_failing_batch`` says why that is the verdict on the apexed graphs
-  when the subset misses the surface, as every enumerated or sampled
-  subset does at margin ≥ 2.  A box whose role plans have stars (side
-  2, ``plus`` or ``star``) cannot tile and takes one copy per batch on
-  its own plans.
-* Several observers (exhaustive or given ``all-outside``), or a given
-  ``fixed`` subset that touches the surface at margin ≥ 2:
-  ``boundary._failing_observers`` on the apexed graphs, which floods and
-  judges once each component of the traversal graph minus the subset
-  that holds an observer: the visible boundary depends on the observer
-  only through that component (it is the exterior boundary of Kesten and
-  of Deuschel–Pisztora).
+The campaign takes ``_TILE_BITS // box vertices`` instances per batch and
+judges each batch in rounds, on tiled plans of the box without the apex.
+In each round every instance with undecided observers takes one copy,
+flooded from the box surface while the apex is undecided and from its
+lowest undecided observer after that.  The copy's verdict settles every
+undecided observer its flood reached, and the apex when the flood
+touches the surface: the visible boundary depends on the observer only
+through its component of the traversal graph minus the subset (for the
+apex, the exterior boundary of Kesten and of Deuschel–Pisztora), and
+``_failing_batch`` says why that component, on the apexed graphs, is the
+copy's flood.  So an instance with one observer takes one round, and an
+``all-outside`` subset one round for the outside and one per hole.  A
+round that settles none of an instance's observers is an error, not a
+loop.
 
 An exhaustive ``apex`` campaign first judges each translation class
 once: ``_apex_shapes`` lists the shapes, carrying each shape's campaign
@@ -72,9 +69,9 @@ immutable graphs plus the seed string ``"{seed}:{index}"``, so the same
 config and seed give byte-identical reports.  The graphs, generators and
 premise verdict of a box are built once per process and shared by every
 campaign on that box.  A graph's plan is built where a campaign first
-reads it: a passing campaign whose instances have one observer reads, of
-the apexed graphs, only the traversal plan, for the interior, the
-observer ids and the apex's neighbours.
+reads it: a passing campaign reads, of the apexed graphs, only the
+traversal plan, for the interior, the observer ids and the apex's
+neighbours; the other apexed plans serve failure records.
 """
 
 from __future__ import annotations
@@ -86,8 +83,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .boundary import (_failing_batch, _failing_observers, _outer_visible_mask,
-                       full_report, report_to_json)
+from .boundary import _failing_batch, _outer_visible_mask, full_report, report_to_json
 from .cyclespace import (CycleGen, EdgeVector, _is_clique,
                          crossing_cycle_witness, fundamental_basis,
                          is_generating)
@@ -107,9 +103,9 @@ X_POLICIES = ("apex", "all-outside", "fixed")
 EXHAUSTIVE_VERTEX_BUDGET = 25
 EXHAUSTIVE_SIZE_BUDGET = 9
 
-# A campaign judges its one-observer instances, and an exhaustive apex
-# campaign its shapes, in batches of this many box bits, one per box-sized
-# copy (``boundary._failing_batch``).
+# A campaign judges its instances, and an exhaustive apex campaign its
+# shapes, in batches of this many box bits, one per box-sized copy
+# (``boundary._failing_batch``).
 _TILE_BITS = 1 << 15
 
 
@@ -543,9 +539,9 @@ def _boundary_instances(cfg: TrialConfig, setting: _BoxSetting,
             raise InputError(
                 "precondition: the supplied subset is not connected in the graph "
                 "the theorem requires (dp: plain box, k: the adjacency graph)")
-        if cfg.x_policy != "fixed" and cm & ~allowed:
-            raise InputError(
-                f"precondition: apex observers need the subset inside margin {cfg.margin}")
+        if cm & ~allowed:
+            raise InputError(f"precondition: the supplied subset must lie inside margin "
+                             f"{cfg.margin} (CLI: --margin)")
         masks = [cm]
     elif cfg.mode == "exhaustive":
         # TrialConfig has refused a size cap beyond the enumeration budget
@@ -662,20 +658,12 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
         raise InputError(f"margin {cfg.margin} leaves no room for subsets in {cfg.box}")
     apex = width = setting.apex                 # the apex's id, the box's vertex count
     # the apex stands for the outside only at margin ≥ 2; below that (fixed
-    # observers only) a subset may touch the surface, so judge on the box
+    # observers only) a subset may touch the surface, so records use the box
     roles = setting.roles if cfg.margin >= 2 else setting.box_roles
     # the apex's neighbours; the other apexed plans are built where first read
     surface = _neighbourhood_plan(setting.roles[0]).rows[apex]
-    # the batch judge's premise at margin ≥ 2: the subset misses the surface.
-    # Only a given ``fixed`` subset can touch it, and the apex may then join
-    # parts of its boundary, so it goes to ``_failing_observers``
-    rim = surface if cfg.margin >= 2 else 0
-    box_plans = [_neighbourhood_plan(g) for g in setting.box_roles]
     copies = max(1, _TILE_BITS // width)
-    if any(plan.stars for plan in box_plans):     # side-2 plus/star boxes refuse to tile
-        tiles, copies = box_plans, 1
-    else:
-        tiles = [plan.tiled(copies) for plan in box_plans]
+    tiles = [_neighbourhood_plan(g).tiled(copies) for g in setting.box_roles]
     placements = None
     if cfg.mode == "exhaustive" and cfg.x_policy == "apex" and fixed_c is None:
         placements, failed = 0, False
@@ -685,36 +673,42 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
         while batch := list(islice(shapes, copies)):
             placements += sum(count for _, count in batch)
             failed = failed or bool(_failing_batch(*tiles, width, [cm for cm, _ in batch],
-                                                   surfaces & (1 << len(batch) * width) - 1))
+                                                   surfaces & (1 << len(batch) * width) - 1)[1])
         if not failed:
             return placements, []
         # a shape fails: the loop below lists every subset for its records
     trials_run = 0
     failures: List[dict] = []
+    box = (1 << width) - 1
     instances = _boundary_instances(cfg, setting, fixed_c)
     while batch := list(islice(instances, copies)):
-        # one copy per instance with one observer, flooded from the surface
-        # for the apex and from the observer's own bit for a box vertex
-        shapes, sources = [], 0
-        for _, cm, observers in batch:
-            if observers and not observers & observers - 1 and not cm & rim:
-                sources |= (surface if observers >> apex else observers) << len(shapes) * width
-                shapes.append(cm)
-        failing_copies = set(_failing_batch(*tiles, width, shapes, sources)) if shapes else ()
-        copy = 0
-        for seed_str, cm, observers in batch:
-            if not observers:
-                continue                                # a subset holding the fixed observer
-            if observers & observers - 1 or cm & rim:
-                failing = _failing_observers(*map(_neighbourhood_plan, roles), cm, observers)
-            else:
-                failing = observers if copy in failing_copies else 0
-                copy += 1
-            if failing:
+        # each round gives every instance with undecided observers one copy,
+        # flooded from the surface while the apex is undecided and from the
+        # lowest undecided observer after that
+        undecided = [observers for _, _, observers in batch]
+        failing = [0] * len(batch)
+        while live := [i for i, rest in enumerate(undecided) if rest]:
+            sources = 0
+            for k, i in enumerate(live):
+                rest = undecided[i]
+                sources |= (surface if rest >> apex else rest & -rest) << k * width
+            flood, missed = _failing_batch(*tiles, width, [batch[i][1] for i in live], sources)
+            for k, i in enumerate(live):
+                settled = undecided[i]
+                if settled & settled - 1:       # several observers: those the flood reached
+                    reached = flood >> k * width & box
+                    settled &= reached | bool(reached & surface) << apex
+                    if not settled:
+                        raise RuntimeError("a round settled none of an instance's observers")
+                if missed and missed >> k * width & box:
+                    failing[i] |= settled
+                undecided[i] ^= settled
+        for (seed_str, cm, observers), fails in zip(batch, failing):
+            if fails:
                 # trial order: the apex first, then by id
                 order = sorted(_members(observers), key=lambda v: (v != apex, v))
                 for i, x in enumerate(order):
-                    if failing >> x & 1:
+                    if fails >> x & 1:
                         failures.append(
                             _failure_record(setting, roles, trials_run + i, seed_str, cm, x))
             trials_run += observers.bit_count()

@@ -9,6 +9,10 @@ algorithm, because the order they pin is the point: the order oracle of
 the subset enumerator, the same growth on tuples and frozensets, and the
 path oracle, the vertex-queue BFS that ``shortest_path`` replaced.  A
 brute-force search over all simple paths judges the path oracle's order.
+A third exception, ``_failing_observers``, runs on the library's
+neighbourhood plans: it judges each observer component on the apexed
+graphs themselves, with none of the batch judge's copies, surface floods
+or rounds, and the definition-level oracles judge it in turn.
 """
 
 from __future__ import annotations
@@ -229,6 +233,26 @@ def outer_visible_by_paths(vertex_count: int, edges: Sequence[Tuple[int, int]],
         if path_exists_avoiding(vertex_count, edges, x, v, blocked):
             out.add(v)
     return out
+
+
+def _failing_observers(trav, adj, probe, cm: int, observers: int) -> int:
+    """The mask of those ``observers`` (a mask disjoint from ``cm``) whose
+    visible boundary of ``cm`` is disconnected in the probe graph, given
+    the neighbourhood plans of the traversal, adjacency and probe graphs.
+    That boundary depends on the observer only through its component of
+    the traversal graph minus ``cm``, so each component holding an
+    observer is flooded once and its boundary S judged by one probe flood
+    from S's lowest vertex.  On the apexed graphs it is the batch judge's
+    oracle."""
+    boundary = adj.expand(cm) & ~cm
+    outside = trav.full ^ cm
+    failing = 0
+    while observers:
+        comp = trav.flood(observers & -observers, outside)
+        if (s := boundary & comp) & ~probe.flood(s & -s, s):
+            failing |= comp & observers
+        observers &= ~comp
+    return failing
 
 
 # --- GF(2) linear algebra ----------------------------------------------------

@@ -12,11 +12,11 @@ from boundarykit import (BoundaryReport, BoxSpec, Graph, GraphPair, InputError,
                          sample_connected_subset, visible_boundary, with_apex)
 
 from boundarykit import harness
-from boundarykit.boundary import _failing_batch, _failing_observers
+from boundarykit.boundary import _failing_batch
 from boundarykit.graphs import _neighbourhood_plan
 
-from oracles import (boundary_by_scan, flood_components, outer_visible_by_paths,
-                     visible_by_scan)
+from oracles import (_failing_observers, boundary_by_scan, flood_components,
+                     outer_visible_by_paths, visible_by_scan)
 
 
 def labels_of(g, s):
@@ -433,21 +433,18 @@ def test_both_expand_passes_give_the_adjacency_union(g):
 
 # --- tiled plans and the batch judge --------------------------------------------
 
-@pytest.mark.parametrize("spec", [BoxSpec(d, side, flavor) for d in (2, 3, 4)
-                                  for side in (3, 4, 5) for flavor in ("plain", "plus", "star")],
-                         ids=str)
-def test_a_tiled_plan_expands_each_copy_on_its_own(spec):
-    """``tiled(k)`` holds ``k`` disjoint copies of the plan: its ``expand``
-    is the OR, over copies, of the plan's ``expand`` on that copy's slice.
-    Singletons at each copy's first and last id and seeded masks spanning
-    every copy would show a shift that leaks across a copy seam."""
-    plan = _neighbourhood_plan(build_box(spec))
-    n, k = plan.vertex_count, 3
+def assert_tiles_expand_each_copy(plan, k, seed):
+    """``plan.tiled(k)``'s ``expand`` is the OR, over copies, of the plan's
+    ``expand`` on that copy's slice.  Singletons at each copy's first and
+    last id and seeded masks spanning every copy would show a shift that
+    leaks across a copy seam."""
+    n = plan.vertex_count
     tile = plan.tiled(k)
     assert tile.vertex_count == k * n
     assert tile.full == (1 << k * n) - 1
     assert (plan.ones, tile.ones) == (1, sum(1 << i * n for i in range(k)))
-    rng = random.Random(str(spec))
+    assert tile.stars == tile.rows == ()
+    rng = random.Random(seed)
     masks = [1 << i * n + v for i in range(k) for v in (0, n - 1)]
     masks += [rng.getrandbits(k * n) & rng.getrandbits(k * n) for _ in range(12)]
     for m in masks:
@@ -457,15 +454,33 @@ def test_a_tiled_plan_expands_each_copy_on_its_own(spec):
         assert tile.expand(m) == want, bin(m)
 
 
-def test_a_plan_with_stars_refuses_to_tile():
-    """The apex is a star hub, not a repeated shift: an apexed box must
-    not tile at all rather than tile wrongly."""
-    for spec, aug in ((BoxSpec(2, 5, "plain"), "plus"), (BoxSpec(3, 4, "plain"), "star")):
-        apexed = with_apex(build_box_pair(spec, aug))
-        for g in (apexed.g, apexed.g_plus):
-            assert _neighbourhood_plan(g).stars
-            with pytest.raises(ValueError, match="stars"):
-                _neighbourhood_plan(g).tiled(2)
+@pytest.mark.parametrize("spec", [BoxSpec(d, side, flavor) for d in (2, 3, 4)
+                                  for side in (3, 4, 5) for flavor in ("plain", "plus", "star")],
+                         ids=str)
+def test_a_tiled_plan_expands_each_copy_on_its_own(spec):
+    """``tiled(k)`` holds ``k`` disjoint copies of the plan."""
+    assert_tiles_expand_each_copy(_neighbourhood_plan(build_box(spec)), 3, str(spec))
+
+
+@pytest.mark.parametrize("g", [
+    build_box(BoxSpec(2, 2, "plus")), build_box(BoxSpec(3, 2, "star")),
+    random_connected_graph(14, 9, "tiled-stars"),
+    with_apex(build_box_pair(BoxSpec(2, 4, "plain"), "plus")).g_plus,
+], ids=["z2:2:plus", "z3:2:star", "random", "apexed-z2:4:plus"])
+def test_a_tiled_star_plan_expands_each_copy_as_the_plan_does(g):
+    """A star is a hub, not a repeated shift, so ``tiled`` lays each star
+    edge down as a one-edge shift: the long diagonals of a side-2 box, the
+    odd edges of a random graph, the apex's edges.  Each copy must expand
+    exactly as the untiled plan, stars and all, expands it."""
+    plan = _neighbourhood_plan(g)
+    assert plan.stars
+    for k in (1, 3):
+        assert_tiles_expand_each_copy(plan, k, g.vertex_count)
+
+
+def failing_copies(missed, width, count):
+    """The indices of the copies whose slice of ``missed`` is not empty."""
+    return [i for i in range(count) if missed >> i * width & (1 << width) - 1]
 
 
 class BatchJudge:
@@ -494,25 +509,33 @@ class BatchJudge:
         """Whether ``_failing_observers`` fails the observer ``x`` for ``cm``."""
         return bool(_failing_observers(*self.plans, cm, 1 << (self.apex if x is None else x)))
 
+    def flood(self, cm, x):
+        """The traversal flood of ``cm``'s copy from ``x``'s source in the
+        box minus ``cm``."""
+        trav = self.box_plans[0]
+        return trav.flood(self.source(x), trav.full ^ cm)
+
     def batch(self, shapes, observers=None):
         """Per copy, whether ``_failing_batch`` fails it: copy ``i`` holds
-        ``shapes[i]`` seen from ``observers[i]``.  The judge hands back the
-        failing copies' indices in copy order."""
+        ``shapes[i]`` seen from ``observers[i]``.  Each copy's slice of the
+        flood the judge hands back is that copy's own flood."""
         observers = observers or [self.apex] * len(shapes)
         sources = sum(self.source(x) << i * self.width for i, x in enumerate(observers))
-        failing = _failing_batch(*self.tiles, self.width, shapes, sources)
-        verdicts = [i in failing for i in range(len(shapes))]
-        assert failing == [i for i, fails in enumerate(verdicts) if fails]
-        return verdicts
+        flood, missed = _failing_batch(*self.tiles, self.width, shapes, sources)
+        assert flood == sum(self.flood(cm, x) << i * self.width
+                            for i, (cm, x) in enumerate(zip(shapes, observers)))
+        failing = failing_copies(missed, self.width, len(shapes))
+        assert missed >> len(shapes) * self.width == 0
+        return [i in failing for i in range(len(shapes))]
 
     def single(self, cm, x=None):
         """Whether ``_failing_batch`` fails ``cm`` as a batch of one on the
         untiled plans, where a copy's repunit is 1 and small masks take
         the row pass."""
         x = self.apex if x is None else x
-        failing = _failing_batch(*self.box_plans, self.width, [cm], self.source(x))
-        assert failing in ([], [0])
-        return bool(failing)
+        flood, missed = _failing_batch(*self.box_plans, self.width, [cm], self.source(x))
+        assert flood == self.flood(cm, x)
+        return bool(missed)
 
 
 @pytest.mark.parametrize("cfg, failing", [
@@ -596,7 +619,8 @@ def test_a_failing_copy_is_found_wherever_it_sits():
         shapes = passing[:at] + [apart] + passing[at:]
         assert judge.batch(shapes) == [cm == apart for cm in shapes]
         surfaces = judge.surface * judge.tiles[0].ones & (1 << len(shapes) * judge.width) - 1
-        assert _failing_batch(*judge.tiles, judge.width, shapes, surfaces) == [at]
+        _, missed = _failing_batch(*judge.tiles, judge.width, shapes, surfaces)
+        assert failing_copies(missed, judge.width, len(shapes)) == [at]
     assert judge.batch([passing[0], apart]) == [False, True]
     assert judge.batch([apart]) == [True]
 

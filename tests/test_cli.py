@@ -393,10 +393,11 @@ def test_verify_fixed_observer_is_a_box_vertex(capsys):
 ], ids=["star", "plain-adjacency"])
 def test_a_side_2_box_is_judged_one_copy_at_a_time(capsys, extra, want_code, trials,
                                                    failures, digest):
-    """On z2:2 the king box's one long diagonal is a star, so its plan
-    cannot tile and each instance is judged on the box's own plans; with
-    plain adjacency the plans tile.  Trial and failure counts and report
-    bytes are pinned."""
+    """On z2:2 the king box's one long diagonal is a star, which its tiles
+    lay down as a one-edge shift; such a box was once judged one copy at a
+    time on its own plans, and its report bytes must not have moved.  With
+    plain adjacency the plans have no star.  Trial and failure counts and
+    report bytes are pinned."""
     code, out, err = run_cli(capsys, "verify", "k", "--box", "z2:2:plain", "--x", "[1,1]",
                              "--margin", "0", "--max-size", "2", *extra, "--no-elapsed")
     data = json.loads(out)
@@ -405,18 +406,36 @@ def test_a_side_2_box_is_judged_one_copy_at_a_time(capsys, extra, want_code, tri
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_a_given_subset_on_the_surface_is_judged_with_the_apex(capsys):
-    """A wall across z2:5 touches the surface at margin 2.  Seen from
-    (1, 1), the apex joins the wall's two sides and its visible boundary
-    is one probe component; the box alone would split it into three.  The
-    report bytes are pinned."""
+_WALL = "[[3,1],[3,2],[3,3],[3,4],[3,5],[2,3]]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--margin", "100", "--set", "[[3,3]]"),
+    ("--set", _WALL, "--probe", "plain", "--skip-hypotheses"),
+], ids=["no-room", "wall-at-margin-2"])
+def test_a_given_subset_outside_the_margin_is_refused(capsys, argv):
+    """A ``--set`` subset must lie inside the margin interior under every
+    policy, a fixed observer's too: margin 100 leaves z2:5 no room, and a
+    wall across the box touches the surface the apex is glued to at
+    margin 2."""
     code, out, err = run_cli(capsys, "verify", "dp", "--box", "z2:5:plain", "--x", "[1,1]",
-                             "--set", "[[3,1],[3,2],[3,3],[3,4],[3,5],[2,3]]",
-                             "--probe", "plain", "--skip-hypotheses", "--no-elapsed")
+                             *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "--margin" in err
+
+
+def test_a_given_subset_on_the_surface_is_judged_on_the_box_at_margin_1(capsys):
+    """At margin 1 the wall is judged on the box itself: seen from (1, 1)
+    its visible boundary is three probe components.  The report bytes are
+    pinned."""
+    code, out, err = run_cli(capsys, "verify", "dp", "--box", "z2:5:plain", "--x", "[1,1]",
+                             "--margin", "1", "--set", _WALL, "--probe", "plain",
+                             "--skip-hypotheses", "--no-elapsed")
     data = json.loads(out)
-    assert (code, err, data["trials_run"], len(data["failures"])) == (0, "", 1, 0)
+    assert (code, err, data["trials_run"], len(data["failures"])) == (1, "", 1, 1)
+    assert data["failures"][0]["report"]["components"] == 3
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "5e8d6c39063cb08be0af82e03016accc6a6a63fb324becbdf360b3fb92d533f7")
+        "1fddf73e5dc867944dc18e3cff0b83a0d56bed5272307f320f055a96b6ff146b")
 
 
 def test_verify_no_elapsed_flag(capsys):

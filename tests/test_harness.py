@@ -21,7 +21,7 @@ from boundarykit import (BoxSpec, CycleGen, EdgeVector, InputError,
 
 from boundarykit.graphs import _members, _neighbourhood_plan
 from boundarykit.harness import _connected_masks
-from oracles import (chordal_by_pairs, connected_by_flood,
+from oracles import (_failing_observers, chordal_by_pairs, connected_by_flood,
                      connected_subsets_by_growth, connected_subsets_by_powerset)
 
 
@@ -658,13 +658,20 @@ def test_k_negative_control_rejects_disconnected_subset():
 
 
 def test_fixed_subset_must_stay_inside_the_margin():
+    """Under every policy, as the campaign's own subsets do; a margin
+    that leaves no room refuses every given subset."""
     box = BoxSpec(2, 5, "plain")
     g = build_box(box)
     edge_hugger = frozenset({g.id_of_label((1, 1))})
-    for policy in ({"x_policy": "apex"}, {"x_policy": "all-outside"}):
+    centre = frozenset({g.id_of_label((3, 3))})
+    corner = g.id_of_label((5, 5))
+    for policy in ({"x_policy": "apex"}, {"x_policy": "all-outside"},
+                   {"x_policy": "fixed", "x_vertex": corner}):
         cfg = TrialConfig(theorem="dp", box=box, **policy)
-        with pytest.raises(InputError, match="margin"):
+        with pytest.raises(InputError, match="inside margin 2 \\(CLI: --margin\\)"):
             run_verification(cfg, fixed_c=edge_hugger)
+        with pytest.raises(InputError, match="inside margin 100 \\(CLI: --margin\\)"):
+            run_verification(replace(cfg, margin=100), fixed_c=centre)
 
 
 @pytest.mark.parametrize("policy", [
@@ -827,7 +834,7 @@ def test_lemma_instance_stream_is_pinned(monkeypatch):
 def _per_observer_reference(cfg, fixed_c=None):
     """Trial count and failure records of a dp/k campaign, judged by
     ``full_report`` on every (subset, observer) pair in trial order: the
-    per-observer loop that the campaign's verdict kernel must reproduce.
+    per-observer loop that the campaign's batch judge must reproduce.
     Each subset's observers are listed from their definition; a random
     ``all-outside`` trial keeps the observer its rank drew, which
     ``test_random_all_outside_observers_are_drawn_by_rank`` checks.  The
@@ -933,8 +940,8 @@ def test_fixed_observers_at_margin_2_judge_alike_with_and_without_the_apex(theor
     failing_observers = 0
     for c in subsets:
         cm = box[0].mask(c)
-        failing = harness._failing_observers(*box, cm, full ^ cm)
-        assert harness._failing_observers(*apexed, cm, full ^ cm) == failing
+        failing = _failing_observers(*box, cm, full ^ cm)
+        assert _failing_observers(*apexed, cm, full ^ cm) == failing
         for x in _members(failing):
             apexed_rep, box_rep = (full_report(*roles, c, x)
                                    for roles in (setting.roles, setting.box_roles))
@@ -951,6 +958,8 @@ _RING = [(3, 3), (3, 4), (3, 5), (4, 5), (5, 5), (5, 4), (5, 3), (4, 3)]
 _PLUS_RING = [(5 + dx, 5 + dy) for dx, dy in [
     (2, 0), (2, 1), (1, 1), (1, 2), (0, 2), (-1, 2), (-1, 1), (-2, 1),
     (-2, 0), (-2, -1), (-1, -1), (-1, -2), (0, -2), (1, -2), (1, -1), (2, -1)]]
+# A 3×5 block with two one-cell holes: three observer components.
+_TWO_HOLES = [(x, y) for x in range(3, 6) for y in range(3, 8) if (x, y) not in ((4, 4), (4, 6))]
 
 
 @pytest.mark.parametrize("cfg, ring, trials, failing", [
@@ -962,12 +971,20 @@ _PLUS_RING = [(5 + dx, 5 + dy) for dx, dy in [
                  probe="plain", x_policy="all-outside"), _RING, 42, 41),
     (TrialConfig(theorem="dp", box=BoxSpec(2, 9, "plain"),
                  probe="plain", x_policy="all-outside"), _PLUS_RING, 66, 66),
-], ids=["dp-plain-probe", "k-plain-adjacency", "dp-fixed-ring", "dp-fixed-plus-hole"])
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 9, "plain"),
+                 probe="plain", x_policy="all-outside"), _TWO_HOLES, 69, 67),
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), max_size=5,
+                 probe="plain", x_policy="all-outside"), None, 43746, 43746),
+    (TrialConfig(theorem="k", box=BoxSpec(2, 6, "plain"), max_size=4,
+                 g_prime="plain", x_policy="all-outside"), None, 6913, 6913),
+], ids=["dp-plain-probe", "k-plain-adjacency", "dp-fixed-ring", "dp-fixed-plus-hole",
+        "dp-two-holes", "dp-z2:7/5", "k-z2:6/4"])
 def test_component_verdicts_match_the_per_observer_loop(cfg, ring, trials, failing):
-    """All-outside campaigns judge one observer per component of the
-    traversal graph minus the subset.  Around a ring the hole and the apex
-    side lie in different components; the report must still equal, byte
-    for byte, the one the per-observer loop builds."""
+    """All-outside campaigns judge an instance in rounds, one copy per
+    component of the traversal graph minus the subset that holds an
+    observer.  Around a ring the hole and the apex side lie in different
+    components; the report must still equal, trial for trial and byte for
+    byte, the one the per-observer loop builds."""
     fixed_c = None
     if ring is not None:
         box = build_box(cfg.box)
@@ -990,28 +1007,31 @@ _WALL = [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (2, 3)]
     ("dp", {"probe": "plain"}, [(1, 3), (2, 3), (2, 4)]),
     ("k", {}, [(1, 1), (2, 2), (3, 3)]),
 ], ids=["dp-wall", "k-wall", "dp-foot", "k-diagonal"])
-def test_a_given_fixed_subset_on_the_surface_is_judged_with_the_apex(theorem, override,
-                                                                       cells):
-    """At margin 2 a given ``fixed`` subset may touch the box surface, and
-    the apex, joined to it, may then join parts of its visible boundary.
-    The wall splits the box: from (1, 1) the box-only flood sees three
-    probe components, the apexed graph one.  For every observer outside
-    the subset the report must be the per-observer loop's, on the apexed
-    graphs."""
+def test_a_given_subset_on_the_surface_needs_a_margin_below_2(theorem, override, cells):
+    """A given subset that touches the box surface lies outside the
+    margin-2 interior, where the apex, glued to the surface, would join it
+    and could join parts of its visible boundary.  So at margin 2 the
+    campaign refuses it under every policy.  At margin 1 a fixed observer
+    judges it on the box itself, as the per-observer loop does, for every
+    observer outside it; from (1, 1) the wall's visible boundary is three
+    probe components there."""
     box = BoxSpec(2, 5, "plain")
     g = build_box(box)
     fixed_c = frozenset(g.id_of_label(p) for p in cells)
-    for x in range(g.vertex_count):
-        if x in fixed_c:
-            continue
-        cfg = TrialConfig(theorem=theorem, box=box, x_policy="fixed", x_vertex=x, **override)
+    outside = [x for x in range(g.vertex_count) if x not in fixed_c]
+    for policy in ({"x_policy": "apex"}, {"x_policy": "all-outside"},
+                   {"x_policy": "fixed", "x_vertex": outside[0]}):
+        cfg = TrialConfig(theorem=theorem, box=box, **policy, **override)
+        with pytest.raises(InputError, match="--margin"):
+            run_verification(cfg, skip_hypotheses=True, fixed_c=fixed_c)
+    for x in outside:
+        cfg = TrialConfig(theorem=theorem, box=box, x_policy="fixed", x_vertex=x, margin=1,
+                          **override)
         want_trials, want = _per_observer_reference(cfg, fixed_c)
         rep = run_verification(cfg, skip_hypotheses=True, fixed_c=fixed_c)
         assert (rep.trials_run, rep.failures) == (want_trials, want) == (1, want), x
-    if cells == _WALL:
-        cfg = TrialConfig(theorem=theorem, box=box, x_policy="fixed",
-                          x_vertex=g.id_of_label((1, 1)), **override)
-        assert run_verification(cfg, skip_hypotheses=True, fixed_c=fixed_c).passed
+        if cells == _WALL and x == g.id_of_label((1, 1)):
+            assert [f["report"]["components"] for f in rep.failures] == [3]
 
 
 def _shape_key(cm: int) -> int:
@@ -1190,20 +1210,15 @@ def test_only_the_translates_of_failing_shapes_get_records(monkeypatch):
     The fake verdict is the batch judge's, which hands back the odd copies
     of its batch.  The shape pass judges every shape in one batch; as one
     fails, the walk lists every subset and judges each again, all 387 in
-    one batch, every copy flooded from the surface; ``_failing_observers``
-    is never called."""
+    one batch and one round, every copy flooded from the surface."""
     import boundarykit.harness as harness
     batches = []
 
     def judge(trav, adj, probe, width, shapes, sources):
         batches.append((shapes, sources))
-        return [i for i, cm in enumerate(shapes) if cm.bit_count() % 2]
-
-    def kernel(*args):
-        raise AssertionError("a one-observer instance reached _failing_observers")
+        return 0, sum(1 << i * width for i, cm in enumerate(shapes) if cm.bit_count() % 2)
 
     monkeypatch.setattr(harness, "_failing_batch", judge)
-    monkeypatch.setattr(harness, "_failing_observers", kernel)
     cfg = TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), max_size=4)
     rep = run_verification(cfg)
     g = build_box(cfg.box)
@@ -1226,7 +1241,7 @@ def test_a_passing_apex_campaign_builds_only_what_it_reads(monkeypatch, theorem,
                                                           max_size, flavor):
     """Of its apexed role graphs, a passing exhaustive apex campaign reads
     the traversal graph's plan only (dp's probe and k's adjacency are read
-    by ``_failing_observers`` and failure records), and its shape pass
+    by failure records alone), and its shape pass
     builds one box, the graph its shapes are connected in, of side
     2·min(w, max size) − 1."""
     import boundarykit.harness as harness
@@ -1254,13 +1269,14 @@ def test_a_passing_apex_campaign_builds_only_what_it_reads(monkeypatch, theorem,
                 trials=300, seed=5),
     TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), max_size=4, x_policy="fixed",
                 x_vertex=_X44),
-], ids=["k-random-outside", "dp-random-apex", "dp-fixed"])
+    TrialConfig(theorem="k", box=BoxSpec(2, 7, "plain"), max_size=4, x_policy="all-outside"),
+], ids=["k-random-outside", "dp-random-apex", "dp-fixed", "k-all-outside"])
 def test_a_passing_single_observer_campaign_reads_only_the_apexed_traversal(monkeypatch, cfg):
     """The batch judge runs on the plans without the apex, so a passing
-    campaign whose instances all have one observer reads, of its apexed
-    role graphs, the traversal graph's plan only: for the interior, the
-    observer ids and the surface.  The apexed adjacency and probe plans
-    serve ``_failing_observers`` and failure records alone."""
+    campaign, whether its instances have one observer or several, reads,
+    of its apexed role graphs, the traversal graph's plan only: for the
+    interior, the observer ids and the surface.  The apexed adjacency and
+    probe plans serve failure records alone."""
     import boundarykit.harness as harness
     augmentation = harness._augmentation(cfg.theorem, cfg.box, cfg.probe, cfg.g_prime)
     setting = harness._box_setting(cfg.theorem, cfg.box, augmentation)
@@ -1292,90 +1308,109 @@ def test_a_failing_apex_campaign_hands_over_to_the_per_instance_loop(
         monkeypatch, cfg, shapes, failing):
     """The shape pass judges its shapes, here all in one batch, and once
     one fails the walk lists every subset for its records and batch-judges
-    each subset again, here all in one batch: two batch-judge calls, and
-    no ``_failing_observers`` call."""
+    each subset again, here all in one batch of one round: two batch-judge
+    calls."""
     import boundarykit.harness as harness
     augmentation = cfg.probe or cfg.g_prime
     assert sum(1 for _ in harness._apex_shapes(cfg, augmentation)) == shapes
-    judge, kernel, batches, calls = harness._failing_batch, harness._failing_observers, [], []
+    judge, batches = harness._failing_batch, []
 
     def counting_judge(*args):
         batches.append(args[4])
         return judge(*args)
 
-    def counting(*args):
-        calls.append(args[3])
-        return kernel(*args)
-
     monkeypatch.setattr(harness, "_failing_batch", counting_judge)
-    monkeypatch.setattr(harness, "_failing_observers", counting)
     rep = run_verification(cfg, skip_hypotheses=True)
     assert (rep.trials_run, len(rep.failures)) == (failing, failing)
     assert [len(batch) for batch in batches] == [shapes, failing]
     assert batches[0][0].bit_count() == 1
-    assert calls == []
 
 
 _Z22, _Z25 = build_box(BoxSpec(2, 2, "plain")), build_box(BoxSpec(2, 5, "plain"))
+_Z29 = build_box(BoxSpec(2, 9, "plain"))
 
 
-@pytest.mark.parametrize("cfg, fixed_c, trials, failing, batch_sizes, kernel_observers", [
+@pytest.mark.parametrize("cfg, fixed_c, trials, failing, rounds", [
     (TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), mode="random", trials=300,
-                 seed=5, max_size=3, probe="plain"), None, 300, 300, [300], []),
+                 seed=5, max_size=3, probe="plain"), None, 300, 300, [[300]]),
     (TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), mode="random", trials=300,
-                 seed=3, x_policy="all-outside", probe="plain"), None, 300, 300, [300], []),
+                 seed=3, x_policy="all-outside", probe="plain"), None, 300, 300, [[300]]),
     (TrialConfig(theorem="k", box=BoxSpec(2, 6, "plain"), g_prime="plain"),
-     frozenset({14, 15}), 1, 1, [1], []),
+     frozenset({14, 15}), 1, 1, [[1]]),
     # 125 box bits: 262 copies per batch
     (TrialConfig(theorem="k", box=BoxSpec(3, 5, "plain"), mode="random", trials=300,
-                 seed=4, x_policy="all-outside", g_prime="plain"), None, 300, 300, [262, 38], []),
+                 seed=4, x_policy="all-outside", g_prime="plain"), None, 300, 300,
+     [[262], [38]]),
     # 95 of the 387 subsets hold the observer and take no copy
     (TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), max_size=4, probe="plain",
-                 x_policy="fixed", x_vertex=_X44), None, 292, 292, [292], []),
+                 x_policy="fixed", x_vertex=_X44), None, 292, 292, [[292]]),
+    # the outside, then the hole
     (TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), probe="plain",
-                 x_policy="all-outside"), _RING, 42, 41, [], [42]),
-    # z2:2's king box has a star, so its plans do not tile: one copy per batch
+                 x_policy="all-outside"), _RING, 42, 41, [[1, 1]]),
+    # the outside, then each hole
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 9, "plain"), probe="plain",
+                 x_policy="all-outside"), _TWO_HOLES, 69, 67, [[1, 1, 1]]),
+    # every subset of dp z2:5/3 takes the outside in round 1; none has a hole
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 5, "plain"), max_size=3, probe="plain",
+                 x_policy="all-outside"), None, 1019, 1019, [[43]]),
+    # z2:2's king box has a star, whose edge its tiles lay down as a shift
     (TrialConfig(theorem="k", box=BoxSpec(2, 2, "plain"), max_size=2, margin=0,
-                 x_policy="fixed", x_vertex=_Z22.id_of_label((1, 1))), None, 6, 0, [1] * 6, []),
-    # a given subset on the surface at margin 2: the apexed graphs judge it
+                 x_policy="fixed", x_vertex=_Z22.id_of_label((1, 1))), None, 6, 0, [[6]]),
+    # a given subset on the surface at margin 0: the box judges it
     (TrialConfig(theorem="dp", box=BoxSpec(2, 5, "plain"), probe="plain", x_policy="fixed",
-                 x_vertex=_Z25.id_of_label((1, 1))), _WALL, 1, 0, [], [1]),
-    # the same wall at margin 1 is judged on the box itself, by the batch judge
+                 x_vertex=_Z25.id_of_label((1, 1)), margin=0), [(1, 3), (2, 3), (2, 4)],
+     1, 1, [[1]]),
+    # the wall across the box at margin 1, judged on the box itself
     (TrialConfig(theorem="dp", box=BoxSpec(2, 5, "plain"), probe="plain", x_policy="fixed",
-                 x_vertex=_Z25.id_of_label((1, 1)), margin=1), _WALL, 1, 1, [1], []),
+                 x_vertex=_Z25.id_of_label((1, 1)), margin=1), _WALL, 1, 1, [[1]]),
 ], ids=["dp-random-apex", "dp-random-all-outside", "k-set-apex", "k-random-two-batches",
-        "dp-fixed", "dp-set-all-outside", "k-star-plan", "dp-set-fixed-on-the-surface",
-        "dp-set-fixed-below-margin-2"])
+        "dp-fixed", "dp-set-all-outside", "dp-set-two-holes", "dp-all-outside", "k-star-plan",
+        "dp-set-fixed-on-the-surface", "dp-set-fixed-below-margin-2"])
 def test_apex_only_instances_are_judged_by_the_batch_judge(
-        monkeypatch, cfg, fixed_c, trials, failing, batch_sizes, kernel_observers):
-    """Every instance with one observer, the apex or a box vertex (a
-    random trial under any policy, an exhaustive fixed subset, a given
-    subset with the apex), is judged by the batch judge, up to
-    ``_TILE_BITS // box vertices`` instances per batch; a subset holding
-    the fixed observer takes no copy.  ``_failing_observers`` sees only
-    observer masks with several observers, and a given subset that touches
-    the surface at margin 2, whose one observer it judges on the apexed
-    graphs; ``kernel_observers`` lists each call's observer count."""
+        monkeypatch, cfg, fixed_c, trials, failing, rounds):
+    """Every instance is judged by the batch judge, up to ``_TILE_BITS //
+    box vertices`` instances per batch; a subset holding the fixed
+    observer takes no copy.  Each batch is judged in rounds, and each
+    round gives one copy to every instance with undecided observers:
+    ``rounds`` lists, per batch, the copies of each round.  An instance
+    with one observer takes one round; a subset seen from all outside
+    takes one round for the outside and one per hole."""
     import boundarykit.harness as harness
-    judge, kernel, batches, calls = harness._failing_batch, harness._failing_observers, [], []
+    judge, calls = harness._failing_batch, []
 
     def counting_judge(*args):
-        batches.append(args[4])
+        calls.append(len(args[4]))
         return judge(*args)
 
-    def counting(trav, adj, probe, cm, observers):
-        calls.append(observers.bit_count())
-        return kernel(trav, adj, probe, cm, observers)
-
     monkeypatch.setattr(harness, "_failing_batch", counting_judge)
-    monkeypatch.setattr(harness, "_failing_observers", counting)
     if isinstance(fixed_c, list):
         box = build_box(cfg.box)
         fixed_c = frozenset(box.id_of_label(p) for p in fixed_c)
     rep = run_verification(cfg, skip_hypotheses=True, fixed_c=fixed_c)
     assert (rep.trials_run, len(rep.failures)) == (trials, failing)
-    assert [len(batch) for batch in batches] == batch_sizes
-    assert calls == kernel_observers
+    assert calls == [copies for batch in rounds for copies in batch]
+
+
+@pytest.mark.parametrize("stuck_from", [1, 2], ids=["outside", "hole"])
+def test_a_round_that_settles_nothing_is_an_error(monkeypatch, stuck_from):
+    """A judge whose floods reach no observer would leave an instance's
+    observers undecided round after round; the campaign must stop with an
+    error instead of looping.  The floods go empty from the first round,
+    which floods the outside of ``_PLUS_RING``, or from the second, which
+    floods its plus-shaped hole."""
+    import boundarykit.harness as harness
+    judge, rounds = harness._failing_batch, []
+
+    def stuck_judge(*args):
+        rounds.append(len(args[4]))
+        flood, missed = judge(*args)
+        return (0 if len(rounds) >= stuck_from else flood), missed
+
+    monkeypatch.setattr(harness, "_failing_batch", stuck_judge)
+    cfg = TrialConfig(theorem="dp", box=BoxSpec(2, 9, "plain"), x_policy="all-outside")
+    with pytest.raises(RuntimeError, match="settled none"):
+        run_verification(cfg, fixed_c=frozenset(_Z29.id_of_label(p) for p in _PLUS_RING))
+    assert rounds == [1] * stuck_from
 
 
 def test_a_failing_3d_apex_control_is_pinned():
