@@ -46,12 +46,12 @@ batches, so each flood level advances every copy's flood at once.  That
 is the bit-parallel traversal of Then et al. (*The More the Merrier:
 Efficient Multi-Source Graph Traversal*, PVLDB 8(4), 2014), with
 disjoint copies of one graph in place of many sources in it.  The judge
-returns each copy's traversal flood with its verdict: the visible
-boundary depends on the observer only through its component of the
-traversal graph minus C, so one copy settles every observer its flood
-reached, and an instance with several observers takes one copy per
-component, in rounds.  Its docstring says why a copy's verdict is the
-verdict on the apexed graphs.
+returns, with the verdicts, what each copy's traversal flood left
+unreached of the box minus C: the visible boundary depends on the
+observer only through its component of the traversal graph minus C, so
+one copy settles every observer its flood reached, and an instance with
+several observers takes one copy per component, in rounds.  Its
+docstring says why a copy's verdict is the verdict on the apexed graphs.
 
 The operators are checked against the definition-level oracles of
 ``tests/oracles.py`` (boundary scans, DFS path searches, union-find
@@ -128,17 +128,18 @@ def _outer_visible_mask(trav, cm: int, x: int, visible: int) -> int:
 
 
 def _failing_batch(trav, adj, probe, width: int, shapes, sources: int) -> tuple:
-    """The traversal flood and the missed mask of a batch of copies.  Copy
+    """The unreached and the missed mask of a batch of copies.  Copy
     ``i`` holds the subset mask ``shapes[i]`` at bits ``i·width`` and up,
     on ``tiled`` plans of the box's roles without the apex (or the box's
     own plans for a batch of one), and ``sources`` holds each copy's
     flood source at the copy's offset: the box surface (the apex's
     neighbourhood) while the copy judges the apex, or one box vertex
     outside the shape.  In every copy the flood is the traversal flood
-    from the source in the box minus the shape, S is the adjacency
-    boundary inside it, and the missed mask holds the members of S that
-    the probe flood of S from its lowest vertex misses: the copy fails
-    when its slice of it is not empty.
+    from the source in the box minus the shape, and the unreached mask
+    holds the rest of the box minus the shape.  S is the adjacency
+    boundary inside the flood, and the missed mask holds the members of S
+    that the probe flood of S from its lowest vertex misses: the copy
+    fails when its slice of it is not empty.
 
     That copy's verdict is the apexed campaign's verdict for every
     observer in the flood, and for the apex when the flood touches the
@@ -176,14 +177,15 @@ def _failing_batch(trav, adj, probe, width: int, shapes, sources: int) -> tuple:
         bits += width
     batch = (1 << bits) - 1
     ones = trav.ones & batch                # bit 0 of every copy
-    flood = trav.flood(sources, (trav.full & batch) ^ c)
+    allowed = (trav.full & batch) ^ c
+    flood = trav.flood(sources, allowed)
     s = adj.expand(c) & flood
     # a nonempty copy's lowest bit; an empty copy borrows from the next one
     # up, so the batch holds fewer bits than shapes
     seeds = s & ~(s - ones)
     if seeds.bit_count() != len(shapes):
         raise RuntimeError("a copy of the batch has an empty visible boundary")
-    return flood, s & ~probe.flood(seeds, s)
+    return allowed ^ flood, s & ~probe.flood(seeds, s)
 
 
 # --- the operators ------------------------------------------------------------

@@ -102,31 +102,37 @@ class EdgeVector:
         """The mask of the touched vertices when the vector is a cycle, else
         0: the cycle test and the vertex set a clique test reads, from one
         listing of the edges."""
-        edges = self.edges()
-        if not edges:
-            return 0
-        # one pass: the endpoint masks, and per vertex the XOR of its neighbours
+        edges, rest, count = self.host.edges, self.bits, self.bits.bit_count()
         touched = odd = 0
-        nbr_xor = {}
-        for u, v in edges:
+        while rest:                     # the endpoint masks, edge by edge
+            low = rest & -rest
+            u, v = edges[low.bit_length() - 1]
             m = (1 << u) | (1 << v)
             touched |= m
             odd ^= m
-            nbr_xor[u] = nbr_xor.get(u, 0) ^ v
-            nbr_xor[v] = nbr_xor.get(v, 0) ^ u
+            rest ^= low
         # Every degree is even and the degrees sum to twice the edge count,
         # so all are 2 exactly when there are as many vertices as edges.
-        if odd or touched.bit_count() != len(edges):
+        if not count or odd or touched.bit_count() != count:
             return 0
+        # A 2-regular simple edge set is a disjoint union of cycles of ≥ 3
+        # edges each, so with fewer than 6 edges it is one cycle.
+        if count < 6:
+            return touched
         # Walk from the first edge, leaving each vertex by the neighbour one
         # did not come from: back at the start after as many steps as the
         # walk's component has edges.
+        edges = self.edges()
+        nbr_xor = {}
+        for u, v in edges:
+            nbr_xor[u] = nbr_xor.get(u, 0) ^ v
+            nbr_xor[v] = nbr_xor.get(v, 0) ^ u
         start, cur = edges[0]
         prev, steps = start, 1
         while cur != start:
             prev, cur = cur, nbr_xor[cur] ^ prev
             steps += 1
-        return touched if steps == len(edges) else 0
+        return touched if steps == count else 0
 
     def to_json(self) -> list:
         return [list(e) for e in self.edges()]

@@ -17,12 +17,16 @@ Observers default to the apex vertex (the far-away surrogate).  Whenever
 the apex observes (every policy but ``fixed``, whose one observer is a
 box vertex, never the apex id), subsets must keep an L∞ margin of at
 least 2 from the box surface so the apex faithfully models the unbounded
-outside.  Only there is the apex attached: a ``fixed`` campaign at a
-margin below 2 runs on the box itself.  A given subset must lie inside
-the margin interior under every policy, as enumerated and sampled ones
-do.  A margin that leaves no room for subsets is refused, in exhaustive
-as in random mode, rather than passing with no trials; so is a campaign
-in which every subset holds the fixed observer.
+outside.  The campaign never attaches it: the apex is id ``width``, the
+box's vertex count, in observer masks, and a copy that judges it floods
+from the box surface, its neighbourhood.  Only a failure record at
+margin ≥ 2 reports on the role graphs with the apex attached; a
+``fixed`` campaign below margin 2 reports on the box itself.  A given
+subset must lie inside the margin interior under every policy, as
+enumerated and sampled ones do.  A margin that leaves no room for
+subsets is refused, in exhaustive as in random mode, rather than passing
+with no trials; so is a campaign in which every subset holds the fixed
+observer.
 
 A dp/k campaign gives each subset an observer mask: the apex, the fixed
 vertex unless the subset holds it, or, under ``all-outside``, every
@@ -45,10 +49,13 @@ touches the surface: the visible boundary depends on the observer only
 through its component of the traversal graph minus the subset (for the
 apex, the exterior boundary of Kesten and of Deuschel–Pisztora), and
 ``_failing_batch`` says why that component, on the apexed graphs, is the
-copy's flood.  So an instance with one observer takes one round, and an
-``all-outside`` subset one round for the outside and one per hole.  A
-round that settles none of an instance's observers is an error, not a
-loop.
+copy's flood.  The judge hands back what each flood left unreached of
+the box minus the subset, and only the copies with unreached vertices,
+the holed ones, are sliced: a copy whose flood filled the box minus its
+subset settles all its observers.  So an instance with one observer
+takes one round, and an ``all-outside`` subset one round for the
+outside and one per hole.  A round that settles none of an instance's
+observers is an error, not a loop.
 
 An exhaustive ``apex`` campaign first judges each translation class
 once: ``_apex_shapes`` lists the shapes, carrying each shape's campaign
@@ -69,9 +76,11 @@ immutable graphs plus the seed string ``"{seed}:{index}"``, so the same
 config and seed give byte-identical reports.  The graphs, generators and
 premise verdict of a box are built once per process and shared by every
 campaign on that box.  A graph's plan is built where a campaign first
-reads it: a passing campaign reads, of the apexed graphs, only the
-traversal plan, for the interior, the observer ids and the apex's
-neighbours; the other apexed plans serve failure records.
+reads it.  A passing campaign builds no apexed graph: the box gives the
+apex's id, the interior and the surface mask, and ``_apexed_roles``
+builds the apexed role graphs, once per box, for the first failure
+record at margin ≥ 2.  The set-up builds what the premise checks read
+on the box's strides: its edges, unit faces and patch cycles.
 """
 
 from __future__ import annotations
@@ -90,7 +99,7 @@ from .cyclespace import (CycleGen, EdgeVector, _is_clique,
 from .errors import InputError
 from .graphs import (Graph, GraphPair, _bit_ids, _is_id, _members, _neighbourhood_plan,
                      _vertex_json, component_of, vertexset_to_json)
-from .lattice import (FLAVORS, BoxSpec, build_box, build_box_pair,
+from .lattice import (FLAVORS, BoxSpec, box_shell, build_box, build_box_pair,
                       extra_edge_patches, four_cycle_gen, margin_interior,
                       with_apex)
 
@@ -265,12 +274,9 @@ def check_k_hypotheses(pair: GraphPair, gen: CycleGen,
     through e whose other edges lie in the base graph, chordal in the
     augmentation.  ``patch_map`` must be keyed by exactly those edges."""
     g_plus = pair.g_plus
-    extra = {e: eid for eid, e in enumerate(g_plus.edges) if not pair.g.has_edge(*e)}
+    extra = {e: eid for eid, e in enumerate(g_plus.edges) if e not in pair.g._edge_ids}
     extra_mask = sum(1 << eid for eid in extra.values())
-    patches = {}
-    for k, vec in patch_map.items():
-        u, v = k
-        patches[(min(u, v), max(u, v))] = vec
+    patches = {tuple(sorted(k)): vec for k, vec in patch_map.items()}
     missing = [e for e in extra if e not in patches]
     if missing:
         raise InputError(
@@ -286,12 +292,8 @@ def check_k_hypotheses(pair: GraphPair, gen: CycleGen,
         if not vec.host.same_as(g_plus):
             raise InputError("patch cycles must live in the augmentation graph")
         touched = vec._cycle_vertices()
-        if not touched:
-            return False
-        # e is the patch's one edge outside the base graph
-        if vec.bits & extra_mask != 1 << eid:
-            return False
-        if not _is_clique(touched, g_plus):
+        # a cycle, with e its one edge outside the base graph, chordal in g_plus
+        if not touched or vec.bits & extra_mask != 1 << eid or not _is_clique(touched, g_plus):
             return False
     return True
 
@@ -352,9 +354,9 @@ class _BoxSetting:
     """Everything a dp/k campaign needs that depends only on the box."""
 
     box: Graph                          # the plain box
-    apex: int                           # apex id in the role graphs
-    roles: Tuple[Graph, Graph, Graph]   # traversal, adjacency, probe; apexed
-    box_roles: Tuple[Graph, Graph, Graph]   # the same roles without the apex
+    apex: int                           # the apex's id: the box's vertex count
+    surface: int                        # mask of the apex's neighbours in the box
+    roles: Tuple[Graph, Graph, Graph]   # traversal, adjacency, probe; no apex
     connect_host: Graph
     premises_hold: bool
     detail: dict                        # premise-report fields
@@ -372,11 +374,17 @@ def _box_setting(theorem: str, box: BoxSpec, augmentation: str) -> _BoxSetting:
         detail["patch_cycles"] = len(patches)
     else:
         premises_hold = check_dp_hypotheses(pair, gen)
-    apexed = with_apex(pair)
-    roles = tuple(getattr(apexed, name) for name in row.roles)
-    box_roles = tuple(getattr(pair, name) for name in row.roles)
-    return _BoxSetting(pair.g, pair.g.vertex_count, roles, box_roles,
+    return _BoxSetting(pair.g, pair.g.vertex_count, sum(1 << v for v in box_shell(pair.g)),
+                       tuple(getattr(pair, name) for name in row.roles),
                        getattr(pair, row.connect_in), premises_hold, detail)
+
+
+@lru_cache(maxsize=None)
+def _apexed_roles(theorem: str, box: BoxSpec, augmentation: str) -> Tuple[Graph, Graph, Graph]:
+    """The role graphs of ``_box_setting`` with the apex attached: what a
+    failure record at margin ≥ 2 reports on, and nothing else reads."""
+    apexed = with_apex(build_box_pair(box, augmentation))
+    return tuple(getattr(apexed, name) for name in _BOUNDARY_THEOREMS[theorem].roles)
 
 
 # --- campaign configuration ------------------------------------------------
@@ -494,19 +502,18 @@ def _trial_seed(seed: int, index: int) -> str:
 
 # --- boundary campaigns (dp / k) -------------------------------------------
 
-def _observers(cfg: TrialConfig, full: int, cm: int,
+def _observers(cfg: TrialConfig, apex: int, cm: int,
                rng: Optional[random.Random] = None) -> int:
-    """The mask of the observers of the subset with mask ``cm`` in the
-    apexed graph with vertex mask ``full``, whose largest id is the apex.
-    Under ``all-outside`` every vertex outside the subset observes, unless
-    a random trial passes its ``rng``, which draws one of them by rank."""
-    apex = full.bit_length() - 1
+    """The mask of the observers of the subset with mask ``cm`` among the
+    box vertices and the apex, whose id ``apex`` is the largest.  Under
+    ``all-outside`` every vertex outside the subset observes, unless a
+    random trial passes its ``rng``, which draws one of them by rank."""
     if cfg.x_policy == "apex":
         return 1 << apex
     if cfg.x_policy == "fixed":
         return 1 << cfg.x_vertex & ~cm
     if rng is None:
-        return full ^ cm
+        return (2 << apex) - 1 ^ cm
     return 1 << _kth_outside(cm, rng.randrange(apex + 1 - cm.bit_count()))
 
 
@@ -526,9 +533,8 @@ def _boundary_instances(cfg: TrialConfig, setting: _BoxSetting,
     """Yield ``(seed string or None, subset mask, observer mask)`` for every
     subset of a dp/k campaign, in trial order.  The campaign's checks run
     once, before the first subset."""
-    trav = _neighbourhood_plan(setting.roles[0])
     interior = margin_interior(setting.box, cfg.margin)
-    allowed = trav.mask(interior)
+    allowed = _neighbourhood_plan(setting.box).mask(interior)
     host = setting.connect_host
     if fixed_c is not None:
         plan = _neighbourhood_plan(host)
@@ -547,13 +553,13 @@ def _boundary_instances(cfg: TrialConfig, setting: _BoxSetting,
         # TrialConfig has refused a size cap beyond the enumeration budget
         masks = _connected_masks(host, cfg.max_size, allowed)
     else:
-        yield from _sampled_instances(cfg, _sampling_pool(host, interior), trav.full)
+        yield from _sampled_instances(cfg, _sampling_pool(host, interior), setting.apex)
         return
     for cm in masks:
-        yield None, cm, _observers(cfg, trav.full, cm)
+        yield None, cm, _observers(cfg, setting.apex, cm)
 
 
-def _sampled_instances(cfg: TrialConfig, pool: tuple, full: int) -> Iterator[tuple]:
+def _sampled_instances(cfg: TrialConfig, pool: tuple, apex: int) -> Iterator[tuple]:
     """The instances of a random dp/k campaign, one observer per trial,
     grown from the campaign's one sampling ``pool``.  Its two streams, the
     trial's draws and each subset's growth, are one ``Random`` each,
@@ -568,7 +574,7 @@ def _sampled_instances(cfg: TrialConfig, pool: tuple, full: int) -> Iterator[tup
         for attempt in range(64):
             grow_rng.seed(f"{seed_str}/c{attempt}")
             cm = _grow(*pool, size, grow_rng)
-            observers = _observers(cfg, full, cm, rng)
+            observers = _observers(cfg, apex, cm, rng)
             if observers:
                 break
         else:
@@ -632,9 +638,12 @@ def _apex_shapes(cfg: TrialConfig, augmentation: str) -> Iterator[Tuple[int, int
             yield packed >> shift, placements
 
 
-def _failure_record(setting: _BoxSetting, roles: Tuple[Graph, Graph, Graph], trial: int,
+def _failure_record(cfg: TrialConfig, augmentation: str, setting: _BoxSetting, trial: int,
                     seed_str: Optional[str], cm: int, x: int) -> dict:
-    g_t, gp_t, probe_t = roles
+    # the apex stands for the outside only at margin ≥ 2; below that (fixed
+    # observers only) a subset may touch the surface, so records use the box
+    g_t, gp_t, probe_t = (_apexed_roles(cfg.theorem, cfg.box, augmentation)
+                          if cfg.margin >= 2 else setting.roles)
     c = _members(cm)
     return {
         "trial": trial,
@@ -657,18 +666,13 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
     if fixed_c is None and 2 * cfg.margin >= cfg.box.side + 2:     # an empty interior
         raise InputError(f"margin {cfg.margin} leaves no room for subsets in {cfg.box}")
     apex = width = setting.apex                 # the apex's id, the box's vertex count
-    # the apex stands for the outside only at margin ≥ 2; below that (fixed
-    # observers only) a subset may touch the surface, so records use the box
-    roles = setting.roles if cfg.margin >= 2 else setting.box_roles
-    # the apex's neighbours; the other apexed plans are built where first read
-    surface = _neighbourhood_plan(setting.roles[0]).rows[apex]
     copies = max(1, _TILE_BITS // width)
-    tiles = [_neighbourhood_plan(g).tiled(copies) for g in setting.box_roles]
+    tiles = [_neighbourhood_plan(g).tiled(copies) for g in setting.roles]
     placements = None
     if cfg.mode == "exhaustive" and cfg.x_policy == "apex" and fixed_c is None:
         placements, failed = 0, False
         # the surface in every copy; a short batch keeps its first copies
-        surfaces = surface * tiles[0].ones
+        surfaces = setting.surface * tiles[0].ones
         shapes = _apex_shapes(cfg, augmentation)
         while batch := list(islice(shapes, copies)):
             placements += sum(count for _, count in batch)
@@ -691,26 +695,32 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
             sources = 0
             for k, i in enumerate(live):
                 rest = undecided[i]
-                sources |= (surface if rest >> apex else rest & -rest) << k * width
-            flood, missed = _failing_batch(*tiles, width, [batch[i][1] for i in live], sources)
+                sources |= (setting.surface if rest >> apex else rest & -rest) << k * width
+            unreached, missed = _failing_batch(*tiles, width, [batch[i][1] for i in live],
+                                               sources)
+            # a copy whose flood filled the box minus its subset settles every
+            # observer; only the copies with unreached vertices are sliced
+            settled = [undecided[i] for i in live]
+            rest = unreached
+            while rest:
+                k = ((rest & -rest).bit_length() - 1) // width
+                rest &= -1 << (k + 1) * width
+                reached = box ^ batch[live[k]][1] ^ unreached >> k * width & box
+                settled[k] &= reached | bool(reached & setting.surface) << apex
+                if not settled[k]:
+                    raise RuntimeError("a round settled none of an instance's observers")
             for k, i in enumerate(live):
-                settled = undecided[i]
-                if settled & settled - 1:       # several observers: those the flood reached
-                    reached = flood >> k * width & box
-                    settled &= reached | bool(reached & surface) << apex
-                    if not settled:
-                        raise RuntimeError("a round settled none of an instance's observers")
                 if missed and missed >> k * width & box:
-                    failing[i] |= settled
-                undecided[i] ^= settled
+                    failing[i] |= settled[k]
+                undecided[i] ^= settled[k]
         for (seed_str, cm, observers), fails in zip(batch, failing):
             if fails:
                 # trial order: the apex first, then by id
                 order = sorted(_members(observers), key=lambda v: (v != apex, v))
                 for i, x in enumerate(order):
                     if fails >> x & 1:
-                        failures.append(
-                            _failure_record(setting, roles, trials_run + i, seed_str, cm, x))
+                        failures.append(_failure_record(cfg, augmentation, setting,
+                                                        trials_run + i, seed_str, cm, x))
             trials_run += observers.bit_count()
     if not trials_run:
         raise InputError("the campaign has no instance to judge: every subset "

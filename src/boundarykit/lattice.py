@@ -90,8 +90,9 @@ def build_box(spec: BoxSpec) -> Graph:
 
     One loop over the flavor's id-raising steps: moves in {-1, 0, 1}^d that
     change at most the flavor's reach of coordinates, the highest changed
-    one by +1.  A step joins v to v + δ, δ its stride-weighted sum, when
-    every moved coordinate stays in 1..n.
+    one by +1.  A step joins v to v + δ, δ its stride-weighted sum, for
+    every v whose moved coordinates stay in 1..n: the ids built axis by
+    axis from the coordinate range the move allows there.
 
     Memoization means repeated requests share one Graph object, so edge
     vectors built against it stay host-compatible across call sites.
@@ -99,14 +100,15 @@ def build_box(spec: BoxSpec) -> Graph:
     n, d = spec.side, spec.d
     reach = _REACH[spec.flavor] or d
     labels = [coord[::-1] for coord in product(range(1, n + 1), repeat=d)]
-    steps = []
+    edges = []
     for move in product((-1, 0, 1), repeat=d):
-        moved = [(i, m) for i, m in enumerate(move) if m]
-        if moved and len(moved) <= reach and moved[-1][1] == 1:
-            steps.append((moved, sum(m * n ** i for i, m in moved)))
-    edges = [(v, v + delta) for v, coord in enumerate(labels)
-             for moved, delta in steps
-             if all(1 <= coord[i] + m <= n for i, m in moved)]
+        moved = [m for m in move if m]
+        if moved and len(moved) <= reach and moved[-1] == 1:
+            ids = [0]
+            for i, m in enumerate(move):        # coordinate c + 1 in 1 + (m < 0)..n − (m > 0)
+                ids = [v + c * n ** i for c in range(m < 0, n - (m > 0)) for v in ids]
+            delta = sum(m * n ** i for i, m in enumerate(move))
+            edges += [(v, v + delta) for v in ids]
     return Graph(len(labels), edges, labels=labels)
 
 
@@ -128,17 +130,11 @@ def basic_four_cycles(spec: BoxSpec) -> List[EdgeVector]:
     if spec.d < 2:
         raise InputError("a one-dimensional box has a trivial cycle space")
     g = build_box(spec)
-    n, d = spec.side, spec.d
-    out = []
-    for i, j in combinations(range(d), 2):
-        ei, ej = n ** i, n ** j
-        for v in range(g.vertex_count):
-            coord = g.labels[v]
-            if coord[i] < n and coord[j] < n:
-                out.append(EdgeVector.from_edges(g, [
-                    (v, v + ei), (v, v + ej),
-                    (v + ei, v + ei + ej), (v + ej, v + ei + ej)]))
-    return out
+    n, ids = spec.side, g._edge_ids
+    return [EdgeVector(g, 1 << ids[v, v + ei] | 1 << ids[v, v + ej]
+                       | 1 << ids[v + ei, v + ei + ej] | 1 << ids[v + ej, v + ei + ej])
+            for i, j in combinations(range(spec.d), 2) for ei, ej in [(n ** i, n ** j)]
+            for v, coord in enumerate(g.labels) if coord[i] < n and coord[j] < n]
 
 
 @lru_cache(maxsize=None)
@@ -161,40 +157,52 @@ def cube_patch_cycle(pair: GraphPair, e: Sequence[int]) -> EdgeVector:
     its decreasing moves first, from the highest axis down, then its
     increasing moves from the lowest axis up.  That one sort by signed
     axis rank gives the lexicographically smallest vertex-id sequence of
-    the (#differing-coords)! candidate paths.  The result is a cycle,
-    chordal in the augmentation, with every edge but ``e`` in the base
-    graph; ``check_k_hypotheses`` is the judge of those facts, for every
-    patch it is given.
+    the (#differing-coords)! candidate paths.  A move along axis i is a
+    step of ±n^i in the box's ids, so the path is walked on strides, and
+    each step's edge is looked up in the augmentation, which holds the
+    base graph.  The result is a cycle, chordal in the augmentation, with
+    every edge but ``e`` in the base graph; ``check_k_hypotheses`` is the
+    judge of those facts, for every patch it is given.
     """
-    u, v = e
-    if u > v:
-        u, v = v, u
-    g, gs = pair.g, pair.g_plus
-    if g.labels is None:
-        raise InputError("cube patch cycles need coordinate labels")
+    u, v = sorted(e)
+    g = pair.g
     if g.has_edge(u, v):
         raise InputError("edge already belongs to the base graph")
-    if not gs.has_edge(u, v):
+    if not pair.g_plus.has_edge(u, v):
         raise InputError("not an edge of the augmented graph")
-    cu, cv = g.labels[u], g.labels[v]
-    if any(abs(a - b) > 1 for a, b in zip(cu, cv)):
+    if g.labels is not None and any(abs(a - b) > 1 for a, b in zip(g.labels[u], g.labels[v])):
         raise InputError("endpoints do not share a unit cube")
-    order = sorted((i for i, (a, b) in enumerate(zip(cu, cv)) if a != b),
-                   key=lambda i: (cv[i] - cu[i]) * (i + 1))
-    cur = list(cu)
-    path = [u]
-    for axis in order[:-1]:             # the last step lands on v
-        cur[axis] = cv[axis]
-        path.append(g.id_of_label(cur))
-    path.append(v)
-    return EdgeVector.from_edges(gs, list(zip(path, path[1:])) + [(u, v)])
+    return _patch_cycles(pair, [(u, v)])[u, v]
 
 
 def extra_edge_patches(pair: GraphPair) -> Dict[Tuple[int, int], EdgeVector]:
     """Cube patch cycles for every edge of the pair's augmentation that is
     missing from its base graph, keyed by sorted endpoint pair."""
-    return {e: cube_patch_cycle(pair, e)
-            for e in pair.g_plus.edges if not pair.g.has_edge(*e)}
+    return _patch_cycles(pair, [e for e in pair.g_plus.edges if not pair.g.has_edge(*e)])
+
+
+def _patch_cycles(pair: GraphPair, edges) -> Dict[Tuple[int, int], EdgeVector]:
+    """The cube patch cycle of each edge ``(u, v)``, ``u < v``, of ``edges``:
+    augmentation edges absent from the base box, whose endpoints share a
+    unit cube.  The ids must be the box's, so that axis i has stride n^i;
+    the last vertex's label, (n, …, n), gives n."""
+    g_plus = pair.g_plus
+    labels, ids = g_plus.labels, g_plus._edge_ids
+    if not edges:
+        return {}
+    if labels is None:
+        raise InputError("cube patch cycles need coordinate labels")
+    n = max(labels[-1])
+    out = {}
+    for u, v in edges:
+        bits, cur = 1 << ids[u, v], u
+        # the moves by signed axis rank (b − a)·(i + 1); one along axis i steps ±n^i
+        for _, step in sorted(((b - a) * (i + 1), (b - a) * n ** i)
+                              for i, (a, b) in enumerate(zip(labels[u], labels[v])) if a != b):
+            bits |= 1 << ids[(cur, cur + step) if step > 0 else (cur + step, cur)]
+            cur += step
+        out[u, v] = EdgeVector(g_plus, bits)
+    return out
 
 
 def _require_box_labels(g: Graph) -> None:

@@ -488,17 +488,21 @@ class BatchJudge:
     its plans without the apex for ``_failing_batch``: tiled for batches,
     untiled for a batch of one.  An observer is a vertex id of the apexed
     graphs, the apex by default; its copy is flooded from the box surface
-    for the apex and from its own bit otherwise."""
+    for the apex and from its own bit otherwise.  The surface is the
+    apex's row in the apexed traversal plan, which the campaign's surface
+    mask must equal."""
 
     def __init__(self, cfg, copies):
         self.augmentation = harness._augmentation(cfg.theorem, cfg.box, cfg.probe,
                                                   cfg.g_prime)
         setting = harness._box_setting(cfg.theorem, cfg.box, self.augmentation)
-        self.plans = [_neighbourhood_plan(g) for g in setting.roles]
-        self.box_plans = [_neighbourhood_plan(g) for g in setting.box_roles]
+        self.plans = [_neighbourhood_plan(g) for g in
+                      harness._apexed_roles(cfg.theorem, cfg.box, self.augmentation)]
+        self.box_plans = [_neighbourhood_plan(g) for g in setting.roles]
         self.tiles = [plan.tiled(copies) for plan in self.box_plans]
         self.apex = self.width = setting.apex
         self.surface = self.plans[0].rows[self.apex]
+        assert setting.surface == self.surface
         self.interior = sorted(margin_interior(setting.box, cfg.margin))
         self.connect_host = setting.connect_host
 
@@ -509,21 +513,22 @@ class BatchJudge:
         """Whether ``_failing_observers`` fails the observer ``x`` for ``cm``."""
         return bool(_failing_observers(*self.plans, cm, 1 << (self.apex if x is None else x)))
 
-    def flood(self, cm, x):
-        """The traversal flood of ``cm``'s copy from ``x``'s source in the
-        box minus ``cm``."""
+    def unreached(self, cm, x):
+        """What the traversal flood of ``cm``'s copy from ``x``'s source
+        leaves of the box minus ``cm``."""
         trav = self.box_plans[0]
-        return trav.flood(self.source(x), trav.full ^ cm)
+        return trav.full ^ cm ^ trav.flood(self.source(x), trav.full ^ cm)
 
     def batch(self, shapes, observers=None):
         """Per copy, whether ``_failing_batch`` fails it: copy ``i`` holds
         ``shapes[i]`` seen from ``observers[i]``.  Each copy's slice of the
-        flood the judge hands back is that copy's own flood."""
+        unreached mask the judge hands back is what that copy's own flood
+        leaves unreached."""
         observers = observers or [self.apex] * len(shapes)
         sources = sum(self.source(x) << i * self.width for i, x in enumerate(observers))
-        flood, missed = _failing_batch(*self.tiles, self.width, shapes, sources)
-        assert flood == sum(self.flood(cm, x) << i * self.width
-                            for i, (cm, x) in enumerate(zip(shapes, observers)))
+        unreached, missed = _failing_batch(*self.tiles, self.width, shapes, sources)
+        assert unreached == sum(self.unreached(cm, x) << i * self.width
+                                for i, (cm, x) in enumerate(zip(shapes, observers)))
         failing = failing_copies(missed, self.width, len(shapes))
         assert missed >> len(shapes) * self.width == 0
         return [i in failing for i in range(len(shapes))]
@@ -533,8 +538,8 @@ class BatchJudge:
         untiled plans, where a copy's repunit is 1 and small masks take
         the row pass."""
         x = self.apex if x is None else x
-        flood, missed = _failing_batch(*self.box_plans, self.width, [cm], self.source(x))
-        assert flood == self.flood(cm, x)
+        unreached, missed = _failing_batch(*self.box_plans, self.width, [cm], self.source(x))
+        assert unreached == self.unreached(cm, x)
         return bool(missed)
 
 

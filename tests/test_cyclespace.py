@@ -159,6 +159,24 @@ def test_is_cycle_matches_degree_oracle_on_shapes(edges, want):
     assert v.is_cycle() == cycle_check_by_degrees(v.host.vertex_count, v.edges()) == want
 
 
+def test_cycle_vertices_on_every_edge_set_of_k6():
+    """All 2^15 edge sets of K6: every 3-, 4-, 5- and 6-cycle, and the two
+    disjoint triangles, the only 2-regular edge set there that is no
+    cycle, which the walk, run from 6 edges up, must catch.  A cycle's
+    mask is its touched vertices; anything else gives 0."""
+    k6 = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    cycles = Counter()
+    for bits in range(1 << k6.edge_count):
+        vec = EdgeVector(k6, bits)
+        edges = vec.edges()
+        want = cycle_check_by_degrees(6, edges)
+        touched = sum(1 << w for w in {w for e in edges for w in e})
+        assert vec._cycle_vertices() == (touched if want else 0)
+        cycles[len(edges)] += want
+    # K6 has 20 triangles, 45 four-cycles, 72 five-cycles and 60 six-cycles
+    assert +cycles == {3: 20, 4: 45, 5: 72, 6: 60}
+
+
 # --- rank and generating sets --------------------------------------------------
 
 def test_cycle_space_rank_formula():

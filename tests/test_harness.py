@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boundarykit import (BoxSpec, CycleGen, EdgeVector, InputError,
-                         TrialConfig, build_box, build_box_pair,
+                         TrialConfig, attach_apex, build_box, build_box_pair,
                          check_dp_hypotheses, check_k_hypotheses,
                          cube_patch_cycle, enumerate_connected_subsets,
                          extra_edge_patches, four_cycle_gen, full_report,
@@ -842,9 +842,10 @@ def _per_observer_reference(cfg, fixed_c=None):
     below that a fixed observer judges on the box itself."""
     import boundarykit.harness as harness
     row = harness._BOUNDARY_THEOREMS[cfg.theorem]
-    setting = harness._box_setting(cfg.theorem, cfg.box,
-                                   getattr(cfg, row.override) or row.augmentation)
-    g, g_prime, probe = setting.roles if cfg.margin >= 2 else setting.box_roles
+    augmentation = getattr(cfg, row.override) or row.augmentation
+    setting = harness._box_setting(cfg.theorem, cfg.box, augmentation)
+    g, g_prime, probe = (harness._apexed_roles(cfg.theorem, cfg.box, augmentation)
+                         if cfg.margin >= 2 else setting.roles)
     apex = setting.apex
     if fixed_c is None and cfg.mode == "random":
         instances = [(seed, _members(cm), drawn.bit_length() - 1) for seed, cm, drawn
@@ -930,10 +931,11 @@ def test_fixed_observers_at_margin_2_judge_alike_with_and_without_the_apex(theor
     import boundarykit.harness as harness
     cfg = TrialConfig(theorem=theorem, box=BoxSpec(2, 5, "plain"), **(override or {}))
     row = harness._BOUNDARY_THEOREMS[theorem]
-    setting = harness._box_setting(theorem, cfg.box,
-                                   getattr(cfg, row.override) or row.augmentation)
-    apexed = [_neighbourhood_plan(g) for g in setting.roles]
-    box = [_neighbourhood_plan(g) for g in setting.box_roles]
+    augmentation = getattr(cfg, row.override) or row.augmentation
+    setting = harness._box_setting(theorem, cfg.box, augmentation)
+    apexed_roles = harness._apexed_roles(theorem, cfg.box, augmentation)
+    apexed = [_neighbourhood_plan(g) for g in apexed_roles]
+    box = [_neighbourhood_plan(g) for g in setting.roles]
     full = box[0].full
     subsets = enumerate_connected_subsets(setting.connect_host, 9,
                                           allowed=margin_interior(setting.box, 2))
@@ -944,7 +946,7 @@ def test_fixed_observers_at_margin_2_judge_alike_with_and_without_the_apex(theor
         assert _failing_observers(*apexed, cm, full ^ cm) == failing
         for x in _members(failing):
             apexed_rep, box_rep = (full_report(*roles, c, x)
-                                   for roles in (setting.roles, setting.box_roles))
+                                   for roles in (apexed_roles, setting.roles))
             assert apexed_rep.outer_visible >= box_rep.outer_visible
             assert replace(apexed_rep, outer_visible=box_rep.outer_visible) == box_rep
         failing_observers += failing.bit_count()
@@ -1093,7 +1095,7 @@ def test_a_translation_class_shares_its_apex_report(theorem, box, max_size, augm
     campaign reuse one verdict per key."""
     import boundarykit.harness as harness
     setting = harness._box_setting(theorem, box, augmentation)
-    g, g_prime, probe = setting.roles
+    g, g_prime, probe = harness._apexed_roles(theorem, box, augmentation)
     first, subsets = {}, 0
     for c in enumerate_connected_subsets(setting.connect_host, max_size,
                                          allowed=margin_interior(setting.box, 2)):
@@ -1199,9 +1201,9 @@ def test_apex_campaigns_by_shape_match_the_per_observer_loop(cfg, trials, failin
 
 def _surface_sources(setting, copies):
     """The flood sources of a batch of ``copies`` apex copies: the box
-    surface in every copy."""
-    surface = _neighbourhood_plan(setting.roles[0]).rows[setting.apex]
-    return surface * _neighbourhood_plan(setting.box_roles[0]).tiled(copies).ones
+    surface, the apex's neighbourhood, in every copy."""
+    surface = _neighbourhood_plan(attach_apex(setting.box)).rows[setting.apex]
+    return surface * _neighbourhood_plan(setting.box).tiled(copies).ones
 
 
 def test_only_the_translates_of_failing_shapes_get_records(monkeypatch):
@@ -1239,11 +1241,10 @@ def test_only_the_translates_of_failing_shapes_get_records(monkeypatch):
 ], ids=["dp", "k"])
 def test_a_passing_apex_campaign_builds_only_what_it_reads(monkeypatch, theorem, box,
                                                           max_size, flavor):
-    """Of its apexed role graphs, a passing exhaustive apex campaign reads
-    the traversal graph's plan only (dp's probe and k's adjacency are read
-    by failure records alone), and its shape pass
-    builds one box, the graph its shapes are connected in, of side
-    2·min(w, max size) − 1."""
+    """A passing exhaustive apex campaign plans only its role graphs
+    without the apex, which its batches are tiled from, and the graph its
+    shapes grow in, and its shape pass builds one box, that graph, of
+    side 2·min(w, max size) − 1."""
     import boundarykit.harness as harness
     augmentation = harness._augmentation(theorem, box, None, None)
     setting = harness._box_setting(theorem, box, augmentation)     # the set-up, untested here
@@ -1257,9 +1258,26 @@ def test_a_passing_apex_campaign_builds_only_what_it_reads(monkeypatch, theorem,
     monkeypatch.setattr(harness, "build_box_pair", no_pair)
     rep = run_verification(TrialConfig(theorem=theorem, box=box, max_size=max_size))
     assert rep.passed and rep.trials_run > 0
-    roles = {id(g) for g in setting.roles}
-    assert {id(g) for g in planned} & roles == {id(setting.roles[0])} != roles
     assert built == [BoxSpec(box.d, 2 * min(box.side - 2, max_size) - 1, flavor)]
+    assert {id(g) for g in planned} == {id(g) for g in setting.roles} | {id(build(built[0]))}
+
+
+_Z22, _Z25 = build_box(BoxSpec(2, 2, "plain")), build_box(BoxSpec(2, 5, "plain"))
+_Z25_23 = _Z25.id_of_label((2, 3))
+
+
+def _no_apex(monkeypatch):
+    """Make attaching an apex raise, with every set-up cache cleared, so
+    that no graph built before can stand in for one built now."""
+    import boundarykit.harness as harness
+    import boundarykit.lattice as lattice
+
+    def refuse(g):
+        raise AssertionError("an apex was attached")
+
+    monkeypatch.setattr(lattice, "attach_apex", refuse)
+    for cached in (harness._box_setting, harness._apexed_roles, build_box):
+        cached.cache_clear()
 
 
 @pytest.mark.parametrize("cfg", [
@@ -1270,22 +1288,60 @@ def test_a_passing_apex_campaign_builds_only_what_it_reads(monkeypatch, theorem,
     TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), max_size=4, x_policy="fixed",
                 x_vertex=_X44),
     TrialConfig(theorem="k", box=BoxSpec(2, 7, "plain"), max_size=4, x_policy="all-outside"),
-], ids=["k-random-outside", "dp-random-apex", "dp-fixed", "k-all-outside"])
-def test_a_passing_single_observer_campaign_reads_only_the_apexed_traversal(monkeypatch, cfg):
-    """The batch judge runs on the plans without the apex, so a passing
-    campaign, whether its instances have one observer or several, reads,
-    of its apexed role graphs, the traversal graph's plan only: for the
-    interior, the observer ids and the surface.  The apexed adjacency and
-    probe plans serve failure records alone."""
-    import boundarykit.harness as harness
-    augmentation = harness._augmentation(cfg.theorem, cfg.box, cfg.probe, cfg.g_prime)
-    setting = harness._box_setting(cfg.theorem, cfg.box, augmentation)
-    plan, planned = harness._neighbourhood_plan, []
-    monkeypatch.setattr(harness, "_neighbourhood_plan", lambda g: planned.append(g) or plan(g))
+    TrialConfig(theorem="k", box=BoxSpec(3, 6, "plain"), max_size=3),
+    TrialConfig(theorem="dp", box=BoxSpec(2, 5, "plain"), max_size=5, x_policy="fixed",
+                x_vertex=_Z25.id_of_label((1, 1)), margin=0),
+], ids=["k-random-outside", "dp-random-apex", "dp-fixed", "k-all-outside", "k-apex",
+        "dp-fixed-margin-0"])
+def test_a_passing_campaign_builds_no_apexed_graph(monkeypatch, cfg):
+    """The batch judge runs on the role graphs without the apex, and the
+    box gives what a campaign needs of the apex: its id, the box's vertex
+    count, and its neighbours, the surface.  So a passing campaign, under
+    every policy and at every margin, builds no apexed graph: the apexed
+    role graphs serve failure records alone."""
+    _no_apex(monkeypatch)
     rep = run_verification(cfg)
     assert rep.passed and rep.trials_run > 0
-    roles = {id(g) for g in setting.roles}
-    assert {id(g) for g in planned} & roles == {id(setting.roles[0])} != roles
+
+
+@pytest.mark.parametrize("theorem, box", [
+    ("dp", BoxSpec(2, 5, "plain")), ("k", BoxSpec(3, 4, "plain")), ("dp", BoxSpec(4, 3, "plain")),
+    ("k", BoxSpec(2, 2, "plain"))], ids=["dp-z2", "k-z3", "dp-z4", "k-z2:2"])
+def test_the_surface_mask_is_the_apexs_neighbourhood(theorem, box):
+    """The campaign floods the apex's copies from the setting's surface
+    mask, which must be the apex's row in the apexed traversal plan: the
+    box vertices with a coordinate at 1 or n, and no vertex one layer in."""
+    import boundarykit.harness as harness
+    augmentation = harness._augmentation(theorem, box, None, None)
+    setting = harness._box_setting(theorem, box, augmentation)
+    apexed = harness._apexed_roles(theorem, box, augmentation)[0]
+    assert setting.surface == _neighbourhood_plan(apexed).rows[setting.apex]
+    assert setting.surface == sum(1 << v for v, lab in enumerate(setting.box.labels)
+                                  if 1 in lab or box.side in lab)
+
+
+def test_a_failing_fixed_campaign_at_margin_2_reports_on_the_box_and_apex(monkeypatch):
+    """At margin 2 the apex stands for the outside, so a failure record's
+    report is taken on the role graphs with the apex: a path through the
+    apex can go round the visible boundary, and 20 of these 31 records
+    have a larger outer-visible set than on the box alone.  The digest
+    pins every record."""
+    import boundarykit.harness as harness
+    cfg = TrialConfig(theorem="dp", box=BoxSpec(2, 5, "plain"), max_size=3, probe="plain",
+                      x_policy="fixed", x_vertex=_Z25_23)
+    rep = run_verification(cfg, skip_hypotheses=True)
+    assert (rep.trials_run, len(rep.failures)) == (31, 31)
+    roles = harness._box_setting("dp", cfg.box, "plain").roles
+    on_the_box = [report_to_json(full_report(*roles, frozenset(
+        _Z25.id_of_label(tuple(p)) for p in f["c"]), _Z25_23), _Z25) for f in rep.failures]
+    assert sum(f["report"] != box_rep for f, box_rep in zip(rep.failures, on_the_box)) == 20
+    blob = json.dumps(rep.to_json(include_elapsed=False), sort_keys=True,
+                      separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "f435187c191686b9b2a24b9800c58f5fcd58c660d4c390e1bb6fa775af04705e")
+    _no_apex(monkeypatch)
+    with pytest.raises(AssertionError, match="an apex was attached"):
+        run_verification(cfg, skip_hypotheses=True)
 
 
 def test_a_placement_count_the_listing_disagrees_with_is_an_error(monkeypatch):
@@ -1326,7 +1382,6 @@ def test_a_failing_apex_campaign_hands_over_to_the_per_instance_loop(
     assert batches[0][0].bit_count() == 1
 
 
-_Z22, _Z25 = build_box(BoxSpec(2, 2, "plain")), build_box(BoxSpec(2, 5, "plain"))
 _Z29 = build_box(BoxSpec(2, 9, "plain"))
 
 
@@ -1395,16 +1450,20 @@ def test_apex_only_instances_are_judged_by_the_batch_judge(
 def test_a_round_that_settles_nothing_is_an_error(monkeypatch, stuck_from):
     """A judge whose floods reach no observer would leave an instance's
     observers undecided round after round; the campaign must stop with an
-    error instead of looping.  The floods go empty from the first round,
-    which floods the outside of ``_PLUS_RING``, or from the second, which
-    floods its plus-shaped hole."""
+    error instead of looping.  The judge leaves the whole box minus the
+    subset unreached from the first round, which floods the outside of
+    ``_PLUS_RING``, or from the second, which floods its plus-shaped
+    hole."""
     import boundarykit.harness as harness
     judge, rounds = harness._failing_batch, []
 
     def stuck_judge(*args):
         rounds.append(len(args[4]))
-        flood, missed = judge(*args)
-        return (0 if len(rounds) >= stuck_from else flood), missed
+        unreached, missed = judge(*args)
+        if len(rounds) >= stuck_from:      # the box minus each shape, all unreached
+            width, shapes = args[3], args[4]
+            unreached = sum(((1 << width) - 1 ^ cm) << i * width for i, cm in enumerate(shapes))
+        return unreached, missed
 
     monkeypatch.setattr(harness, "_failing_batch", stuck_judge)
     cfg = TrialConfig(theorem="dp", box=BoxSpec(2, 9, "plain"), x_policy="all-outside")

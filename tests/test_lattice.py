@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundarykit import (BoxSpec, EdgeVector, GraphPair, InputError,
+from boundarykit import (BoxSpec, EdgeVector, Graph, GraphPair, InputError,
                          attach_apex, basic_four_cycles, box_shell, build_box,
                          build_box_pair, cube_patch_cycle, cycle_space_rank,
                          decompose, extra_edge_patches, four_cycle_gen,
@@ -205,9 +205,12 @@ def test_patch_cycles_satisfy_their_contract():
             assert chordal_by_pairs(vec.edges(), pair.g_plus.edges)
 
 
-@pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (4, 2)])
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (4, 2), (2, 5), (3, 4), (4, 3)])
 @pytest.mark.parametrize("flavor", ["star", "plus"])
 def test_patch_cycle_is_the_smallest_path_of_the_axis_order_search(d, n, flavor):
+    """Patch cycles are walked on the box's strides n^i; the label search
+    finds each path's ids one by one.  Boxes of side 3 and 5 have strides
+    that are no powers of 2, so a stride mix-up shows there."""
     pair = build_box_pair(BoxSpec(d, n, "plain"), flavor)
     extra = [e for e in pair.g_plus.edges if not pair.g.has_edge(*e)]
     assert extra
@@ -224,6 +227,10 @@ def test_patch_cycle_rejects_bad_edges():
         cube_patch_cycle(pair, (g.id_of_label((1, 1)), g.id_of_label((2, 1))))
     with pytest.raises(InputError, match="augmented"):
         cube_patch_cycle(pair, (g.id_of_label((1, 1)), g.id_of_label((3, 3))))
+    far = (g.id_of_label((1, 1)), g.id_of_label((3, 1)))        # two cells apart
+    jump = GraphPair(g, Graph(g.vertex_count, pair.g_plus.edges + (far,), labels=g.labels))
+    with pytest.raises(InputError, match="unit cube"):
+        cube_patch_cycle(jump, far)
 
 
 # --- apex ----------------------------------------------------------------------------
