@@ -40,8 +40,8 @@ with no outer-visible flood, no frozensets and no report; the campaign
 builds a full report only for an observer that fails.
 
 Each instance is one copy of the box in one int, on plans of the box's
-roles without the apex, flooded from the box surface while it judges the
-apex and from one box observer otherwise.  ``tiled`` plans carry the
+roles without the apex, flooded from the box surface in its first round
+at margin ≥ 2 and from one box observer otherwise.  ``tiled`` plans carry the
 batches, so each flood level advances every copy's flood at once.  That
 is the bit-parallel traversal of Then et al. (*The More the Merrier:
 Efficient Multi-Source Graph Traversal*, PVLDB 8(4), 2014), with
@@ -133,8 +133,8 @@ def _failing_batch(trav, adj, probe, width: int, shapes, sources: int) -> tuple:
     on ``tiled`` plans of the box's roles without the apex (or the box's
     own plans for a batch of one), and ``sources`` holds each copy's
     flood source at the copy's offset: the box surface (the apex's
-    neighbourhood) while the copy judges the apex, or one box vertex
-    outside the shape.  In every copy the flood is the traversal flood
+    neighbourhood), which judges the outside, or one box vertex outside
+    the shape.  In every copy the flood is the traversal flood
     from the source in the box minus the shape, and the unreached mask
     holds the rest of the box minus the shape.  S is the adjacency
     boundary inside the flood, and the missed mask holds the members of S
@@ -167,15 +167,14 @@ def _failing_batch(trav, adj, probe, width: int, shapes, sources: int) -> tuple:
     * The probe components of S are those of the subgraph induced on S,
       which the apex is not in, so its edges never join two of them.
 
-    So a campaign judges an instance with several observers in rounds:
-    each round floods one copy from the surface while the apex is
-    undecided and from the lowest undecided observer after that, and
-    settles every observer the flood reached."""
-    c = bits = 0
-    for cm in shapes:
-        c |= cm << bits
-        bits += width
-    batch = (1 << bits) - 1
+    So a campaign judges an instance in rounds, each giving it one copy
+    that settles every observer its flood reached.  At margin ≥ 2 the
+    first round floods from the surface, which judges the outside: the
+    apex and every observer in its component.  Each later round, and
+    every round below margin 2, floods from the lowest undecided
+    observer, one hole at a time."""
+    c = _packed(shapes, width)
+    batch = (1 << len(shapes) * width) - 1
     ones = trav.ones & batch                # bit 0 of every copy
     allowed = (trav.full & batch) ^ c
     flood = trav.flood(sources, allowed)
@@ -186,6 +185,20 @@ def _failing_batch(trav, adj, probe, width: int, shapes, sources: int) -> tuple:
     if seeds.bit_count() != len(shapes):
         raise RuntimeError("a copy of the batch has an empty visible boundary")
     return allowed ^ flood, s & ~probe.flood(seeds, s)
+
+
+def _packed(masks: list, width: int) -> int:
+    """The OR of ``masks[i] << i·width`` over a nonempty list: one copy per
+    mask, as a batch holds them.  Neighbouring pairs merge level by level
+    (an odd last mask moves up as it is), at double the stride each time,
+    so the n − 1 ORs work on ints that grow with the level, not with the
+    batch: about n·width·log2(n) bits in all, where ORing each copy into
+    one growing int moves n²·width/2."""
+    while len(masks) > 1:
+        masks = ([low | high << width for low, high in zip(masks[::2], masks[1::2])]
+                 + masks[len(masks) & ~1:])
+        width *= 2
+    return masks[0]
 
 
 # --- the operators ------------------------------------------------------------

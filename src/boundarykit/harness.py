@@ -41,21 +41,27 @@ no copy.
 
 The campaign takes ``_TILE_BITS // box vertices`` instances per batch and
 judges each batch in rounds, on tiled plans of the box without the apex.
-In each round every instance with undecided observers takes one copy,
-flooded from the box surface while the apex is undecided and from its
-lowest undecided observer after that.  The copy's verdict settles every
-undecided observer its flood reached, and the apex when the flood
-touches the surface: the visible boundary depends on the observer only
-through its component of the traversal graph minus the subset (for the
-apex, the exterior boundary of Kesten and of Deuschel–Pisztora), and
-``_failing_batch`` says why that component, on the apexed graphs, is the
-copy's flood.  The judge hands back what each flood left unreached of
-the box minus the subset, and only the copies with unreached vertices,
-the holed ones, are sliced: a copy whose flood filled the box minus its
-subset settles all its observers.  So an instance with one observer
-takes one round, and an ``all-outside`` subset one round for the
-outside and one per hole.  A round that settles none of an instance's
-observers is an error, not a loop.
+In each round every instance with undecided observers takes one copy.
+At margin ≥ 2 the first round floods every copy from the box surface,
+whatever its observers, and every later round from the instance's lowest
+undecided observer; below margin 2 (``fixed`` only) every round floods
+from the observer.  The copy's verdict settles every undecided observer
+its flood reached, and the apex when the flood touches the surface: the
+visible boundary depends on the observer only through its component of
+the traversal graph minus the subset (for the apex, the exterior
+boundary of Kesten and of Deuschel–Pisztora), and ``_failing_batch``
+says why that component, on the apexed graphs, is the copy's flood.  A
+surface flood reaches the outer component in a few levels, where a flood
+from one interior observer takes several times as many.  The judge hands
+back what each flood left unreached of the box minus the subset, and
+only the copies with unreached vertices, the holed ones, are sliced: a
+copy whose flood filled the box minus its subset settles all its
+observers.  So an instance whose observers are all outside takes one
+round, an observer in a hole two (the outside, then its hole), and an
+``all-outside`` subset one round for the outside and one per hole.  A
+surface round may settle none of an instance's observers, when each
+lies in a hole and the apex does not observe; any other round that
+settles none is an error, not a loop.
 
 An exhaustive ``apex`` campaign first judges each translation class
 once: ``_apex_shapes`` lists the shapes, carrying each shape's campaign
@@ -72,8 +78,10 @@ of those two and in failure records.
 
 Campaigns run their trials in one sequential loop, in batches whose
 records come out in trial order; every trial is a pure function of
-immutable graphs plus the seed string ``"{seed}:{index}"``, so the same
-config and seed give byte-identical reports.  The graphs, generators and
+immutable graphs plus the seed string ``"{seed}:{index}"``, which seeds
+the one ``Random`` that all of the trial's draws come from, so a trial
+replays from its seed string alone and the same config and seed give
+byte-identical reports.  The graphs, generators and
 premise verdict of a box are built once per process and shared by every
 campaign on that box.  A graph's plan is built where a campaign first
 reads it.  A passing campaign builds no apexed graph: the box gives the
@@ -92,7 +100,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .boundary import _failing_batch, _outer_visible_mask, full_report, report_to_json
+from .boundary import _failing_batch, _outer_visible_mask, _packed, full_report, report_to_json
 from .cyclespace import (CycleGen, EdgeVector, _is_clique,
                          crossing_cycle_witness, fundamental_basis,
                          is_generating)
@@ -232,9 +240,14 @@ def _grow(pool, nbrs, size: int, rng: random.Random) -> int:
 
 def random_connected_graph(vertex_count: int, extra_edges: int, seed) -> Graph:
     """Seeded random spanning tree plus up to ``extra_edges`` random chords."""
+    return _random_graph(vertex_count, extra_edges, random.Random(seed))
+
+
+def _random_graph(vertex_count: int, extra_edges: int, rng: random.Random) -> Graph:
+    """``random_connected_graph`` drawn from ``rng``, which a crossing
+    trial shares with its other draws."""
     if vertex_count < 1:
         raise InputError("need at least one vertex")
-    rng = random.Random(seed)
     order = list(range(vertex_count))
     rng.shuffle(order)
     edges = set()
@@ -561,19 +574,17 @@ def _boundary_instances(cfg: TrialConfig, setting: _BoxSetting,
 
 def _sampled_instances(cfg: TrialConfig, pool: tuple, apex: int) -> Iterator[tuple]:
     """The instances of a random dp/k campaign, one observer per trial,
-    grown from the campaign's one sampling ``pool``.  Its two streams, the
-    trial's draws and each subset's growth, are one ``Random`` each,
-    re-seeded per seed string: the same draws as a fresh ``Random`` per
-    string, without building one."""
+    grown from the campaign's one sampling ``pool``.  Trial i draws from
+    one stream, seeded once with its seed string ``"{seed}:{i}"``: the
+    subset size, then the growth (a retry grows on from where the last
+    one stopped), then the rank of an ``all-outside`` observer."""
     size_cap = min(cfg.max_size, len(pool[0]))
-    rng, grow_rng = random.Random(), random.Random()
     for i in range(cfg.trials):
         seed_str = _trial_seed(cfg.seed, i)
-        rng.seed(seed_str)
+        rng = random.Random(seed_str)
         size = rng.randint(1, size_cap)
-        for attempt in range(64):
-            grow_rng.seed(f"{seed_str}/c{attempt}")
-            cm = _grow(*pool, size, grow_rng)
+        for _attempt in range(64):
+            cm = _grow(*pool, size, rng)
             observers = _observers(cfg, apex, cm, rng)
             if observers:
                 break
@@ -668,11 +679,11 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
     apex = width = setting.apex                 # the apex's id, the box's vertex count
     copies = max(1, _TILE_BITS // width)
     tiles = [_neighbourhood_plan(g).tiled(copies) for g in setting.roles]
+    # the surface in every copy; a short batch keeps its first copies
+    surfaces = setting.surface * tiles[0].ones
     placements = None
     if cfg.mode == "exhaustive" and cfg.x_policy == "apex" and fixed_c is None:
         placements, failed = 0, False
-        # the surface in every copy; a short batch keeps its first copies
-        surfaces = setting.surface * tiles[0].ones
         shapes = _apex_shapes(cfg, augmentation)
         while batch := list(islice(shapes, copies)):
             placements += sum(count for _, count in batch)
@@ -686,16 +697,15 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
     box = (1 << width) - 1
     instances = _boundary_instances(cfg, setting, fixed_c)
     while batch := list(islice(instances, copies)):
-        # each round gives every instance with undecided observers one copy,
-        # flooded from the surface while the apex is undecided and from the
-        # lowest undecided observer after that
+        # each round gives every instance with undecided observers one copy:
+        # at margin ≥ 2 the first floods the outside from the surface, and
+        # every other round from the instance's lowest undecided observer
         undecided = [observers for _, _, observers in batch]
         failing = [0] * len(batch)
+        from_surface = cfg.margin >= 2
         while live := [i for i, rest in enumerate(undecided) if rest]:
-            sources = 0
-            for k, i in enumerate(live):
-                rest = undecided[i]
-                sources |= (setting.surface if rest >> apex else rest & -rest) << k * width
+            sources = (surfaces & (1 << len(live) * width) - 1 if from_surface
+                       else _packed([undecided[i] & -undecided[i] for i in live], width))
             unreached, missed = _failing_batch(*tiles, width, [batch[i][1] for i in live],
                                                sources)
             # a copy whose flood filled the box minus its subset settles every
@@ -707,12 +717,15 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
                 rest &= -1 << (k + 1) * width
                 reached = box ^ batch[live[k]][1] ^ unreached >> k * width & box
                 settled[k] &= reached | bool(reached & setting.surface) << apex
-                if not settled[k]:
+                # only a surface flood may miss every observer (each in a hole),
+                # and not when the apex, whose flood it is, observes
+                if not settled[k] and (not from_surface or undecided[live[k]] >> apex):
                     raise RuntimeError("a round settled none of an instance's observers")
             for k, i in enumerate(live):
                 if missed and missed >> k * width & box:
                     failing[i] |= settled[k]
                 undecided[i] ^= settled[k]
+            from_surface = False
         for (seed_str, cm, observers), fails in zip(batch, failing):
             if fails:
                 # trial order: the apex first, then by id
@@ -772,17 +785,17 @@ def _crossing_trial(index: int, seed_str: str, box: Graph, box_gen: CycleGen,
     """One crossing trial: its failure record, or None when it passes."""
     rng = random.Random(seed_str)
     # Alternate hosts: even trials exercise the configured box with its
-    # unit-face generators, odd trials a seeded random connected graph
-    # with a spanning-tree basis.
+    # unit-face generators, odd trials a random connected graph with a
+    # spanning-tree basis.  Every draw of the trial, hosts included, comes
+    # from its one stream, so the trial replays from its seed string.
     for round_ in range(8):
         if index % 2 == 0 and round_ == 0:
             g, gen = box, box_gen
         else:
             nv = rng.randint(8, 16)
-            g = random_connected_graph(nv, rng.randint(max(2, nv // 4), nv),
-                                       seed=f"{seed_str}/g{round_}")
+            g = _random_graph(nv, rng.randint(max(2, nv // 4), nv), rng)
             gen = fundamental_basis(g)
-        instance = _sample_crossing_instance(g, rng, max_size, seed_str, round_)
+        instance = _sample_crossing_instance(g, rng, max_size)
         if instance is None:
             continue
         c, x, y, s, s1, s2 = instance
@@ -810,17 +823,16 @@ def _crossing_trial(index: int, seed_str: str, box: Graph, box_gen: CycleGen,
         "the sampler or the configuration is off — refusing to skip silently")
 
 
-def _sample_crossing_instance(g: Graph, rng: random.Random, max_size: int,
-                              seed_str: str, round_: int):
+def _sample_crossing_instance(g: Graph, rng: random.Random, max_size: int):
     """One attempt batch at (c, x, y, cutset, halves) on a host graph.
     The observer x is drawn by rank among the vertices neither in c nor
     next to it."""
     pool = _sampling_pool(g)
     plan = _neighbourhood_plan(g)
-    for attempt in range(40):
+    for _attempt in range(40):
         size = rng.randint(1, max(1, min(max_size, g.vertex_count - 3)))
         # every host is connected and ``size`` ≤ its vertex count: one start grows it
-        cm = _grow(*pool, size, random.Random(f"{seed_str}/r{round_}/c{attempt}"))
+        cm = _grow(*pool, size, rng)
         blocked = cm | plan.expand(cm)
         eligible = g.vertex_count - blocked.bit_count()
         if not eligible:

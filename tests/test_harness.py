@@ -728,13 +728,13 @@ def test_a_wrong_lemma_witness_is_a_postcondition_failure(monkeypatch):
     assert (rep.trials_run, len(rep.failures)) == (40, 31)
     assert {f["kind"] for f in rep.failures} == {"postcondition-failure"}
     assert [f["trial"] for f in rep.failures] == [
-        0, 2, 4, 5, 6, 7, 9, 11, 12, 13, 14, 15, 16, 18, 19, 20, 21, 22, 23, 24,
-        25, 26, 28, 30, 31, 32, 33, 34, 35, 36, 38]
+        3, 4, 5, 7, 8, 9, 10, 11, 12, 14, 15, 16, 18, 19, 20, 22, 23, 24, 25, 26,
+        27, 28, 29, 32, 33, 34, 35, 36, 37, 38, 39]
     first, second = "witness does not touch the first half", "witness does not touch the second half"
     even, even_two = "crossing count 0 is even", "crossing count 2 is even"
     assert Counter(tuple(f["problems"]) for f in rep.failures) == {
-        (even,): 1, (first, even): 2, (first, even_two): 4, (first, second, even): 14,
-        (second, even): 10}
+        (even,): 3, (first, even): 5, (first, even_two): 5, (first, second, even): 14,
+        (second, even): 4}
 
 
 def test_a_witness_outside_the_generating_set_is_a_postcondition_failure(monkeypatch):
@@ -756,9 +756,10 @@ def test_a_witness_outside_the_generating_set_is_a_postcondition_failure(monkeyp
 
     monkeypatch.setattr(harness, "crossing_cycle_witness", widened)
     rep = run_verification(LEMMA_CONTROL)
-    assert (rep.trials_run, len(rep.failures)) == (40, 23)
+    assert (rep.trials_run, len(rep.failures)) == (40, 25)
     assert [f["trial"] for f in rep.failures] == [
-        0, 2, 4, 6, 8, 9, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 29, 30, 32, 33, 34, 36, 38]
+        0, 2, 3, 4, 6, 8, 10, 12, 14, 15, 16, 18, 20, 21, 22, 24, 25, 26, 28, 30, 32, 34,
+        36, 38, 39]
     assert all(f["kind"] == "postcondition-failure"
                and f["problems"] == ["witness is not a member of the generating set"]
                for f in rep.failures)
@@ -795,17 +796,18 @@ def test_lemma_campaign_with_one_dimensional_box():
 def test_lemma_instance_stream_is_pinned(monkeypatch):
     """A passing report holds only config, seeds and counts, so its digest
     does not depend on which instances were drawn or which witnesses came
-    back.  This pins every ``(seed, round, instance)`` the crossing
-    sampler returns on three campaigns (z2:5, z3:4 and the one-dimensional
-    z1:9 box), and the edge bits of every witness found for them."""
+    back.  This pins every ``(host vertex count, instance)`` the crossing
+    sampler returns, in call order, on three campaigns (z2:5, z3:4 and the
+    one-dimensional z1:9 box), and the edge bits of every witness found
+    for them."""
     import boundarykit.harness as harness
     sample = harness._sample_crossing_instance
     witness = harness.crossing_cycle_witness
     draws, witnesses = [], []
 
-    def recording(g, rng, max_size, seed_str, round_):
-        instance = sample(g, rng, max_size, seed_str, round_)
-        draws.append([seed_str, round_, instance and [
+    def recording(g, rng, max_size):
+        instance = sample(g, rng, max_size)
+        draws.append([g.vertex_count, instance and [
             sorted(part) if isinstance(part, frozenset) else part for part in instance]])
         return instance
 
@@ -822,13 +824,13 @@ def test_lemma_instance_stream_is_pinned(monkeypatch):
         assert run_verification(TrialConfig(theorem="lemma", box=box, mode="random",
                                             trials=trials, seed=seed)).passed
     blob = json.dumps(draws, separators=(",", ":")).encode()
-    assert len(draws) == 4673
+    assert len(draws) == 4678
     assert hashlib.sha256(blob).hexdigest() == (
-        "0c7b4374bf207fab1fee699838aafb2203e054eacf52461dcf74a1b563910452")
+        "53240218e859491c7bb8078281207de4d930705e0836ddeb6dad961cbc81e95d")
     blob = json.dumps(witnesses, separators=(",", ":")).encode()
     assert len(witnesses) == 4600
     assert hashlib.sha256(blob).hexdigest() == (
-        "86bab689641d2fb0e8f502f117d7d4f36ede7f4f5c2bb625a80171a65c8ac4af")
+        "e0f1c4a4ae4e9ca74f1dbe767ece778cb4b1928bf76ba523e64188517f79d34e")
 
 
 def _per_observer_reference(cfg, fixed_c=None):
@@ -1472,6 +1474,42 @@ def test_a_round_that_settles_nothing_is_an_error(monkeypatch, stuck_from):
     assert rounds == [1] * stuck_from
 
 
+@pytest.mark.parametrize("probe, failing, digest", [
+    ("plain", 1, "2d6e1f082b75e4b509c29d8c43de579cc3b618caab6e09ab2b39fbb05388c818"),
+    (None, 0, "f28b82f6ed8bce746a0e0b289badf21e41e4390c4a36e70cbe21ca4f0c74380e"),
+], ids=["plain-probe", "default-probe"])
+def test_a_single_observer_in_a_hole_takes_the_surface_round_then_its_own(
+        monkeypatch, probe, failing, digest):
+    """At margin 2 every instance's first round floods from the surface.
+    A fixed observer in the plus-shaped hole of ``_PLUS_RING`` is not in
+    that flood, so the surface round settles none of its observers, which
+    is no error; the second round floods from the observer.  Its verdict
+    is the oracle's on the apexed graphs: four probe components with the
+    plain probe, one with the default.  The digest pins the report."""
+    import boundarykit.harness as harness
+    judge, rounds = harness._failing_batch, []
+
+    def recording_judge(*args):
+        rounds.append((len(args[4]), args[5]))
+        return judge(*args)
+
+    monkeypatch.setattr(harness, "_failing_batch", recording_judge)
+    x = _Z29.id_of_label((5, 5))
+    cfg = TrialConfig(theorem="dp", box=BoxSpec(2, 9, "plain"), probe=probe,
+                      x_policy="fixed", x_vertex=x)
+    c = frozenset(_Z29.id_of_label(p) for p in _PLUS_RING)
+    rep = run_verification(cfg, skip_hypotheses=True, fixed_c=c)
+    assert (rep.trials_run, len(rep.failures)) == (1, failing)
+    assert [f["report"]["components"] for f in rep.failures] == [4] * failing
+    augmentation = probe or "plus"
+    assert rounds == [(1, harness._box_setting("dp", cfg.box, augmentation).surface), (1, 1 << x)]
+    apexed = [_neighbourhood_plan(g) for g in harness._apexed_roles("dp", cfg.box, augmentation)]
+    assert _failing_observers(*apexed, apexed[0].mask(c), 1 << x) == failing << x
+    blob = json.dumps(rep.to_json(include_elapsed=False), sort_keys=True,
+                      separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def test_a_failing_3d_apex_control_is_pinned():
     """A 3-D negative control: dp on z3:6 probed in the plain box fails
     every one of its 2,908 placements, with 6 to 9 probe components
@@ -1490,14 +1528,17 @@ def test_a_failing_3d_apex_control_is_pinned():
 
 
 @pytest.mark.parametrize("cfg, count, digest", [
-    # the k-random-outside benchmark workload at seed 0
+    # the k-random-outside benchmark workload at seeds 0 and 1
     (TrialConfig(theorem="k", box=BoxSpec(3, 7, "plain"), mode="random", max_size=12,
                  trials=3000, x_policy="all-outside"),
-     3000, "beaf24df1498bddbf10a840e3b30145e1a415b04aaaa156157e07442c0c87e75"),
+     3000, "1bb4b431e3ecd6f41fbaded980141f1afa92a7969618aef550583238f8cc6627"),
+    (TrialConfig(theorem="k", box=BoxSpec(3, 7, "plain"), mode="random", max_size=12,
+                 trials=3000, seed=1, x_policy="all-outside"),
+     3000, "9af3cadfb5d1e5f4c58ff371fc6ce7ba1fce1475e01e4953dcaf7c08c7d6cbe5"),
     (TrialConfig(theorem="dp", box=BoxSpec(2, 8, "plain"), mode="random", max_size=8,
                  trials=500, seed=5),
-     500, "067b5fa249be4c4d7acac1205b0f3f8a9fadfcee722be3bd9c62ab01991b8e4e"),
-], ids=["k-random-outside", "dp-random-apex"])
+     500, "f9acc28cb9bd24c7e0bfac6b28f08a2dc1ad9b4545ff177da075699c3ed0dbdd"),
+], ids=["k-random-outside", "k-random-outside-seed-1", "dp-random-apex"])
 def test_the_sampled_instance_streams_are_pinned(cfg, count, digest):
     """A passing report holds only config, seeds and counts, so its digest
     does not see which subsets and observers the sampler drew.  This pins
@@ -1529,20 +1570,21 @@ def test_rank_pick_is_the_kth_sorted_observer():
 
 def test_random_all_outside_observers_are_drawn_by_rank():
     """The random-mode observer is the draw's rank among the sorted ids
-    outside the subset, with the apex last."""
+    outside the subset, with the apex last.  Each trial replays from a
+    fresh ``Random`` seeded with its seed string alone, in the documented
+    order: the size, the growth, the rank."""
     import random
 
     import boundarykit.harness as harness
     cfg = TrialConfig(theorem="k", box=BoxSpec(3, 5, "plain"), mode="random",
                       trials=60, seed=2, max_size=6, x_policy="all-outside")
     setting = harness._box_setting("k", cfg.box, "star")
-    interior = margin_interior(setting.box, cfg.margin)
+    pool = harness._sampling_pool(setting.connect_host, margin_interior(setting.box, cfg.margin))
     for seed, cm, observers in harness._boundary_instances(cfg, setting, None):
         rng = random.Random(seed)
         size = rng.randint(1, min(cfg.max_size, 27))      # the subset size draw
-        # an all-outside draw always finds an observer, so attempt 0 stands
-        c = sample_connected_subset(setting.connect_host, size, f"{seed}/c0",
-                                    allowed=interior)
+        # an all-outside draw always finds an observer, so the first growth stands
+        c = _members(harness._grow(*pool, size, rng))
         xs = [v for v in range(setting.apex + 1) if v not in c]
         assert observers == 1 << xs[rng.randrange(len(xs))]
         assert cm == sum(1 << v for v in c)
