@@ -13,35 +13,46 @@ edges), a subset ``c``, and an observer vertex ``x`` outside ``c``:
 "Path avoiding a set" is implemented as reachability with the set
 forbidden; endpoints are never counted as internal vertices.
 
-Every operator runs on one private bitmask kernel.  Vertex sets become int
-masks, validated once on the way in and turned back into frozensets once
-per result.  A graph's neighbourhood plan (``graphs._NeighbourhoodPlan``)
-maps a mask to its neighbours, ORing one neighbour row per vertex for a
-small mask and otherwise shifting the whole mask along a few shifts and
-hub stars.  Reachability is a level-synchronous flood: ``frontier =
-expand(frontier) & allowed & ~seen``.  A flood level then costs one
-row per frontier vertex or one shift/star pass, as the frontier's size
-picks, instead of one adjacency scan per visited vertex.  This matters
-because a campaign judges every subset and observer, an apex-only subset
-once per translation class, and two of a report's floods cover the
-whole box.  A report is
+Every operator runs on one private bitmask kernel, ``_report_masks``.
+Vertex sets become int masks, validated once on the way in and turned
+back into frozensets once per result.  A graph's neighbourhood plan
+(``graphs._NeighbourhoodPlan``) maps a mask to its neighbours, ORing one
+neighbour row per vertex for a small mask and otherwise shifting the
+whole mask once per edge difference.  Reachability is a
+level-synchronous flood: ``frontier = expand(frontier) & allowed &
+~seen``.  A flood level then costs one row per frontier vertex or one
+shift pass, as the frontier's size picks, instead of one adjacency scan
+per visited vertex.  This matters because a campaign judges every
+subset and observer, an apex-only subset once per translation class,
+and two of a report's floods cover the whole box.  A report is
 
     boundary      = expand_g′(C) & ~C
     visible       = boundary & flood_g(x, ~C)
-    region        = x | flood_g(expand_g(x), ~(C | visible))
-    outer_visible = visible & (expand_g(region) | x)
+    region        = flood_g(expand_g(x), ~(C | visible))
+    glued         = surface when x is the apex, lies on the surface, or
+                    its region meets the surface; else 0
+    region       |= flood_g(glued, ~(C | visible))
+    outer_visible = visible & (expand_g(region | x) | glued | x)
 
-and the probe components come from the plan's ``components``, which peels
-them off from the lowest remaining bit, so they come ordered by smallest
-member.  A campaign needs only verdicts, and S, the visible boundary, is
-connected exactly when one probe flood from its lowest vertex covers it.
-One judge, ``_failing_batch``, runs that test for every dp/k instance,
-with no outer-visible flood, no frozensets and no report; the campaign
-builds a full report only for an observer that fails.
+where the apex, id |V|, is no vertex of the plans but a rule: its
+floods start from ``surface``, the box surface (its x bit is 0).  The
+surface is given at margin ≥ 2, where the box stands for ℤ^d and a
+path may leave it anywhere on the surface and come back anywhere else;
+it is 0 on the bounded graph itself, where the glue vanishes.  The
+kernel's docstring says why that rule is the report on the graphs with
+the apex attached, the lattice module's model, which no campaign or report
+builds.  The probe components come from the plan's ``components``,
+which peels them off from the lowest remaining bit, so they come
+ordered by smallest member.  A campaign needs only verdicts, and S, the
+visible boundary, is connected exactly when one probe flood from its
+lowest vertex covers it.  One judge, ``_failing_batch``, runs that test
+for every dp/k instance, with no outer-visible flood, no frozensets and
+no report; the campaign builds a full report only for an observer that
+fails.
 
 Each instance is one copy of the box in one int, on plans of the box's
-roles without the apex, flooded from the box surface in its first round
-at margin ≥ 2 and from one box observer otherwise.  ``tiled`` plans carry the
+roles, flooded from the box surface in its first round at margin ≥ 2
+and from one box observer otherwise.  ``tiled`` plans carry the
 batches, so each flood level advances every copy's flood at once.  That
 is the bit-parallel traversal of Then et al. (*The More the Merrier:
 Efficient Multi-Source Graph Traversal*, PVLDB 8(4), 2014), with
@@ -51,16 +62,18 @@ unreached of the box minus C: the visible boundary depends on the
 observer only through its component of the traversal graph minus C, so
 one copy settles every observer its flood reached, and an instance with
 several observers takes one copy per component, in rounds.  Its
-docstring says why a copy's verdict is the verdict on the apexed graphs.
+docstring says why a copy's verdict is the verdict in ℤ^d.
 
 The operators are checked against the definition-level oracles of
 ``tests/oracles.py`` (boundary scans, DFS path searches, union-find
 components) in ``tests/test_boundary.py``, on graphs up to and beyond 64
-vertices, where masks span several machine words.  The batch judge's
-oracle there is ``_failing_observers``, which floods and judges each
-observer component on the apexed plans: on every shape of five
-campaigns, in batches and one by one; on every single observer of every
-subset of three campaigns; and on drawn masks and observers.
+vertices, where masks span several machine words.  The surface rule is
+checked against ``full_report`` on the apexed graphs, for every subset
+and observer of small boxes.  The batch judge's oracle there is
+``_failing_observers``, which floods and judges each observer component
+on the apexed plans: on every shape of five campaigns, in batches and
+one by one; on every single observer of every subset of three
+campaigns; and on drawn masks and observers.
 """
 
 from __future__ import annotations
@@ -111,41 +124,75 @@ def _require_observer(g: Graph, c: frozenset, x: int) -> None:
 # ``trav``, ``adj`` and ``probe`` are the neighbourhood plans of the
 # traversal, adjacency and probe graphs; every vertex set is a mask.
 
-def _visible_masks(trav, adj, cm: int, x: int):
-    """Masks of the outer and the visible boundary of ``cm`` seen from ``x``."""
+def _report_masks(trav, adj, cm: int, x: int, surface: int = 0) -> tuple:
+    """The boundary, visible and outer-visible masks of ``cm`` seen from
+    ``x``, a vertex of the plans or the apex, id ``trav.vertex_count``,
+    which no plan holds.  ``surface`` is the box surface when the box
+    stands for ℤ^d: ``cm`` at margin ≥ 2 in a box of d ≥ 2, or any
+    subset off the surface seen from the apex.  It is 0 on the bounded
+    graph itself, where the kernel is the definition.
+
+    Given the surface, the masks are those of ``full_report`` on the
+    graphs with the apex attached, the lattice module's model, which joins
+    every surface vertex:
+
+    * The apex lies in no boundary: its neighbours are surface vertices,
+      none in ``cm``.  So the boundary is the box's, and an apexed flood,
+      restricted to the box, is the box flood plus the flood from the
+      surface whenever it reaches the apex.  The apex's own floods start
+      from the surface.
+    * The surface is connected in the plain box, which the traversal
+      graph holds, and misses ``cm``, so it lies in one component of the
+      box minus ``cm``: a box observer's visible flood takes in all of
+      the surface or none of it, and needs no glue.
+    * The region behind the visible boundary avoids ``visible`` too,
+      which may cut the surface apart.  The apexed region reaches the
+      apex when ``x`` is the apex, lies on the surface (the apex is its
+      neighbour) or reaches a surface vertex; it then takes in every
+      component of the allowed set that the surface meets, and its
+      neighbours take in the whole surface, visible surface vertices
+      included: ``glued``."""
+    xm = 1 << x & trav.full             # no bit for the apex
+    allowed = trav.full ^ cm
     boundary = adj.expand(cm) & ~cm
-    return boundary, boundary & trav.flood(1 << x, trav.full ^ cm)
+    visible = boundary & trav.flood(xm or surface, allowed)
+    allowed ^= visible
+    region = trav.flood(trav.expand(xm) if xm else surface, allowed)
+    glued = surface if not xm or (xm | region) & surface else 0
+    # the surface's components of ``allowed`` that the region missed
+    region |= trav.flood(glued, allowed ^ region)
+    return boundary, visible, visible & (trav.expand(region | xm) | glued | xm)
 
 
-def _outer_visible_mask(trav, cm: int, x: int, visible: int) -> int:
-    """Members of ``visible`` reached from ``x`` by a path avoiding ``cm``
-    whose internal vertices avoid ``visible``.  ``x`` may itself be
-    visible; endpoints are not internal, so the region is grown from
-    ``x``'s neighbours."""
-    xm = 1 << x
-    region = xm | trav.flood(trav.expand(xm), trav.full ^ (cm | visible))
-    return visible & (trav.expand(region) | xm)
+def _report(trav, adj, probe, cm: int, x: int, surface: int = 0) -> BoundaryReport:
+    """``_report_masks`` as a report, with the probe components of the
+    visible boundary."""
+    boundary, visible, outer_visible = _report_masks(trav, adj, cm, x, surface)
+    comps = probe.components(visible)
+    witness = tuple((m & -m).bit_length() - 1 for m in comps[:2]) if len(comps) > 1 else None
+    return BoundaryReport(_members(boundary), _members(visible), _members(outer_visible),
+                          max(len(comps), 1), witness)
 
 
 def _failing_batch(trav, adj, probe, width: int, shapes, sources: int) -> tuple:
     """The unreached and the missed mask of a batch of copies.  Copy
     ``i`` holds the subset mask ``shapes[i]`` at bits ``i·width`` and up,
-    on ``tiled`` plans of the box's roles without the apex (or the box's
-    own plans for a batch of one), and ``sources`` holds each copy's
-    flood source at the copy's offset: the box surface (the apex's
-    neighbourhood), which judges the outside, or one box vertex outside
-    the shape.  In every copy the flood is the traversal flood
-    from the source in the box minus the shape, and the unreached mask
-    holds the rest of the box minus the shape.  S is the adjacency
-    boundary inside the flood, and the missed mask holds the members of S
-    that the probe flood of S from its lowest vertex misses: the copy
-    fails when its slice of it is not empty.
+    on ``tiled`` plans of the box's roles (or the box's own plans for a
+    batch of one), and ``sources`` holds each copy's flood source at the
+    copy's offset: the box surface (the apex's neighbourhood), which
+    judges the outside, or one box vertex outside the shape.  In every
+    copy the flood is the traversal flood from the source in the box
+    minus the shape, and the unreached mask holds the rest of the box
+    minus the shape.  S is the adjacency boundary inside the flood, and
+    the missed mask holds the members of S that the probe flood of S from
+    its lowest vertex misses: the copy fails when its slice of it is not
+    empty.
 
-    That copy's verdict is the apexed campaign's verdict for every
-    observer in the flood, and for the apex when the flood touches the
-    surface.  The visible boundary depends on the observer only through
-    its component of the traversal graph minus C, so a copy judges a
-    whole component:
+    That copy's verdict is the verdict in ℤ^d, the one on the graphs
+    with the apex attached, for every observer in the flood, and for the
+    apex when the flood touches the surface.  The visible boundary
+    depends on the observer only through its component of the traversal
+    graph minus C, so a copy judges a whole component:
 
     * Below margin 2 only a fixed box vertex observes, and the campaign
       judges on the box itself, so x's flood in the box minus C is x's
@@ -216,8 +263,7 @@ def visible_boundary(g: Graph, g_prime: Graph, c: frozenset, x: int) -> frozense
     _require_same_vertices(g, g_prime)
     _require_observer(g, c, x)
     adj = _neighbourhood_plan(g_prime)
-    _, visible = _visible_masks(_neighbourhood_plan(g), adj, adj.mask(c), x)
-    return _members(visible)
+    return _members(_report_masks(_neighbourhood_plan(g), adj, adj.mask(c), x)[1])
 
 
 def outer_visible_boundary(g: Graph, g_prime: Graph, c: frozenset, x: int) -> frozenset:
@@ -225,10 +271,8 @@ def outer_visible_boundary(g: Graph, g_prime: Graph, c: frozenset, x: int) -> fr
     ``c``) with no internal vertex in the visible boundary."""
     _require_same_vertices(g, g_prime)
     _require_observer(g, c, x)
-    trav, adj = _neighbourhood_plan(g), _neighbourhood_plan(g_prime)
-    cm = adj.mask(c)
-    _, visible = _visible_masks(trav, adj, cm, x)
-    return _members(_outer_visible_mask(trav, cm, x, visible))
+    adj = _neighbourhood_plan(g_prime)
+    return _members(_report_masks(_neighbourhood_plan(g), adj, adj.mask(c), x)[2])
 
 
 def full_report(g: Graph, g_prime: Graph, probe: Graph, c: frozenset,
@@ -242,13 +286,7 @@ def full_report(g: Graph, g_prime: Graph, probe: Graph, c: frozenset,
     adj = _neighbourhood_plan(g_prime)
     cm = adj.mask(c)
     _require_observer(g, c, x)
-    trav = _neighbourhood_plan(g)
-    boundary, visible = _visible_masks(trav, adj, cm, x)
-    outer_visible = _outer_visible_mask(trav, cm, x, visible)
-    comps = _neighbourhood_plan(probe).components(visible)
-    witness = tuple((m & -m).bit_length() - 1 for m in comps[:2]) if len(comps) > 1 else None
-    return BoundaryReport(_members(boundary), _members(visible), _members(outer_visible),
-                          max(len(comps), 1), witness)
+    return _report(_neighbourhood_plan(g), adj, _neighbourhood_plan(probe), cm, x)
 
 
 def report_to_json(report: BoundaryReport, g: Graph) -> dict:

@@ -20,13 +20,14 @@ import json
 import sys
 from typing import Optional
 
-from .boundary import full_report, report_to_json
+from .boundary import _report, full_report, report_to_json
 from .errors import InputError
-from .graphs import Graph, GraphPair, vertexset_from_json, vertexset_to_json
+from .graphs import (Graph, GraphPair, _neighbourhood_plan, vertexset_from_json,
+                     vertexset_to_json)
 from .harness import (THEOREMS, TrialConfig, enumerate_connected_subsets,
                       hypothesis_report, run_verification)
-from .lattice import (FLAVORS, BoxSpec, attach_apex, box_shell, build_box,
-                      margin_interior, parse_box_spec)
+from .lattice import (FLAVORS, BoxSpec, box_shell, build_box, margin_interior,
+                      parse_box_spec)
 
 
 def _decode_json(text, complaint: str):
@@ -94,15 +95,16 @@ def _cmd_boundary(args) -> int:
 
     c = vertexset_from_json(g, _decode_json(args.set, "--set is not a JSON vertex set"))
     if args.x == "apex":
-        if c & box_shell(g):
+        # the apex, id |V|, is no vertex of the graphs: its flood is the one
+        # from the surface, which the subset must miss
+        shell = box_shell(g)
+        if c & shell:
             raise InputError("precondition: apex observers need the subset inside "
                              "margin 2 (off the box surface)")
-        g, g_prime, probe = attach_apex(g), attach_apex(g_prime), attach_apex(probe)
-        x = g.vertex_count - 1
+        plans = [_neighbourhood_plan(graph) for graph in (g, g_prime, probe)]
+        rep = _report(*plans, plans[0].mask(c), g.vertex_count, plans[0].mask(shell))
     else:
-        x = _parse_vertex(g, args.x)
-
-    rep = full_report(g, g_prime, probe, c, x)
+        rep = full_report(g, g_prime, probe, c, _parse_vertex(g, args.x))
     out = {"schema": 1, **report_to_json(rep, g)}
     print(json.dumps(out, sort_keys=True))
     return 0

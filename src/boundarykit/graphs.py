@@ -12,16 +12,16 @@ Reachability in this module and in the boundary layer runs on int
 bitmasks (bit ``v`` set for vertex ``v``) through the private
 ``_NeighbourhoodPlan``: ``mask`` range-checks a set into a mask,
 ``expand`` maps a mask to the mask of its neighbours, by ORing
-per-vertex neighbour rows when the mask holds few vertices and by a few
-whole-int shifts otherwise, ``flood`` grows a mask inside an allowed
-mask one BFS level per step and stops once the allowed mask is filled,
-and ``components`` peels a mask into its components.  The component, connectivity,
-cutset and shortest-path queries here, every boundary operator and the
-crossing witness share that one engine; no query keeps a vertex queue.
+per-vertex neighbour rows when the mask holds few vertices and by one
+whole-int shift per edge difference otherwise, ``flood`` grows a mask
+inside an allowed mask one BFS level per step and stops once the allowed
+mask is filled, and ``components`` peels a mask into its components.
+The component, connectivity, cutset and shortest-path queries here,
+every boundary operator and the crossing witness share that one engine;
+no query keeps a vertex queue.
 Every plan also has a ``tiled`` view: ``k`` disjoint copies of the graph
-in one int, so that one flood floods every copy at once; a star's edges
-become one-edge shifts there.  The boundary layer judges its batches of
-dp/k instances on it.
+in one int, so that one flood floods every copy at once.  The boundary
+layer judges its batches of dp/k instances on it.
 """
 
 from __future__ import annotations
@@ -195,24 +195,21 @@ class GraphPair:
 class _NeighbourhoodPlan:
     """A graph's edges as whole-int operations on vertex bitmasks.
 
-    Edges are grouped by their id difference ``δ = v − u``.  A difference
-    shared by two or more edges becomes a shift ``(δ, low)``, ``low`` the
-    mask of those edges' lower endpoints.  Every other edge joins the star
-    of whichever endpoint has more such edges (the smaller id on a tie).
-    On a lattice box the shifts are the axis and diagonal steps and the
-    apex is the one star.  ``rows`` holds each vertex's neighbour mask.
-    ``expand`` ORs the rows of a mask with at most as many vertices as
-    the plan has shifts and stars, and otherwise runs the shift/star pass,
-    whose cost does not grow with the mask.  Both passes are exact for
-    every graph; there is no lattice-only path.  ``tiled(k)`` is a view of
-    ``k`` disjoint copies of the plan: the same shifts plus one per star
-    edge, each ``low`` repeated in every copy, and no rows or stars, so
-    every mask takes the shift pass and one pass expands every copy.
-    ``ones`` holds bit 0 of every copy: 1 for a plan that is not tiled.
+    Edges are grouped by their id difference ``δ = v − u``, and each
+    difference becomes a shift ``(δ, low)``, ``low`` the mask of those
+    edges' lower endpoints.  On a lattice box the shifts are the axis and
+    diagonal steps.  ``rows`` holds each vertex's neighbour mask.
+    ``expand`` ORs the rows of a mask with at most as many vertices as the
+    plan has shifts, and otherwise runs the shift pass, whose cost does
+    not grow with the mask.  Both passes are exact for every graph; there
+    is no lattice-only path.  ``tiled(k)`` is a view of ``k`` disjoint
+    copies of the plan: the same shifts, each ``low`` repeated in every
+    copy, and no rows, so every mask takes the shift pass and one pass
+    expands every copy.  ``ones`` holds bit 0 of every copy: 1 for a plan
+    that is not tiled.
     """
 
-    __slots__ = ("vertex_count", "full", "ones", "shifts", "stars", "rows", "_row_limit",
-                 "_count")
+    __slots__ = ("vertex_count", "full", "ones", "shifts", "rows", "_row_limit", "_count")
 
     def __init__(self, g: Graph):
         self.vertex_count = g.vertex_count
@@ -221,27 +218,12 @@ class _NeighbourhoodPlan:
         lows = {}
         rows = [0] * g.vertex_count
         for u, v in g.edges:
-            lows.setdefault(v - u, []).append(u)
+            lows[v - u] = lows.get(v - u, 0) | 1 << u
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        shifts, rest = [], []
-        degree = [0] * g.vertex_count        # counts the edges left for stars
-        for delta, us in sorted(lows.items()):
-            if len(us) > 1:
-                shifts.append((delta, self.mask(us)))
-            else:
-                u, v = us[0], us[0] + delta
-                rest.append((u, v))
-                degree[u] += 1
-                degree[v] += 1
-        stars = {}
-        for u, v in sorted(rest):
-            hub, leaf = (u, v) if degree[u] >= degree[v] else (v, u)
-            stars[hub] = stars.get(hub, 0) | 1 << leaf
-        self.shifts = tuple(shifts)
-        self.stars = tuple((1 << hub, leaves) for hub, leaves in sorted(stars.items()))
+        self.shifts = tuple(sorted(lows.items()))
         self.rows = tuple(rows)
-        self._row_limit = len(self.shifts) + len(self.stars)
+        self._row_limit = len(self.shifts)
         self._count = None
 
     def mask(self, s) -> int:
@@ -259,7 +241,7 @@ class _NeighbourhoodPlan:
     def expand(self, m: int) -> int:
         """Mask of the vertices with a neighbour in ``m``: the rows of
         ``m``'s vertices when it has no more of them than the plan has
-        shifts and stars, else the shift/star pass."""
+        shifts, else the shift pass."""
         if m.bit_count() > self._row_limit:
             return self._expand_by_shifts(m)
         rows = self.rows
@@ -272,36 +254,28 @@ class _NeighbourhoodPlan:
 
     def tiled(self, k: int) -> "_NeighbourhoodPlan":
         """``k`` disjoint copies of this plan, copy ``i`` on ids
-        ``i·n … i·n + n − 1`` for ``n = vertex_count``.  Each star edge
-        ``{u, v}`` becomes a one-edge shift ``(|u − v|, 1 << min(u, v))``,
-        and one multiplication repeats each shift's ``low`` mask in every
-        copy; a shift joins ``u`` to ``u + δ`` only for ``u`` in ``low``,
-        where both lie in one copy, so no shift crosses a seam.  The view
-        has no rows and no stars: every mask takes the shift pass."""
+        ``i·n … i·n + n − 1`` for ``n = vertex_count``.  One
+        multiplication repeats each shift's ``low`` mask in every copy; a
+        shift joins ``u`` to ``u + δ`` only for ``u`` in ``low``, where
+        both lie in one copy, so no shift crosses a seam.  The view has no
+        rows: every mask takes the shift pass."""
         n = self.vertex_count
         ones = ((1 << k * n) - 1) // ((1 << n) - 1) if n else 0    # bit 0 of each copy
-        edges = [(hub.bit_length() - 1, v) for hub, leaves in self.stars for v in _bit_ids(leaves)]
-        shifts = self.shifts + tuple((abs(u - v), 1 << min(u, v)) for u, v in edges)
         tile = object.__new__(_NeighbourhoodPlan)
         tile.vertex_count = k * n
         tile.full = self.full * ones
         tile.ones = ones
-        tile.shifts = tuple((delta, low * ones) for delta, low in shifts)
-        tile.stars = tile.rows = ()
+        tile.shifts = tuple((delta, low * ones) for delta, low in self.shifts)
+        tile.rows = ()
         tile._row_limit = -1
         tile._count = None
         return tile
 
     def _expand_by_shifts(self, m: int) -> int:
-        """``expand`` by one pass over the shifts and stars."""
+        """``expand`` by one pass over the shifts."""
         out = 0
         for delta, low in self.shifts:
             out |= ((m & low) << delta) | ((m >> delta) & low)
-        for hub, leaves in self.stars:
-            if m & hub:
-                out |= leaves
-            if m & leaves:
-                out |= hub
         return out
 
     def flood(self, seed: int, allowed: int) -> int:

@@ -17,11 +17,12 @@ Observers default to the apex vertex (the far-away surrogate).  Whenever
 the apex observes (every policy but ``fixed``, whose one observer is a
 box vertex, never the apex id), subsets must keep an L∞ margin of at
 least 2 from the box surface so the apex faithfully models the unbounded
-outside.  The campaign never attaches it: the apex is id ``width``, the
-box's vertex count, in observer masks, and a copy that judges it floods
-from the box surface, its neighbourhood.  Only a failure record at
-margin ≥ 2 reports on the role graphs with the apex attached; a
-``fixed`` campaign below margin 2 reports on the box itself.  A given
+outside.  Nothing attaches it: the apex is id ``width``, the box's
+vertex count, in observer masks, and a copy that judges it floods from
+the box surface, its neighbourhood.  A failure record at margin ≥ 2
+gives the view in ℤ^d by the surface rule of ``boundary._report_masks``,
+even for a box observer, whose paths may go round through the outside;
+a ``fixed`` campaign below margin 2 reports on the box itself.  A given
 subset must lie inside the margin interior under every policy, as
 enumerated and sampled ones do.  A margin that leaves no room for
 subsets is refused, in exhaustive as in random mode, rather than passing
@@ -84,11 +85,10 @@ replays from its seed string alone and the same config and seed give
 byte-identical reports.  The graphs, generators and
 premise verdict of a box are built once per process and shared by every
 campaign on that box.  A graph's plan is built where a campaign first
-reads it.  A passing campaign builds no apexed graph: the box gives the
-apex's id, the interior and the surface mask, and ``_apexed_roles``
-builds the apexed role graphs, once per box, for the first failure
-record at margin ≥ 2.  The set-up builds what the premise checks read
-on the box's strides: its edges, unit faces and patch cycles.
+reads it.  No campaign, passing or failing, builds an apexed graph: the
+box gives the apex's id, the interior and the surface mask.  The set-up
+builds what the premise checks read on the box's strides: its edges,
+unit faces and patch cycles.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .boundary import _failing_batch, _outer_visible_mask, _packed, full_report, report_to_json
+from .boundary import _failing_batch, _packed, _report, _report_masks, report_to_json
 from .cyclespace import (CycleGen, EdgeVector, _is_clique,
                          crossing_cycle_witness, fundamental_basis,
                          is_generating)
@@ -108,8 +108,7 @@ from .errors import InputError
 from .graphs import (Graph, GraphPair, _bit_ids, _is_id, _members, _neighbourhood_plan,
                      _vertex_json, component_of, vertexset_to_json)
 from .lattice import (FLAVORS, BoxSpec, box_shell, build_box, build_box_pair,
-                      extra_edge_patches, four_cycle_gen, margin_interior,
-                      with_apex)
+                      extra_edge_patches, four_cycle_gen, margin_interior)
 
 THEOREMS = ("dp", "k", "lemma")
 MODES = ("exhaustive", "random")
@@ -392,14 +391,6 @@ def _box_setting(theorem: str, box: BoxSpec, augmentation: str) -> _BoxSetting:
                        getattr(pair, row.connect_in), premises_hold, detail)
 
 
-@lru_cache(maxsize=None)
-def _apexed_roles(theorem: str, box: BoxSpec, augmentation: str) -> Tuple[Graph, Graph, Graph]:
-    """The role graphs of ``_box_setting`` with the apex attached: what a
-    failure record at margin ≥ 2 reports on, and nothing else reads."""
-    apexed = with_apex(build_box_pair(box, augmentation))
-    return tuple(getattr(apexed, name) for name in _BOUNDARY_THEOREMS[theorem].roles)
-
-
 # --- campaign configuration ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -649,20 +640,22 @@ def _apex_shapes(cfg: TrialConfig, augmentation: str) -> Iterator[Tuple[int, int
             yield packed >> shift, placements
 
 
-def _failure_record(cfg: TrialConfig, augmentation: str, setting: _BoxSetting, trial: int,
+def _failure_record(cfg: TrialConfig, setting: _BoxSetting, trial: int,
                     seed_str: Optional[str], cm: int, x: int) -> dict:
-    # the apex stands for the outside only at margin ≥ 2; below that (fixed
-    # observers only) a subset may touch the surface, so records use the box
-    g_t, gp_t, probe_t = (_apexed_roles(cfg.theorem, cfg.box, augmentation)
-                          if cfg.margin >= 2 else setting.roles)
-    c = _members(cm)
+    # at margin ≥ 2 the surface stands for the outside, so a record gives
+    # the ℤ^d view, where a path may go round through the outside, even for
+    # a box observer; below that (fixed observers only) a subset may touch
+    # the surface, so records give the bounded box's view, as ``boundary
+    # --x <vertex>`` does at every margin
+    plans = [_neighbourhood_plan(g) for g in setting.roles]
+    rep = _report(*plans, cm, x, setting.surface if cfg.margin >= 2 else 0)
     return {
         "trial": trial,
         "seed": seed_str,
         "kind": "disconnected-visible-boundary",
-        "c": vertexset_to_json(setting.box, c),
+        "c": vertexset_to_json(setting.box, _members(cm)),
         "x": "apex" if x == setting.apex else _vertex_json(setting.box, x),
-        "report": report_to_json(full_report(g_t, gp_t, probe_t, c, x), g_t),
+        "report": report_to_json(rep, setting.box),
     }
 
 
@@ -732,8 +725,8 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
                 order = sorted(_members(observers), key=lambda v: (v != apex, v))
                 for i, x in enumerate(order):
                     if fails >> x & 1:
-                        failures.append(_failure_record(cfg, augmentation, setting,
-                                                        trials_run + i, seed_str, cm, x))
+                        failures.append(_failure_record(cfg, setting, trials_run + i,
+                                                        seed_str, cm, x))
             trials_run += observers.bit_count()
     if not trials_run:
         raise InputError("the campaign has no instance to judge: every subset "
@@ -838,9 +831,7 @@ def _sample_crossing_instance(g: Graph, rng: random.Random, max_size: int):
         if not eligible:
             continue
         x = _kth_outside(blocked, rng.randrange(eligible))
-        boundary = blocked ^ cm
-        visible = boundary & plan.flood(1 << x, plan.full ^ cm)
-        sm = _outer_visible_mask(plan, cm, x, visible)
+        sm = _report_masks(plan, plan, cm, x)[2]
         if sm.bit_count() < 2:
             continue
         members = _bit_ids(sm)

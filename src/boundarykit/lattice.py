@@ -18,7 +18,10 @@ The apex construction attaches one extra vertex to every surface vertex of
 a box pair.  It stands in for "infinitely far away": for a subset that
 keeps L∞-distance ≥ 2 from the surface, any walk leaving the box's
 interior can wander arbitrarily and return anywhere on the surface, which
-is exactly what routing through the apex models.
+is exactly what routing through the apex models.  It is the model, not
+the engine: campaigns and reports keep the apex out of every graph and
+flood from the surface instead (``boundary._report_masks``), and the
+tests judge that rule against reports on the apexed graphs.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ FLAVORS = tuple(_REACH)
 # Guard against boxes whose plans cannot fit in memory: a neighbourhood
 # plan keeps one neighbour mask per vertex, as wide as its largest id, so
 # V vertices take about V²/16 bytes per plan (``boundary --x apex`` on
-# z2:181, 32,761 vertices, peaks at 327 MiB RSS on Python 3.11).
-# Verification targets are far smaller.
+# z2:181, 32,761 vertices, whose three roles share one plan, peaks at
+# 148 MiB RSS on Python 3.11).  Verification targets are far smaller.
 MAX_BOX_VERTICES = 32_768
 
 

@@ -12,12 +12,17 @@ brute-force search over all simple paths judges the path oracle's order.
 A third exception, ``_failing_observers``, runs on the library's
 neighbourhood plans: it judges each observer component on the apexed
 graphs themselves, with none of the batch judge's copies, surface floods
-or rounds, and the definition-level oracles judge it in turn.
+or rounds, and the definition-level oracles judge it in turn.  Those
+apexed graphs, ``apexed_roles``, are the library's own ``with_apex``
+model of the outside: a vertex glued to the box surface, which no
+campaign or report builds any longer, since each floods from the surface
+instead.  The tests judge that surface rule against this model.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
@@ -253,6 +258,17 @@ def _failing_observers(trav, adj, probe, cm: int, observers: int) -> int:
             failing |= comp & observers
         observers &= ~comp
     return failing
+
+
+@lru_cache(maxsize=None)
+def apexed_roles(theorem: str, box, augmentation: str) -> tuple:
+    """The traversal, adjacency and probe graphs of a dp/k campaign on the
+    plain ``box`` with ``augmentation``, with the apex attached by
+    ``with_apex``: the apex takes id |V| and is joined to every surface
+    vertex.  Built once per box, like the box builders."""
+    from boundarykit import build_box_pair, harness, with_apex
+    apexed = with_apex(build_box_pair(box, augmentation))
+    return tuple(getattr(apexed, name) for name in harness._BOUNDARY_THEOREMS[theorem].roles)
 
 
 # --- GF(2) linear algebra ----------------------------------------------------

@@ -12,10 +12,10 @@ from boundarykit import (BoundaryReport, BoxSpec, Graph, GraphPair, InputError,
                          sample_connected_subset, visible_boundary, with_apex)
 
 from boundarykit import harness
-from boundarykit.boundary import _failing_batch
-from boundarykit.graphs import _neighbourhood_plan
+from boundarykit.boundary import _failing_batch, _report
+from boundarykit.graphs import _members, _neighbourhood_plan
 
-from oracles import (_failing_observers, boundary_by_scan, flood_components,
+from oracles import (_failing_observers, apexed_roles, boundary_by_scan, flood_components,
                      outer_visible_by_paths, visible_by_scan)
 
 
@@ -402,7 +402,7 @@ def test_full_report_matches_oracles_beyond_one_word(setting):
 def test_outer_boundary_of_a_vertex_is_its_neighbourhood(g):
     """Exact per-edge coverage of the public operator: every singleton's
     outer boundary is its adjacency.  Singletons take the row pass of the
-    neighbourhood plan; the next test covers the shift/star pass."""
+    neighbourhood plan; the next test covers the shift pass."""
     for v in range(g.vertex_count):
         assert outer_boundary(g, frozenset({v})) == frozenset(g.adjacency[v])
 
@@ -412,13 +412,13 @@ def test_outer_boundary_of_a_vertex_is_its_neighbourhood(g):
 ], ids=lambda g: f"V{g.vertex_count}E{g.edge_count}")
 def test_both_expand_passes_give_the_adjacency_union(g):
     """``expand`` ORs neighbour rows for masks of at most one vertex per
-    shift and star, so singletons never reach the shift/star pass there.
-    Both passes are checked against the union of the members' adjacency:
-    on every singleton, where a wrapping shift mask or an edge missing
-    from every star shows, and on seeded masks whose sizes straddle the
-    row-pass limit."""
+    shift, so singletons never reach the shift pass there.  Both passes
+    are checked against the union of the members' adjacency: on every
+    singleton, where a wrapping shift mask or an edge missing from every
+    shift shows, and on seeded masks whose sizes straddle the row-pass
+    limit."""
     plan = _neighbourhood_plan(g)
-    limit = len(plan.shifts) + len(plan.stars)
+    limit = len(plan.shifts)
     rng = random.Random(g.vertex_count)
     masks = [1 << v for v in range(g.vertex_count)]
     for _ in range(40):
@@ -443,7 +443,7 @@ def assert_tiles_expand_each_copy(plan, k, seed):
     assert tile.vertex_count == k * n
     assert tile.full == (1 << k * n) - 1
     assert (plan.ones, tile.ones) == (1, sum(1 << i * n for i in range(k)))
-    assert tile.stars == tile.rows == ()
+    assert tile.rows == ()
     rng = random.Random(seed)
     masks = [1 << i * n + v for i in range(k) for v in (0, n - 1)]
     masks += [rng.getrandbits(k * n) & rng.getrandbits(k * n) for _ in range(12)]
@@ -467,13 +467,14 @@ def test_a_tiled_plan_expands_each_copy_on_its_own(spec):
     random_connected_graph(14, 9, "tiled-stars"),
     with_apex(build_box_pair(BoxSpec(2, 4, "plain"), "plus")).g_plus,
 ], ids=["z2:2:plus", "z3:2:star", "random", "apexed-z2:4:plus"])
-def test_a_tiled_star_plan_expands_each_copy_as_the_plan_does(g):
-    """A star is a hub, not a repeated shift, so ``tiled`` lays each star
-    edge down as a one-edge shift: the long diagonals of a side-2 box, the
-    odd edges of a random graph, the apex's edges.  Each copy must expand
-    exactly as the untiled plan, stars and all, expands it."""
+def test_a_tiled_one_edge_shift_expands_each_copy_as_the_plan_does(g):
+    """Every edge difference is a shift, even one that a single edge has:
+    the long diagonals of a side-2 box, the odd edges of a random graph,
+    the apex's spokes.  Such a shift's ``low`` has one bit in the plan
+    and one per copy in the tiled view, and each copy must expand exactly
+    as the untiled plan expands it."""
     plan = _neighbourhood_plan(g)
-    assert plan.stars
+    assert any(low.bit_count() == 1 for _, low in plan.shifts)
     for k in (1, 3):
         assert_tiles_expand_each_copy(plan, k, g.vertex_count)
 
@@ -497,7 +498,7 @@ class BatchJudge:
                                                   cfg.g_prime)
         setting = harness._box_setting(cfg.theorem, cfg.box, self.augmentation)
         self.plans = [_neighbourhood_plan(g) for g in
-                      harness._apexed_roles(cfg.theorem, cfg.box, self.augmentation)]
+                      apexed_roles(cfg.theorem, cfg.box, self.augmentation)]
         self.box_plans = [_neighbourhood_plan(g) for g in setting.roles]
         self.tiles = [plan.tiled(copies) for plan in self.box_plans]
         self.apex = self.width = setting.apex
@@ -682,3 +683,45 @@ def test_the_batch_judge_fails_the_observers_the_kernel_fails(theorem, box, max_
         got += judge.batch(list(shapes), list(observers))
     assert got == want
     assert (sum(want) > 0) == plain
+
+
+# --- the surface rule: the apex as a flood source --------------------------------
+
+@pytest.mark.parametrize("theorem, box, max_size, override", [
+    ("dp", BoxSpec(2, 6, "plain"), 4, None),
+    ("dp", BoxSpec(2, 6, "plain"), 4, "plain"),
+    ("k", BoxSpec(2, 6, "plain"), 4, "plain"),
+    ("k", BoxSpec(3, 5, "plain"), 2, None),
+    ("dp", BoxSpec(3, 5, "plain"), 2, None),
+], ids=["dp-z2:6", "dp-z2:6-plain-probe", "k-z2:6-plain-adjacency", "k-z3:5", "dp-z3:5"])
+@pytest.mark.parametrize("margin", [2, 3])
+def test_the_surface_rule_reports_as_the_apexed_graphs_do(theorem, box, max_size, override,
+                                                           margin):
+    """``_report`` on the role graphs without the apex, given the surface,
+    is ``full_report`` on the apexed graphs, for every connected subset of
+    the margin interior and every observer: each box vertex outside it,
+    surface vertices included, and the apex, id |V|.  Gluing the region
+    behind the visible boundary to the surface is what makes the
+    outer-visible sets agree.  Each part of the glue (an observer on the
+    surface, a region that reaches the surface, the second region flood,
+    the glued surface in the outer-visible mask) is needed on at least 124
+    of the 6,913 margin-2 pairs of z2:6.  The 3-D boxes take subsets of
+    up to 2 cells: with 3 cells, k on z3:5 has 166,754 pairs, half a
+    minute of apexed reports."""
+    field = "probe" if theorem == "dp" else "g_prime"
+    cfg = TrialConfig(theorem=theorem, box=box, margin=margin,
+                      **({field: override} if override else {}))
+    augmentation = harness._augmentation(theorem, box, cfg.probe, cfg.g_prime)
+    setting = harness._box_setting(theorem, box, augmentation)
+    plans = [_neighbourhood_plan(g) for g in setting.roles]
+    apexed = apexed_roles(theorem, box, augmentation)
+    allowed = plans[0].mask(margin_interior(setting.box, margin))
+    pairs = 0
+    for cm in harness._connected_masks(setting.connect_host, max_size, allowed):
+        c = _members(cm)
+        for x in range(setting.apex + 1):
+            if not cm >> x & 1:
+                want = full_report(*apexed, c, x)
+                assert _report(*plans, cm, x, setting.surface) == want, (sorted(c), x)
+                pairs += 1
+    assert pairs > 0

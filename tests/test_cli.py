@@ -233,6 +233,41 @@ def test_boundary_apex_refuses_subsets_on_the_box_surface(capsys):
     assert "margin 2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--box", "z2:5:plain", "--set", "[[3,3]]"),
+    ("--box", "z2:7:plain", "--set", "[[3,3],[3,4],[3,5],[4,5],[5,5],[5,4],[5,3],[4,3]]",
+     "--gprime", "star", "--probe", "plain"),
+    ("--box", "z2:7:star", "--set", "[[3,3],[4,4],[5,5],[3,5],[5,3]]", "--probe", "plain"),
+    ("--box", "z3:5:plain", "--set", "[[2,2,2],[3,2,2],[3,3,2],[3,3,3]]", "--gprime", "star",
+     "--probe", "plain"),
+    ("--box", "z1:7:plain", "--set", "[[3],[4]]"),
+    ("--box", "z2:5:plain", "--set", "[]"),
+], ids=["z2-cell", "z2-ring-star", "z2-star-box", "z3-plain-probe", "z1", "empty-set"])
+def test_boundary_apex_reports_as_the_apexed_graphs_do(capsys, monkeypatch, argv):
+    """``--x apex`` floods from the box surface and attaches no apex, and
+    its report is ``full_report`` on the graphs with the apex attached:
+    for an 8-ring, whose hole it does not see, and on a 1-D box, whose
+    two surface vertices only the outside joins."""
+    import boundarykit.lattice as lattice
+    from boundarykit import (BoxSpec, attach_apex, build_box, full_report, parse_box_spec,
+                             report_to_json, vertexset_from_json)
+    opts = dict(zip(argv[::2], argv[1::2]))
+    spec = parse_box_spec(opts["--box"])
+    g_prime = opts.get("--gprime", spec.flavor)
+    apexed = [attach_apex(build_box(BoxSpec(spec.d, spec.side, flavor)))
+              for flavor in (spec.flavor, g_prime, opts.get("--probe", g_prime))]
+    c = vertexset_from_json(apexed[0], json.loads(opts["--set"]))
+    want = report_to_json(full_report(*apexed, c, apexed[0].vertex_count - 1), apexed[0])
+
+    def refuse(g):
+        raise AssertionError("an apex was attached")
+
+    monkeypatch.setattr(lattice, "attach_apex", refuse)
+    code, data = run_json(capsys, "boundary", *argv, "--x", "apex")
+    assert code == 0 and data.pop("schema") == 1
+    assert data == want
+
+
 # --- verify -----------------------------------------------------------------------
 
 def test_verify_dp_exhaustive_passes(capsys):
@@ -294,6 +329,28 @@ def test_fixed_observer_below_margin_2_is_judged_on_the_box(capsys):
     assert code == 0 and report.pop("schema") == 1
     assert [f["report"] for f in data["failures"]] == [report]
     assert report["components"] == 2 and report["witness"] == [[1, 1], [2, 3]]
+
+
+def test_a_fixed_observer_record_at_margin_2_sees_round_the_outside(capsys):
+    """At margin ≥ 2 a box observer's failure record gives the view in
+    ℤ^d, where a path may go round through the outside, and ``boundary
+    --x <vertex>`` the view in the bounded box.  Seen from the corner
+    (1, 1), the ring of the cell (2, 2) is all visible; the record's
+    outer-visible set is the whole ring, whose far side a path reaches
+    round the outside, and the box's only the two near cells.  The
+    digest pins the record's bytes."""
+    argv = ("--box", "z2:5:plain", "--x", "[1,1]", "--set", "[[2,2]]", "--probe", "plain")
+    code, out, err = run_cli(capsys, "verify", "dp", *argv, "--skip-hypotheses", "--no-elapsed")
+    assert code == 1 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "260bc2a1f8705d6bc30a12bd86eb84486536b70da8792a23a3d4b522bebaa5a2")
+    [record] = json.loads(out)["failures"]
+    assert record["report"]["outer_visible"] == [[1, 2], [2, 1], [2, 3], [3, 2]]
+    code, report = run_json(capsys, "boundary", *argv, "--gprime", "plain")
+    assert code == 0
+    assert report["outer_visible"] == [[1, 2], [2, 1]]
+    assert {k: v for k, v in report.items() if k not in ("schema", "outer_visible")} == {
+        k: v for k, v in record["report"].items() if k != "outer_visible"}
 
 
 def test_verify_negative_control_exits_one(capsys):

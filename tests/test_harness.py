@@ -21,7 +21,7 @@ from boundarykit import (BoxSpec, CycleGen, EdgeVector, InputError,
 
 from boundarykit.graphs import _members, _neighbourhood_plan
 from boundarykit.harness import _connected_masks
-from oracles import (_failing_observers, chordal_by_pairs, connected_by_flood,
+from oracles import (_failing_observers, apexed_roles, chordal_by_pairs, connected_by_flood,
                      connected_subsets_by_growth, connected_subsets_by_powerset)
 
 
@@ -200,9 +200,12 @@ def test_sampling_respects_allowed_region():
 
 
 def test_sampler_outputs_are_pinned():
-    """The subsets drawn per seed, for a pool given as a frozenset, a set
-    or a sorted list and for the whole graph: random campaigns grow their
-    subsets with the same draws, so these pin their instances too."""
+    """The subsets that the public ``sample_connected_subset`` draws per
+    seed, for a pool given as a frozenset, a set or a sorted list and for
+    the whole graph.  This pins that function only: a random campaign
+    draws each trial's size, growth and observer from one stream seeded
+    by the trial, which ``test_the_sampled_instance_streams_are_pinned``
+    pins."""
     g = build_box(BoxSpec(3, 7, "plain"))
     inner = margin_interior(g, 2)
     pins = [("0:0/c0", 12, [65, 66, 72, 73, 74, 80, 81, 87, 122, 123, 130, 137]),
@@ -840,13 +843,14 @@ def _per_observer_reference(cfg, fixed_c=None):
     Each subset's observers are listed from their definition; a random
     ``all-outside`` trial keeps the observer its rank drew, which
     ``test_random_all_outside_observers_are_drawn_by_rank`` checks.  The
-    apex is attached only at margin ≥ 2, where it stands for the outside;
-    below that a fixed observer judges on the box itself."""
+    reports are taken on the apexed graphs at margin ≥ 2, where the apex
+    stands for the outside; below that a fixed observer judges on the box
+    itself."""
     import boundarykit.harness as harness
     row = harness._BOUNDARY_THEOREMS[cfg.theorem]
     augmentation = getattr(cfg, row.override) or row.augmentation
     setting = harness._box_setting(cfg.theorem, cfg.box, augmentation)
-    g, g_prime, probe = (harness._apexed_roles(cfg.theorem, cfg.box, augmentation)
+    g, g_prime, probe = (apexed_roles(cfg.theorem, cfg.box, augmentation)
                          if cfg.margin >= 2 else setting.roles)
     apex = setting.apex
     if fixed_c is None and cfg.mode == "random":
@@ -922,8 +926,8 @@ def test_failures_are_exactly_the_disconnected_full_reports(cfg, trials, failing
     ("dp", None), ("dp", {"probe": "plain"}), ("k", None), ("k", {"g_prime": "plain"})],
     ids=["dp", "dp-plain-probe", "k", "k-plain-adjacency"])
 def test_fixed_observers_at_margin_2_judge_alike_with_and_without_the_apex(theorem, override):
-    """A fixed campaign attaches the apex only at margin ≥ 2, and there its
-    verdicts are those of the box alone: the box surface misses C, so it
+    """At margin ≥ 2 a fixed observer's verdicts on the apexed graphs are
+    those of the box alone: the box surface misses C, so it
     stays connected in the box minus C, and the apex, adjacent only to
     the surface, is never in a boundary of C.  So a failing observer's
     boundary, visible boundary and probe components agree too; only the
@@ -935,8 +939,8 @@ def test_fixed_observers_at_margin_2_judge_alike_with_and_without_the_apex(theor
     row = harness._BOUNDARY_THEOREMS[theorem]
     augmentation = getattr(cfg, row.override) or row.augmentation
     setting = harness._box_setting(theorem, cfg.box, augmentation)
-    apexed_roles = harness._apexed_roles(theorem, cfg.box, augmentation)
-    apexed = [_neighbourhood_plan(g) for g in apexed_roles]
+    apexed_graphs = apexed_roles(theorem, cfg.box, augmentation)
+    apexed = [_neighbourhood_plan(g) for g in apexed_graphs]
     box = [_neighbourhood_plan(g) for g in setting.roles]
     full = box[0].full
     subsets = enumerate_connected_subsets(setting.connect_host, 9,
@@ -948,7 +952,7 @@ def test_fixed_observers_at_margin_2_judge_alike_with_and_without_the_apex(theor
         assert _failing_observers(*apexed, cm, full ^ cm) == failing
         for x in _members(failing):
             apexed_rep, box_rep = (full_report(*roles, c, x)
-                                   for roles in (apexed_roles, setting.roles))
+                                   for roles in (apexed_graphs, setting.roles))
             assert apexed_rep.outer_visible >= box_rep.outer_visible
             assert replace(apexed_rep, outer_visible=box_rep.outer_visible) == box_rep
         failing_observers += failing.bit_count()
@@ -1097,7 +1101,7 @@ def test_a_translation_class_shares_its_apex_report(theorem, box, max_size, augm
     campaign reuse one verdict per key."""
     import boundarykit.harness as harness
     setting = harness._box_setting(theorem, box, augmentation)
-    g, g_prime, probe = harness._apexed_roles(theorem, box, augmentation)
+    g, g_prime, probe = apexed_roles(theorem, box, augmentation)
     first, subsets = {}, 0
     for c in enumerate_connected_subsets(setting.connect_host, max_size,
                                          allowed=margin_interior(setting.box, 2)):
@@ -1278,7 +1282,7 @@ def _no_apex(monkeypatch):
         raise AssertionError("an apex was attached")
 
     monkeypatch.setattr(lattice, "attach_apex", refuse)
-    for cached in (harness._box_setting, harness._apexed_roles, build_box):
+    for cached in (harness._box_setting, build_box):
         cached.cache_clear()
 
 
@@ -1299,11 +1303,35 @@ def test_a_passing_campaign_builds_no_apexed_graph(monkeypatch, cfg):
     """The batch judge runs on the role graphs without the apex, and the
     box gives what a campaign needs of the apex: its id, the box's vertex
     count, and its neighbours, the surface.  So a passing campaign, under
-    every policy and at every margin, builds no apexed graph: the apexed
-    role graphs serve failure records alone."""
+    every policy and at every margin, builds no apexed graph."""
     _no_apex(monkeypatch)
     rep = run_verification(cfg)
     assert rep.passed and rep.trials_run > 0
+
+
+_Z26 = build_box(BoxSpec(2, 6, "plain"))
+
+
+@pytest.mark.parametrize("cfg, failing", [
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 6, "plain"), max_size=5, probe="plain"), 449),
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 6, "plain"), max_size=4, probe="plain",
+                 x_policy="fixed", x_vertex=_Z26.id_of_label((1, 1))), 205),
+    (TrialConfig(theorem="dp", box=BoxSpec(2, 5, "plain"), max_size=3, probe="plain",
+                 x_policy="all-outside"), 1019),
+    (TrialConfig(theorem="k", box=BoxSpec(3, 5, "plain"), mode="random", trials=60, seed=4,
+                 x_policy="all-outside", g_prime="plain"), 60),
+], ids=["dp-apex", "dp-fixed-on-the-surface", "dp-all-outside", "k-random-outside"])
+def test_a_failing_campaign_builds_no_apexed_graph(monkeypatch, cfg, failing):
+    """A failure record floods from the surface too, so no campaign,
+    passing or failing, builds an apexed graph, and its records are still
+    the reports on the apexed graphs: of the apex, of box observers
+    inside and of box observers on the surface, which the outside joins
+    to the whole surface."""
+    want_trials, want = _per_observer_reference(cfg)
+    _no_apex(monkeypatch)
+    rep = run_verification(cfg, skip_hypotheses=True)
+    assert (rep.trials_run, len(rep.failures)) == (want_trials, len(want))
+    assert rep.failures == want and len(want) == failing
 
 
 @pytest.mark.parametrize("theorem, box", [
@@ -1316,18 +1344,19 @@ def test_the_surface_mask_is_the_apexs_neighbourhood(theorem, box):
     import boundarykit.harness as harness
     augmentation = harness._augmentation(theorem, box, None, None)
     setting = harness._box_setting(theorem, box, augmentation)
-    apexed = harness._apexed_roles(theorem, box, augmentation)[0]
+    apexed = apexed_roles(theorem, box, augmentation)[0]
     assert setting.surface == _neighbourhood_plan(apexed).rows[setting.apex]
     assert setting.surface == sum(1 << v for v, lab in enumerate(setting.box.labels)
                                   if 1 in lab or box.side in lab)
 
 
 def test_a_failing_fixed_campaign_at_margin_2_reports_on_the_box_and_apex(monkeypatch):
-    """At margin 2 the apex stands for the outside, so a failure record's
-    report is taken on the role graphs with the apex: a path through the
-    apex can go round the visible boundary, and 20 of these 31 records
-    have a larger outer-visible set than on the box alone.  The digest
-    pins every record."""
+    """At margin 2 the surface stands for the outside, so a failure
+    record's report is the one on the role graphs with the apex, the ℤ^d
+    view: a path through the outside can go round the visible boundary,
+    and 20 of these 31 records have a larger outer-visible set than on the
+    box alone.  The records flood from the surface and attach no apex.
+    The digest pins every record."""
     import boundarykit.harness as harness
     cfg = TrialConfig(theorem="dp", box=BoxSpec(2, 5, "plain"), max_size=3, probe="plain",
                       x_policy="fixed", x_vertex=_Z25_23)
@@ -1341,9 +1370,11 @@ def test_a_failing_fixed_campaign_at_margin_2_reports_on_the_box_and_apex(monkey
                       separators=(",", ":")).encode()
     assert hashlib.sha256(blob).hexdigest() == (
         "f435187c191686b9b2a24b9800c58f5fcd58c660d4c390e1bb6fa775af04705e")
+    apexed = apexed_roles("dp", cfg.box, "plain")
+    assert [f["report"] for f in rep.failures] == [report_to_json(full_report(*apexed, frozenset(
+        _Z25.id_of_label(tuple(p)) for p in f["c"]), _Z25_23), _Z25) for f in rep.failures]
     _no_apex(monkeypatch)
-    with pytest.raises(AssertionError, match="an apex was attached"):
-        run_verification(cfg, skip_hypotheses=True)
+    assert run_verification(cfg, skip_hypotheses=True).failures == rep.failures
 
 
 def test_a_placement_count_the_listing_disagrees_with_is_an_error(monkeypatch):
@@ -1503,7 +1534,7 @@ def test_a_single_observer_in_a_hole_takes_the_surface_round_then_its_own(
     assert [f["report"]["components"] for f in rep.failures] == [4] * failing
     augmentation = probe or "plus"
     assert rounds == [(1, harness._box_setting("dp", cfg.box, augmentation).surface), (1, 1 << x)]
-    apexed = [_neighbourhood_plan(g) for g in harness._apexed_roles("dp", cfg.box, augmentation)]
+    apexed = [_neighbourhood_plan(g) for g in apexed_roles("dp", cfg.box, augmentation)]
     assert _failing_observers(*apexed, apexed[0].mask(c), 1 << x) == failing << x
     blob = json.dumps(rep.to_json(include_elapsed=False), sort_keys=True,
                       separators=(",", ":")).encode()
