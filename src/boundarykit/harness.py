@@ -97,7 +97,7 @@ import random
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import filterfalse, islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .boundary import _failing_batch, _packed, _report, _report_masks, report_to_json
@@ -216,25 +216,55 @@ def _grow(pool, nbrs, size: int, rng: random.Random) -> int:
     """The mask of a connected subset of exactly ``size`` vertices of
     ``pool``, grown from a random start drawn from the seeded ``rng`` by
     popping random frontier entries; up to 64 starts.  Deterministic per
-    seed."""
+    seed.  Every draw goes through ``_below``, which draws what
+    ``rng.randrange`` would, so the frontier keeps the order and the stale
+    duplicates that ``pop`` indexes into: the chosen vertices live in a
+    set, each new vertex's unchosen neighbours join in adjacency order,
+    and the mask is built once, at the end."""
     if not _is_id(size):
         raise InputError(f"size must be an int, got {size!r}")
     if not 1 <= size <= len(pool):
         raise InputError(f"cannot grow {size} vertices out of {len(pool)} candidates")
+    bits = rng.getrandbits
     for _attempt in range(64):
-        start = pool[rng.randrange(len(pool))]
-        chosen, count = 1 << start, 1
+        start = pool[_below(bits, len(pool))]
+        seen = {start}
         frontier = list(nbrs[start])
-        while frontier and count < size:
-            w = frontier.pop(rng.randrange(len(frontier)))
-            if chosen >> w & 1:
+        while frontier and len(seen) < size:
+            w = frontier.pop(_below(bits, len(frontier)))
+            if w in seen:
                 continue
-            chosen |= 1 << w
-            count += 1
-            frontier.extend([z for z in nbrs[w] if not chosen >> z & 1])
-        if count == size:
-            return chosen
+            seen.add(w)
+            frontier.extend(filterfalse(seen.__contains__, nbrs[w]))
+        if len(seen) == size:
+            return sum(map((1).__lshift__, seen))
     raise InputError("the allowed region cannot grow a connected subset of the requested size")
+
+
+def _below(bits, n: int) -> int:
+    """A draw in ``0..n-1`` from ``bits``, a ``Random.getrandbits``, by the
+    rule of CPython's ``Random._randbelow_with_getrandbits``: draw
+    ``n.bit_length()`` bits until the value is below ``n``.  On Python
+    3.10–3.13 ``randrange(n)`` is that rule, ``randint(a, b)`` is ``a``
+    plus it below ``b − a + 1`` and ``shuffle`` swaps by it, so ``_below``
+    draws the same values from the same stream without their frames.  An
+    empty range raises ``ValueError``, as ``randrange(0)`` does, instead
+    of rejecting ``getrandbits(0) == 0`` forever."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        if n < 1:
+            raise ValueError(f"empty range below {n!r}")
+        r = bits(k)
+    return r
+
+
+def _shuffle(bits, x: list) -> None:
+    """``Random.shuffle`` of ``x`` in place on ``_below``: the same swaps
+    from the same stream."""
+    for i in range(len(x) - 1, 0, -1):
+        j = _below(bits, i + 1)
+        x[i], x[j] = x[j], x[i]
 
 
 def random_connected_graph(vertex_count: int, extra_edges: int, seed) -> Graph:
@@ -245,18 +275,24 @@ def random_connected_graph(vertex_count: int, extra_edges: int, seed) -> Graph:
 def _random_graph(vertex_count: int, extra_edges: int, rng: random.Random) -> Graph:
     """``random_connected_graph`` drawn from ``rng``, which a crossing
     trial shares with its other draws."""
+    for name, count in (("vertex_count", vertex_count), ("extra_edges", extra_edges)):
+        if not _is_id(count):
+            raise InputError(f"{name} must be an int, got {count!r}")
     if vertex_count < 1:
         raise InputError("need at least one vertex")
+    if extra_edges < 0:
+        raise InputError(f"extra_edges must be ≥ 0, got {extra_edges}")
+    bits = rng.getrandbits
     order = list(range(vertex_count))
-    rng.shuffle(order)
+    _shuffle(bits, order)
     edges = set()
     for i in range(1, vertex_count):
-        u, v = order[i], order[rng.randrange(i)]
+        u, v = order[i], order[_below(bits, i)]
         edges.add((min(u, v), max(u, v)))
     added = attempts = 0
     while added < extra_edges and attempts < 20 * extra_edges + 100:
         attempts += 1
-        u, v = rng.randrange(vertex_count), rng.randrange(vertex_count)
+        u, v = _below(bits, vertex_count), _below(bits, vertex_count)
         if u == v:
             continue
         e = (min(u, v), max(u, v))
@@ -506,19 +542,19 @@ def _trial_seed(seed: int, index: int) -> str:
 
 # --- boundary campaigns (dp / k) -------------------------------------------
 
-def _observers(cfg: TrialConfig, apex: int, cm: int,
-               rng: Optional[random.Random] = None) -> int:
+def _observers(cfg: TrialConfig, apex: int, cm: int, bits=None) -> int:
     """The mask of the observers of the subset with mask ``cm`` among the
     box vertices and the apex, whose id ``apex`` is the largest.  Under
     ``all-outside`` every vertex outside the subset observes, unless a
-    random trial passes its ``rng``, which draws one of them by rank."""
+    random trial passes its stream's ``getrandbits``, which draws one of
+    them by rank."""
     if cfg.x_policy == "apex":
         return 1 << apex
     if cfg.x_policy == "fixed":
         return 1 << cfg.x_vertex & ~cm
-    if rng is None:
+    if bits is None:
         return (2 << apex) - 1 ^ cm
-    return 1 << _kth_outside(cm, rng.randrange(apex + 1 - cm.bit_count()))
+    return 1 << _kth_outside(cm, _below(bits, apex + 1 - cm.bit_count()))
 
 
 def _kth_outside(cm: int, k: int) -> int:
@@ -573,10 +609,11 @@ def _sampled_instances(cfg: TrialConfig, pool: tuple, apex: int) -> Iterator[tup
     for i in range(cfg.trials):
         seed_str = _trial_seed(cfg.seed, i)
         rng = random.Random(seed_str)
-        size = rng.randint(1, size_cap)
+        bits = rng.getrandbits
+        size = 1 + _below(bits, size_cap)
         for _attempt in range(64):
             cm = _grow(*pool, size, rng)
-            observers = _observers(cfg, apex, cm, rng)
+            observers = _observers(cfg, apex, cm, bits)
             if observers:
                 break
         else:
@@ -777,6 +814,7 @@ def _crossing_trial(index: int, seed_str: str, box: Graph, box_gen: CycleGen,
                     max_size: int) -> Optional[dict]:
     """One crossing trial: its failure record, or None when it passes."""
     rng = random.Random(seed_str)
+    bits = rng.getrandbits
     # Alternate hosts: even trials exercise the configured box with its
     # unit-face generators, odd trials a random connected graph with a
     # spanning-tree basis.  Every draw of the trial, hosts included, comes
@@ -785,8 +823,9 @@ def _crossing_trial(index: int, seed_str: str, box: Graph, box_gen: CycleGen,
         if index % 2 == 0 and round_ == 0:
             g, gen = box, box_gen
         else:
-            nv = rng.randint(8, 16)
-            g = _random_graph(nv, rng.randint(max(2, nv // 4), nv), rng)
+            nv = 8 + _below(bits, 9)
+            least = max(2, nv // 4)
+            g = _random_graph(nv, least + _below(bits, nv + 1 - least), rng)
             gen = fundamental_basis(g)
         instance = _sample_crossing_instance(g, rng, max_size)
         if instance is None:
@@ -822,24 +861,25 @@ def _sample_crossing_instance(g: Graph, rng: random.Random, max_size: int):
     next to it."""
     pool = _sampling_pool(g)
     plan = _neighbourhood_plan(g)
+    bits = rng.getrandbits
     for _attempt in range(40):
-        size = rng.randint(1, max(1, min(max_size, g.vertex_count - 3)))
+        size = 1 + _below(bits, max(1, min(max_size, g.vertex_count - 3)))
         # every host is connected and ``size`` ≤ its vertex count: one start grows it
         cm = _grow(*pool, size, rng)
         blocked = cm | plan.expand(cm)
         eligible = g.vertex_count - blocked.bit_count()
         if not eligible:
             continue
-        x = _kth_outside(blocked, rng.randrange(eligible))
+        x = _kth_outside(blocked, _below(bits, eligible))
         sm = _report_masks(plan, plan, cm, x)[2]
         if sm.bit_count() < 2:
             continue
         members = _bit_ids(sm)
-        rng.shuffle(members)
-        cut = rng.randrange(1, len(members))
+        _shuffle(bits, members)
+        cut = 1 + _below(bits, len(members) - 1)
         s1, s2 = frozenset(members[:cut]), frozenset(members[cut:])
         ys = _bit_ids(cm)
-        y = ys[rng.randrange(len(ys))]
+        y = ys[_below(bits, len(ys))]
         return _members(cm), x, y, _members(sm), s1, s2
     return None
 

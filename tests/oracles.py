@@ -16,7 +16,10 @@ or rounds, and the definition-level oracles judge it in turn.  Those
 apexed graphs, ``apexed_roles``, are the library's own ``with_apex``
 model of the outside: a vertex glued to the box surface, which no
 campaign or report builds any longer, since each floods from the surface
-instead.  The tests judge that surface rule against this model.
+instead.  The tests judge that surface rule against this model.  The
+growth oracle, ``connected_subset_by_randrange``, keeps the sampler's
+algorithm too, on the stdlib's ``randrange`` and a bitmask, because the
+draws it takes from the stream are the point.
 """
 
 from __future__ import annotations
@@ -394,3 +397,24 @@ def connected_subsets_by_growth(adjacency: Sequence[Sequence[int]], max_size: in
     for root in sorted(allowed):
         ext = [w for w in adjacency[root] if w > root and w in allowed]
         yield from grow((root,), ext, frozenset([root, *ext]), root)
+
+
+def connected_subset_by_randrange(pool, nbrs, size: int, rng) -> int:
+    """The draw oracle of the sampler's growth: the same growth written
+    with ``rng.randrange`` and a chosen-mask, whose frontier gains each
+    new vertex's unchosen neighbours, stale duplicates kept.  Returns the
+    subset's mask, or None when 64 starts cannot grow ``size`` vertices."""
+    for _attempt in range(64):
+        start = pool[rng.randrange(len(pool))]
+        chosen, count = 1 << start, 1
+        frontier = list(nbrs[start])
+        while frontier and count < size:
+            w = frontier.pop(rng.randrange(len(frontier)))
+            if chosen >> w & 1:
+                continue
+            chosen |= 1 << w
+            count += 1
+            frontier.extend([z for z in nbrs[w] if not chosen >> z & 1])
+        if count == size:
+            return chosen
+    return None

@@ -22,7 +22,8 @@ from boundarykit import (BoxSpec, CycleGen, EdgeVector, InputError,
 from boundarykit.graphs import _members, _neighbourhood_plan
 from boundarykit.harness import _connected_masks
 from oracles import (_failing_observers, apexed_roles, chordal_by_pairs, connected_by_flood,
-                     connected_subsets_by_growth, connected_subsets_by_powerset)
+                     connected_subset_by_randrange, connected_subsets_by_growth,
+                     connected_subsets_by_powerset)
 
 
 # --- exhaustive enumeration -----------------------------------------------------
@@ -226,6 +227,80 @@ def test_sampler_outputs_are_pinned():
     evens = frozenset(range(0, 40, 2)) | frozenset(range(1, 12))
     assert sorted(sample_connected_subset(r, 7, "c", allowed=evens)) == [
         2, 10, 12, 14, 18, 24, 30]
+
+
+def test_below_draws_what_randrange_draws():
+    """``_below`` takes from the stream exactly what ``randrange``,
+    ``randint`` and ``shuffle`` take, call for call in one shared stream,
+    on either side of every power of two up to 2^70."""
+    import random
+
+    from boundarykit.harness import _below, _shuffle
+    ns = sorted({m for j in range(71) for m in (2 ** j - 1, 2 ** j, 2 ** j + 1) if m})
+    for seed in ("below", 7):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        bits = ours.getrandbits
+        for n in ns:
+            assert _below(bits, n) == theirs.randrange(n)
+            assert 3 + _below(bits, n) == theirs.randint(3, n + 2)
+            mine, stdlib = list(range(n % 13)), list(range(n % 13))
+            _shuffle(bits, mine)
+            theirs.shuffle(stdlib)
+            assert mine == stdlib
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("n", [0, -1, -8])
+def test_below_refuses_an_empty_range(n):
+    """``getrandbits(0)`` is 0, which a bare rejection loop would reject
+    forever; an empty range raises as ``randrange`` does instead."""
+    import random
+
+    from boundarykit.harness import _below
+    rng = random.Random(n)
+    calls = []
+
+    def bits(k):
+        calls.append(k)
+        assert len(calls) < 100, "the rejection loop does not end"
+        return rng.getrandbits(k)
+
+    with pytest.raises(ValueError):
+        random.Random(n).randrange(n)
+    with pytest.raises(ValueError):
+        _below(bits, n)
+
+
+def test_growth_draws_what_the_randrange_growth_draws():
+    """The set-and-filter growth against its draw oracle, the mask-and-list
+    growth on ``randrange``: the same subsets and the same stream left
+    behind, for every size on a box pool (many stale frontier entries), a
+    margin interior and a random graph."""
+    import random
+
+    import boundarykit.harness as harness
+    g = build_box(BoxSpec(3, 5, "plain"))
+    r = random_connected_graph(30, 12, seed="oracle")
+    for host, allowed in ((g, None), (g, margin_interior(g, 1)), (r, None)):
+        pool = harness._sampling_pool(host, allowed)
+        for size in range(1, 13):
+            for seed in range(25):
+                ours, theirs = random.Random(f"{size}/{seed}"), random.Random(f"{size}/{seed}")
+                assert (harness._grow(*pool, size, ours)
+                        == connected_subset_by_randrange(*pool, size, theirs))
+                assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("vertex_count, extra_edges, message", [
+    (2.5, 3, "^vertex_count must be an int, got 2.5$"),
+    (9, "2", "^extra_edges must be an int, got '2'$"),
+    (9, 2.5, "^extra_edges must be an int, got 2.5$"),
+    (9, -3, "^extra_edges must be ≥ 0, got -3$"),
+], ids=["fractional-vertex-count", "string-extra-edges", "fractional-extra-edges",
+        "negative-extra-edges"])
+def test_random_graph_refuses_counts_that_are_no_ids(vertex_count, extra_edges, message):
+    with pytest.raises(InputError, match=message):
+        random_connected_graph(vertex_count, extra_edges, seed="bad")
 
 
 @pytest.mark.parametrize("size", [2.5, 3.0, True, "3"])
@@ -1619,6 +1694,27 @@ def test_random_all_outside_observers_are_drawn_by_rank():
         xs = [v for v in range(setting.apex + 1) if v not in c]
         assert observers == 1 << xs[rng.randrange(len(xs))]
         assert cm == sum(1 << v for v in c)
+
+
+def test_every_all_outside_rank_is_drawn_the_apex_last():
+    """A random ``all-outside`` rank is drawn below the number of vertices
+    outside the subset, the apex included: fed each rank in turn as its
+    one draw, ``_observers`` returns each outside vertex, the apex last."""
+    import boundarykit.harness as harness
+    cfg = TrialConfig(theorem="k", box=BoxSpec(2, 5, "plain"), mode="random", trials=1,
+                      max_size=4, x_policy="all-outside")
+    apex = 25
+    for c in (frozenset({12}), frozenset({6, 7, 12, 13}), frozenset({6, 7, 8, 11, 12, 13, 16})):
+        xs = [v for v in range(apex + 1) if v not in c]
+        for rank, x in enumerate(xs):
+            draws = [rank]
+
+            def bits(k):
+                assert k == len(xs).bit_length() and draws, "not one draw below len(xs)"
+                return draws.pop()
+
+            assert harness._observers(cfg, apex, sum(1 << v for v in c), bits) == 1 << x
+        assert x == apex
 
 
 @pytest.mark.parametrize("theorem", ["dp", "k"])
