@@ -13,21 +13,17 @@ Campaign kinds (the short names are the CLI tokens):
   generator with an odd edge count into the observer's side; the
   constructive witness is re-verified from definitions.
 
-Observers default to the apex vertex (the far-away surrogate).  Whenever
-the apex observes (every policy but ``fixed``, whose one observer is a
-box vertex, never the apex id), subsets must keep an L∞ margin of at
-least 2 from the box surface so the apex faithfully models the unbounded
-outside.  Nothing attaches it: the apex is id ``width``, the box's
-vertex count, in observer masks, and a copy that judges it floods from
-the box surface, its neighbourhood.  A failure record at margin ≥ 2
-gives the view in ℤ^d by the surface rule of ``boundary._report_masks``,
-even for a box observer, whose paths may go round through the outside;
-a ``fixed`` campaign below margin 2 reports on the box itself.  A given
-subset must lie inside the margin interior under every policy, as
-enumerated and sampled ones do.  A margin that leaves no room for
-subsets is refused, in exhaustive as in random mode, rather than passing
-with no trials; so is a campaign in which every subset holds the fixed
-observer.
+Observers default to the apex vertex (the far-away surrogate, whose
+visible boundary is the exterior boundary of Kesten and of
+Deuschel–Pisztora), id ``width``, the box's vertex count; nothing
+attaches it.  Whenever the apex observes (every policy but ``fixed``), subsets keep an L∞ margin of at
+least 2 from the box surface, and a given subset must lie inside the
+margin interior under every policy.  Why the surface then stands for the
+outside, in verdicts and in failure records, is argued once, in
+``boundary._report_masks``; a ``fixed`` campaign below margin 2 reports
+on the box itself.  A margin that leaves no room for subsets is refused,
+in exhaustive as in random mode, rather than passing with no trials; so
+is a campaign in which every subset holds the fixed observer.
 
 A dp/k campaign gives each subset an observer mask: the apex, the fixed
 vertex unless the subset holds it, or, under ``all-outside``, every
@@ -41,28 +37,15 @@ a subset holding the fixed observer, which has no observer, no trial and
 no copy.
 
 The campaign takes ``_TILE_BITS // box vertices`` instances per batch and
-judges each batch in rounds, on tiled plans of the box without the apex.
-In each round every instance with undecided observers takes one copy.
-At margin ≥ 2 the first round floods every copy from the box surface,
-whatever its observers, and every later round from the instance's lowest
-undecided observer; below margin 2 (``fixed`` only) every round floods
-from the observer.  The copy's verdict settles every undecided observer
-its flood reached, and the apex when the flood touches the surface: the
-visible boundary depends on the observer only through its component of
-the traversal graph minus the subset (for the apex, the exterior
-boundary of Kesten and of Deuschel–Pisztora), and ``_failing_batch``
-says why that component, on the apexed graphs, is the copy's flood.  A
-surface flood reaches the outer component in a few levels, where a flood
-from one interior observer takes several times as many.  The judge hands
-back what each flood left unreached of the box minus the subset, and
-only the copies with unreached vertices, the holed ones, are sliced: a
-copy whose flood filled the box minus its subset settles all its
-observers.  So an instance whose observers are all outside takes one
-round, an observer in a hole two (the outside, then its hole), and an
-``all-outside`` subset one round for the outside and one per hole.  A
-surface round may settle none of an instance's observers, when each
-lies in a hole and the apex does not observe; any other round that
-settles none is an error, not a loop.
+judges each batch in rounds on tiled plans of the box;
+``boundary._failing_batch`` says what each round floods from and why a
+copy's verdict settles every observer its flood reached.  Only the copies
+whose flood left vertices unreached, the holed ones, are sliced, so an
+instance whose observers are all outside takes one round, an observer in
+a hole two, and an ``all-outside`` subset one round for the outside and
+one per hole.  A surface round may settle none of an instance's
+observers, when each lies in a hole and the apex does not observe; any
+other round that settles none is an error, not a loop.
 
 An exhaustive ``apex`` campaign first judges each translation class
 once: ``_apex_shapes`` lists the shapes, carrying each shape's campaign
@@ -351,19 +334,20 @@ def check_k_hypotheses(pair: GraphPair, gen: CycleGen,
 @dataclass(frozen=True)
 class _Theorem:
     """How a boundary statement uses a plain box ``g`` and its augmentation
-    ``g_plus``; graph roles name an attribute of the pair."""
+    ``g_plus``; graph roles name an attribute of the pair.  Each statement
+    takes its subsets connected in its adjacency graph, ``roles[1]``: the
+    plain box for dp, the king box for k."""
 
     augmentation: str                 # default flavor of g_plus
     override: str                     # TrialConfig field replacing it
     flag: str                         # the CLI flag setting that field
-    connect_in: str                   # subsets must be connected in this graph
     roles: Tuple[str, str, str]       # traversal, adjacency, probe
     patched: bool                     # patch cycles are part of the premises
 
 
 _BOUNDARY_THEOREMS = {
-    "dp": _Theorem("plus", "probe", "--probe", "g", ("g", "g", "g_plus"), patched=False),
-    "k": _Theorem("star", "g_prime", "--gplus", "g_plus", ("g", "g_plus", "g"), patched=True),
+    "dp": _Theorem("plus", "probe", "--probe", ("g", "g", "g_plus"), patched=False),
+    "k": _Theorem("star", "g_prime", "--gplus", ("g", "g_plus", "g"), patched=True),
 }
 
 
@@ -405,7 +389,6 @@ class _BoxSetting:
     apex: int                           # the apex's id: the box's vertex count
     surface: int                        # mask of the apex's neighbours in the box
     roles: Tuple[Graph, Graph, Graph]   # traversal, adjacency, probe; no apex
-    connect_host: Graph
     premises_hold: bool
     detail: dict                        # premise-report fields
 
@@ -423,8 +406,7 @@ def _box_setting(theorem: str, box: BoxSpec, augmentation: str) -> _BoxSetting:
     else:
         premises_hold = check_dp_hypotheses(pair, gen)
     return _BoxSetting(pair.g, pair.g.vertex_count, sum(1 << v for v in box_shell(pair.g)),
-                       tuple(getattr(pair, name) for name in row.roles),
-                       getattr(pair, row.connect_in), premises_hold, detail)
+                       tuple(getattr(pair, name) for name in row.roles), premises_hold, detail)
 
 
 # --- campaign configuration ------------------------------------------------
@@ -575,7 +557,7 @@ def _boundary_instances(cfg: TrialConfig, setting: _BoxSetting,
     once, before the first subset."""
     interior = margin_interior(setting.box, cfg.margin)
     allowed = _neighbourhood_plan(setting.box).mask(interior)
-    host = setting.connect_host
+    host = setting.roles[1]
     if fixed_c is not None:
         plan = _neighbourhood_plan(host)
         cm = plan.mask(fixed_c)
@@ -656,7 +638,7 @@ def _apex_shapes(cfg: TrialConfig, augmentation: str) -> Iterator[Tuple[int, int
     w = n + 2 - 2 * margin          # ≥ 1: the campaign has refused a margin without room
     s = min(w, cfg.max_size)
     side = 2 * s - 1
-    plain = _BOUNDARY_THEOREMS[cfg.theorem].connect_in == "g"     # else connected in g_plus
+    plain = _BOUNDARY_THEOREMS[cfg.theorem].roles[1] == "g"     # else connected in g_plus
     host = build_box(BoxSpec(d, side, "plain" if plain else augmentation))
     root = (s - 1) * sum(side ** i for i in range(d - 1))
     strides, axis_bits, flag = [n ** i for i in range(d)], (1 << side) - 1, d * side
@@ -677,15 +659,10 @@ def _apex_shapes(cfg: TrialConfig, augmentation: str) -> Iterator[Tuple[int, int
             yield packed >> shift, placements
 
 
-def _failure_record(cfg: TrialConfig, setting: _BoxSetting, trial: int,
+def _failure_record(setting: _BoxSetting, surface: int, trial: int,
                     seed_str: Optional[str], cm: int, x: int) -> dict:
-    # at margin ≥ 2 the surface stands for the outside, so a record gives
-    # the ℤ^d view, where a path may go round through the outside, even for
-    # a box observer; below that (fixed observers only) a subset may touch
-    # the surface, so records give the bounded box's view, as ``boundary
-    # --x <vertex>`` does at every margin
     plans = [_neighbourhood_plan(g) for g in setting.roles]
-    rep = _report(*plans, cm, x, setting.surface if cfg.margin >= 2 else 0)
+    rep = _report(*plans, cm, x, surface)
     return {
         "trial": trial,
         "seed": seed_str,
@@ -709,8 +686,14 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
     apex = width = setting.apex                 # the apex's id, the box's vertex count
     copies = max(1, _TILE_BITS // width)
     tiles = [_neighbourhood_plan(g).tiled(copies) for g in setting.roles]
+    # at margin ≥ 2 the surface stands for the outside, in verdicts and in
+    # records, even a box observer's, whose paths may go round through the
+    # outside; below that (fixed observers only) a subset may touch the
+    # surface, so the campaign judges and records on the bounded box, as
+    # ``boundary --x <vertex>`` does at every margin
+    surface = setting.surface if cfg.margin >= 2 else 0
     # the surface in every copy; a short batch keeps its first copies
-    surfaces = setting.surface * tiles[0].ones
+    surfaces = surface * tiles[0].ones
     placements = None
     if cfg.mode == "exhaustive" and cfg.x_policy == "apex" and fixed_c is None:
         placements, failed = 0, False
@@ -732,7 +715,7 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
         # every other round from the instance's lowest undecided observer
         undecided = [observers for _, _, observers in batch]
         failing = [0] * len(batch)
-        from_surface = cfg.margin >= 2
+        from_surface = bool(surface)
         while live := [i for i, rest in enumerate(undecided) if rest]:
             sources = (surfaces & (1 << len(live) * width) - 1 if from_surface
                        else _packed([undecided[i] & -undecided[i] for i in live], width))
@@ -746,7 +729,7 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
                 k = ((rest & -rest).bit_length() - 1) // width
                 rest &= -1 << (k + 1) * width
                 reached = box ^ batch[live[k]][1] ^ unreached >> k * width & box
-                settled[k] &= reached | bool(reached & setting.surface) << apex
+                settled[k] &= reached | bool(reached & surface) << apex
                 # only a surface flood may miss every observer (each in a hole),
                 # and not when the apex, whose flood it is, observes
                 if not settled[k] and (not from_surface or undecided[live[k]] >> apex):
@@ -762,7 +745,7 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
                 order = sorted(_members(observers), key=lambda v: (v != apex, v))
                 for i, x in enumerate(order):
                     if fails >> x & 1:
-                        failures.append(_failure_record(cfg, setting, trials_run + i,
+                        failures.append(_failure_record(setting, surface, trials_run + i,
                                                         seed_str, cm, x))
             trials_run += observers.bit_count()
     if not trials_run:

@@ -505,7 +505,7 @@ class BatchJudge:
         self.surface = self.plans[0].rows[self.apex]
         assert setting.surface == self.surface
         self.interior = sorted(margin_interior(setting.box, cfg.margin))
-        self.connect_host = setting.connect_host
+        self.connect_host = setting.roles[1]
 
     def source(self, x):
         return self.surface if x == self.apex else 1 << x
@@ -717,7 +717,7 @@ def test_the_surface_rule_reports_as_the_apexed_graphs_do(theorem, box, max_size
     apexed = apexed_roles(theorem, box, augmentation)
     allowed = plans[0].mask(margin_interior(setting.box, margin))
     pairs = 0
-    for cm in harness._connected_masks(setting.connect_host, max_size, allowed):
+    for cm in harness._connected_masks(setting.roles[1], max_size, allowed):
         c = _members(cm)
         for x in range(setting.apex + 1):
             if not cm >> x & 1:

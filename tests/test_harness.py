@@ -933,7 +933,7 @@ def _per_observer_reference(cfg, fixed_c=None):
                      in harness._boundary_instances(cfg, setting, None)]
     else:
         subsets = [fixed_c] if fixed_c is not None else enumerate_connected_subsets(
-            setting.connect_host, cfg.max_size,
+            setting.roles[1], cfg.max_size,
             allowed=margin_interior(setting.box, cfg.margin))
         instances = [(None, c, None) for c in subsets]
     trials_run, failures = 0, []
@@ -1018,7 +1018,7 @@ def test_fixed_observers_at_margin_2_judge_alike_with_and_without_the_apex(theor
     apexed = [_neighbourhood_plan(g) for g in apexed_graphs]
     box = [_neighbourhood_plan(g) for g in setting.roles]
     full = box[0].full
-    subsets = enumerate_connected_subsets(setting.connect_host, 9,
+    subsets = enumerate_connected_subsets(setting.roles[1], 9,
                                           allowed=margin_interior(setting.box, 2))
     failing_observers = 0
     for c in subsets:
@@ -1178,7 +1178,7 @@ def test_a_translation_class_shares_its_apex_report(theorem, box, max_size, augm
     setting = harness._box_setting(theorem, box, augmentation)
     g, g_prime, probe = apexed_roles(theorem, box, augmentation)
     first, subsets = {}, 0
-    for c in enumerate_connected_subsets(setting.connect_host, max_size,
+    for c in enumerate_connected_subsets(setting.roles[1], max_size,
                                          allowed=margin_interior(setting.box, 2)):
         subsets += 1
         rep = full_report(g, g_prime, probe, c, setting.apex)
@@ -1685,7 +1685,7 @@ def test_random_all_outside_observers_are_drawn_by_rank():
     cfg = TrialConfig(theorem="k", box=BoxSpec(3, 5, "plain"), mode="random",
                       trials=60, seed=2, max_size=6, x_policy="all-outside")
     setting = harness._box_setting("k", cfg.box, "star")
-    pool = harness._sampling_pool(setting.connect_host, margin_interior(setting.box, cfg.margin))
+    pool = harness._sampling_pool(setting.roles[1], margin_interior(setting.box, cfg.margin))
     for seed, cm, observers in harness._boundary_instances(cfg, setting, None):
         rng = random.Random(seed)
         size = rng.randint(1, min(cfg.max_size, 27))      # the subset size draw
