@@ -8,7 +8,9 @@ touched vertex has degree exactly 2.
 `CycleGen` holds an ordered generating collection together with a GF(2)
 forward echelon, rows keyed by their pivot (a row's lowest set bit) and
 carrying combination bookkeeping, so membership and decomposition queries
-are deterministic and cheap after a one-time build.
+are deterministic and cheap after a one-time build on first use.  Whether
+generators span is first asked of a triangular certificate
+(``_triangular_rank``), which needs no echelon when it reaches the rank.
 
 The module ends with `crossing_cycle_witness`, a constructive procedure
 that, given a minimal vertex cutset split into two halves, produces a
@@ -22,11 +24,11 @@ an odd crossing into one half implies that the summand touches both.
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, NotInSpanError
-from .graphs import (Graph, _bit_ids, _minimal_side, _neighbourhood_plan, count_components,
-                     shortest_path)
+from .graphs import Graph, _bit_ids, _minimal_side, count_components, shortest_path
 
 
 def _require_same_host(a: "EdgeVector", b: "EdgeVector") -> None:
@@ -147,7 +149,8 @@ def cycle_space_rank(g: Graph) -> int:
 
 
 class CycleGen:
-    """Ordered collection of cycles with a cached GF(2) forward echelon.
+    """Ordered collection of cycles with a GF(2) forward echelon, built on
+    the first ``rank`` or ``solve``.
 
     Rows are keyed by their pivot, a row's lowest set bit, and know which
     input cycles sum to them.  A generator that reduces to zero depends on
@@ -168,40 +171,69 @@ class CycleGen:
         self._vertices = [c._cycle_vertices() for c in self.cycles]
         if 0 in self._vertices:
             raise InputError(f"generator {self._vertices.index(0)} is not a cycle")
-        rows = {}           # pivot edge id -> (vector, combination over generators)
-        for i, cyc in enumerate(self.cycles):
-            v, combo = cyc.bits, 1 << i
-            while v:
-                pivot = (v & -v).bit_length() - 1
-                row = rows.get(pivot)
-                if row is None:
-                    rows[pivot] = (v, combo)
-                    break
-                v ^= row[0]
-                combo ^= row[1]
-        self._rows = rows
+        self._rows = None
 
     def __len__(self) -> int:
         return len(self.cycles)
 
+    def _echelon(self) -> dict:
+        if self._rows is None:
+            self._rows = _forward_echelon([c.bits for c in self.cycles])
+        return self._rows
+
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._echelon())
 
     def solve(self, bits: int) -> Optional[int]:
         """Combination (as a bitmask over generator indices) summing to
         ``bits``, or None when it lies outside the span."""
-        t, combo = bits, 0
-        while t:
-            row = self._rows.get((t & -t).bit_length() - 1)
-            if row is None:
-                return None
-            t ^= row[0]
-            combo ^= row[1]
-        return combo
+        rest, combo = _reduce(self._echelon(), bits, 0)
+        return None if rest else combo
 
     def __repr__(self) -> str:
         return f"CycleGen({len(self.cycles)} cycles, rank {self.rank})"
+
+
+def _reduce(rows: dict, v: int, combo: int) -> Tuple[int, int]:
+    """``v`` reduced by the echelon ``rows`` until it is 0 or its lowest
+    bit is no pivot, and ``combo`` XORed with the combinations of the rows
+    used."""
+    while v:
+        row = rows.get((v & -v).bit_length() - 1)
+        if row is None:
+            break
+        v, combo = v ^ row[0], combo ^ row[1]
+    return v, combo
+
+
+def _forward_echelon(vectors: Sequence[int]) -> dict:
+    """The forward echelon of ``vectors``: pivot edge id -> (row, combination
+    over the vectors' indices).  A vector that reduces to 0 adds no row."""
+    rows = {}
+    for i, v in enumerate(vectors):
+        v, combo = _reduce(rows, v, 1 << i)
+        if v:
+            rows[(v & -v).bit_length() - 1] = (v, combo)
+    return rows
+
+
+def _triangular_rank(generators: Iterable[Tuple[int, int]]) -> int:
+    """How many of ``generators`` have an edge that no earlier one has, in
+    the order given.  Each is a pair ``(offset, bits)``: its edges are the
+    keys ``offset + k`` for the bits ``k`` of ``bits``, with offsets that
+    never fall.  The accepted generators are triangular, each with an edge
+    the ones before it lack, so they are independent; when they number the
+    cycle rank, the generators span.  This is a greedy acyclic matching
+    (Forman, *Morse theory for cell complexes*, Adv. Math. 134, 1998).
+    Keys below the current offset are dropped from the covered mask, since
+    no later generator has them."""
+    covered = rank = at = 0
+    for offset, bits in generators:
+        covered, at = covered >> offset - at, offset
+        if bits & ~covered:
+            covered, rank = covered | bits, rank + 1
+    return rank
 
 
 def fundamental_basis(g: Graph) -> CycleGen:
@@ -236,27 +268,26 @@ def fundamental_basis(g: Graph) -> CycleGen:
 
 
 def is_generating(gen: CycleGen, g: Graph) -> bool:
-    """Whether ``gen`` spans the full cycle space of ``g``."""
+    """Whether ``gen`` spans the full cycle space of ``g``.  Unless the
+    echelon is built already, the triangular certificate is tried first, on
+    the generators by lowest vertex, then by index; when it falls short,
+    the echelon decides."""
     if not gen.host.same_as(g):
         raise InputError("generating set lives in a different graph")
-    return gen.rank == cycle_space_rank(g)
+    rank = cycle_space_rank(g)
+    if gen._rows is None:
+        by_lowest = sorted(zip(gen._vertices, gen.cycles), key=lambda p: p[0] & -p[0])
+        if _triangular_rank((0, c.bits) for _, c in by_lowest) == rank:
+            return True
+    return gen.rank == rank
 
 
 def _is_clique(touched: int, g_plus: Graph) -> bool:
     """Whether the vertices of the mask ``touched`` are pairwise adjacent in
     ``g_plus``: the chordality test for the vertices of a cycle on
     ``g_plus``'s vertex set, as ``EdgeVector._cycle_vertices`` gives them
-    (``CycleGen._vertices`` keeps them for generators).  Each vertex's
-    row of ``g_plus``'s neighbourhood plan, the plan a campaign builds
-    anyway, must hold every other touched vertex."""
-    rows = _neighbourhood_plan(g_plus).rows
-    rest = touched
-    while rest:
-        low = rest & -rest
-        if touched & ~(rows[low.bit_length() - 1] | low):
-            return False
-        rest ^= low
-    return True
+    (``CycleGen._vertices`` keeps them for generators)."""
+    return all(g_plus.has_edge(u, v) for u, v in combinations(_bit_ids(touched), 2))
 
 
 def decompose(target: EdgeVector, gen: CycleGen) -> List[int]:

@@ -60,34 +60,12 @@ class Graph:
                  labels: Optional[Sequence[Coord]] = None):
         if not _is_id(vertex_count) or vertex_count < 0:
             raise InputError(f"vertex_count must be a nonnegative int, got {vertex_count!r}")
-        self.vertex_count = vertex_count
-
-        seen = set()
-        normalized = []
+        pairs = []
         for pair in edges:
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                     and _is_id(pair[0]) and _is_id(pair[1])):
                 raise InputError(f"an edge is a pair of vertex ids, got {pair!r}")
-            u, v = pair
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise InputError(f"edge ({u}, {v}) has an endpoint outside 0..{vertex_count - 1}")
-            if u == v:
-                raise InputError(f"loop at vertex {u} is not allowed")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise InputError(f"duplicate edge {key}")
-            seen.add(key)
-            normalized.append(key)
-        normalized.sort()
-        self.edges = tuple(normalized)
-        self._edge_ids = {e: i for i, e in enumerate(self.edges)}
-
-        adj = [[] for _ in range(vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-
+            pairs.append(tuple(sorted(pair)))
         if labels is not None:
             if not isinstance(labels, (list, tuple)):
                 raise InputError(f"labels are a list of coordinate tuples, got {labels!r}")
@@ -95,18 +73,43 @@ class Graph:
                 if not (isinstance(lab, (list, tuple)) and all(_is_id(c) for c in lab)):
                     raise InputError(f"a label is a tuple of integer coordinates, got {lab!r}")
             labels = tuple(tuple(lab) for lab in labels)
+        self._build(vertex_count, pairs, labels)
+
+    def _build(self, vertex_count: int, pairs, labels: Optional[tuple] = None) -> "Graph":
+        """The constructor core, and the whole constructor for callers that
+        built their input from ints, as ``Graph.__new__(Graph)._build(…)``:
+        ``pairs`` of ids ``(u, v)``, ``u ≤ v``, and ``labels`` a tuple of
+        int tuples or None.  It keeps the range, loop, duplicate and label
+        invariants by whole-list checks, and names an offender only once one
+        fails.  Sorted edges list each vertex's smaller neighbours before
+        its larger ones, each in ascending order, so the adjacency comes out
+        sorted."""
+        self.vertex_count = vertex_count
+        self.edges = edges = tuple(sorted(pairs))
+        if edges:
+            us, vs = zip(*edges)
+            if us[0] < 0 or max(vs) >= vertex_count or any(map(int.__eq__, us, vs)):
+                u, v = next(e for e in edges if not 0 <= e[0] < e[1] < vertex_count)
+                raise InputError(f"loop at vertex {u} is not allowed" if u == v else
+                                 f"edge ({u}, {v}) has an endpoint outside 0..{vertex_count - 1}")
+        ids = self._edge_ids = {e: i for i, e in enumerate(edges)}
+        if len(ids) != len(edges):
+            duplicate = next(e for i, e in enumerate(edges) if ids[e] != i)
+            raise InputError(f"duplicate edge {duplicate}")
+        adj = [[] for _ in range(vertex_count)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        self.adjacency = tuple(map(tuple, adj))
+        self.labels, self._label_ids = labels, None
+        if labels is not None:
             if len(labels) != vertex_count:
                 raise InputError(f"{len(labels)} labels for {vertex_count} vertices")
-            if len(set(labels)) != vertex_count:
-                raise InputError("vertex labels must be pairwise distinct")
-            self.labels = labels
             self._label_ids = {lab: i for i, lab in enumerate(labels)}
-        else:
-            self.labels = None
-            self._label_ids = None
-
-        self._fp = hash((self.vertex_count, self.edges, self.labels))
-        self._plan = None
+            if len(self._label_ids) != vertex_count:
+                raise InputError("vertex labels must be pairwise distinct")
+        self._fp, self._plan = hash((vertex_count, edges, labels)), None
+        return self
 
     @property
     def edge_count(self) -> int:

@@ -70,8 +70,11 @@ premise verdict of a box are built once per process and shared by every
 campaign on that box.  A graph's plan is built where a campaign first
 reads it.  No campaign, passing or failing, builds an apexed graph: the
 box gives the apex's id, the interior and the surface mask.  The set-up
-builds what the premise checks read on the box's strides: its edges,
-unit faces and patch cycles.
+builds the box pair and judges its premises with one bit-parallel judge
+on the box's strides, ``lattice._box_premises``; it builds no edge
+vector and no generating set.  ``check_dp_hypotheses`` and
+``check_k_hypotheses`` stay public for any generating set or patch map;
+no campaign calls them.
 """
 
 from __future__ import annotations
@@ -90,8 +93,8 @@ from .cyclespace import (CycleGen, EdgeVector, _is_clique,
 from .errors import InputError
 from .graphs import (Graph, GraphPair, _bit_ids, _is_id, _members, _neighbourhood_plan,
                      _vertex_json, component_of, vertexset_to_json)
-from .lattice import (FLAVORS, BoxSpec, box_shell, build_box, build_box_pair,
-                      extra_edge_patches, four_cycle_gen, margin_interior)
+from .lattice import (FLAVORS, BoxSpec, _box_premises, box_shell, build_box,
+                      four_cycle_gen, margin_interior)
 
 THEOREMS = ("dp", "k", "lemma")
 MODES = ("exhaustive", "random")
@@ -282,7 +285,7 @@ def _random_graph(vertex_count: int, extra_edges: int, rng: random.Random) -> Gr
         if e not in edges:
             edges.add(e)
             added += 1
-    return Graph(vertex_count, sorted(edges))
+    return Graph.__new__(Graph)._build(vertex_count, edges)
 
 
 # --- premise checkers ------------------------------------------------------
@@ -396,15 +399,7 @@ class _BoxSetting:
 @lru_cache(maxsize=None)
 def _box_setting(theorem: str, box: BoxSpec, augmentation: str) -> _BoxSetting:
     row = _BOUNDARY_THEOREMS[theorem]
-    gen = four_cycle_gen(box)
-    pair = build_box_pair(box, augmentation)
-    detail = {"generators": len(gen.cycles), "augmentation": augmentation}
-    if row.patched:
-        patches = extra_edge_patches(pair)
-        premises_hold = check_k_hypotheses(pair, gen, patches)
-        detail["patch_cycles"] = len(patches)
-    else:
-        premises_hold = check_dp_hypotheses(pair, gen)
+    pair, premises_hold, detail = _box_premises(box, augmentation, row.patched)
     return _BoxSetting(pair.g, pair.g.vertex_count, sum(1 << v for v in box_shell(pair.g)),
                        tuple(getattr(pair, name) for name in row.roles), premises_hold, detail)
 

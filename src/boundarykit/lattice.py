@@ -22,6 +22,15 @@ is exactly what routing through the apex models.  It is the model, not
 the engine: campaigns and reports keep the apex out of every graph and
 flood from the surface instead (``boundary._report_masks``), and the
 tests judge that rule against reports on the apexed graphs.
+
+The dp/k premises of a box pair are judged on lane masks
+(``_box_premises``): for each step, the mask of the base vertices where a
+unit face or a patch cycle fits, checked against the plans' shift masks
+one fact at a time for every lane at once, and a triangular certificate
+that the faces span.  ``basic_four_cycles``, ``four_cycle_gen`` and
+``extra_edge_patches`` build the same generators as edge vectors, for the
+crossing lemma and for the public checkers that the tests judge the lane
+judge against.
 """
 
 from __future__ import annotations
@@ -29,12 +38,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import Dict, List, Sequence, Tuple
 
-from .cyclespace import CycleGen, EdgeVector
+from .cyclespace import (CycleGen, EdgeVector, _forward_echelon, _triangular_rank,
+                         cycle_space_rank)
 from .errors import InputError
-from .graphs import Graph, GraphPair, _is_id
+from .graphs import Graph, GraphPair, _is_id, _neighbourhood_plan
 
 # How many coordinates one step of each flavor may change; None: all d.
 _REACH = {"plain": 1, "star": None, "plus": 2}
@@ -104,15 +114,20 @@ def build_box(spec: BoxSpec) -> Graph:
     reach = _REACH[spec.flavor] or d
     labels = [coord[::-1] for coord in product(range(1, n + 1), repeat=d)]
     edges = []
-    for move in product((-1, 0, 1), repeat=d):
-        moved = [m for m in move if m]
-        if moved and len(moved) <= reach and moved[-1] == 1:
-            ids = [0]
-            for i, m in enumerate(move):        # coordinate c + 1 in 1 + (m < 0)..n − (m > 0)
-                ids = [v + c * n ** i for c in range(m < 0, n - (m > 0)) for v in ids]
-            delta = sum(m * n ** i for i, m in enumerate(move))
-            edges += [(v, v + delta) for v in ids]
-    return Graph(len(labels), edges, labels=labels)
+    for move in _raising_moves(d, reach):
+        ids = [0]
+        for i, m in enumerate(move):            # coordinate c + 1 in 1 + (m < 0)..n − (m > 0)
+            ids = [v + c * n ** i for c in range(m < 0, n - (m > 0)) for v in ids]
+        delta = sum(m * n ** i for i, m in enumerate(move))
+        edges += [(v, v + delta) for v in ids]
+    return Graph.__new__(Graph)._build(len(labels), edges, tuple(labels))
+
+
+def _raising_moves(d: int, reach: int) -> list:
+    """The steps in {−1, 0, 1}^d that change 1..``reach`` coordinates, the
+    highest changed one by +1: each joins a vertex to a larger id."""
+    return [move for move in product((-1, 0, 1), repeat=d)
+            if 0 < d - move.count(0) <= reach and [m for m in move if m][-1] == 1]
 
 
 def build_box_pair(base: BoxSpec, plus_flavor: str) -> GraphPair:
@@ -206,6 +221,69 @@ def _patch_cycles(pair: GraphPair, edges) -> Dict[Tuple[int, int], EdgeVector]:
             cur += step
         out[u, v] = EdgeVector(g_plus, bits)
     return out
+
+
+def _box_premises(spec: BoxSpec, augmentation: str, patched: bool) -> Tuple[GraphPair, bool, dict]:
+    """The pair of the plain box ``spec`` and its ``augmentation``, its
+    premise verdict and its premise report fields: the augmentation, the
+    unit-face count and, when ``patched``, the patch-cycle count.  They
+    come from one bit-parallel judge on the box's strides.
+
+    A generator is a lane mask, the base vertices u where it fits, and a
+    walk, its vertices as id offsets from u.  A unit face of the axes i < j
+    walks 0, n^i, n^i + n^j, n^j.  A patch cycle walks the steps of its
+    move by signed axis rank, as ``cube_patch_cycle`` says, and its lanes
+    are the move's augmentation-only edges; its walk and lanes are taken
+    from its lowest vertex.  Moves are keyed by their coordinates: on side
+    2, (1, 0) and (−1, 1) share the id difference 1.  ``_lanes_hold``
+    checks each fact in one int op for every lane against the plans' shift
+    masks.  The lane popcounts give the counts, and the patch lanes must
+    cover every augmentation-only edge.  The faces span when
+    ``_triangular_rank``, taking them by lowest corner, then by plane, with
+    edge (x, x + n^i) keyed x·d + i, reaches the cycle rank; when it falls
+    short, the echelon decides."""
+    if spec.d < 2:
+        raise InputError("a one-dimensional box has a trivial cycle space")
+    pair = build_box_pair(spec, augmentation)
+    n, d = spec.side, spec.d
+    low, up = (dict(_neighbourhood_plan(g).shifts) for g in (pair.g, pair.g_plus))
+    gens = []
+    for move in _raising_moves(d, d if patched else 2):    # dp needs only the faces
+        lanes = 1                       # each coordinate in the range the move leaves it
+        for i, m in enumerate(move):
+            lanes = sum(lanes << c * n ** i for c in range(m < 0, n - (m > 0)))
+        # the walk by signed axis rank, as offsets from its lowest vertex; u is walk[0]
+        steps = [s for _, s in sorted((m * (i + 1), m * n ** i) for i, m in enumerate(move) if m)]
+        walk = list(accumulate([-sum(s for s in steps if s < 0)] + steps))
+        if sorted(move) == [0] * (d - 2) + [1, 1]:     # a unit face: 0, n^i, n^i + n^j, n^j
+            gens.append((lanes, walk + [walk[2] - walk[1]], True))
+        if patched:
+            lanes &= up.get(walk[-1] - walk[0], 0) & ~low.get(walk[-1] - walk[0], 0)
+            gens.append((lanes >> walk[0], walk, False))
+    faces, patches = (sum(f.bit_count() for f, _, face in gens if face == k) for k in (1, 0))
+    keyed = [(u * d, 1 << i | 1 << j | 1 << n ** i * d + j | 1 << n ** j * d + i) for u, c
+             in enumerate(pair.g.labels) for i, j in combinations(range(d), 2) if c[i] < n > c[j]]
+    rank = cycle_space_rank(pair.g)
+    holds = (all(_lanes_hold(*gen, low, up) for gen in gens)
+             and (not patched or patches == pair.g_plus.edge_count - pair.g.edge_count)
+             and (_triangular_rank(keyed) == rank
+                  or len(_forward_echelon([bits << at for at, bits in keyed])) == rank))
+    return pair, holds, {"augmentation": augmentation, "generators": faces,
+                         **({"patch_cycles": patches} if patched else {})}
+
+
+def _lanes_hold(lanes: int, walk: List[int], closed: bool, low: dict, up: dict) -> bool:
+    """Whether, at every lane u, each step of the walk u + ``walk`` (and
+    the one back to its start when ``closed``) is an edge of G and every
+    pair of its vertices is an edge of G⁺; ``low`` and ``up`` map an id
+    difference to the shift mask of G's and of G⁺'s plan.  Edge
+    (u + a, u + b), a < b, exists at every lane when
+    ``(lanes << a) & ~low[b − a]`` is 0.  Distinct offsets make distinct
+    vertices, and two equal ones fail the pair test, as no plan has a
+    shift 0."""
+    steps = zip(walk, walk[1:] + walk[:closed])
+    return not (any(lanes << min(a, b) & ~low.get(abs(a - b), 0) for a, b in steps)
+                or any(lanes << a & ~up.get(b - a, 0) for a, b in combinations(sorted(walk), 2)))
 
 
 def _require_box_labels(g: Graph) -> None:

@@ -116,6 +116,10 @@ CONTROLS = [
      1, (108, None), "18ad11159d9757d226dd353e695efaa20823475164222ddbb768ae2b4afbf9cf"),
     ("hyp-k-plain-adjacency", "hypotheses k --box z3:5:plain --gplus plain",
      1, (240, 0), "41a3d4d6040031b0533223508a866d092abc8c2f475c25695f7a744c9f0c8f21"),
+    # side 2, where moves share id differences: (1, 0, 0), (−1, 1, 0) and
+    # (−1, −1, 1) all differ by 1, and each keeps its own patch cycles
+    ("hyp-k-side2", "hypotheses k --box z3:2:plain",
+     0, (6, 16), "bc0b64950608c65051221ea98806bf11690bad3b5c98ef34bb48c275bde72fe3"),
     # the enumerator's listing, whose order failure-record trial indices rest on
     ("enumerate", "enumerate --box z3:5:plain --max-size 4 --margin 1",
      0, 6928, "7014d376dee5ec4484e14f8fa2a7fdf73092279007b52bc1541f741b78bebf7a"),

@@ -1327,6 +1327,7 @@ def test_a_passing_apex_campaign_builds_only_what_it_reads(monkeypatch, theorem,
     shapes grow in, and its shape pass builds one box, that graph, of
     side 2·min(w, max size) − 1."""
     import boundarykit.harness as harness
+    import boundarykit.lattice as lattice
     augmentation = harness._augmentation(theorem, box, None, None)
     setting = harness._box_setting(theorem, box, augmentation)     # the set-up, untested here
     plan, build, planned, built = harness._neighbourhood_plan, harness.build_box, [], []
@@ -1336,7 +1337,7 @@ def test_a_passing_apex_campaign_builds_only_what_it_reads(monkeypatch, theorem,
 
     monkeypatch.setattr(harness, "_neighbourhood_plan", lambda g: planned.append(g) or plan(g))
     monkeypatch.setattr(harness, "build_box", lambda spec: built.append(spec) or build(spec))
-    monkeypatch.setattr(harness, "build_box_pair", no_pair)
+    monkeypatch.setattr(lattice, "build_box_pair", no_pair)     # the set-up builds the pair
     rep = run_verification(TrialConfig(theorem=theorem, box=box, max_size=max_size))
     assert rep.passed and rep.trials_run > 0
     assert built == [BoxSpec(box.d, 2 * min(box.side - 2, max_size) - 1, flavor)]
