@@ -78,26 +78,23 @@ campaigns; and on drawn masks and observers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import InputError
-from .graphs import (Graph, _members, _neighbourhood_plan, _vertex_json,
+from .graphs import (Graph, _members, _neighbourhood_plan, _Record, _vertex_json,
                      vertexset_to_json)
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
+class BoundaryReport(_Record):
     """Boundary sets of one (c, x) instance plus the connectivity verdict of
     the visible set inside a probe graph."""
 
-    boundary: frozenset
-    visible: frozenset
-    outer_visible: frozenset
-    component_count: int
-    witness_disconnect: Optional[Tuple[int, int]]
+    __slots__ = _fields = ("boundary", "visible", "outer_visible", "component_count",
+                           "witness_disconnect")
 
-    def __post_init__(self):
+    def __init__(self, boundary: frozenset, visible: frozenset, outer_visible: frozenset,
+                 component_count: int, witness_disconnect: Optional[Tuple[int, int]]):
+        self._set(boundary, visible, outer_visible, component_count, witness_disconnect)
         if not self.outer_visible <= self.visible <= self.boundary:
             raise InputError("report sets must nest: outer_visible ⊆ visible ⊆ boundary")
         if self.component_count < 1:

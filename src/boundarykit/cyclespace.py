@@ -337,6 +337,7 @@ def crossing_cycle_witness(g: Graph, gen: CycleGen, s1: frozenset,
         raise InputError("x and y must differ")
     if x in s or y in s:
         raise InputError("x and y must avoid the cutset")
+    gen._echelon()      # decompose needs it; built first, it gives the span check its rank
     if not is_generating(gen, g):
         raise InputError("the generating set does not span the cycle space")
     side = _minimal_side(g, s, x, frozenset({y}))     # x's side of g minus s

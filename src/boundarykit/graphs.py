@@ -26,7 +26,6 @@ layer judges its batches of dp/k instances on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -177,15 +176,54 @@ class Graph:
         return f"Graph(|V|={self.vertex_count}, |E|={len(self.edges)})"
 
 
-@dataclass(frozen=True)
-class GraphPair:
+class _Record:
+    """Base of the package's immutable records.  A record's fields are its
+    ``_fields``, also its ``__slots__``, set once by ``_set`` in its
+    ``__init__``, which then validates them.  Records are equal when their
+    types are the same and their fields are equal, hash as their field
+    tuple, and print as ``Name(field=value, …)``.  Assignment and deletion
+    raise AttributeError.  ``pickle`` and ``copy`` rebuild a record
+    through its ``__init__``, so the copy is validated again."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class GraphPair(_Record):
     """Two graphs on the same vertex set with ``g``'s edges contained in
     ``g_plus``'s."""
 
-    g: Graph
-    g_plus: Graph
+    __slots__ = _fields = ("g", "g_plus")
 
-    def __post_init__(self):
+    def __init__(self, g: Graph, g_plus: Graph):
+        self._set(g, g_plus)
         if self.g.vertex_count != self.g_plus.vertex_count:
             raise InputError("pair graphs must share the vertex set")
         if self.g.labels != self.g_plus.labels:

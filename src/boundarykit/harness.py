@@ -81,10 +81,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import filterfalse, islice
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .boundary import _failing_batch, _packed, _report, _report_masks, report_to_json
 from .cyclespace import (CycleGen, EdgeVector, _is_clique,
@@ -92,7 +91,7 @@ from .cyclespace import (CycleGen, EdgeVector, _is_clique,
                          is_generating)
 from .errors import InputError
 from .graphs import (Graph, GraphPair, _bit_ids, _is_id, _members, _neighbourhood_plan,
-                     _vertex_json, component_of, vertexset_to_json)
+                     _Record, _vertex_json, component_of, vertexset_to_json)
 from .lattice import (FLAVORS, BoxSpec, _box_premises, box_shell, build_box,
                       four_cycle_gen, margin_interior)
 
@@ -334,8 +333,7 @@ def check_k_hypotheses(pair: GraphPair, gen: CycleGen,
 
 # --- the two boundary statements -------------------------------------------
 
-@dataclass(frozen=True)
-class _Theorem:
+class _Theorem(NamedTuple):
     """How a boundary statement uses a plain box ``g`` and its augmentation
     ``g_plus``; graph roles name an attribute of the pair.  Each statement
     takes its subsets connected in its adjacency graph, ``roles[1]``: the
@@ -384,8 +382,7 @@ def _augmentation(theorem: str, box: BoxSpec, probe: Optional[str],
     return row and (overrides[row.override] or row.augmentation)
 
 
-@dataclass(frozen=True)
-class _BoxSetting:
+class _BoxSetting(NamedTuple):
     """Everything a dp/k campaign needs that depends only on the box."""
 
     box: Graph                          # the plain box
@@ -406,8 +403,7 @@ def _box_setting(theorem: str, box: BoxSpec, augmentation: str) -> _BoxSetting:
 
 # --- campaign configuration ------------------------------------------------
 
-@dataclass(frozen=True)
-class TrialConfig:
+class TrialConfig(_Record):
     """One verification campaign, fully determined by its fields.
 
     ``box`` must be a plain box spec; the augmentation of a dp or k
@@ -428,19 +424,15 @@ class TrialConfig:
     ``x_vertex`` must be ints; bools and floats are refused.
     """
 
-    theorem: str
-    box: BoxSpec
-    mode: str = "exhaustive"
-    max_size: int = 6
-    trials: int = 1000
-    seed: int = 0
-    margin: int = 2
-    x_policy: str = "apex"
-    x_vertex: Optional[int] = None
-    probe: Optional[str] = None
-    g_prime: Optional[str] = None
+    __slots__ = _fields = ("theorem", "box", "mode", "max_size", "trials", "seed",
+                           "margin", "x_policy", "x_vertex", "probe", "g_prime")
 
-    def __post_init__(self):
+    def __init__(self, theorem: str, box: BoxSpec, mode: str = "exhaustive",
+                 max_size: int = 6, trials: int = 1000, seed: int = 0, margin: int = 2,
+                 x_policy: str = "apex", x_vertex: Optional[int] = None,
+                 probe: Optional[str] = None, g_prime: Optional[str] = None):
+        self._set(theorem, box, mode, max_size, trials, seed, margin, x_policy,
+                  x_vertex, probe, g_prime)
         if self.theorem not in THEOREMS:
             raise InputError(f"theorem must be one of {THEOREMS}, got {self.theorem!r}")
         if self.mode not in MODES:
@@ -481,19 +473,21 @@ class TrialConfig:
         _augmentation(self.theorem, self.box, self.probe, self.g_prime)
 
     def echo(self) -> dict:
-        """The fields as a JSON-ready dict, the box as its spec string."""
-        return {**asdict(self), "box": str(self.box)}
+        """The fields as a JSON-ready dict in field order, the box as its
+        spec string."""
+        return dict(zip(self._fields, self._values()), box=str(self.box))
 
 
-@dataclass
 class VerifyReport:
     """Outcome of one campaign; failures carry full replay data."""
 
-    config: dict
-    trials_run: int
-    failures: List[dict]
-    trial_seeds: List[str]
-    elapsed: float
+    def __init__(self, config: dict, trials_run: int, failures: List[dict],
+                 trial_seeds: List[str], elapsed: float):
+        self.config = config
+        self.trials_run = trials_run
+        self.failures = failures
+        self.trial_seeds = trial_seeds
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:

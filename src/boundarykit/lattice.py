@@ -36,7 +36,7 @@ judge against.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import sys
 from functools import lru_cache
 from itertools import accumulate, combinations, product
 from typing import Dict, List, Sequence, Tuple
@@ -44,7 +44,7 @@ from typing import Dict, List, Sequence, Tuple
 from .cyclespace import (CycleGen, EdgeVector, _forward_echelon, _triangular_rank,
                          cycle_space_rank)
 from .errors import InputError
-from .graphs import Graph, GraphPair, _is_id, _neighbourhood_plan
+from .graphs import Graph, GraphPair, _is_id, _neighbourhood_plan, _Record
 
 # How many coordinates one step of each flavor may change; None: all d.
 _REACH = {"plain": 1, "star": None, "plus": 2}
@@ -58,15 +58,13 @@ FLAVORS = tuple(_REACH)
 MAX_BOX_VERTICES = 32_768
 
 
-@dataclass(frozen=True)
-class BoxSpec:
+class BoxSpec(_Record):
     """Shape and flavor of a lattice box: {1,…,side}^d."""
 
-    d: int
-    side: int
-    flavor: str
+    __slots__ = _fields = ("d", "side", "flavor")
 
-    def __post_init__(self):
+    def __init__(self, d: int, side: int, flavor: str):
+        self._set(d, side, flavor)
         for name in ("d", "side"):
             if not _is_id(getattr(self, name)):
                 raise InputError(f"{name} must be an int, got {getattr(self, name)!r}")
@@ -78,7 +76,10 @@ class BoxSpec:
             raise InputError(f"flavor must be one of {FLAVORS}, got {self.flavor!r}")
         if self.flavor == "plus" and self.d < 2:
             raise InputError("plus flavor needs d ≥ 2 (no 2-faces in one dimension)")
-        if self.side ** self.d > MAX_BOX_VERTICES:
+        # side^d ≥ 2^d > MAX_BOX_VERTICES once d reaches its bit length:
+        # such a box is refused before the power builds a huge int
+        if self.side > 1 and (self.d >= MAX_BOX_VERTICES.bit_length()
+                              or self.side ** self.d > MAX_BOX_VERTICES):
             raise InputError(f"box with {self.side}^{self.d} vertices exceeds the id-space "
                              f"guard of {MAX_BOX_VERTICES} vertices")
 
@@ -94,7 +95,12 @@ def parse_box_spec(text: str) -> BoxSpec:
     m = _SPEC_RE.match(text.strip())
     if not m:
         raise InputError(f"bad box spec {text!r}; expected z{{d}}:{{n}}:{{plain|star|plus}}")
-    return BoxSpec(int(m.group(1)), int(m.group(2)), m.group(3))
+    try:
+        d, side = int(m.group(1)), int(m.group(2))
+    except ValueError:      # more digits than int() converts
+        raise InputError(f"box spec numbers must have at most "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+    return BoxSpec(d, side, m.group(3))
 
 
 @lru_cache(maxsize=None)

@@ -350,6 +350,16 @@ def test_a_fixed_observer_record_at_margin_2_sees_round_the_outside(capsys):
         k: v for k, v in record["report"].items() if k != "outer_visible"}
 
 
+@pytest.mark.parametrize("box", ["z2:" + "9" * 5000 + ":plain", "z3000000:3000000:plain"],
+                         ids=["long-number", "huge-power"])
+def test_verify_refuses_an_oversized_box_spec(capsys, box):
+    """A number past int()'s digit limit once ended in a ValueError
+    traceback and exit 1; both boxes are bad input: exit 2, one line."""
+    code, out, err = run_cli(capsys, "verify", "dp", "--box", box, "--max-size", "3")
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert err.count("\n") == 1 and ("digits" in err or "id-space guard" in err)
+
+
 def test_verify_negative_control_exits_one(capsys):
     code, out, err = run_cli(capsys, "verify", "dp", "--box", "z2:5:plain",
                              "--max-size", "2", "--probe", "plain",

@@ -4,12 +4,11 @@ import hashlib
 import json
 import re
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundarykit import (BoxSpec, CycleGen, EdgeVector, InputError,
+from boundarykit import (BoundaryReport, BoxSpec, CycleGen, EdgeVector, InputError,
                          TrialConfig, attach_apex, build_box, build_box_pair,
                          check_dp_hypotheses, check_k_hypotheses,
                          cube_patch_cycle, enumerate_connected_subsets,
@@ -749,7 +748,8 @@ def test_fixed_subset_must_stay_inside_the_margin():
         with pytest.raises(InputError, match="inside margin 2 \\(CLI: --margin\\)"):
             run_verification(cfg, fixed_c=edge_hugger)
         with pytest.raises(InputError, match="inside margin 100 \\(CLI: --margin\\)"):
-            run_verification(replace(cfg, margin=100), fixed_c=centre)
+            run_verification(TrialConfig(theorem="dp", box=box, margin=100, **policy),
+                             fixed_c=centre)
 
 
 @pytest.mark.parametrize("policy", [
@@ -1029,7 +1029,9 @@ def test_fixed_observers_at_margin_2_judge_alike_with_and_without_the_apex(theor
             apexed_rep, box_rep = (full_report(*roles, c, x)
                                    for roles in (apexed_graphs, setting.roles))
             assert apexed_rep.outer_visible >= box_rep.outer_visible
-            assert replace(apexed_rep, outer_visible=box_rep.outer_visible) == box_rep
+            assert BoundaryReport(apexed_rep.boundary, apexed_rep.visible,
+                                  box_rep.outer_visible, apexed_rep.component_count,
+                                  apexed_rep.witness_disconnect) == box_rep
         failing_observers += failing.bit_count()
     assert (failing_observers > 0) == (override is not None)
 

@@ -1,6 +1,8 @@
 """Lattice boxes, flavors, unit-face cycles, patch cycles, apex, margins."""
 
 import re
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +55,26 @@ def test_box_spec_validation():
     for d, side in [(True, 3), (2, True), (2.0, 3), (2, 3.0), ("2", 3)]:
         with pytest.raises(InputError, match="must be an int"):
             BoxSpec(d, side, "plain")
+
+
+def test_box_spec_guard_refuses_a_huge_box_without_its_power():
+    """3,000,000^3,000,000 has 19 million digits and took about 20 s to
+    build; the guard now refuses any side ≥ 2 with d ≥ 16 first."""
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="^box with 3000000\\^3000000 vertices exceeds "
+                                         "the id-space guard of 32768 vertices$"):
+        BoxSpec(3_000_000, 3_000_000, "plain")
+    assert time.perf_counter() - start < 0.5
+    assert BoxSpec(3_000_000, 1, "plain").side == 1      # one vertex in any dimension
+
+
+def test_parse_box_spec_refuses_numbers_int_cannot_read():
+    limit = sys.get_int_max_str_digits()        # 4300 by default
+    nines = "9" * (limit + 1)
+    for text in (f"z2:{nines}:plain", f"z{nines}:2:plain"):
+        with pytest.raises(InputError,
+                           match=f"^box spec numbers must have at most {limit} digits$"):
+            parse_box_spec(text)
 
 
 # --- box construction ------------------------------------------------------------
