@@ -81,8 +81,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from .errors import InputError
-from .graphs import (Graph, _members, _neighbourhood_plan, _Record, _vertex_json,
-                     vertexset_to_json)
+from .graphs import Graph, _mask_json, _members, _neighbourhood_plan, _Record, _vertex_json
 
 
 class BoundaryReport(_Record):
@@ -161,14 +160,21 @@ def _report_masks(trav, adj, cm: int, x: int, surface: int = 0) -> tuple:
     return boundary, visible, visible & (trav.expand(region | xm) | glued | xm)
 
 
-def _report(trav, adj, probe, cm: int, x: int, surface: int = 0) -> BoundaryReport:
-    """``_report_masks`` as a report, with the probe components of the
-    visible boundary."""
+def _report_fields(trav, adj, probe, cm: int, x: int, surface: int = 0) -> tuple:
+    """``_report_masks`` and the probe components of the visible boundary:
+    a ``BoundaryReport``'s fields, each vertex set a mask."""
     boundary, visible, outer_visible = _report_masks(trav, adj, cm, x, surface)
     comps = probe.components(visible)
     witness = tuple((m & -m).bit_length() - 1 for m in comps[:2]) if len(comps) > 1 else None
+    return boundary, visible, outer_visible, max(len(comps), 1), witness
+
+
+def _report(trav, adj, probe, cm: int, x: int, surface: int = 0) -> BoundaryReport:
+    """``_report_fields`` as a report."""
+    boundary, visible, outer_visible, count, witness = _report_fields(trav, adj, probe, cm,
+                                                                      x, surface)
     return BoundaryReport(_members(boundary), _members(visible), _members(outer_visible),
-                          max(len(comps), 1), witness)
+                          count, witness)
 
 
 def _failing_batch(trav, adj, probe, width: int, shapes, sources: int) -> tuple:
@@ -289,12 +295,21 @@ def full_report(g: Graph, g_prime: Graph, probe: Graph, c: frozenset,
 def report_to_json(report: BoundaryReport, g: Graph) -> dict:
     """Serialize a report; vertex sets become sorted coordinate tuples when
     the graph is labeled, sorted ids otherwise."""
+    mask = _neighbourhood_plan(g).mask              # range-checks the ids
+    return _report_json(g, mask(report.boundary), mask(report.visible),
+                        mask(report.outer_visible), report.component_count,
+                        report.witness_disconnect)
+
+
+def _report_json(g: Graph, boundary: int, visible: int, outer_visible: int,
+                 component_count: int, witness: Optional[Tuple[int, int]]) -> dict:
+    """``report_to_json`` of a report given by ``_report_fields``."""
     out = {
-        "boundary": vertexset_to_json(g, report.boundary),
-        "visible": vertexset_to_json(g, report.visible),
-        "outer_visible": vertexset_to_json(g, report.outer_visible),
-        "components": report.component_count,
+        "boundary": _mask_json(g, boundary),
+        "visible": _mask_json(g, visible),
+        "outer_visible": _mask_json(g, outer_visible),
+        "components": component_count,
     }
-    if report.witness_disconnect is not None:
-        out["witness"] = [_vertex_json(g, v) for v in report.witness_disconnect]
+    if witness is not None:
+        out["witness"] = [_vertex_json(g, v) for v in witness]
     return out

@@ -480,8 +480,16 @@ def _vertex_json(g: Graph, v: int):
 def vertexset_to_json(g: Graph, s: frozenset) -> list:
     """Serialize a vertex set: sorted coordinate tuples for labeled graphs,
     sorted ids otherwise."""
-    _neighbourhood_plan(g).mask(s)                 # range-checks the ids
-    return sorted([_vertex_json(g, v) for v in s])
+    return _mask_json(g, _neighbourhood_plan(g).mask(s))     # mask range-checks the ids
+
+
+def _mask_json(g: Graph, m: int) -> list:
+    """``vertexset_to_json`` of the vertices of ``m``, a mask of ``g``'s ids."""
+    ids = _bit_ids(m)                               # ascending
+    if g.labels is None:
+        return ids
+    labels = g.labels
+    return [list(lab) for lab in sorted([labels[v] for v in ids])]
 
 
 def vertexset_from_json(g: Graph, data: list) -> frozenset:

@@ -22,8 +22,9 @@ margin interior under every policy.  Why the surface then stands for the
 outside, in verdicts and in failure records, is argued once, in
 ``boundary._report_masks``; a ``fixed`` campaign below margin 2 reports
 on the box itself.  A margin that leaves no room for subsets is refused,
-in exhaustive as in random mode, rather than passing with no trials; so
-is a campaign in which every subset holds the fixed observer.
+in exhaustive as in random mode, rather than passing with no trials, and
+before the box set-up, whose cost grows as 3^d even at side 1; so is a
+campaign in which every subset holds the fixed observer.
 
 A dp/k campaign gives each subset an observer mask: the apex, the fixed
 vertex unless the subset holds it, or, under ``all-outside``, every
@@ -49,8 +50,11 @@ other round that settles none is an error, not a loop.
 
 An exhaustive ``apex`` campaign first judges each translation class
 once: ``_apex_shapes`` lists the shapes, carrying each shape's campaign
-mask and axis occupancy on the Redelmeier stack, one OR per added cell,
-so listing a shape costs O(d) int operations beyond its growth step.
+mask and axis occupancy on the Redelmeier stack, one OR per added cell.
+It decodes each distinct occupancy into the shape's lowest placement and
+placement count once per pass (90 occupancies for the 3,790 shapes of
+z2:9, size ≤ 8), so listing a shape costs one AND and one dict lookup
+beyond its growth step.
 The batch judge takes one shape per copy (z2:9, size ≤ 8: 3,790 shapes
 in 10 batches for 61,167 trials), and the campaign counts their
 translates.  Only once a shape fails does it walk every subset, judging
@@ -85,13 +89,14 @@ from functools import lru_cache
 from itertools import filterfalse, islice
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .boundary import _failing_batch, _packed, _report, _report_masks, report_to_json
+from .boundary import _failing_batch, _packed, _report_fields, _report_json, _report_masks
 from .cyclespace import (CycleGen, EdgeVector, _is_clique,
                          crossing_cycle_witness, fundamental_basis,
                          is_generating)
 from .errors import InputError
-from .graphs import (Graph, GraphPair, _bit_ids, _is_id, _members, _neighbourhood_plan,
-                     _Record, _vertex_json, component_of, vertexset_to_json)
+from .graphs import (Graph, GraphPair, _bit_ids, _is_id, _mask_json, _members,
+                     _neighbourhood_plan, _Record, _vertex_json, component_of,
+                     vertexset_to_json)
 from .lattice import (FLAVORS, BoxSpec, _box_premises, box_shell, build_box,
                       four_cycle_gen, margin_interior)
 
@@ -600,6 +605,11 @@ def _apex_shapes(cfg: TrialConfig, augmentation: str) -> Iterator[Tuple[int, int
     bit ``i·side + c_i − 1`` per coordinate (the shape's occupancy of each axis),
     then a flag bit set on the root only, which ends the pass with the root's
     shapes, then the vertex's campaign-box bit, each coordinate up by margin − 1.
+    The shift to the lowest placement and the placement count read only the
+    occupancy fields, so the pass decodes them once per distinct value of
+    those fields and the flag, in ``fits``, and a shape whose key is there
+    costs one AND and one lookup; a key without the flag is never stored, so
+    it ends the pass at its first sight.
 
     A shape is a translation class of the campaign's subsets, keyed by the
     mask shifted down to its lowest id.  Translation keeps id order, so the
@@ -634,44 +644,48 @@ def _apex_shapes(cfg: TrialConfig, augmentation: str) -> Iterator[Tuple[int, int
     tags = [sum(1 << i * side + c - 1 for i, c in enumerate(lab)) | (v == root) << flag
             | 2 << flag + sum((c + margin - 2) * k for c, k in zip(lab, strides))
             for v, lab in enumerate(host.labels)]
+    occupancy, fits = (2 << flag) - 1, {}     # the axis fields and the root flag
     for packed in _connected_masks(host, cfg.max_size, (1 << s * side ** (d - 1)) - (1 << root),
                                    tags):
-        if not packed >> flag & 1:
-            return
-        axes, shift, placements = packed, flag + 1, 1
-        for k in strides:
-            axis, axes = axes & axis_bits, axes >> side
-            low = (axis & -axis).bit_length() - 1
-            placements *= max(w - axis.bit_length() + 1 + low, 0)     # w − span
-            shift += low * k
-        if placements:
-            yield packed >> shift, placements
+        key = packed & occupancy
+        fit = fits.get(key)
+        if fit is None:
+            if not key >> flag & 1:
+                return
+            axes, shift, placements = key, flag + 1, 1
+            for k in strides:
+                axis, axes = axes & axis_bits, axes >> side
+                low = (axis & -axis).bit_length() - 1
+                placements *= max(w - axis.bit_length() + 1 + low, 0)     # w − span
+                shift += low * k
+            fit = fits[key] = shift, placements
+        if fit[1]:
+            yield packed >> fit[0], fit[1]
 
 
 def _failure_record(setting: _BoxSetting, surface: int, trial: int,
                     seed_str: Optional[str], cm: int, x: int) -> dict:
     plans = [_neighbourhood_plan(g) for g in setting.roles]
-    rep = _report(*plans, cm, x, surface)
     return {
         "trial": trial,
         "seed": seed_str,
         "kind": "disconnected-visible-boundary",
-        "c": vertexset_to_json(setting.box, _members(cm)),
+        "c": _mask_json(setting.box, cm),
         "x": "apex" if x == setting.apex else _vertex_json(setting.box, x),
-        "report": report_to_json(rep, setting.box),
+        "report": _report_json(setting.box, *_report_fields(*plans, cm, x, surface)),
     }
 
 
 def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
                            fixed_c: Optional[frozenset]):
     augmentation = _augmentation(cfg.theorem, cfg.box, cfg.probe, cfg.g_prime)
+    if fixed_c is None and 2 * cfg.margin >= cfg.box.side + 2:     # an empty interior
+        raise InputError(f"margin {cfg.margin} leaves no room for subsets in {cfg.box}")
     setting = _box_setting(cfg.theorem, cfg.box, augmentation)
     if not setting.premises_hold and not skip_hypotheses:
         raise InputError(
             "theorem premises fail for this configuration; "
             "pass skip_hypotheses (CLI: --skip-hypotheses) to run it as a negative control")
-    if fixed_c is None and 2 * cfg.margin >= cfg.box.side + 2:     # an empty interior
-        raise InputError(f"margin {cfg.margin} leaves no room for subsets in {cfg.box}")
     apex = width = setting.apex                 # the apex's id, the box's vertex count
     copies = max(1, _TILE_BITS // width)
     tiles = [_neighbourhood_plan(g).tiled(copies) for g in setting.roles]

@@ -644,18 +644,25 @@ def test_dp_exhaustive_small_box_passes():
     assert "elapsed" in data and "elapsed" not in rep.to_json(include_elapsed=False)
 
 
-@pytest.mark.parametrize("policy, message", [
-    ({}, "leaves no room"),
-    ({"x_policy": "all-outside"}, "leaves no room"),
-    ({"x_policy": "fixed", "x_vertex": 0}, "leaves no room"),
-    ({"mode": "random", "trials": 5}, "leaves no room"),
-], ids=["apex", "all-outside", "fixed", "random"])
-def test_a_margin_without_room_is_refused(policy, message):
-    """z2:4 has no vertex 3 steps from its surface, so no campaign there
-    may pass with no trials; the campaign's checks run before any subset."""
-    cfg = TrialConfig(theorem="dp", box=BoxSpec(2, 4, "plain"), margin=3,
-                      max_size=3, **policy)
-    with pytest.raises(InputError, match=message):
+@pytest.mark.parametrize("box, policy", [
+    (BoxSpec(2, 4, "plain"), {"margin": 3}),
+    (BoxSpec(2, 4, "plain"), {"margin": 3, "x_policy": "all-outside"}),
+    (BoxSpec(2, 4, "plain"), {"margin": 3, "x_policy": "fixed", "x_vertex": 0}),
+    (BoxSpec(2, 4, "plain"), {"margin": 3, "mode": "random", "trials": 5}),
+    (BoxSpec(14, 1, "plain"), {}),
+], ids=["apex", "all-outside", "fixed", "random", "z14-side1"])
+def test_a_margin_without_room_is_refused(monkeypatch, box, policy):
+    """z2:4 has no vertex 3 steps from its surface, and z14:1 none 2 steps
+    from it, so no campaign there may pass with no trials.  The campaign
+    refuses before its box set-up, which on z14:1 would list 3^14 moves."""
+    import boundarykit.harness as harness
+
+    def no_setup(*args):
+        raise AssertionError("the box set-up ran for a margin without room")
+
+    monkeypatch.setattr(harness, "_box_setting", no_setup)
+    cfg = TrialConfig(theorem="dp", box=box, max_size=3, **policy)
+    with pytest.raises(InputError, match="leaves no room"):
         run_verification(cfg)
 
 
@@ -1209,9 +1216,23 @@ def _translation_classes(box, flavor, margin, max_size):
 
 def _assert_shapes_are_the_classes(cfg, augmentation, classes):
     """The shape source lists each class of size ≤ ``cfg.max_size`` once,
-    at its lowest translate, with its number of translates."""
+    at its lowest translate, with its number of translates.  The first
+    packed value without the root flag ends the pass: it takes no growth
+    from the other roots, whose subsets it would skip one by one."""
     import boundarykit.harness as harness
-    shapes = list(harness._apex_shapes(cfg, augmentation))
+    w = cfg.box.side + 2 - 2 * cfg.margin
+    flag = cfg.box.d * (2 * min(w, cfg.max_size) - 1)
+    grow, flagless = harness._connected_masks, []
+
+    def growth(*args):
+        for packed in grow(*args):
+            flagless.append(not packed >> flag & 1)
+            yield packed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_connected_masks", growth)
+        shapes = list(harness._apex_shapes(cfg, augmentation))
+    assert sum(flagless) <= 1
     got = {_shape_key(cm): (cm, placements) for cm, placements in shapes}
     assert len(got) == len(shapes)
     assert got == {key: v for key, v in classes.items() if key.bit_count() <= cfg.max_size}
