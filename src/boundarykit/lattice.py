@@ -27,10 +27,9 @@ The dp/k premises of a box pair are judged on lane masks
 (``_box_premises``): for each step, the mask of the base vertices where a
 unit face or a patch cycle fits, checked against the plans' shift masks
 one fact at a time for every lane at once, and a triangular certificate
-that the faces span.  ``basic_four_cycles``, ``four_cycle_gen`` and
-``extra_edge_patches`` build the same generators as edge vectors, for the
-crossing lemma and for the public checkers that the tests judge the lane
-judge against.
+that the faces span.  ``four_cycle_gen`` and ``extra_edge_patches``
+build the same generators as edge vectors, for the crossing lemma and for
+the public checkers that the tests judge the lane judge against.
 """
 
 from __future__ import annotations
@@ -39,7 +38,8 @@ import re
 import sys
 from functools import lru_cache
 from itertools import accumulate, combinations, product
-from typing import Dict, List, Sequence, Tuple
+from math import comb
+from typing import Dict, List, Tuple
 
 from .cyclespace import (CycleGen, EdgeVector, _forward_echelon, _triangular_rank,
                          cycle_space_rank)
@@ -55,6 +55,8 @@ FLAVORS = tuple(_REACH)
 # V vertices take about V²/16 bytes per plan (``boundary --x apex`` on
 # z2:181, 32,761 vertices, whose three roles share one plan, peaks at
 # 148 MiB RSS on Python 3.11).  Verification targets are far smaller.
+# A box graph takes about 300 bytes per edge (z3:32 star, 398,908 edges,
+# 120 MiB), so 16 edges per admitted vertex cap one near 150 MiB.
 MAX_BOX_VERTICES = 32_768
 
 
@@ -82,9 +84,21 @@ class BoxSpec(_Record):
                               or self.side ** self.d > MAX_BOX_VERTICES):
             raise InputError(f"box with {self.side}^{self.d} vertices exceeds the id-space "
                              f"guard of {MAX_BOX_VERTICES} vertices")
+        # past that guard d < 16 when side ≥ 2, and a side-1 box has no edge
+        if self.side > 1 and _edge_count(self) > 16 * MAX_BOX_VERTICES:
+            raise InputError(f"box {self} with {_edge_count(self)} edges exceeds the edge "
+                             f"guard of {16 * MAX_BOX_VERTICES} edges")
 
     def __str__(self) -> str:
         return f"z{self.d}:{self.side}:{self.flavor}"
+
+
+def _edge_count(spec: BoxSpec) -> int:
+    """The box's edges in closed form: C(d, k)·2^(k−1) id-raising moves
+    change k coordinates, and each fits at (n − 1)^k·n^(d−k) vertices."""
+    n, d = spec.side, spec.d
+    return sum(comb(d, k) * 2 ** (k - 1) * (n - 1) ** k * n ** (d - k)
+               for k in range(1, (_REACH[spec.flavor] or d) + 1))
 
 
 _SPEC_RE = re.compile(r"^z(\d+):(\d+):(plain|star|plus)$")
@@ -120,7 +134,7 @@ def build_box(spec: BoxSpec) -> Graph:
     reach = _REACH[spec.flavor] or d
     labels = [coord[::-1] for coord in product(range(1, n + 1), repeat=d)]
     edges = []
-    for move in _raising_moves(d, reach):
+    for move in _raising_moves(d, reach, n):
         ids = [0]
         for i, m in enumerate(move):            # coordinate c + 1 in 1 + (m < 0)..n − (m > 0)
             ids = [v + c * n ** i for c in range(m < 0, n - (m > 0)) for v in ids]
@@ -129,100 +143,63 @@ def build_box(spec: BoxSpec) -> Graph:
     return Graph.__new__(Graph)._build(len(labels), edges, tuple(labels))
 
 
-def _raising_moves(d: int, reach: int) -> list:
+def _raising_moves(d: int, reach: int, side: int) -> list:
     """The steps in {−1, 0, 1}^d that change 1..``reach`` coordinates, the
-    highest changed one by +1: each joins a vertex to a larger id."""
-    return [move for move in product((-1, 0, 1), repeat=d)
-            if 0 < d - move.count(0) <= reach and [m for m in move if m][-1] == 1]
+    highest changed one by +1: each joins a vertex to a larger id.  Each
+    k-subset of axes, k ≤ ``reach``, takes every sign pattern that ends in
+    +1.  A box of side 1 has none, as no step fits in it."""
+    return [tuple(move.get(i, 0) for i in range(d))
+            for k in range(1, reach + 1 if side > 1 else 1) for axes in combinations(range(d), k)
+            for signs in product((-1, 1), repeat=k - 1) for move in [dict(zip(axes, signs + (1,)))]]
 
 
 def build_box_pair(base: BoxSpec, plus_flavor: str) -> GraphPair:
     """Pair a plain box with its ``plus_flavor`` augmentation (same d, n)."""
-    g = build_box(BoxSpec(base.d, base.side, "plain"))
-    g_plus = build_box(BoxSpec(base.d, base.side, plus_flavor))
-    return GraphPair(g, g_plus)
-
-
-def basic_four_cycles(spec: BoxSpec) -> List[EdgeVector]:
-    """One 4-cycle per axis-aligned unit 2-face of the plain box.
-
-    Ordered by axis pair, then by base-corner id.  These generate the plain
-    box's full cycle space.
-    """
-    if spec.flavor != "plain":
-        raise InputError("unit-face cycles are built over the plain box")
-    if spec.d < 2:
-        raise InputError("a one-dimensional box has a trivial cycle space")
-    g = build_box(spec)
-    n, ids = spec.side, g._edge_ids
-    return [EdgeVector(g, 1 << ids[v, v + ei] | 1 << ids[v, v + ej]
-                       | 1 << ids[v + ei, v + ei + ej] | 1 << ids[v + ej, v + ei + ej])
-            for i, j in combinations(range(spec.d), 2) for ei, ej in [(n ** i, n ** j)]
-            for v, coord in enumerate(g.labels) if coord[i] < n and coord[j] < n]
+    specs = [BoxSpec(base.d, base.side, flavor) for flavor in ("plain", plus_flavor)]
+    return GraphPair(*map(build_box, specs))
 
 
 @lru_cache(maxsize=None)
 def four_cycle_gen(spec: BoxSpec) -> CycleGen:
-    """The unit-face cycles wrapped as a generating collection (memoized,
-    like ``build_box``)."""
-    plain = BoxSpec(spec.d, spec.side, "plain")
-    return CycleGen(build_box(plain), basic_four_cycles(plain))
-
-
-def cube_patch_cycle(pair: GraphPair, e: Sequence[int]) -> EdgeVector:
-    """Shortest cycle through the non-base edge ``e`` whose other edges are
-    base edges inside one unit cube.
-
-    ``pair`` couples a plain box with its star (or plus) box; ``e`` must be
-    an augmentation edge absent from the plain box.  The cycle closes ``e``
-    with a monotone nearest-neighbor path that fixes one differing
-    coordinate per step, so every vertex stays inside each unit cube
-    containing both endpoints.  From the smaller endpoint, the path takes
-    its decreasing moves first, from the highest axis down, then its
-    increasing moves from the lowest axis up.  That one sort by signed
-    axis rank gives the lexicographically smallest vertex-id sequence of
-    the (#differing-coords)! candidate paths.  A move along axis i is a
-    step of ±n^i in the box's ids, so the path is walked on strides, and
-    each step's edge is looked up in the augmentation, which holds the
-    base graph.  The result is a cycle, chordal in the augmentation, with
-    every edge but ``e`` in the base graph; ``check_k_hypotheses`` is the
-    judge of those facts, for every patch it is given.
-    """
-    u, v = sorted(e)
-    g = pair.g
-    if g.has_edge(u, v):
-        raise InputError("edge already belongs to the base graph")
-    if not pair.g_plus.has_edge(u, v):
-        raise InputError("not an edge of the augmented graph")
-    if g.labels is not None and any(abs(a - b) > 1 for a, b in zip(g.labels[u], g.labels[v])):
-        raise InputError("endpoints do not share a unit cube")
-    return _patch_cycles(pair, [(u, v)])[u, v]
+    """The unit-face 4-cycles of the plain box of ``spec``'s shape, whatever
+    its flavor, as a memoized generating collection: by axis pair, then by
+    base-corner id.  They generate the plain box's cycle space."""
+    if spec.d < 2:
+        raise InputError("a one-dimensional box has a trivial cycle space")
+    g = build_box(BoxSpec(spec.d, spec.side, "plain"))
+    n, ids = spec.side, g._edge_ids
+    return CycleGen(g, [EdgeVector(g, 1 << ids[v, v + ei] | 1 << ids[v, v + ej]
+                                   | 1 << ids[v + ei, v + ei + ej] | 1 << ids[v + ej, v + ei + ej])
+                        for i, j in combinations(range(spec.d), 2) for ei, ej in [(n ** i, n ** j)]
+                        for v, coord in enumerate(g.labels) if coord[i] < n and coord[j] < n])
 
 
 def extra_edge_patches(pair: GraphPair) -> Dict[Tuple[int, int], EdgeVector]:
-    """Cube patch cycles for every edge of the pair's augmentation that is
-    missing from its base graph, keyed by sorted endpoint pair."""
-    return _patch_cycles(pair, [e for e in pair.g_plus.edges if not pair.g.has_edge(*e)])
-
-
-def _patch_cycles(pair: GraphPair, edges) -> Dict[Tuple[int, int], EdgeVector]:
-    """The cube patch cycle of each edge ``(u, v)``, ``u < v``, of ``edges``:
-    augmentation edges absent from the base box, whose endpoints share a
-    unit cube.  The ids must be the box's, so that axis i has stride n^i;
-    the last vertex's label, (n, …, n), gives n."""
+    """The cube patch cycle of each augmentation-only edge (u, v), u < v,
+    of a box pair, keyed by (u, v): the edge closed by a monotone path of
+    base edges that fixes one differing coordinate per step, so it stays in
+    every unit cube holding both endpoints.  An edge whose endpoints share
+    no unit cube is refused.  From u, the path takes its decreasing moves
+    from the highest axis down, then its increasing moves from the lowest
+    axis up: that one sort by signed axis rank gives the lexicographically
+    smallest vertex-id sequence of the (#differing coordinates)! candidate
+    paths.  The ids must be the box's, with stride n^i on axis i and n read
+    from the last label; ``check_k_hypotheses`` judges the cycles."""
     g_plus = pair.g_plus
     labels, ids = g_plus.labels, g_plus._edge_ids
-    if not edges:
+    extra = [e for e in g_plus.edges if not pair.g.has_edge(*e)]
+    if not extra:
         return {}
     if labels is None:
         raise InputError("cube patch cycles need coordinate labels")
-    n = max(labels[-1])
-    out = {}
-    for u, v in edges:
+    n, out = max(labels[-1]), {}
+    for u, v in extra:
+        moves = [(b - a, i) for i, (a, b) in enumerate(zip(labels[u], labels[v])) if a != b]
+        if any(abs(m) > 1 for m, _ in moves):
+            raise InputError(f"edge {labels[u]}–{labels[v]}: endpoints do not share a unit cube")
         bits, cur = 1 << ids[u, v], u
-        # the moves by signed axis rank (b − a)·(i + 1); one along axis i steps ±n^i
-        for _, step in sorted(((b - a) * (i + 1), (b - a) * n ** i)
-                              for i, (a, b) in enumerate(zip(labels[u], labels[v])) if a != b):
+        # the moves by signed axis rank m·(i + 1); one along axis i steps m·n^i
+        for _, step in sorted((m * (i + 1), m * n ** i) for m, i in moves):
             bits |= 1 << ids[(cur, cur + step) if step > 0 else (cur + step, cur)]
             cur += step
         out[u, v] = EdgeVector(g_plus, bits)
@@ -238,7 +215,7 @@ def _box_premises(spec: BoxSpec, augmentation: str, patched: bool) -> Tuple[Grap
     A generator is a lane mask, the base vertices u where it fits, and a
     walk, its vertices as id offsets from u.  A unit face of the axes i < j
     walks 0, n^i, n^i + n^j, n^j.  A patch cycle walks the steps of its
-    move by signed axis rank, as ``cube_patch_cycle`` says, and its lanes
+    move by signed axis rank, as ``extra_edge_patches`` says, and its lanes
     are the move's augmentation-only edges; its walk and lanes are taken
     from its lowest vertex.  Moves are keyed by their coordinates: on side
     2, (1, 0) and (−1, 1) share the id difference 1.  ``_lanes_hold``
@@ -254,7 +231,8 @@ def _box_premises(spec: BoxSpec, augmentation: str, patched: bool) -> Tuple[Grap
     n, d = spec.side, spec.d
     low, up = (dict(_neighbourhood_plan(g).shifts) for g in (pair.g, pair.g_plus))
     gens = []
-    for move in _raising_moves(d, d if patched else 2):    # dp needs only the faces
+    # dp needs only the faces; no move past a flavor's reach is one of its edges
+    for move in _raising_moves(d, max(2, _REACH.get(augmentation) or d) if patched else 2, n):
         lanes = 1                       # each coordinate in the range the move leaves it
         for i, m in enumerate(move):
             lanes = sum(lanes << c * n ** i for c in range(m < 0, n - (m > 0)))

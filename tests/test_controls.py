@@ -1,9 +1,10 @@
 """Every CLI control, pinned: one row per command, run through ``cli.main``
-(``verify`` with ``--no-elapsed``), with its exit code, its counts and the
-sha256 of its stdout.  When a digest breaks, the counts (``_COUNTS``; the
-line count for ``enumerate``) show whether a verdict moved or only the
-bytes did.  Two runs under different hash seeds that both match a digest
-gave byte-identical reports."""
+(``verify`` with ``--no-elapsed``), with its exit code, its counts (for a
+refused input, exit 2, its one stderr line) and the sha256 of its stdout.
+When a digest breaks, the counts (``_COUNTS``; the line count for
+``enumerate``) show whether a verdict moved or only the bytes did.  Two
+runs under different hash seeds that both match a digest gave
+byte-identical reports."""
 
 import hashlib
 import json
@@ -16,6 +17,8 @@ _SKIP = "--probe plain --skip-hypotheses"
 # a 16-cell ring around a plus-shaped hole of z2:9
 _PLUS_RING = ("[[7,5],[7,6],[6,6],[6,7],[5,7],[4,7],[4,6],[3,6],[3,5],[3,4],[4,4],[4,3],"
               "[5,3],[6,3],[6,4],[7,4]]")
+
+_NO_REPORT = hashlib.sha256(b"").hexdigest()
 
 CONTROLS = [
     ("dp", f"verify dp --box z2:6:plain --max-size 5 {_SKIP}",
@@ -120,6 +123,19 @@ CONTROLS = [
     # (−1, −1, 1) all differ by 1, and each keeps its own patch cycles
     ("hyp-k-side2", "hypotheses k --box z3:2:plain",
      0, (6, 16), "bc0b64950608c65051221ea98806bf11690bad3b5c98ef34bb48c275bde72fe3"),
+    # one vertex in many dimensions: no move fits, so none is listed
+    ("hyp-dp-side1", "hypotheses dp --box z14:1:plain",
+     0, (0, None), "401ef3f84d7b040531cceeb2cb80f2c3f6612a04cda46cac95d43384e691bd93"),
+    ("hyp-k-side1", "hypotheses k --box z20:1:plain",
+     0, (0, 0), "1325da60ce55a01d8c77d9bcfe2329b367c717685d250f3597fd0264cac57343"),
+    # augmentations past the edge guard, refused before either box is built:
+    # their one stderr line stands in for the counts, and stdout is empty
+    ("hyp-dp-edge-guard", "hypotheses dp --box z15:2:plain",
+     2, "error: box z15:2:plus with 1966080 edges exceeds the edge guard of 524288 edges\n",
+     _NO_REPORT),
+    ("hyp-k-edge-guard", "hypotheses k --box z9:3:plain",
+     2, "error: box z9:3:star with 20166962 edges exceeds the edge guard of 524288 edges\n",
+     _NO_REPORT),
     # the enumerator's listing, whose order failure-record trial indices rest on
     ("enumerate", "enumerate --box z3:5:plain --max-size 4 --margin 1",
      0, 6928, "7014d376dee5ec4484e14f8fa2a7fdf73092279007b52bc1541f741b78bebf7a"),
@@ -141,6 +157,9 @@ def test_control(capsys, command, want_exit, counts, digest):
     argv = command.split() + ["--no-elapsed"] * command.startswith("verify")
     code = main(argv)
     out, err = capsys.readouterr()
-    got = out.count("\n") if argv[0] == "enumerate" else _COUNTS[argv[0]](json.loads(out))
+    if code == 2:       # a refused input: the error line is what it reports
+        got, err = err, ""
+    else:
+        got = out.count("\n") if argv[0] == "enumerate" else _COUNTS[argv[0]](json.loads(out))
     assert (code, err, got) == (want_exit, "", counts)
     assert hashlib.sha256(out.encode()).hexdigest() == digest

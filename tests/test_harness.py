@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from boundarykit import (BoundaryReport, BoxSpec, CycleGen, EdgeVector, InputError,
                          TrialConfig, attach_apex, build_box, build_box_pair,
                          check_dp_hypotheses, check_k_hypotheses,
-                         cube_patch_cycle, enumerate_connected_subsets,
+                         enumerate_connected_subsets,
                          extra_edge_patches, four_cycle_gen, full_report,
                          fundamental_basis, hypothesis_report, margin_interior,
                          random_connected_graph, report_to_json,

@@ -3,16 +3,17 @@
 import re
 import sys
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from boundarykit import (BoxSpec, EdgeVector, Graph, GraphPair, InputError,
-                         attach_apex, basic_four_cycles, box_shell, build_box,
-                         build_box_pair, cube_patch_cycle, cycle_space_rank,
-                         decompose, extra_edge_patches, four_cycle_gen,
-                         is_generating, margin_interior,
+                         attach_apex, box_shell, build_box, build_box_pair,
+                         cycle_space_rank, decompose, extra_edge_patches,
+                         four_cycle_gen, is_generating, margin_interior,
                          parse_box_spec, with_apex)
+from boundarykit import lattice
 
 from oracles import (chordal_by_pairs, expected_edge_pairs, gf2_rank_sets,
                      patch_path_by_search)
@@ -66,6 +67,38 @@ def test_box_spec_guard_refuses_a_huge_box_without_its_power():
         BoxSpec(3_000_000, 3_000_000, "plain")
     assert time.perf_counter() - start < 0.5
     assert BoxSpec(3_000_000, 1, "plain").side == 1      # one vertex in any dimension
+
+
+def test_box_spec_refuses_more_edges_than_the_guard():
+    """A box graph takes about 300 bytes per edge, so a box may have 16
+    edges per admitted vertex, 524,288; the vertex guard admits z15:2 and
+    z9:3, whose plus and star boxes are far larger.  The largest boxes that
+    campaigns have run stay admitted."""
+    for d, side, flavor, edges in [(15, 2, "plus", 1_966_080), (9, 3, "star", 20_166_962),
+                                   (8, 3, "star", 2_879_120), (4, 12, "star", 657_800)]:
+        with pytest.raises(InputError, match=f"^box z{d}:{side}:{flavor} with {edges} edges "
+                                             "exceeds the edge guard of 524288 edges$"):
+            BoxSpec(d, side, flavor)
+    for d, side, flavor in [(3, 32, "star"), (3, 32, "plus"), (4, 9, "star"), (2, 181, "star"),
+                            (15, 2, "plain"), (40, 1, "star")]:
+        assert lattice._edge_count(BoxSpec(d, side, flavor)) <= 524_288
+
+
+@pytest.mark.parametrize("flavor", lattice.FLAVORS)
+def test_the_edge_count_closed_form_is_the_built_count(flavor):
+    for d, side in product(range(1, 5), range(1, 6)):
+        if d >= 2 or flavor != "plus":
+            spec = BoxSpec(d, side, flavor)
+            assert lattice._edge_count(spec) == build_box(spec).edge_count
+
+
+def test_build_box_pair_checks_both_specs_before_building_either(monkeypatch):
+    def refuse(spec):
+        raise AssertionError(f"{spec} was built")
+
+    monkeypatch.setattr(lattice, "build_box", refuse)
+    with pytest.raises(InputError, match="edge guard"):
+        build_box_pair(BoxSpec(15, 2, "plain"), "plus")
 
 
 def test_parse_box_spec_refuses_numbers_int_cannot_read():
@@ -128,6 +161,20 @@ def test_flavor_containment_chain():
             assert set(plus.edges) < set(star.edges)  # corner diagonals missing
 
 
+@pytest.mark.parametrize("d", range(1, 6))
+def test_raising_moves_are_the_filtered_cube_moves(d):
+    """Built from axis subsets and sign patterns, the moves are those of
+    {−1, 0, 1}^d that change 1..reach coordinates, the highest by +1; a
+    side-1 box, where none fits, gets none in any dimension."""
+    for reach in range(1, d + 1):
+        want = {move for move in product((-1, 0, 1), repeat=d)
+                if 0 < d - move.count(0) <= reach and [m for m in move if m][-1] == 1}
+        got = lattice._raising_moves(d, reach, 2)
+        assert len(got) == len(want) and set(got) == want
+        assert lattice._raising_moves(d, reach, 1) == []
+    assert lattice._raising_moves(40, 40, 1) == []
+
+
 def test_build_box_is_memoized():
     assert build_box(BoxSpec(2, 4, "plain")) is build_box(BoxSpec(2, 4, "plain"))
 
@@ -141,12 +188,12 @@ def test_build_box_pair():
 # --- unit-face cycles --------------------------------------------------------------
 
 def test_basic_four_cycles_counts_and_rank():
-    cycles = basic_four_cycles(BoxSpec(2, 3, "plain"))
+    cycles = four_cycle_gen(BoxSpec(2, 3, "plain")).cycles
     assert len(cycles) == 4
     assert all(c.is_cycle() and len(c) == 4 for c in cycles)
     assert gf2_rank_sets([c.edge_ids() for c in cycles]) == 4 == 12 - 9 + 1
 
-    cube = basic_four_cycles(BoxSpec(3, 2, "plain"))
+    cube = four_cycle_gen(BoxSpec(3, 2, "plain")).cycles
     assert len(cube) == 6
     assert gf2_rank_sets([c.edge_ids() for c in cube]) == 5 == 12 - 8 + 1
 
@@ -155,10 +202,9 @@ def test_basic_four_cycles_counts_and_rank():
                                  (3, 2), (3, 3), (3, 4), (3, 5)])
 def test_four_cycles_generate_and_count_formula(d, n):
     spec = BoxSpec(d, n, "plain")
-    cycles = basic_four_cycles(spec)
-    from math import comb
-    assert len(cycles) == comb(d, 2) * (n - 1) ** 2 * n ** (d - 2)
     gen = four_cycle_gen(spec)
+    from math import comb
+    assert len(gen) == comb(d, 2) * (n - 1) ** 2 * n ** (d - 2)
     assert is_generating(gen, build_box(spec))
 
 
@@ -166,16 +212,14 @@ def test_four_cycles_are_chordal_in_plus_never_in_plain():
     for d, n in [(2, 3), (3, 2)]:
         plain = build_box(BoxSpec(d, n, "plain"))
         plus = build_box(BoxSpec(d, n, "plus"))
-        for c in basic_four_cycles(BoxSpec(d, n, "plain")):
+        for c in four_cycle_gen(BoxSpec(d, n, "plain")).cycles:
             assert chordal_by_pairs(c.edges(), plus.edges)
             assert not chordal_by_pairs(c.edges(), plain.edges)
 
 
 def test_basic_four_cycles_preconditions():
-    with pytest.raises(InputError, match="plain"):
-        basic_four_cycles(BoxSpec(2, 3, "star"))
     with pytest.raises(InputError, match="one-dimensional"):
-        basic_four_cycles(BoxSpec(1, 5, "plain"))
+        four_cycle_gen(BoxSpec(1, 5, "plain"))
 
 
 # --- patch cycles -------------------------------------------------------------------
@@ -184,7 +228,7 @@ def test_patch_cycle_diagonal_picks_low_id_corner():
     pair = build_box_pair(BoxSpec(2, 3, "plain"), "star")
     g = pair.g
     e = (g.id_of_label((1, 1)), g.id_of_label((2, 2)))
-    tri = cube_patch_cycle(pair, e)
+    tri = extra_edge_patches(pair)[e]
     assert {w for edge in tri.edges() for w in edge} == {
         g.id_of_label((1, 1)), g.id_of_label((2, 1)), g.id_of_label((2, 2))}
 
@@ -192,8 +236,8 @@ def test_patch_cycle_diagonal_picks_low_id_corner():
 def test_patch_cycle_antidiagonal_goes_through_low_corner():
     pair = build_box_pair(BoxSpec(2, 3, "plain"), "star")
     g = pair.g
-    e = (g.id_of_label((1, 2)), g.id_of_label((2, 1)))
-    touched = {w for edge in cube_patch_cycle(pair, e).edges() for w in edge}
+    e = (g.id_of_label((2, 1)), g.id_of_label((1, 2)))
+    touched = {w for edge in extra_edge_patches(pair)[e].edges() for w in edge}
     assert g.id_of_label((1, 1)) in touched
     assert g.id_of_label((2, 2)) not in touched
 
@@ -202,7 +246,7 @@ def test_patch_cycle_cube_main_diagonal():
     pair = build_box_pair(BoxSpec(3, 2, "plain"), "star")
     g = pair.g
     e = (g.id_of_label((1, 1, 1)), g.id_of_label((2, 2, 2)))
-    vec = cube_patch_cycle(pair, e)
+    vec = extra_edge_patches(pair)[e]
     want_path = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
     assert {w for edge in vec.edges() for w in edge} == {
         g.id_of_label(c) for c in want_path}
@@ -234,25 +278,23 @@ def test_patch_cycle_is_the_smallest_path_of_the_axis_order_search(d, n, flavor)
     finds each path's ids one by one.  Boxes of side 3 and 5 have strides
     that are no powers of 2, so a stride mix-up shows there."""
     pair = build_box_pair(BoxSpec(d, n, "plain"), flavor)
-    extra = [e for e in pair.g_plus.edges if not pair.g.has_edge(*e)]
-    assert extra
-    for u, v in extra:
+    patches = extra_edge_patches(pair)
+    assert patches
+    for u, v in patches:
         path = patch_path_by_search(pair.g, u, v)
         want = EdgeVector.from_edges(pair.g_plus, list(zip(path, path[1:])) + [(u, v)])
-        assert cube_patch_cycle(pair, (v, u)).bits == want.bits
+        assert patches[u, v].bits == want.bits
 
 
 def test_patch_cycle_rejects_bad_edges():
+    """An augmentation-only edge whose endpoints share no unit cube has no
+    patch cycle: ``extra_edge_patches`` refuses the pair."""
     pair = build_box_pair(BoxSpec(2, 3, "plain"), "star")
     g = pair.g
-    with pytest.raises(InputError, match="base graph"):
-        cube_patch_cycle(pair, (g.id_of_label((1, 1)), g.id_of_label((2, 1))))
-    with pytest.raises(InputError, match="augmented"):
-        cube_patch_cycle(pair, (g.id_of_label((1, 1)), g.id_of_label((3, 3))))
     far = (g.id_of_label((1, 1)), g.id_of_label((3, 1)))        # two cells apart
     jump = GraphPair(g, Graph(g.vertex_count, pair.g_plus.edges + (far,), labels=g.labels))
-    with pytest.raises(InputError, match="unit cube"):
-        cube_patch_cycle(jump, far)
+    with pytest.raises(InputError, match=r"\(1, 1\)–\(3, 1\): endpoints do not share a unit cube"):
+        extra_edge_patches(jump)
 
 
 # --- apex ----------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import boundarykit.graphs as graphs
 import boundarykit.harness as harness
 import boundarykit.lattice as lattice
 from boundarykit import (BoxSpec, CycleGen, EdgeVector, Graph, GraphPair, TrialConfig,
-                         basic_four_cycles, build_box, build_box_pair, check_dp_hypotheses,
+                         build_box, build_box_pair, check_dp_hypotheses,
                          check_k_hypotheses, cycle_space_rank, extra_edge_patches,
                          four_cycle_gen, hypothesis_report, is_generating,
                          random_connected_graph, run_verification)
@@ -161,7 +161,7 @@ def test_box_faces_span_on_the_certificate_alone(monkeypatch, box):
     are more faces than that: no echelon is built, neither by
     ``is_generating`` nor by the box judge."""
     g = build_box(box)
-    faces = basic_four_cycles(box)
+    faces = four_cycle_gen(box).cycles
     assert _triangular_rank(_by_lowest(faces)) == cycle_space_rank(g)
     _refuse_echelon(monkeypatch)
     assert is_generating(CycleGen(g, faces), g)
@@ -173,7 +173,7 @@ def _dropped_faces(box: BoxSpec) -> list:
     """A generating set with holes: the unit faces whose lowest corner
     does not have two even coordinates."""
     g = build_box(box)
-    return [c for c in basic_four_cycles(box)
+    return [c for c in four_cycle_gen(box).cycles
             if sum(x % 2 == 0 for x in g.labels[min(v for e in c.edges() for v in e)]) < 2]
 
 
@@ -194,7 +194,7 @@ def _non_triangular(box: BoxSpec) -> list:
     but the third face of each row comes after the sum and after the
     second face, which cover all of its edges between them."""
     g = build_box(box)
-    faces = {g.labels[min(v for e in c.edges() for v in e)]: c for c in basic_four_cycles(box)}
+    faces = {g.labels[min(v for e in c.edges() for v in e)]: c for c in four_cycle_gen(box).cycles}
     return [face + faces[x + 1, y] + faces[x + 2, y] if x == 1 else face
             for (x, y), face in sorted(faces.items(), key=lambda item: item[0][::-1])]
 
@@ -227,7 +227,7 @@ def test_a_short_certificate_hands_the_box_faces_to_the_echelon(monkeypatch):
 def test_is_generating_is_the_rank_test(cycles):
     box = BoxSpec(2, 6, "plain")
     g = build_box(box)
-    gen = {"faces": lambda: CycleGen(g, basic_four_cycles(box)),
+    gen = {"faces": lambda: CycleGen(g, four_cycle_gen(box).cycles),
            "dropped": lambda: CycleGen(g, _dropped_faces(box)),
            "non-triangular": lambda: CycleGen(g, _non_triangular(box)),
            "fundamental": lambda: cyclespace.fundamental_basis(g)}[cycles]()
