@@ -21,24 +21,24 @@ from .harness import (TrialConfig, VerifyReport, check_dp_hypotheses,
                       check_k_hypotheses, enumerate_connected_subsets,
                       hypothesis_report, random_connected_graph,
                       run_verification, sample_connected_subset)
-from .lattice import (BoxSpec, attach_apex, box_shell, build_box,
-                      build_box_pair, extra_edge_patches, four_cycle_gen,
-                      margin_interior, parse_box_spec, with_apex)
+from .lattice import (BoxSpec, box_shell, build_box, build_box_pair,
+                      extra_edge_patches, four_cycle_gen, margin_interior,
+                      parse_box_spec, with_apex)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryReport", "BoxSpec", "CycleGen", "EdgeVector", "Graph",
     "GraphPair", "InputError", "NotInSpanError", "TrialConfig",
-    "VerifyReport", "attach_apex", "box_shell", "build_box",
-    "build_box_pair", "check_dp_hypotheses", "check_k_hypotheses",
-    "component_of", "count_components", "crossing_cycle_witness",
-    "cycle_space_rank", "decompose", "enumerate_connected_subsets",
-    "extra_edge_patches", "four_cycle_gen", "full_report",
-    "fundamental_basis", "hypothesis_report", "is_cutset", "is_generating",
-    "is_minimal_cutset", "margin_interior", "outer_boundary",
-    "outer_visible_boundary", "parse_box_spec", "random_connected_graph",
-    "report_to_json", "run_verification", "sample_connected_subset",
-    "set_components", "shortest_path", "vertexset_from_json",
-    "vertexset_to_json", "visible_boundary", "with_apex", "__version__",
+    "VerifyReport", "box_shell", "build_box", "build_box_pair",
+    "check_dp_hypotheses", "check_k_hypotheses", "component_of",
+    "count_components", "crossing_cycle_witness", "cycle_space_rank",
+    "decompose", "enumerate_connected_subsets", "extra_edge_patches",
+    "four_cycle_gen", "full_report", "fundamental_basis",
+    "hypothesis_report", "is_cutset", "is_generating", "is_minimal_cutset",
+    "margin_interior", "outer_boundary", "outer_visible_boundary",
+    "parse_box_spec", "random_connected_graph", "report_to_json",
+    "run_verification", "sample_connected_subset", "set_components",
+    "shortest_path", "vertexset_from_json", "vertexset_to_json",
+    "visible_boundary", "with_apex", "__version__",
 ]

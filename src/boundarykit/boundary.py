@@ -14,8 +14,14 @@ edges), a subset ``c``, and an observer vertex ``x`` outside ``c``:
 forbidden; endpoints are never counted as internal vertices.
 
 Every operator runs on one private bitmask kernel, ``_report_masks``.
-Vertex sets become int masks, validated once on the way in and turned
-back into frozensets once per result.  A graph's neighbourhood plan
+``full_report`` is the one checked entry for an instance (one vertex
+set for all graphs, ids in range, an observer outside C), and the
+visible and outer-visible views are two of its fields.  Vertex sets
+become int masks, validated once on the way in and turned back into
+frozensets once per result.  Every report leaves through
+``_report_json``: ``report_to_json`` of a ``BoundaryReport``, or the
+masks of ``_report_fields`` as they are, for ``boundary --x apex`` and
+the dp/k failure records.  A graph's neighbourhood plan
 (``graphs._NeighbourhoodPlan``) maps a mask to its neighbours, ORing one
 neighbour row per vertex for a small mask and otherwise shifting the
 whole mask once per edge difference.  Reachability is a
@@ -104,18 +110,6 @@ class BoundaryReport(_Record):
         return self.component_count == 1
 
 
-def _require_same_vertices(*graphs: Graph) -> None:
-    counts = {g.vertex_count for g in graphs}
-    if len(counts) > 1:
-        raise InputError("all graphs of an instance must share one vertex set")
-
-
-def _require_observer(g: Graph, c: frozenset, x: int) -> None:
-    g.require_vertex(x)
-    if x in c:
-        raise InputError("the observer must lie outside the subset")
-
-
 # --- the bitmask kernel -------------------------------------------------------
 # ``trav``, ``adj`` and ``probe`` are the neighbourhood plans of the
 # traversal, adjacency and probe graphs; every vertex set is a mask.
@@ -167,14 +161,6 @@ def _report_fields(trav, adj, probe, cm: int, x: int, surface: int = 0) -> tuple
     comps = probe.components(visible)
     witness = tuple((m & -m).bit_length() - 1 for m in comps[:2]) if len(comps) > 1 else None
     return boundary, visible, outer_visible, max(len(comps), 1), witness
-
-
-def _report(trav, adj, probe, cm: int, x: int, surface: int = 0) -> BoundaryReport:
-    """``_report_fields`` as a report."""
-    boundary, visible, outer_visible, count, witness = _report_fields(trav, adj, probe, cm,
-                                                                      x, surface)
-    return BoundaryReport(_members(boundary), _members(visible), _members(outer_visible),
-                          count, witness)
 
 
 def _failing_batch(trav, adj, probe, width: int, shapes, sources: int) -> tuple:
@@ -262,20 +248,15 @@ def outer_boundary(g_prime: Graph, c: frozenset) -> frozenset:
 
 def visible_boundary(g: Graph, g_prime: Graph, c: frozenset, x: int) -> frozenset:
     """Outer-boundary vertices reachable from ``x`` by a ``g``-path that
-    avoids ``c``."""
-    _require_same_vertices(g, g_prime)
-    _require_observer(g, c, x)
-    adj = _neighbourhood_plan(g_prime)
-    return _members(_report_masks(_neighbourhood_plan(g), adj, adj.mask(c), x)[1])
+    avoids ``c``: ``full_report``'s visible set."""
+    return full_report(g, g_prime, g_prime, c, x).visible
 
 
 def outer_visible_boundary(g: Graph, g_prime: Graph, c: frozenset, x: int) -> frozenset:
     """Visible-boundary vertices admitting a ``g``-path from ``x`` (avoiding
-    ``c``) with no internal vertex in the visible boundary."""
-    _require_same_vertices(g, g_prime)
-    _require_observer(g, c, x)
-    adj = _neighbourhood_plan(g_prime)
-    return _members(_report_masks(_neighbourhood_plan(g), adj, adj.mask(c), x)[2])
+    ``c``) with no internal vertex in the visible boundary:
+    ``full_report``'s outer-visible set."""
+    return full_report(g, g_prime, g_prime, c, x).outer_visible
 
 
 def full_report(g: Graph, g_prime: Graph, probe: Graph, c: frozenset,
@@ -284,12 +265,18 @@ def full_report(g: Graph, g_prime: Graph, probe: Graph, c: frozenset,
     set inside ``probe``: its component count (the empty set counts as
     one component, matching the convention that it is connected) and,
     when disconnected, the smallest vertices of the two components with
-    the smallest members."""
-    _require_same_vertices(g, g_prime, probe)
+    the smallest members.  The one checked way into the kernel: it
+    refuses graphs of different sizes, ids out of range (those of ``c``
+    first) and an observer in ``c``."""
+    if not g.vertex_count == g_prime.vertex_count == probe.vertex_count:
+        raise InputError("all graphs of an instance must share one vertex set")
     adj = _neighbourhood_plan(g_prime)
     cm = adj.mask(c)
-    _require_observer(g, c, x)
-    return _report(_neighbourhood_plan(g), adj, _neighbourhood_plan(probe), cm, x)
+    g.require_vertex(x)
+    if cm >> x & 1:
+        raise InputError("the observer must lie outside the subset")
+    fields = _report_fields(_neighbourhood_plan(g), adj, _neighbourhood_plan(probe), cm, x)
+    return BoundaryReport(*map(_members, fields[:3]), *fields[3:])
 
 
 def report_to_json(report: BoundaryReport, g: Graph) -> dict:

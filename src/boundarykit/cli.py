@@ -20,7 +20,7 @@ import json
 import sys
 from typing import Optional
 
-from .boundary import _report, full_report, report_to_json
+from .boundary import _report_fields, _report_json, full_report, report_to_json
 from .errors import InputError
 from .graphs import (Graph, GraphPair, _neighbourhood_plan, vertexset_from_json,
                      vertexset_to_json)
@@ -102,11 +102,11 @@ def _cmd_boundary(args) -> int:
             raise InputError("precondition: apex observers need the subset inside "
                              "margin 2 (off the box surface)")
         plans = [_neighbourhood_plan(graph) for graph in (g, g_prime, probe)]
-        rep = _report(*plans, plans[0].mask(c), g.vertex_count, plans[0].mask(shell))
+        out = _report_json(g, *_report_fields(*plans, plans[0].mask(c), g.vertex_count,
+                                               plans[0].mask(shell)))
     else:
-        rep = full_report(g, g_prime, probe, c, _parse_vertex(g, args.x))
-    out = {"schema": 1, **report_to_json(rep, g)}
-    print(json.dumps(out, sort_keys=True))
+        out = report_to_json(full_report(g, g_prime, probe, c, _parse_vertex(g, args.x)), g)
+    print(json.dumps({"schema": 1, **out}, sort_keys=True))
     return 0
 
 

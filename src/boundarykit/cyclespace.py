@@ -74,7 +74,8 @@ class EdgeVector:
                 and self.host.same_as(other.host))
 
     def __hash__(self) -> int:
-        return hash((self.host.fingerprint(), self.bits))
+        # equal vectors have equal bits; equality itself rests on ``same_as``
+        return hash(self.bits)
 
     def __bool__(self) -> bool:
         return self.bits != 0

@@ -52,7 +52,7 @@ class Graph:
     """
 
     __slots__ = ("vertex_count", "adjacency", "edges", "labels",
-                 "_edge_ids", "_label_ids", "_fp", "_plan")
+                 "_edge_ids", "_label_ids", "_plan")
 
     def __init__(self, vertex_count: int,
                  edges: Iterable[Sequence[int]],
@@ -107,7 +107,7 @@ class Graph:
             self._label_ids = {lab: i for i, lab in enumerate(labels)}
             if len(self._label_ids) != vertex_count:
                 raise InputError("vertex labels must be pairwise distinct")
-        self._fp, self._plan = hash((vertex_count, edges, labels)), None
+        self._plan = None
         return self
 
     @property
@@ -142,11 +142,6 @@ class Graph:
             return self._label_ids[key]
         except KeyError:
             raise InputError(f"no vertex labeled {key}") from None
-
-    def fingerprint(self) -> int:
-        """Hash of the structure.  Equal graphs share it, but different
-        graphs may collide, so it is no identity; see ``same_as``."""
-        return self._fp
 
     def same_as(self, other: "Graph") -> bool:
         """Whether ``other`` has the same vertices, edges and labels."""

@@ -18,10 +18,11 @@ The apex construction attaches one extra vertex to every surface vertex of
 a box pair.  It stands in for "infinitely far away": for a subset that
 keeps L∞-distance ≥ 2 from the surface, any walk leaving the box's
 interior can wander arbitrarily and return anywhere on the surface, which
-is exactly what routing through the apex models.  It is the model, not
-the engine: campaigns and reports keep the apex out of every graph and
-flood from the surface instead (``boundary._report_masks``), and the
-tests judge that rule against reports on the apexed graphs.
+is exactly what routing through the apex models.  That model is
+``with_apex``, not the engine: campaigns and reports keep the apex out of
+every graph and flood from the surface instead
+(``boundary._report_masks``), and the tests judge that rule against
+reports on the apexed graphs.
 
 The dp/k premises of a box pair are judged on lane masks
 (``_box_premises``): for each step, the mask of the base vertices where a
@@ -245,13 +246,16 @@ def _box_premises(spec: BoxSpec, augmentation: str, patched: bool) -> Tuple[Grap
             lanes &= up.get(walk[-1] - walk[0], 0) & ~low.get(walk[-1] - walk[0], 0)
             gens.append((lanes >> walk[0], walk, False))
     faces, patches = (sum(f.bit_count() for f, _, face in gens if face == k) for k in (1, 0))
-    keyed = [(u * d, 1 << i | 1 << j | 1 << n ** i * d + j | 1 << n ** j * d + i) for u, c
-             in enumerate(pair.g.labels) for i, j in combinations(range(d), 2) if c[i] < n > c[j]]
+
+    def keyed():        # built only once the lanes hold, and afresh for each reader
+        return ((u * d, 1 << i | 1 << j | 1 << n ** i * d + j | 1 << n ** j * d + i) for u, c
+                in enumerate(pair.g.labels) for i, j in combinations(range(d), 2)
+                if c[i] < n > c[j])
     rank = cycle_space_rank(pair.g)
     holds = (all(_lanes_hold(*gen, low, up) for gen in gens)
              and (not patched or patches == pair.g_plus.edge_count - pair.g.edge_count)
-             and (_triangular_rank(keyed) == rank
-                  or len(_forward_echelon([bits << at for at, bits in keyed])) == rank))
+             and (_triangular_rank(keyed()) == rank
+                  or len(_forward_echelon([bits << at for at, bits in keyed()])) == rank))
     return pair, holds, {"augmentation": augmentation, "generators": faces,
                          **({"patch_cycles": patches} if patched else {})}
 
@@ -288,22 +292,16 @@ def box_shell(g: Graph) -> frozenset:
                      if lo in lab or hi in lab)
 
 
-def attach_apex(g: Graph) -> Graph:
-    """Augment one labeled box graph with an apex vertex adjacent to its
-    whole surface.  The apex takes the next free id and the all-zeros label
-    (disjoint from box coordinates, which are 1-based)."""
-    shell = box_shell(g)
-    apex = g.vertex_count
-    labels = list(g.labels) + [(0,) * len(g.labels[0])]
-    spokes = [(v, apex) for v in sorted(shell)]
-    return Graph(g.vertex_count + 1, list(g.edges) + spokes, labels=labels)
-
-
 def with_apex(pair: GraphPair) -> GraphPair:
     """Attach a fresh apex vertex to every surface vertex of a labeled box
-    pair, in both graphs; box vertices keep their ids and the apex takes
-    id ``pair.g.vertex_count``."""
-    return GraphPair(attach_apex(pair.g), attach_apex(pair.g_plus))
+    pair, in both graphs; box vertices keep their ids, and the apex takes
+    id ``pair.g.vertex_count`` and the all-zeros label (disjoint from box
+    coordinates, which are 1-based)."""
+    apex = pair.g.vertex_count
+    spokes = [(v, apex) for v in sorted(box_shell(pair.g))]
+    labels = pair.g.labels + ((0,) * len(pair.g.labels[0]),)
+    return GraphPair(*(Graph(apex + 1, list(g.edges) + spokes, labels=labels)
+                       for g in (pair.g, pair.g_plus)))
 
 
 def margin_interior(g: Graph, margin: int) -> frozenset:

@@ -274,6 +274,13 @@ def apexed_roles(theorem: str, box, augmentation: str) -> tuple:
     return tuple(getattr(apexed, name) for name in harness._BOUNDARY_THEOREMS[theorem].roles)
 
 
+def apexed_graph(g):
+    """``g`` with the apex of ``with_apex`` attached: the pair of ``g`` with
+    itself, apexed, has it as both graphs."""
+    from boundarykit import GraphPair, with_apex
+    return with_apex(GraphPair(g, g)).g
+
+
 # --- GF(2) linear algebra ----------------------------------------------------
 
 def gf2_rank_sets(vectors: Sequence[Iterable[int]]) -> int:

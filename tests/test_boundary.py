@@ -12,11 +12,11 @@ from boundarykit import (BoundaryReport, BoxSpec, Graph, GraphPair, InputError,
                          sample_connected_subset, visible_boundary, with_apex)
 
 from boundarykit import harness
-from boundarykit.boundary import _failing_batch, _report
+from boundarykit.boundary import _failing_batch, _report_fields
 from boundarykit.graphs import _members, _neighbourhood_plan
 
-from oracles import (_failing_observers, apexed_roles, boundary_by_scan, flood_components,
-                     outer_visible_by_paths, visible_by_scan)
+from oracles import (_failing_observers, apexed_graph, apexed_roles, boundary_by_scan,
+                     flood_components, outer_visible_by_paths, visible_by_scan)
 
 
 def labels_of(g, s):
@@ -243,6 +243,28 @@ def test_visible_component_count_checks_like_full_report(roles, c, x, message):
         full_report(*[graphs[r] for r in roles], frozenset(c), x)
 
 
+@pytest.mark.parametrize("view", [visible_boundary, outer_visible_boundary])
+@pytest.mark.parametrize("roles, c, x, message", [
+    ("gg", {12}, 12, "outside the subset"),
+    ("gh", {0}, 1, "share"),
+    ("gg", {0, 25}, 1, "outside 0..24"),
+    ("gg", {0}, 25, "outside 0..24"),
+    ("gg", {12, 25}, 12, "outside 0..24"),
+], ids=["observer-in-c", "adjacency-size", "id-too-large", "observer-out-of-range",
+        "ids-of-c-first"])
+def test_the_views_check_as_full_report_does(view, roles, c, x, message):
+    """The visible and outer-visible views are fields of ``full_report``
+    and refuse what it refuses, in its order: the ids of C before the
+    observer, so an id out of range in C is named even when the observer
+    lies in C."""
+    graphs = {"g": build_box(BoxSpec(2, 5, "plain")), "h": build_box(BoxSpec(2, 4, "plain"))}
+    g, g_prime = (graphs[r] for r in roles)
+    with pytest.raises(InputError, match=message):
+        view(g, g_prime, frozenset(c), x)
+    with pytest.raises(InputError, match=message):
+        full_report(g, g_prime, g_prime, frozenset(c), x)
+
+
 # --- definition-level oracle equivalence ----------------------------------------------
 
 def oracle_corpus():
@@ -256,23 +278,18 @@ def oracle_corpus():
         build_box(BoxSpec(2, 4, "plain")),
         build_box(BoxSpec(3, 2, "plain")),
         build_box(BoxSpec(3, 2, "star")),
-        attach_apex_pairless(build_box(BoxSpec(2, 3, "plain"))),
+        apexed_graph(build_box(BoxSpec(2, 3, "plain"))),
     ]
     for seed in range(6):
         out.append(random_connected_graph(5 + 2 * seed, 4 + seed, seed))
     return [g for g in out if g.vertex_count <= 20]
 
 
-def attach_apex_pairless(g):
-    from boundarykit import attach_apex
-    return attach_apex(g)
-
-
 @pytest.mark.parametrize("g", oracle_corpus(),
                          ids=lambda g: f"V{g.vertex_count}E{g.edge_count}")
 def test_boundary_operators_match_path_oracles(g):
     import random as _random
-    rng = _random.Random(g.fingerprint() & 0xFFFF)
+    rng = _random.Random(hash((g.vertex_count, g.edges, g.labels)) & 0xFFFF)
     instances = []
     for _ in range(12):
         size = rng.randint(1, max(1, g.vertex_count // 3))
@@ -697,7 +714,7 @@ def test_the_batch_judge_fails_the_observers_the_kernel_fails(theorem, box, max_
 @pytest.mark.parametrize("margin", [2, 3])
 def test_the_surface_rule_reports_as_the_apexed_graphs_do(theorem, box, max_size, override,
                                                            margin):
-    """``_report`` on the role graphs without the apex, given the surface,
+    """``_report_fields`` on the role graphs without the apex, given the surface,
     is ``full_report`` on the apexed graphs, for every connected subset of
     the margin interior and every observer: each box vertex outside it,
     surface vertices included, and the apex, id |V|.  Gluing the region
@@ -722,6 +739,8 @@ def test_the_surface_rule_reports_as_the_apexed_graphs_do(theorem, box, max_size
         for x in range(setting.apex + 1):
             if not cm >> x & 1:
                 want = full_report(*apexed, c, x)
-                assert _report(*plans, cm, x, setting.surface) == want, (sorted(c), x)
+                fields = _report_fields(*plans, cm, x, setting.surface)
+                got = BoundaryReport(*map(_members, fields[:3]), *fields[3:])
+                assert got == want, (sorted(c), x)
                 pairs += 1
     assert pairs > 0

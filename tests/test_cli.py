@@ -248,20 +248,21 @@ def test_boundary_apex_reports_as_the_apexed_graphs_do(capsys, monkeypatch, argv
     for an 8-ring, whose hole it does not see, and on a 1-D box, whose
     two surface vertices only the outside joins."""
     import boundarykit.lattice as lattice
-    from boundarykit import (BoxSpec, attach_apex, build_box, full_report, parse_box_spec,
-                             report_to_json, vertexset_from_json)
+    from boundarykit import (BoxSpec, build_box, full_report, parse_box_spec, report_to_json,
+                             vertexset_from_json)
+    from oracles import apexed_graph
     opts = dict(zip(argv[::2], argv[1::2]))
     spec = parse_box_spec(opts["--box"])
     g_prime = opts.get("--gprime", spec.flavor)
-    apexed = [attach_apex(build_box(BoxSpec(spec.d, spec.side, flavor)))
+    apexed = [apexed_graph(build_box(BoxSpec(spec.d, spec.side, flavor)))
               for flavor in (spec.flavor, g_prime, opts.get("--probe", g_prime))]
     c = vertexset_from_json(apexed[0], json.loads(opts["--set"]))
     want = report_to_json(full_report(*apexed, c, apexed[0].vertex_count - 1), apexed[0])
 
-    def refuse(g):
+    def refuse(pair):
         raise AssertionError("an apex was attached")
 
-    monkeypatch.setattr(lattice, "attach_apex", refuse)
+    monkeypatch.setattr(lattice, "with_apex", refuse)
     code, data = run_json(capsys, "boundary", *argv, "--x", "apex")
     assert code == 0 and data.pop("schema") == 1
     assert data == want

@@ -128,6 +128,12 @@ CONTROLS = [
      0, (0, None), "401ef3f84d7b040531cceeb2cb80f2c3f6612a04cda46cac95d43384e691bd93"),
     ("hyp-k-side1", "hypotheses k --box z20:1:plain",
      0, (0, 0), "1325da60ce55a01d8c77d9bcfe2329b367c717685d250f3597fd0264cac57343"),
+    # many faces on side 2: the face keys are built only once the lanes hold,
+    # so the failing probe builds none (it used to peak near 1.6 GiB)
+    ("hyp-dp-z12-side2", "hypotheses dp --box z12:2:plain",
+     0, (67584, None), "572ccaf0cd93695b66f8ab3ed2e8fadaeeb30db106a5855d5dd9edc4e74d1f62"),
+    ("hyp-dp-z14-side2-plain-probe", "hypotheses dp --box z14:2:plain --probe plain",
+     1, (372736, None), "046627910d626b8c1819f6fea4dd11e434d7cb6e1eb695f76f4c2bc760e052ce"),
     # augmentations past the edge guard, refused before either box is built:
     # their one stderr line stands in for the counts, and stdout is empty
     ("hyp-dp-edge-guard", "hypotheses dp --box z15:2:plain",

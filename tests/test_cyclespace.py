@@ -81,12 +81,24 @@ def test_addition_rejects_foreign_hosts():
 def test_hosts_compare_by_structure_not_by_hash():
     path = Graph(3, [(0, 1), (1, 2)])
     star = Graph(3, [(0, 1), (0, 2)])
-    star._fp = path._fp                      # force a fingerprint collision
     a, b = EdgeVector(path, 1), EdgeVector(star, 1)
     assert a != b
     with pytest.raises(InputError, match="host"):
         a + b
     assert a == EdgeVector(Graph(3, [(0, 1), (1, 2)]), 1)   # equal structure
+
+
+def test_equal_vectors_hash_equal_and_collapse_in_a_set():
+    """Equal vectors, on one host or on hosts of equal structure, hash
+    equal, so a set keeps one of them.  Vectors with equal bits on hosts of
+    different structure hash equal too, but stay apart in a set, since
+    equality reads the host."""
+    path = Graph(3, [(0, 1), (1, 2)])
+    a, b = EdgeVector(path, 1), EdgeVector(Graph(3, [(0, 1), (1, 2)]), 1)
+    c = EdgeVector.from_edges(path, [(1, 0)])
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    other = EdgeVector(Graph(3, [(0, 1), (0, 2)]), 1)
+    assert len({a, b, c, EdgeVector(path, 2), other}) == 3
 
 
 @settings(max_examples=50, deadline=None)

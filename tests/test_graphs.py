@@ -71,6 +71,21 @@ def test_construction_rejects_malformed_edges(bad_edges, message):
         Graph(3, bad_edges)
 
 
+@pytest.mark.parametrize("count", [-1, True, 2.0], ids=["negative", "bool", "float"])
+def test_construction_rejects_a_vertex_count_that_is_no_nonnegative_int(count):
+    with pytest.raises(InputError, match="vertex_count must be a nonnegative int"):
+        Graph(count, [])
+
+
+def test_edge_id_names_a_missing_edge():
+    """``edge_id`` takes an edge in either direction and refuses one that
+    the graph lacks, naming it in sorted order."""
+    g = Graph(3, [(0, 1)])
+    assert g.edge_id(1, 0) == 0
+    with pytest.raises(InputError, match=r"no edge \(1, 2\) in graph"):
+        g.edge_id(2, 1)
+
+
 def test_labels_must_be_distinct_and_complete():
     with pytest.raises(InputError, match="distinct"):
         Graph(2, [(0, 1)], labels=[(1, 1), (1, 1)])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boundarykit import (BoundaryReport, BoxSpec, CycleGen, EdgeVector, InputError,
-                         TrialConfig, attach_apex, build_box, build_box_pair,
+                         TrialConfig, build_box, build_box_pair,
                          check_dp_hypotheses, check_k_hypotheses,
                          enumerate_connected_subsets,
                          extra_edge_patches, four_cycle_gen, full_report,
@@ -20,9 +20,9 @@ from boundarykit import (BoundaryReport, BoxSpec, CycleGen, EdgeVector, InputErr
 
 from boundarykit.graphs import _members, _neighbourhood_plan
 from boundarykit.harness import _connected_masks
-from oracles import (_failing_observers, apexed_roles, chordal_by_pairs, connected_by_flood,
-                     connected_subset_by_randrange, connected_subsets_by_growth,
-                     connected_subsets_by_powerset)
+from oracles import (_failing_observers, apexed_graph, apexed_roles, chordal_by_pairs,
+                     connected_by_flood, connected_subset_by_randrange,
+                     connected_subsets_by_growth, connected_subsets_by_powerset)
 
 
 # --- exhaustive enumeration -----------------------------------------------------
@@ -452,6 +452,18 @@ def test_k_premises_report_missing_and_foreign_keys():
     patches[victim] = removed
     patches[(0, 1)] = removed               # (1,1)-(2,1) is a plain edge
     with pytest.raises(InputError, match="augmentation-only"):
+        check_k_hypotheses(pair, gen, patches)
+
+
+def test_k_premises_refuse_a_patch_cycle_on_a_foreign_host():
+    """A patch cycle must be an edge vector of the augmentation graph: a
+    unit face of the base graph in its place is refused, not judged."""
+    base = BoxSpec(2, 3, "plain")
+    pair = build_box_pair(base, "star")
+    gen = four_cycle_gen(base)
+    patches = dict(extra_edge_patches(pair))
+    patches[next(iter(patches))] = gen.cycles[0]
+    with pytest.raises(InputError, match="patch cycles must live in the augmentation graph"):
         check_k_hypotheses(pair, gen, patches)
 
 
@@ -1306,7 +1318,7 @@ def test_apex_campaigns_by_shape_match_the_per_observer_loop(cfg, trials, failin
 def _surface_sources(setting, copies):
     """The flood sources of a batch of ``copies`` apex copies: the box
     surface, the apex's neighbourhood, in every copy."""
-    surface = _neighbourhood_plan(attach_apex(setting.box)).rows[setting.apex]
+    surface = _neighbourhood_plan(apexed_graph(setting.box)).rows[setting.apex]
     return surface * _neighbourhood_plan(setting.box).tiled(copies).ones
 
 
@@ -1377,10 +1389,10 @@ def _no_apex(monkeypatch):
     import boundarykit.harness as harness
     import boundarykit.lattice as lattice
 
-    def refuse(g):
+    def refuse(pair):
         raise AssertionError("an apex was attached")
 
-    monkeypatch.setattr(lattice, "attach_apex", refuse)
+    monkeypatch.setattr(lattice, "with_apex", refuse)
     for cached in (harness._box_setting, build_box):
         cached.cache_clear()
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boundarykit import (BoxSpec, EdgeVector, Graph, GraphPair, InputError,
-                         attach_apex, box_shell, build_box, build_box_pair,
+                         box_shell, build_box, build_box_pair,
                          cycle_space_rank, decompose, extra_edge_patches,
                          four_cycle_gen, is_generating, margin_interior,
                          parse_box_spec, with_apex)
@@ -297,6 +297,15 @@ def test_patch_cycle_rejects_bad_edges():
         extra_edge_patches(jump)
 
 
+def test_patch_cycles_need_coordinate_labels():
+    """Patch cycles are walked on coordinates: an unlabelled pair with an
+    augmentation-only edge is refused, and one with none has no patch."""
+    g = Graph(3, [(0, 1), (1, 2)])
+    assert extra_edge_patches(GraphPair(g, g)) == {}
+    with pytest.raises(InputError, match="cube patch cycles need coordinate labels"):
+        extra_edge_patches(GraphPair(g, Graph(3, [(0, 1), (0, 2), (1, 2)])))
+
+
 # --- apex ----------------------------------------------------------------------------
 
 def test_apex_degrees():
@@ -325,14 +334,14 @@ def test_apex_spokes_go_exactly_to_the_shell():
     shell = box_shell(g)
     assert shell == frozenset(v for v, lab in enumerate(g.labels)
                               if 1 in lab or 4 in lab)
-    aug = attach_apex(g)
+    aug = with_apex(GraphPair(g, g)).g
     assert set(aug.adjacency[g.vertex_count]) == shell
 
 
 def test_apex_requires_labels():
     from boundarykit import Graph
     with pytest.raises(InputError, match="labels"):
-        attach_apex(Graph(3, [(0, 1)]))
+        with_apex(GraphPair(*[Graph(3, [(0, 1)])] * 2))
 
 
 @pytest.mark.parametrize("labels", [[()], [(1,), (1, 2)], [(1, 2), ()], []],
@@ -342,7 +351,8 @@ def test_box_labels_are_nonempty_coordinates_of_one_length(labels):
     or no vertex used to end in a ValueError from ``min``."""
     from boundarykit import Graph
     g = Graph(len(labels), [], labels=labels)
-    for refuse in (box_shell, attach_apex, lambda g: margin_interior(g, 1)):
+    for refuse in (box_shell, lambda g: with_apex(GraphPair(g, g)),
+                   lambda g: margin_interior(g, 1)):
         with pytest.raises(InputError, match="one length"):
             refuse(g)
 
