@@ -14,9 +14,10 @@ edges), a subset ``c``, and an observer vertex ``x`` outside ``c``:
 forbidden; endpoints are never counted as internal vertices.
 
 Every operator runs on one private bitmask kernel, ``_report_masks``.
-``full_report`` is the one checked entry for an instance (one vertex
-set for all graphs, ids in range, an observer outside C), and the
-visible and outer-visible views are two of its fields.  Vertex sets
+``full_report`` and the visible and outer-visible views share one
+checked entry, ``_checked`` (one vertex set for all graphs, ids in
+range, an observer outside C); each view then reads one mask of
+``_report_masks``, with no probe components and no report.  Vertex sets
 become int masks, validated once on the way in and turned back into
 frozensets once per result.  Every report leaves through
 ``_report_json``: ``report_to_json`` of a ``BoundaryReport``, or the
@@ -249,14 +250,14 @@ def outer_boundary(g_prime: Graph, c: frozenset) -> frozenset:
 def visible_boundary(g: Graph, g_prime: Graph, c: frozenset, x: int) -> frozenset:
     """Outer-boundary vertices reachable from ``x`` by a ``g``-path that
     avoids ``c``: ``full_report``'s visible set."""
-    return full_report(g, g_prime, g_prime, c, x).visible
+    return _members(_report_masks(*_checked(g, g_prime, g_prime, c, x), x)[1])
 
 
 def outer_visible_boundary(g: Graph, g_prime: Graph, c: frozenset, x: int) -> frozenset:
     """Visible-boundary vertices admitting a ``g``-path from ``x`` (avoiding
     ``c``) with no internal vertex in the visible boundary:
     ``full_report``'s outer-visible set."""
-    return full_report(g, g_prime, g_prime, c, x).outer_visible
+    return _members(_report_masks(*_checked(g, g_prime, g_prime, c, x), x)[2])
 
 
 def full_report(g: Graph, g_prime: Graph, probe: Graph, c: frozenset,
@@ -265,9 +266,17 @@ def full_report(g: Graph, g_prime: Graph, probe: Graph, c: frozenset,
     set inside ``probe``: its component count (the empty set counts as
     one component, matching the convention that it is connected) and,
     when disconnected, the smallest vertices of the two components with
-    the smallest members.  The one checked way into the kernel: it
-    refuses graphs of different sizes, ids out of range (those of ``c``
-    first) and an observer in ``c``."""
+    the smallest members."""
+    trav, adj, cm = _checked(g, g_prime, probe, c, x)
+    fields = _report_fields(trav, adj, _neighbourhood_plan(probe), cm, x)
+    return BoundaryReport(*map(_members, fields[:3]), *fields[3:])
+
+
+def _checked(g: Graph, g_prime: Graph, probe: Graph, c: frozenset, x: int) -> tuple:
+    """The traversal and adjacency plans and the mask of ``c``, after the
+    checks of every entry into the kernel: it refuses graphs of different
+    sizes, ids out of range (those of ``c`` first) and an observer in
+    ``c``."""
     if not g.vertex_count == g_prime.vertex_count == probe.vertex_count:
         raise InputError("all graphs of an instance must share one vertex set")
     adj = _neighbourhood_plan(g_prime)
@@ -275,8 +284,7 @@ def full_report(g: Graph, g_prime: Graph, probe: Graph, c: frozenset,
     g.require_vertex(x)
     if cm >> x & 1:
         raise InputError("the observer must lie outside the subset")
-    fields = _report_fields(_neighbourhood_plan(g), adj, _neighbourhood_plan(probe), cm, x)
-    return BoundaryReport(*map(_members, fields[:3]), *fields[3:])
+    return _neighbourhood_plan(g), adj, cm
 
 
 def report_to_json(report: BoundaryReport, g: Graph) -> dict:

@@ -19,6 +19,8 @@ observer's side — the engine behind the boundary-connectivity checks in
 the verification harness.  It runs on the graph's neighbourhood plan, and
 its scan is one parity test per summand: by the lemma's parity argument,
 an odd crossing into one half implies that the summand touches both.
+Each public name checks its arguments and wraps one mask kernel
+(``_decompose``, ``_crossing_witness``), which campaigns call directly.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from itertools import combinations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, NotInSpanError
-from .graphs import Graph, _bit_ids, _minimal_side, count_components, shortest_path
+from .graphs import (Graph, _bit_ids, _minimal_side, _neighbourhood_plan, _shortest_path,
+                     count_components)
 
 
 def _require_same_host(a: "EdgeVector", b: "EdgeVector") -> None:
@@ -58,10 +61,7 @@ class EdgeVector:
     def from_vertex_path(cls, host: Graph, path: Sequence[int]) -> "EdgeVector":
         """Edge vector of a walk given by its vertex sequence; edges traversed
         an even number of times cancel."""
-        bits = 0
-        for u, v in zip(path, path[1:]):
-            bits ^= 1 << host.edge_id(u, v)
-        return cls(host, bits)
+        return cls(host, _walk_bits(host, path))
 
     def __add__(self, other: "EdgeVector") -> "EdgeVector":
         _require_same_host(self, other)
@@ -92,10 +92,7 @@ class EdgeVector:
 
     def is_even(self) -> bool:
         """Whether every vertex has even degree (cycle-space membership)."""
-        odd = 0
-        for u, v in self.edges():
-            odd ^= (1 << u) | (1 << v)
-        return not odd
+        return not _odd_ends(self.host.edges, self.bits)
 
     def is_cycle(self) -> bool:
         """Nonzero, 2-regular on its touched vertices, and connected."""
@@ -142,6 +139,28 @@ class EdgeVector:
 
     def __repr__(self) -> str:
         return f"EdgeVector({len(self)} edges of {self.host!r})"
+
+
+def _walk_bits(g: Graph, path: Sequence[int]) -> int:
+    """The edge bits of the walk ``path``: XOR, so repeated edges cancel."""
+    ids, bits = g._edge_ids, 0
+    for u, v in zip(path, path[1:]):
+        key = (u, v) if u < v else (v, u)
+        if key not in ids:
+            g.edge_id(u, v)             # raises the missing edge's InputError
+        bits ^= 1 << ids[key]
+    return bits
+
+
+def _odd_ends(edges: tuple, bits: int) -> int:
+    """The mask of the vertices of odd degree in the edges ``bits``."""
+    odd = 0
+    while bits:
+        low = bits & -bits
+        u, v = edges[low.bit_length() - 1]
+        odd ^= (1 << u) | (1 << v)
+        bits ^= low
+    return odd
 
 
 def cycle_space_rank(g: Graph) -> int:
@@ -300,16 +319,21 @@ def decompose(target: EdgeVector, gen: CycleGen) -> List[int]:
     """
     if not gen.host.same_as(target.host):
         raise InputError("target lives outside the generating set's host graph")
-    if not target.is_even():
+    return _decompose(gen, target.bits)
+
+
+def _decompose(gen: CycleGen, bits: int) -> List[int]:
+    """``decompose`` of the edge bits ``bits`` of ``gen``'s host."""
+    if _odd_ends(gen.host.edges, bits):
         raise InputError("target has odd-degree vertices, not a cycle-space element")
-    combo = gen.solve(target.bits)
+    combo = gen.solve(bits)
     if combo is None:
         raise NotInSpanError("target is not in the span of the generating set")
     idxs = _bit_ids(combo)
     acc = 0
     for i in idxs:
         acc ^= gen.cycles[i].bits
-    if acc != target.bits:
+    if acc != bits:
         raise RuntimeError("echelon bookkeeping produced an invalid combination")
     return idxs
 
@@ -327,39 +351,51 @@ def crossing_cycle_witness(g: Graph, gen: CycleGen, s1: frozenset,
     ``s1`` (both exist by minimality), decompose their sum over ``gen``, and
     return the first summand with an odd crossing count.  The scan provably
     succeeds; if it ever does not, that is a bug worth a loud crash, so this
-    raises RuntimeError rather than returning a default.
+    raises RuntimeError rather than returning a default.  The ids are
+    checked first, then ``_crossing_witness`` runs on the halves' masks.
     """
-    if not s1 or not s2:
+    g.require_vertex(x)
+    g.require_vertex(y)
+    mask = _neighbourhood_plan(g).mask
+    return _crossing_witness(g, gen, mask(s1), mask(s2), x, y)
+
+
+def _crossing_witness(g: Graph, gen: CycleGen, s1m: int, s2m: int,
+                      x: int, y: int) -> EdgeVector:
+    """``crossing_cycle_witness`` on the masks ``s1m`` and ``s2m`` of the
+    halves, for vertex ids ``x`` and ``y`` of ``g``."""
+    if not s1m or not s2m:
         raise InputError("both cutset halves must be nonempty")
-    if s1 & s2:
+    if s1m & s2m:
         raise InputError("cutset halves must be disjoint")
-    s = s1 | s2
+    sm = s1m | s2m
     if x == y:
         raise InputError("x and y must differ")
-    if x in s or y in s:
+    if (sm >> x | sm >> y) & 1:
         raise InputError("x and y must avoid the cutset")
     gen._echelon()      # decompose needs it; built first, it gives the span check its rank
     if not is_generating(gen, g):
         raise InputError("the generating set does not span the cycle space")
-    side = _minimal_side(g, s, x, frozenset({y}))     # x's side of g minus s
+    plan = _neighbourhood_plan(g)
+    full = plan.full
+    side = _minimal_side(plan, sm, 1 << y, plan.flood(1 << x, full ^ sm))   # x's side of g − s
     if side is None:
         raise InputError("s1 ∪ s2 is not a minimal cutset between x and y")
 
-    p1 = shortest_path(g, x, y, forbidden=s2)
-    p2 = shortest_path(g, x, y, forbidden=s1)
+    p1 = _shortest_path(g, plan, x, y, full ^ s2m)
+    p2 = _shortest_path(g, plan, x, y, full ^ s1m)
     if p1 is None or p2 is None:
         raise RuntimeError("minimality guaranteed a path around either half; none found")
-    target = (EdgeVector.from_vertex_path(g, p1)
-              + EdgeVector.from_vertex_path(g, p2))
 
     # the edges joining s2 to x's side, each met once from its s2 end
-    crossing = sum(1 << g.edge_id(u, w) for u in s2 for w in g.adjacency[u]
-                   if side >> w & 1)
+    ids = g._edge_ids
+    crossing = sum(1 << ids[(u, w) if u < w else (w, u)]
+                   for u in _bit_ids(s2m) for w in g.adjacency[u] if side >> w & 1)
     # A summand O is an even edge set, so it leaves ``side`` an even number
     # of times, and every edge leaving ``side`` ends in s = s1 ∪ s2.  An odd
     # count into s2 thus forces an odd count into s1: O touches both halves,
     # and no summand needs a separate touch test.
-    for i in decompose(target, gen):
+    for i in _decompose(gen, _walk_bits(g, p1) ^ _walk_bits(g, p2)):
         o = gen.cycles[i]
         if (o.bits & crossing).bit_count() % 2 == 1:
             return o

@@ -414,18 +414,18 @@ def is_cutset(g: Graph, s: frozenset, x: int, target: frozenset) -> bool:
 
 def is_minimal_cutset(g: Graph, s: frozenset, x: int, target: frozenset) -> bool:
     """Whether ``s`` separates ``x`` from ``target`` but no proper subset does."""
-    return _minimal_side(g, s, x, target) is not None
+    plan, sm, tm, side = _separation(g, s, x, target)
+    return _minimal_side(plan, sm, tm, side) is not None
 
 
-def _minimal_side(g: Graph, s: frozenset, x: int, target: frozenset) -> Optional[int]:
-    """The mask of ``x``'s side of ``g`` minus ``s`` when ``s`` is a
-    minimal cutset between ``x`` and ``target``, else None.
+def _minimal_side(plan: _NeighbourhoodPlan, sm: int, tm: int, side: int) -> Optional[int]:
+    """``side``, x's side of the graph minus the mask ``sm``, when ``sm``
+    is a minimal cutset between x and the mask ``tm``, else None.
 
     It suffices that dropping any single member reopens a path, since
     dropping more members only opens more.  Dropping ``v`` reopens one
-    exactly when ``v`` has a neighbour on ``x``'s side of ``g`` minus
-    ``s`` and one on the targets' side, so two floods decide it."""
-    plan, sm, tm, side = _separation(g, s, x, target)
+    exactly when ``v`` has a neighbour in ``side`` and one on the
+    targets' side, so one more flood decides it."""
     if side & tm:
         return None
     targets_side = plan.flood(tm, plan.full ^ sm)
@@ -447,7 +447,11 @@ def shortest_path(g: Graph, x: int, y: int,
     g.require_vertex(x)
     g.require_vertex(y)
     plan = _neighbourhood_plan(g)
-    rest = plan.full ^ plan.mask(forbidden)
+    return _shortest_path(g, plan, x, y, plan.full ^ plan.mask(forbidden))
+
+
+def _shortest_path(g: Graph, plan: _NeighbourhoodPlan, x: int, y: int, rest: int):
+    """``shortest_path`` inside the mask ``rest`` of allowed vertices."""
     xm, frontier = 1 << x, 1 << y
     if not (rest & xm and rest & frontier):
         return None

@@ -62,7 +62,10 @@ each again in batches, for the failure records.
 
 Campaign subsets are int masks from enumeration (``_connected_masks``) or
 sampling (``_grow``) to verdict; frozensets appear only in the public views
-of those two and in failure records.
+of those two and in failure records.  A crossing trial's subset, cutset
+and halves are masks too, from the draw through
+``cyclespace._crossing_witness`` to the postconditions, which flood x's
+side afresh.
 
 Campaigns run their trials in one sequential loop, in batches whose
 records come out in trial order; every trial is a pure function of
@@ -90,13 +93,11 @@ from itertools import filterfalse, islice
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .boundary import _failing_batch, _packed, _report_fields, _report_json, _report_masks
-from .cyclespace import (CycleGen, EdgeVector, _is_clique,
-                         crossing_cycle_witness, fundamental_basis,
-                         is_generating)
+from .cyclespace import (CycleGen, EdgeVector, _crossing_witness, _is_clique,
+                         fundamental_basis, is_generating)
 from .errors import InputError
 from .graphs import (Graph, GraphPair, _bit_ids, _is_id, _mask_json, _members,
-                     _neighbourhood_plan, _Record, _vertex_json, component_of,
-                     vertexset_to_json)
+                     _neighbourhood_plan, _Record, _vertex_json)
 from .lattice import (FLAVORS, BoxSpec, _box_premises, box_shell, build_box,
                       four_cycle_gen, margin_interior)
 
@@ -761,19 +762,26 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
 
 # --- crossing-lemma campaign ------------------------------------------------
 
-def _crossing_postconditions(g: Graph, o: EdgeVector, s1: frozenset,
-                             s2: frozenset, x: int, s: frozenset) -> List[str]:
-    """Definition-level re-verification of a crossing witness; returns the
-    list of violated postconditions (empty = all good)."""
+def _crossing_postconditions(g: Graph, o: EdgeVector, s1m: int, s2m: int,
+                             x: int, sm: int) -> List[str]:
+    """Definition-level re-verification of a crossing witness on the masks
+    of the halves and the cutset, with x's side from its own flood;
+    returns the list of violated postconditions (empty = all good)."""
+    plan = _neighbourhood_plan(g)
+    side = plan.flood(1 << x, plan.full ^ sm)
+    edges, rest = g.edges, o.bits
+    ends = crossing = 0
+    while rest:
+        low = rest & -rest
+        u, v = edges[low.bit_length() - 1]
+        ends |= 1 << u | 1 << v
+        crossing += (s2m >> u & side >> v | s2m >> v & side >> u) & 1
+        rest ^= low
     problems = []
-    edges = o.edges()
-    if not any(u in s1 or v in s1 for u, v in edges):
+    if not ends & s1m:
         problems.append("witness does not touch the first half")
-    if not any(u in s2 or v in s2 for u, v in edges):
+    if not ends & s2m:
         problems.append("witness does not touch the second half")
-    side = component_of(g, x, s)
-    crossing = sum(1 for u, v in edges
-                   if (u in s2 and v in side) or (v in s2 and u in side))
     if crossing % 2 == 0:
         problems.append(f"crossing count {crossing} is even")
     return problems
@@ -816,15 +824,15 @@ def _crossing_trial(index: int, seed_str: str, box: Graph, box_gen: CycleGen,
         instance = _sample_crossing_instance(g, rng, max_size)
         if instance is None:
             continue
-        c, x, y, s, s1, s2 = instance
+        cm, x, y, sm, s1m, s2m = instance
         # The witness checks that s is a minimal cutset; a sampler that
         # produced another kind of set shows up here as a witness error.
         try:
-            o = crossing_cycle_witness(g, gen, s1, s2, x, y)
+            o = _crossing_witness(g, gen, s1m, s2m, x, y)
         except Exception as exc:
             failure = {"kind": "witness-error", "error": str(exc)}
         else:
-            problems = _crossing_postconditions(g, o, s1, s2, x, s)
+            problems = _crossing_postconditions(g, o, s1m, s2m, x, sm)
             if not any(o.bits == member.bits for member in gen.cycles):
                 problems.append("witness is not a member of the generating set")
             if not problems:
@@ -832,19 +840,19 @@ def _crossing_trial(index: int, seed_str: str, box: Graph, box_gen: CycleGen,
             failure = {"kind": "postcondition-failure", "problems": problems,
                        "witness": o.to_json()}
         return {"trial": index, "seed": seed_str,
-                "c": vertexset_to_json(g, c),
+                "c": _mask_json(g, cm),
                 "x": _vertex_json(g, x), "y": _vertex_json(g, y),
-                "s1": vertexset_to_json(g, s1),
-                "s2": vertexset_to_json(g, s2), **failure}
+                "s1": _mask_json(g, s1m),
+                "s2": _mask_json(g, s2m), **failure}
     raise RuntimeError(
         f"trial {index} ({seed_str}) could not sample a usable cutset instance; "
         "the sampler or the configuration is off — refusing to skip silently")
 
 
 def _sample_crossing_instance(g: Graph, rng: random.Random, max_size: int):
-    """One attempt batch at (c, x, y, cutset, halves) on a host graph.
-    The observer x is drawn by rank among the vertices neither in c nor
-    next to it."""
+    """One attempt batch at (c, x, y, cutset, halves) on a host graph, the
+    vertex sets as masks.  The observer x is drawn by rank among the
+    vertices neither in c nor next to it."""
     pool = _sampling_pool(g)
     plan = _neighbourhood_plan(g)
     bits = rng.getrandbits
@@ -863,10 +871,10 @@ def _sample_crossing_instance(g: Graph, rng: random.Random, max_size: int):
         members = _bit_ids(sm)
         _shuffle(bits, members)
         cut = 1 + _below(bits, len(members) - 1)
-        s1, s2 = frozenset(members[:cut]), frozenset(members[cut:])
+        s1m = sum(map((1).__lshift__, members[:cut]))
         ys = _bit_ids(cm)
         y = ys[_below(bits, len(ys))]
-        return _members(cm), x, y, _members(sm), s1, s2
+        return cm, x, y, sm, s1m, sm ^ s1m
     return None
 
 

@@ -198,6 +198,27 @@ def is_minimal_cutset_oracle(vertex_count: int, edges: Sequence[Tuple[int, int]]
     return True
 
 
+def crossing_postconditions_by_sets(g, o, s1: FrozenSet[int], s2: FrozenSet[int],
+                                    x: int, s: FrozenSet[int]) -> List[str]:
+    """The lemma campaign's postconditions of a crossing witness ``o``, on
+    frozensets: the problem list of ``harness._crossing_postconditions``,
+    with x's side of ``g`` minus ``s`` by union-find and ``o``'s edges
+    scanned as pairs."""
+    problems = []
+    edges = o.edges()
+    if not any(u in s1 or v in s1 for u, v in edges):
+        problems.append("witness does not touch the first half")
+    if not any(u in s2 or v in s2 for u, v in edges):
+        problems.append("witness does not touch the second half")
+    rest = set(range(g.vertex_count)) - set(s)
+    side = next(c for c in flood_components(g.edges, rest) if x in c)
+    crossing = sum(1 for u, v in edges
+                   if (u in s2 and v in side) or (v in s2 and u in side))
+    if crossing % 2 == 0:
+        problems.append(f"crossing count {crossing} is even")
+    return problems
+
+
 # --- boundaries --------------------------------------------------------------
 
 def boundary_by_scan(vertex_count: int, prime_edges: Sequence[Tuple[int, int]],

@@ -108,6 +108,12 @@ CONTROLS = [
     ("dp-random-fixed", "verify dp --box z2:7:plain --x [4,4] --trials 300 --seed 6 "
      f"--max-size 5 {_SKIP}",
      1, (300, 300), "b31b5c79c76eaa5952a34f9740032dfd41d3e23ed2a34dad0dc4d09b6e9566b8"),
+    # crossing-lemma campaigns, the README's and one on a z3 box: a passing
+    # report holds config, seeds and counts
+    ("lemma", "verify lemma --box z2:5:plain --trials 3000 --seed 6",
+     0, (3000, 0), "e811a64bb10788686644c388365384704d8aed9c9508cca7b4a008a9229920f6"),
+    ("lemma-z3", "verify lemma --box z3:4:plain --trials 500 --seed 3",
+     0, (500, 0), "9486f19de23c7486d079bab48a1c2994714ddebd96b1013faefccde16431f76a"),
     # premise verdicts: (generators, patch cycles), None where dp has none
     ("hyp-k-z3", "hypotheses k --box z3:7:plain",
      0, (756, 2376), "d94aa975c86b3b0a2a19e5f24615d5d8721aa3b2f8c137b83b545aad8e9f9560"),

@@ -12,10 +12,12 @@ from boundarykit import (BoxSpec, CycleGen, EdgeVector, Graph, GraphPair, InputE
                          fundamental_basis,
                          is_generating, is_minimal_cutset,
                          random_connected_graph)
-from boundarykit.cyclespace import _is_clique
+from boundarykit.cyclespace import _crossing_witness, _is_clique
+from boundarykit.graphs import _neighbourhood_plan
+from boundarykit.harness import _crossing_postconditions
 
-from oracles import (clique_by_pairs, cycle_check_by_degrees, flood_components, gf2_in_span,
-                     gf2_rank_sets, is_minimal_cutset_oracle)
+from oracles import (clique_by_pairs, crossing_postconditions_by_sets, cycle_check_by_degrees,
+                     flood_components, gf2_in_span, gf2_rank_sets, is_minimal_cutset_oracle)
 
 
 def ring(k):
@@ -359,6 +361,22 @@ def test_decompose_rejects_bad_targets():
         decompose(EdgeVector.from_vertex_path(ring(5), [0, 1, 2, 3, 4, 0]), gen)
 
 
+def test_corrupt_echelon_bookkeeping_is_a_loud_crash():
+    """Rows whose combinations sum to the wrong vector are caught by the
+    combination check, in ``decompose`` and in the witness, which runs on
+    the same kernel."""
+    spec = BoxSpec(2, 3, "plain")
+    g = build_box(spec)
+    gen = CycleGen(g, four_cycle_gen(spec).cycles)      # a copy: the box's set is shared
+    gen._rows = {pivot: (row, 0) for pivot, (row, _) in gen._echelon().items()}
+    with pytest.raises(RuntimeError, match="^echelon bookkeeping"):
+        decompose(gen.cycles[1], gen)
+    s1 = frozenset({g.id_of_label((2, 2))})
+    s2 = frozenset({g.id_of_label((3, 1)), g.id_of_label((1, 3))})
+    with pytest.raises(RuntimeError, match="^echelon bookkeeping"):
+        crossing_cycle_witness(g, gen, s1, s2, g.id_of_label((1, 1)), g.id_of_label((3, 3)))
+
+
 @settings(max_examples=50, deadline=None)
 @given(small_graphs(), st.data())
 def test_decompose_roundtrip_and_span_oracle(g, data):
@@ -568,6 +586,26 @@ def _prune_to_minimal_cutset(g, s, x, y):
     return frozenset(s)
 
 
+def _draw_split_cutset(g, data):
+    """``(x, y, s1, s2)``: a minimal cutset between x and y, pruned from a
+    neighbourhood separator of x and split in two; None when there is
+    none with two members."""
+    pool = st.integers(min_value=0, max_value=g.vertex_count - 1)
+    x = data.draw(pool)
+    non_nbrs = [v for v in range(g.vertex_count)
+                if v != x and not g.has_edge(x, v)]
+    if not non_nbrs:
+        return None
+    y = data.draw(st.sampled_from(non_nbrs))
+    s = _prune_to_minimal_cutset(g, set(g.adjacency[x]) - {y}, x, y)
+    if len(s) < 2:
+        return None
+    assert is_minimal_cutset_oracle(g.vertex_count, g.edges, s, x, {y})
+    members = sorted(s)
+    cut = data.draw(st.integers(min_value=1, max_value=len(members) - 1))
+    return x, y, frozenset(members[:cut]), frozenset(members[cut:])
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_graphs(), st.data())
 def test_witness_postconditions_on_random_minimal_cutsets(g, data):
@@ -575,21 +613,50 @@ def test_witness_postconditions_on_random_minimal_cutsets(g, data):
     every witness postcondition against the union-find and edge-scan
     oracle."""
     gen = fundamental_basis(g)
-    pool = st.integers(min_value=0, max_value=g.vertex_count - 1)
-    x = data.draw(pool)
-    non_nbrs = [v for v in range(g.vertex_count)
-                if v != x and not g.has_edge(x, v)]
-    if not non_nbrs:
+    drawn = _draw_split_cutset(g, data)
+    if drawn is None:
         return
-    y = data.draw(st.sampled_from(non_nbrs))
-    s = _prune_to_minimal_cutset(g, set(g.adjacency[x]) - {y}, x, y)
-    if len(s) < 2:
-        return
-    assert is_minimal_cutset_oracle(g.vertex_count, g.edges, s, x, {y})
-    members = sorted(s)
-    cut = data.draw(st.integers(min_value=1, max_value=len(members) - 1))
-    s1, s2 = frozenset(members[:cut]), frozenset(members[cut:])
+    x, y, s1, s2 = drawn
     o = crossing_cycle_witness(g, gen, s1, s2, x, y)
     assert any(o.bits == c.bits for c in gen.cycles)
     touches1, touches2, crossing = _judge_witness(g, o, s1, s2, x)
     assert touches1 and touches2 and crossing % 2 == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(), st.data())
+def test_the_public_witness_is_the_mask_kernel(g, data):
+    """``crossing_cycle_witness`` checks the ids and converts the halves;
+    the vector is the mask kernel's."""
+    drawn = _draw_split_cutset(g, data)
+    if drawn is None:
+        return
+    x, y, s1, s2 = drawn
+    mask = _neighbourhood_plan(g).mask
+    want = _crossing_witness(g, fundamental_basis(g), mask(s1), mask(s2), x, y)
+    assert crossing_cycle_witness(g, fundamental_basis(g), s1, s2, x, y) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(), st.data())
+def test_mask_postconditions_match_the_set_oracle(g, data):
+    """The campaign's postconditions on masks give the frozenset oracle's
+    problem list for every generator, most of which are wrong witnesses,
+    and for the true witness.  The generators are judged before the
+    witness runs, so the postconditions cannot lean on its state."""
+    gen = fundamental_basis(g)
+    drawn = _draw_split_cutset(g, data)
+    if drawn is None:
+        return
+    x, y, s1, s2 = drawn
+    mask = _neighbourhood_plan(g).mask
+    s1m, s2m = mask(s1), mask(s2)
+
+    def agree(o):
+        want = crossing_postconditions_by_sets(g, o, s1, s2, x, s1 | s2)
+        assert _crossing_postconditions(g, o, s1m, s2m, x, s1m | s2m) == want
+        return want
+
+    for c in gen.cycles:
+        agree(c)
+    assert agree(crossing_cycle_witness(g, gen, s1, s2, x, y)) == []

@@ -796,7 +796,7 @@ def test_lemma_non_minimal_cutset_is_a_witness_error(monkeypatch):
     box = build_box(BoxSpec(2, 5, "plain"))
 
     def ids(*coords):
-        return frozenset(box.id_of_label(c) for c in coords)
+        return sum(1 << box.id_of_label(c) for c in coords)
 
     # (2,2) is redundant: the four axis neighbours of (3,3) already cut it off
     s1, s2 = ids((2, 2), (3, 2)), ids((2, 3), (4, 3), (3, 4))
@@ -819,8 +819,8 @@ def test_a_wrong_lemma_witness_is_a_postcondition_failure(monkeypatch):
     first generator fails the definition-level postconditions on 31 of
     40 trials, each record naming exactly the postconditions it breaks."""
     import boundarykit.harness as harness
-    monkeypatch.setattr(harness, "crossing_cycle_witness",
-                        lambda g, gen, s1, s2, x, y: gen.cycles[0])
+    monkeypatch.setattr(harness, "_crossing_witness",
+                        lambda g, gen, s1m, s2m, x, y: gen.cycles[0])
     rep = run_verification(LEMMA_CONTROL)
     assert (rep.trials_run, len(rep.failures)) == (40, 31)
     assert {f["kind"] for f in rep.failures} == {"postcondition-failure"}
@@ -840,18 +840,18 @@ def test_a_witness_outside_the_generating_set_is_a_postcondition_failure(monkeyp
     but is no generator: the membership check alone fails it, on every
     trial where such a generator exists."""
     import boundarykit.harness as harness
-    witness = harness.crossing_cycle_witness
+    witness = harness._crossing_witness
 
     def vertices(o):
         return {v for edge in o.edges() for v in edge}
 
-    def widened(g, gen, s1, s2, x, y):
-        o = witness(g, gen, s1, s2, x, y)
-        used = vertices(o) | s1 | s2
+    def widened(g, gen, s1m, s2m, x, y):
+        o = witness(g, gen, s1m, s2m, x, y)
+        used = vertices(o) | _members(s1m | s2m)
         apart = [other for other in gen.cycles if not used & vertices(other)]
         return o + apart[0] if apart else o
 
-    monkeypatch.setattr(harness, "crossing_cycle_witness", widened)
+    monkeypatch.setattr(harness, "_crossing_witness", widened)
     rep = run_verification(LEMMA_CONTROL)
     assert (rep.trials_run, len(rep.failures)) == (40, 25)
     assert [f["trial"] for f in rep.failures] == [
@@ -896,16 +896,18 @@ def test_lemma_instance_stream_is_pinned(monkeypatch):
     back.  This pins every ``(host vertex count, instance)`` the crossing
     sampler returns, in call order, on three campaigns (z2:5, z3:4 and the
     one-dimensional z1:9 box), and the edge bits of every witness found
-    for them."""
+    for them.  The sampler's vertex sets are masks (the instance's parts
+    0, 3, 4 and 5); each is recorded as its sorted id list."""
     import boundarykit.harness as harness
     sample = harness._sample_crossing_instance
-    witness = harness.crossing_cycle_witness
+    witness = harness._crossing_witness
     draws, witnesses = [], []
 
     def recording(g, rng, max_size):
         instance = sample(g, rng, max_size)
         draws.append([g.vertex_count, instance and [
-            sorted(part) if isinstance(part, frozenset) else part for part in instance]])
+            sorted(_members(part)) if i in (0, 3, 4, 5) else part
+            for i, part in enumerate(instance)]])
         return instance
 
     def recording_witness(*args):
@@ -914,7 +916,7 @@ def test_lemma_instance_stream_is_pinned(monkeypatch):
         return o
 
     monkeypatch.setattr(harness, "_sample_crossing_instance", recording)
-    monkeypatch.setattr(harness, "crossing_cycle_witness", recording_witness)
+    monkeypatch.setattr(harness, "_crossing_witness", recording_witness)
     for box, trials, seed in [(BoxSpec(2, 5, "plain"), 4000, 0),
                               (BoxSpec(3, 4, "plain"), 500, 3),
                               (BoxSpec(1, 9, "plain"), 100, 2)]:
