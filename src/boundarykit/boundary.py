@@ -26,12 +26,16 @@ the dp/k failure records.  A graph's neighbourhood plan
 (``graphs._NeighbourhoodPlan``) maps a mask to its neighbours, ORing one
 neighbour row per vertex for a small mask and otherwise shifting the
 whole mask once per edge difference.  Reachability is a
-level-synchronous flood: ``frontier = expand(frontier) & allowed &
-~seen``.  A flood level then costs one row per frontier vertex or one
-shift pass, as the frontier's size picks, instead of one adjacency scan
-per visited vertex.  This matters because a campaign judges every
-subset and observer, an apex-only subset once per translation class,
-and two of a report's floods cover the whole box.  A report is
+level-synchronous flood: ``frontier = expand(frontier) & rest``, where
+``rest`` is what ``allowed`` holds that no level has reached.  A flood
+level then costs one row per frontier vertex or one shift pass, as the
+frontier's size picks, instead of one adjacency scan per visited vertex;
+on a tiled plan it is ``close(frontier) & rest``, by the plan's passes:
+d one-shift axis passes on the king box (the face-diagonal box in
+d = 2), one pass of every shift otherwise.  This matters because a
+campaign judges every subset and observer, an apex-only subset once per
+translation class, and two of a report's floods cover the whole box.  A
+report is
 
     boundary      = expand_g′(C) & ~C
     visible       = boundary & flood_g(x, ~C)
@@ -173,10 +177,11 @@ def _failing_batch(trav, adj, probe, width: int, shapes, sources: int) -> tuple:
     judges the outside, or one box vertex outside the shape.  In every
     copy the flood is the traversal flood from the source in the box
     minus the shape, and the unreached mask holds the rest of the box
-    minus the shape.  S is the adjacency boundary inside the flood, and
-    the missed mask holds the members of S that the probe flood of S from
-    its lowest vertex misses: the copy fails when its slice of it is not
-    empty.
+    minus the shape.  S is the adjacency boundary inside the flood, taken
+    as the flood's part of C's closed adjacency neighbourhood, as the
+    flood misses C, and the missed mask holds the members of S that the
+    probe flood of S from its lowest vertex misses: the copy fails when
+    its slice of it is not empty.
 
     That copy's verdict is the verdict in ℤ^d, the one on the graphs
     with the apex attached, for every observer in the flood, and for the
@@ -215,7 +220,7 @@ def _failing_batch(trav, adj, probe, width: int, shapes, sources: int) -> tuple:
     ones = trav.ones & batch                # bit 0 of every copy
     allowed = (trav.full & batch) ^ c
     flood = trav.flood(sources, allowed)
-    s = adj.expand(c) & flood
+    s = adj.close(c) & flood
     # a nonempty copy's lowest bit; an empty copy borrows from the next one
     # up, so the batch holds fewer bits than shapes
     seeds = s & ~(s - ones)

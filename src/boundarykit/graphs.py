@@ -4,8 +4,9 @@ Vertices are ``0..vertex_count-1``; an edge is an unordered pair of distinct
 vertices and carries a dense edge id, assigned in lexicographic order of the
 sorted endpoint pairs.  Optional per-vertex labels attach a coordinate tuple
 (used by the lattice builders).  Graphs are immutable once constructed,
-apart from a derived neighbourhood plan that is built on first use and
-kept on the graph; every operation in this module is a pure function.
+apart from a derived neighbourhood plan and, on a labeled graph, a rank of
+its labels, each built on first use and kept on the graph; every
+operation in this module is a pure function.
 
 Vertex sets cross the public API as ``frozenset`` objects over vertex ids.
 Reachability in this module and in the boundary layer runs on int
@@ -21,7 +22,13 @@ every boundary operator and the crossing witness share that one engine;
 no query keeps a vertex queue.
 Every plan also has a ``tiled`` view: ``k`` disjoint copies of the graph
 in one int, so that one flood floods every copy at once.  The boundary
-layer judges its batches of dp/k instances on it.
+layer judges its batches of dp/k instances on it.  A tiled view's
+``close`` maps a mask to itself and its neighbours by passes: one
+one-shift pass per axis, one after the other, where the plan's own shift
+masks prove that the closed neighbourhood factors so (the king box, a
+strong product of paths, and so the 2-D face-diagonal box), else one pass
+that holds all its shifts.  Its ``flood`` runs each level in one frame
+over those passes.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ class Graph:
     """
 
     __slots__ = ("vertex_count", "adjacency", "edges", "labels",
-                 "_edge_ids", "_label_ids", "_plan")
+                 "_edge_ids", "_label_ids", "_plan", "_rank")
 
     def __init__(self, vertex_count: int,
                  edges: Iterable[Sequence[int]],
@@ -107,7 +114,7 @@ class Graph:
             self._label_ids = {lab: i for i, lab in enumerate(labels)}
             if len(self._label_ids) != vertex_count:
                 raise InputError("vertex labels must be pairwise distinct")
-        self._plan = None
+        self._plan = self._rank = None
         return self
 
     @property
@@ -237,12 +244,15 @@ class _NeighbourhoodPlan:
     diagonal steps.  ``rows`` holds each vertex's neighbour mask.
     ``expand`` ORs the rows of a mask with at most as many vertices as the
     plan has shifts, and otherwise runs the shift pass, whose cost does
-    not grow with the mask.  Both passes are exact for every graph; there
-    is no lattice-only path.  ``tiled(k)`` is a view of ``k`` disjoint
-    copies of the plan: the same shifts, each ``low`` repeated in every
-    copy, and no rows, so every mask takes the shift pass and one pass
-    expands every copy.  ``ones`` holds bit 0 of every copy: 1 for a plan
-    that is not tiled.
+    not grow with the mask.  ``close`` maps a mask to itself and its
+    neighbours.  ``tiled(k)`` is a view of ``k`` disjoint copies of the
+    plan: the same shifts, each ``low`` repeated in every copy, and no
+    rows, so every mask takes the shift pass and one pass expands every
+    copy.  ``ones`` holds bit 0 of every copy: 1 for a plan that is not
+    tiled.  A tiled view closes masks, and floods, by the passes of
+    ``_passes``, which factor the closed neighbourhood into one-shift axis
+    passes only once the plan's ``low`` masks prove it.  Every pass is
+    exact for every graph; there is no lattice-only path.
     """
 
     __slots__ = ("vertex_count", "full", "ones", "shifts", "rows", "_row_limit", "_count")
@@ -288,24 +298,66 @@ class _NeighbourhoodPlan:
             m ^= low
         return out
 
-    def tiled(self, k: int) -> "_NeighbourhoodPlan":
+    def close(self, m: int) -> int:
+        """``m`` and the vertices with a neighbour in it."""
+        return m | self.expand(m)
+
+    def tiled(self, k: int) -> "_TiledPlan":
         """``k`` disjoint copies of this plan, copy ``i`` on ids
         ``i·n … i·n + n − 1`` for ``n = vertex_count``.  One
         multiplication repeats each shift's ``low`` mask in every copy; a
         shift joins ``u`` to ``u + δ`` only for ``u`` in ``low``, where
-        both lie in one copy, so no shift crosses a seam.  The view has no
-        rows: every mask takes the shift pass."""
+        both lie in one copy, so no shift crosses a seam, and the passes
+        act on each copy as they act on the plan.  The view has no rows:
+        every mask takes the shift pass."""
         n = self.vertex_count
         ones = ((1 << k * n) - 1) // ((1 << n) - 1) if n else 0    # bit 0 of each copy
-        tile = object.__new__(_NeighbourhoodPlan)
+        tile = object.__new__(_TiledPlan)
         tile.vertex_count = k * n
         tile.full = self.full * ones
         tile.ones = ones
         tile.shifts = tuple((delta, low * ones) for delta, low in self.shifts)
+        lows = dict(tile.shifts)
+        tile.passes = tuple(tuple((delta, lows[delta]) for delta, _ in shifts)
+                            for shifts in self._passes())
         tile.rows = ()
         tile._row_limit = -1
         tile._count = None
         return tile
+
+    def _passes(self) -> tuple:
+        """The closed-neighbourhood passes, each a tuple of shifts that
+        all read the mask as the pass found it; run one after the other,
+        they map a mask to its closed neighbourhood.
+
+        Axes are taken from the differences in ascending order: ``a`` when
+        every translation ``g`` the axes so far compose gives two new
+        ones, ``g ± a``, that are differences too (sorted differences put
+        n − 1 before n, so the smallest difference not yet composed need
+        not be an axis).  ``moves`` maps each composed translation
+        ``Σ e_i·a_i``, ``e_i ∈ {−1, 0, 1}``, to the mask of the vertices
+        that the passes move by it: those whose every axis step starts in
+        the axis's ``low`` (up) or ``low << a`` (down).  Both the
+        composition and the closed neighbourhood map a mask to a union of
+        masked translates of it, so they are equal exactly when they agree
+        on every singleton: when the composed translations are the plan's
+        differences, each once, and the mask of each is the difference's
+        ``low`` (up) or ``low << δ`` (down).  That proof takes O(3^k) int
+        operations for k axes.  A plan it fails for is one pass of all its
+        shifts."""
+        lows = dict(self.shifts)
+        moves = {0: self.full}
+        axes = []
+        for a, low in lows.items():     # ascending
+            if all(abs(g + e) in lows and g + e not in moves for g in moves for e in (a, -a)):
+                axes.append((a, low))
+                for g, m in list(moves.items()):
+                    for t, starts in ((g + a, low), (g - a, low << a)):
+                        moves[t] = m & (starts >> g if g >= 0 else starts << -g)
+        if len(moves) == 3 ** len(axes) == 2 * len(lows) + 1 and all(
+                m == (lows[t] if t > 0 else lows[-t] << -t) for t, m in moves.items() if t):
+            return tuple((axis,) for axis in axes)
+        return (self.shifts,)
 
     def _expand_by_shifts(self, m: int) -> int:
         """``expand`` by one pass over the shifts."""
@@ -344,6 +396,37 @@ class _NeighbourhoodPlan:
         if self._count is None:
             self._count = len(self.components(self.full))
         return self._count
+
+
+class _TiledPlan(_NeighbourhoodPlan):
+    """A ``tiled`` view, which closes and floods by its ``passes``."""
+
+    __slots__ = ("passes",)
+
+    def close(self, m: int) -> int:
+        for shifts in self.passes:
+            out = m
+            for delta, low in shifts:
+                out |= ((m & low) << delta) | ((m >> delta) & low)
+            m = out
+        return m
+
+    def flood(self, seed: int, allowed: int) -> int:
+        """``flood`` with each level in one frame: the frontier's
+        ``close``, less what is not in ``rest``; what is seen is what
+        ``allowed`` has left outside ``rest``."""
+        frontier = seed & allowed
+        rest = allowed ^ frontier
+        passes = self.passes
+        while frontier and rest:
+            for shifts in passes:
+                out = frontier
+                for delta, low in shifts:
+                    out |= ((frontier & low) << delta) | ((frontier >> delta) & low)
+                frontier = out
+            frontier &= rest
+            rest ^= frontier
+        return allowed ^ rest
 
 
 def _neighbourhood_plan(g: Graph) -> _NeighbourhoodPlan:
@@ -483,12 +566,18 @@ def vertexset_to_json(g: Graph, s: frozenset) -> list:
 
 
 def _mask_json(g: Graph, m: int) -> list:
-    """``vertexset_to_json`` of the vertices of ``m``, a mask of ``g``'s ids."""
+    """``vertexset_to_json`` of the vertices of ``m``, a mask of ``g``'s ids.
+    Labeled vertices sort by their place in the sorted labels, ranked once
+    per graph, so no label tuples are compared."""
     ids = _bit_ids(m)                               # ascending
-    if g.labels is None:
-        return ids
     labels = g.labels
-    return [list(lab) for lab in sorted([labels[v] for v in ids])]
+    if labels is None:
+        return ids
+    if g._rank is None:
+        g._rank = [0] * g.vertex_count
+        for i, v in enumerate(sorted(range(g.vertex_count), key=labels.__getitem__)):
+            g._rank[v] = i
+    return [list(labels[v]) for v in sorted(ids, key=g._rank.__getitem__)]
 
 
 def vertexset_from_json(g: Graph, data: list) -> frozenset:

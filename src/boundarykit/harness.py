@@ -55,10 +55,11 @@ It decodes each distinct occupancy into the shape's lowest placement and
 placement count once per pass (90 occupancies for the 3,790 shapes of
 z2:9, size ≤ 8), so listing a shape costs one AND and one dict lookup
 beyond its growth step.
-The batch judge takes one shape per copy (z2:9, size ≤ 8: 3,790 shapes
-in 10 batches for 61,167 trials), and the campaign counts their
-translates.  Only once a shape fails does it walk every subset, judging
-each again in batches, for the failure records.
+The pass hands the campaign whole batches, each with its total of
+placements; the batch judge takes one shape per copy (z2:9, size ≤ 8:
+3,790 shapes in 10 batches for 61,167 trials), and the campaign counts
+their translates.  Only once a shape fails does it walk every subset,
+judging each again in batches, for the failure records.
 
 Campaign subsets are int masks from enumeration (``_connected_masks``) or
 sampling (``_grow``) to verdict; frozensets appear only in the public views
@@ -598,9 +599,12 @@ def _sampled_instances(cfg: TrialConfig, pool: tuple, apex: int) -> Iterator[tup
         yield seed_str, cm, observers
 
 
-def _apex_shapes(cfg: TrialConfig, augmentation: str) -> Iterator[Tuple[int, int]]:
-    """``(mask at its lowest placement, placements)`` per shape of an exhaustive
-    apex campaign, grown from one root at ``(s, …, s, 1)`` of a box of side ``2s − 1``,
+def _apex_shapes(cfg: TrialConfig, augmentation: str,
+                 copies: int) -> Iterator[Tuple[List[int], int]]:
+    """The shapes of an exhaustive apex campaign in batches of ``copies``
+    (the last one may be short): ``(masks, placements)``, each shape's mask
+    at its lowest placement and the batch's total of placements.  They are
+    grown from one root at ``(s, …, s, 1)`` of a box of side ``2s − 1``,
     ``s = min(w, max_size)``, over the ids above it whose last coordinate is ≤ s.
     ``_connected_masks`` ORs each shape's packed value from one tag per vertex:
     bit ``i·side + c_i − 1`` per coordinate (the shape's occupancy of each axis),
@@ -646,13 +650,14 @@ def _apex_shapes(cfg: TrialConfig, augmentation: str) -> Iterator[Tuple[int, int
             | 2 << flag + sum((c + margin - 2) * k for c, k in zip(lab, strides))
             for v, lab in enumerate(host.labels)]
     occupancy, fits = (2 << flag) - 1, {}     # the axis fields and the root flag
+    masks, total = [], 0
     for packed in _connected_masks(host, cfg.max_size, (1 << s * side ** (d - 1)) - (1 << root),
                                    tags):
         key = packed & occupancy
         fit = fits.get(key)
         if fit is None:
             if not key >> flag & 1:
-                return
+                break
             axes, shift, placements = key, flag + 1, 1
             for k in strides:
                 axis, axes = axes & axis_bits, axes >> side
@@ -661,7 +666,13 @@ def _apex_shapes(cfg: TrialConfig, augmentation: str) -> Iterator[Tuple[int, int
                 shift += low * k
             fit = fits[key] = shift, placements
         if fit[1]:
-            yield packed >> fit[0], fit[1]
+            masks.append(packed >> fit[0])
+            total += fit[1]
+            if len(masks) == copies:
+                yield masks, total
+                masks, total = [], 0
+    if masks:
+        yield masks, total
 
 
 def _failure_record(setting: _BoxSetting, surface: int, trial: int,
@@ -701,11 +712,10 @@ def _run_boundary_campaign(cfg: TrialConfig, skip_hypotheses: bool,
     placements = None
     if cfg.mode == "exhaustive" and cfg.x_policy == "apex" and fixed_c is None:
         placements, failed = 0, False
-        shapes = _apex_shapes(cfg, augmentation)
-        while batch := list(islice(shapes, copies)):
-            placements += sum(count for _, count in batch)
-            failed = failed or bool(_failing_batch(*tiles, width, [cm for cm, _ in batch],
-                                                   surfaces & (1 << len(batch) * width) - 1)[1])
+        for masks, count in _apex_shapes(cfg, augmentation, copies):
+            placements += count
+            failed = failed or bool(_failing_batch(*tiles, width, masks,
+                                                   surfaces & (1 << len(masks) * width) - 1)[1])
         if not failed:
             return placements, []
         # a shape fails: the loop below lists every subset for its records

@@ -496,6 +496,86 @@ def test_a_tiled_one_edge_shift_expands_each_copy_as_the_plan_does(g):
         assert_tiles_expand_each_copy(plan, k, g.vertex_count)
 
 
+def assert_tiles_close_and_flood_each_copy(plan, k, seed):
+    """``plan.tiled(k)``'s ``close`` is the mask with its ``expand``, and
+    its ``flood`` is, copy by copy, the untiled plan's flood of that
+    copy's slice.  Singletons at each copy's first and last id would show
+    a pass that leaks across a seam; seeded floods in dense allowed masks
+    take many levels, and a diagonal step through a vertex outside the
+    allowed mask shows a pass whose intermediate mask was cut."""
+    n = plan.vertex_count
+    tile = plan.tiled(k)
+    rng = random.Random(seed)
+    seams = [1 << i * n + v for i in range(k) for v in (0, n - 1)]
+    for m in seams + [rng.getrandbits(k * n) & rng.getrandbits(k * n) for _ in range(8)]:
+        assert tile.close(m) == m | tile.expand(m), bin(m)
+        for allowed in (tile.full, rng.getrandbits(k * n) | rng.getrandbits(k * n)):
+            want = sum(plan.flood(m >> i * n & plan.full, allowed >> i * n & plan.full) << i * n
+                       for i in range(k))
+            assert tile.flood(m, allowed) == want, (bin(m), bin(allowed))
+
+
+def factored_axes(spec):
+    """The strides of the axis passes that the plan of ``spec``'s box must
+    prove, or None for one pass of all shifts: the king box, which is the
+    face-diagonal box in d = 2, from side 3 on.  On side 2 the axis steps
+    share id differences with diagonals, so no composed move is one
+    difference alone."""
+    king = spec.flavor == "star" or spec.flavor == "plus" and spec.d == 2
+    return [spec.side ** i for i in range(spec.d)] if king and spec.side > 2 else None
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("spec", [BoxSpec(d, side, flavor) for d in (2, 3, 4)
+                                  for side in (2, 3, 4, 5) for flavor in ("plain", "plus", "star")],
+                         ids=str)
+def test_tiled_passes_close_and_flood_each_copy(spec, k):
+    """Every flavor's tiled view closes and floods each copy as the plan
+    does; the king boxes by one one-shift pass per axis, in some order,
+    the rest by one pass of all their shifts."""
+    plan = _neighbourhood_plan(build_box(spec))
+    tile = plan.tiled(k)
+    axes = factored_axes(spec)
+    if axes is None:
+        assert tile.passes == (tile.shifts,)
+    else:   # the order of the passes is not pinned: on a box they commute
+        lows = dict(tile.shifts)
+        assert sorted(tile.passes) == [((a, lows[a]),) for a in axes]
+    assert_tiles_close_and_flood_each_copy(plan, k, f"{spec}/{k}")
+
+
+def _king_box_less_one_diagonal(spec):
+    """The king box of ``spec`` less its first edge that moves two
+    coordinates at once, as a labeled ``Graph``: its shifts are the king
+    box's, one ``low`` one bit short."""
+    g = build_box(spec)
+    gone = next(e for e in g.edges
+                if sum(a != b for a, b in zip(g.labels[e[0]], g.labels[e[1]])) == 2)
+    return Graph(g.vertex_count, [e for e in g.edges if e != gone], g.labels)
+
+
+@pytest.mark.parametrize("g", [
+    random_connected_graph(20, 15, "passes"),
+    random_connected_graph(40, 60, "dense passes"),
+    with_apex(build_box_pair(BoxSpec(2, 5, "plain"), "plus")).g_plus,
+    apexed_graph(build_box(BoxSpec(3, 4, "star"))),
+    _king_box_less_one_diagonal(BoxSpec(2, 5, "star")),
+    _king_box_less_one_diagonal(BoxSpec(3, 4, "star")),
+], ids=["random", "random-dense", "apexed-z2:5:plus", "apexed-z3:4:star",
+        "z2:5:star-less-a-diagonal", "z3:4:star-less-a-diagonal"])
+def test_a_plan_the_masks_do_not_factor_is_one_pass(g):
+    """Graphs that are no strong product of paths take one pass of all
+    their shifts, and still close and flood each copy exactly: random
+    graphs, apexed boxes, and king boxes less one diagonal, whose
+    differences pass the axis choice and whose ``low`` masks fail the
+    proof."""
+    plan = _neighbourhood_plan(g)
+    for k in (1, 3):
+        tile = plan.tiled(k)
+        assert tile.passes == (tile.shifts,)
+        assert_tiles_close_and_flood_each_copy(plan, k, g.vertex_count)
+
+
 def failing_copies(missed, width, count):
     """The indices of the copies whose slice of ``missed`` is not empty."""
     return [i for i in range(count) if missed >> i * width & (1 << width) - 1]
@@ -574,7 +654,8 @@ def test_the_batch_judge_fails_the_shapes_the_kernel_fails(cfg, failing):
     batch judge fails exactly the shapes whose apex ``_failing_observers``
     fails."""
     judge = BatchJudge(cfg, 10)
-    shapes = [cm for cm, _ in harness._apex_shapes(cfg, judge.augmentation)]
+    shapes = [cm for masks, _ in harness._apex_shapes(cfg, judge.augmentation, 10)
+              for cm in masks]
     want = [judge.kernel(cm) for cm in shapes]
     assert sum(want) == failing
     assert len(shapes) % 10

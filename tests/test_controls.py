@@ -67,6 +67,9 @@ CONTROLS = [
     # the batch judge on copies of 625 bits, and at a margin other than 2
     ("dp-apex-z4", "verify dp --box z4:5:plain --max-size 4",
      0, (6285, 0), "362c8b4abe1bd03027b080265d9123399aa3b41b7fd3433aac77f94f0540d9d3"),
+    # the first k campaign in d = 4, where the king adjacency closes in four axis passes
+    ("k-apex-z4", "verify k --box z4:6:plain --max-size 3",
+     0, (150616, 0), "66e5d7e757c692656f4e8cc8d4b15c23a2635b67a016a717c435307f9b9fe3c8"),
     ("k-apex-margin3", "verify k --box z3:8:plain --max-size 4 --margin 3",
      0, (58764, 0), "063113de2b8397fe4d7be4713433128b51180153c46b869a953283b7c16c7d66"),
     # frontier shape passes: every polyomino of ≤ 9 cells and every polyplet

@@ -1183,7 +1183,8 @@ def test_a_side_n_plus_2_apex_campaign_lists_every_fixed_animal(theorem, d, coun
     n = len(counts)
     cfg = TrialConfig(theorem=theorem, box=BoxSpec(d, n + 2, "plain"), max_size=n)
     augmentation = harness._augmentation(theorem, cfg.box, None, None)
-    sizes = Counter(cm.bit_count() for cm, _ in harness._apex_shapes(cfg, augmentation))
+    sizes = Counter(cm.bit_count() for masks, _ in harness._apex_shapes(cfg, augmentation, 100)
+                    for cm in masks)
     assert [sizes[size] for size in range(1, n + 1)] == counts
 
 
@@ -1245,7 +1246,9 @@ def _assert_shapes_are_the_classes(cfg, augmentation, classes):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "_connected_masks", growth)
-        shapes = list(harness._apex_shapes(cfg, augmentation))
+        # batches of one shape: each batch's placements are its shape's
+        shapes = [(masks[0], placements)
+                  for masks, placements in harness._apex_shapes(cfg, augmentation, 1)]
     assert sum(flagless) <= 1
     got = {_shape_key(cm): (cm, placements) for cm, placements in shapes}
     assert len(got) == len(shapes)
@@ -1346,7 +1349,8 @@ def test_only_the_translates_of_failing_shapes_get_records(monkeypatch):
     assert rep.trials_run == len(subsets) == 387
     assert [(f["trial"], f["c"]) for f in rep.failures] == [
         (i, vertexset_to_json(g, c)) for i, c in enumerate(subsets) if len(c) % 2]
-    shapes = [cm for cm, _ in harness._apex_shapes(cfg, "plus")]
+    # one batch of the campaign's size: z2:7 has 49 vertices
+    [(shapes, _)] = harness._apex_shapes(cfg, "plus", harness._TILE_BITS // 49)
     assert [batch for batch, _ in batches] == [shapes, [sum(1 << v for v in c) for c in subsets]]
     setting = harness._box_setting("dp", cfg.box, "plus")
     assert [sources for _, sources in batches] == [
@@ -1493,8 +1497,9 @@ def test_a_failing_fixed_campaign_at_margin_2_reports_on_the_box_and_apex(monkey
 def test_a_placement_count_the_listing_disagrees_with_is_an_error(monkeypatch):
     import boundarykit.harness as harness
     shapes = harness._apex_shapes
-    monkeypatch.setattr(harness, "_apex_shapes", lambda cfg, augmentation: (
-        (cm, placements + (cm.bit_count() == 3)) for cm, placements in shapes(cfg, augmentation)))
+    monkeypatch.setattr(harness, "_apex_shapes", lambda cfg, augmentation, copies: (
+        (masks, placements + sum(cm.bit_count() == 3 for cm in masks))
+        for masks, placements in shapes(cfg, augmentation, copies)))
     cfg = TrialConfig(theorem="dp", box=BoxSpec(2, 6, "plain"), max_size=4, probe="plain")
     with pytest.raises(RuntimeError, match="placements"):
         run_verification(cfg, skip_hypotheses=True)
@@ -1514,7 +1519,7 @@ def test_a_failing_apex_campaign_hands_over_to_the_per_instance_loop(
     calls."""
     import boundarykit.harness as harness
     augmentation = cfg.probe or cfg.g_prime
-    assert sum(1 for _ in harness._apex_shapes(cfg, augmentation)) == shapes
+    assert sum(len(masks) for masks, _ in harness._apex_shapes(cfg, augmentation, 7)) == shapes
     judge, batches = harness._failing_batch, []
 
     def counting_judge(*args):
