@@ -25,7 +25,6 @@ Each public name checks its arguments and wraps one mask kernel
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -177,7 +176,9 @@ class CycleGen:
     earlier ones: it never receives a pivot and never appears in a
     decomposition, which is thus the unique combination of the others.
     ``_vertices`` keeps each generator's vertex mask, from the one walk
-    that checks it is a cycle, for the premise checks to read.
+    that checks it is a cycle, for the premise checks to read;
+    ``fundamental_basis`` builds its cycles with their masks and skips
+    the walk (``_trusted``).
     """
 
     __slots__ = ("host", "cycles", "_vertices", "_rows")
@@ -192,6 +193,15 @@ class CycleGen:
         if 0 in self._vertices:
             raise InputError(f"generator {self._vertices.index(0)} is not a cycle")
         self._rows = None
+
+    @classmethod
+    def _trusted(cls, host: Graph, cycles: list, vertices: list) -> "CycleGen":
+        """A generating set of ``cycles``, cycles of ``host`` by
+        construction, with their vertex masks ``vertices``: neither the
+        host check nor the cycle walk runs."""
+        gen = object.__new__(cls)
+        gen.host, gen.cycles, gen._vertices, gen._rows = host, tuple(cycles), vertices, None
+        return gen
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -261,30 +271,47 @@ def fundamental_basis(g: Graph) -> CycleGen:
 
     Each non-tree edge closes exactly one cycle with the tree: the two
     root-to-endpoint tree paths XOR down to the tree path between the
-    endpoints.  Requires a connected host.
+    endpoints.  The tree is built on int masks: each vertex keeps the edge
+    bits and the vertex mask of its path to the root, and its vertex mask
+    is nonzero once it is reached.  A cycle's vertices are the two paths'
+    vertex masks XORed, plus the endpoints' lowest common ancestor, whose
+    path is the two paths' intersection.  A tree path closed by one
+    non-tree edge is a cycle by construction, so ``CycleGen._trusted``
+    takes the cycles and their vertex masks unchecked.  Requires a
+    connected host.
     """
-    if g.vertex_count == 0:
+    n = g.vertex_count
+    if n == 0:
         raise InputError("empty graph has no spanning tree")
-    root_path = [0] * g.vertex_count  # edge bits of the tree path to the root
-    seen = {0}
-    queue = deque([0])
-    tree_edges = set()
-    while queue:
-        v = queue.popleft()
-        for w in g.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                eid = g.edge_id(v, w)
-                tree_edges.add(eid)
-                root_path[w] = root_path[v] ^ (1 << eid)
-                queue.append(w)
-    if len(seen) != g.vertex_count:
+    adjacency, ids = g.adjacency, g._edge_ids
+    path = [0] * n                  # edge bits of the tree path to the root
+    above = [0] * n                 # vertex mask of that path, the vertex included
+    above[0] = 1
+    order = [0]
+    tree = 0
+    for v in order:                 # BFS: ``order`` grows as the loop runs
+        pv, av = path[v], above[v]
+        for w in adjacency[v]:
+            if not above[w]:
+                bit = 1 << ids[(v, w) if v < w else (w, v)]
+                tree |= bit
+                path[w] = pv | bit
+                above[w] = av | 1 << w
+                order.append(w)
+    if len(order) != n:
         raise InputError("graph must be connected for a fundamental basis")
-    cycles = []
-    for eid, (u, v) in enumerate(g.edges):
-        if eid not in tree_edges:
-            cycles.append(EdgeVector(g, root_path[u] ^ root_path[v] ^ (1 << eid)))
-    return CycleGen(g, cycles)
+    vertex_at = {m: 1 << v for v, m in enumerate(above)}   # path mask -> its end
+    edges = g.edges
+    cycles, vertices = [], []
+    rest = ((1 << len(edges)) - 1) ^ tree
+    while rest:                     # the non-tree edges, in id order
+        low = rest & -rest
+        u, v = edges[low.bit_length() - 1]
+        au, av = above[u], above[v]
+        cycles.append(EdgeVector(g, path[u] ^ path[v] | low))
+        vertices.append(au ^ av | vertex_at[au & av])
+        rest ^= low
+    return CycleGen._trusted(g, cycles, vertices)
 
 
 def is_generating(gen: CycleGen, g: Graph) -> bool:

@@ -15,8 +15,9 @@ bitmasks (bit ``v`` set for vertex ``v``) through the private
 ``expand`` maps a mask to the mask of its neighbours, by ORing
 per-vertex neighbour rows when the mask holds few vertices and by one
 whole-int shift per edge difference otherwise, ``flood`` grows a mask
-inside an allowed mask one BFS level per step and stops once the allowed
-mask is filled, and ``components`` peels a mask into its components.
+inside an allowed mask one BFS level per step, each level expanded in
+its own frame by ``expand``'s rule, and stops once the allowed mask is
+filled, and ``components`` peels a mask into its components.
 The component, connectivity, cutset and shortest-path queries here,
 every boundary operator and the crossing witness share that one engine;
 no query keeps a vertex queue.
@@ -252,10 +253,13 @@ class _NeighbourhoodPlan:
     tiled.  A tiled view closes masks, and floods, by the passes of
     ``_passes``, which factor the closed neighbourhood into one-shift axis
     passes only once the plan's ``low`` masks prove it.  Every pass is
-    exact for every graph; there is no lattice-only path.
+    exact for every graph; there is no lattice-only path.  Each view is
+    built once per ``k`` and kept in ``_tiles``, as the plan's graph never
+    changes.
     """
 
-    __slots__ = ("vertex_count", "full", "ones", "shifts", "rows", "_row_limit", "_count")
+    __slots__ = ("vertex_count", "full", "ones", "shifts", "rows", "_row_limit", "_count",
+                 "_tiles")
 
     def __init__(self, g: Graph):
         self.vertex_count = g.vertex_count
@@ -270,7 +274,7 @@ class _NeighbourhoodPlan:
         self.shifts = tuple(sorted(lows.items()))
         self.rows = tuple(rows)
         self._row_limit = len(self.shifts)
-        self._count = None
+        self._count = self._tiles = None
 
     def mask(self, s) -> int:
         """Bitmask of the vertex ids in ``s``, each type- and range-checked."""
@@ -309,7 +313,12 @@ class _NeighbourhoodPlan:
         shift joins ``u`` to ``u + δ`` only for ``u`` in ``low``, where
         both lie in one copy, so no shift crosses a seam, and the passes
         act on each copy as they act on the plan.  The view has no rows:
-        every mask takes the shift pass."""
+        every mask takes the shift pass.  It is built on the first call
+        for ``k`` and kept."""
+        if self._tiles is None:
+            self._tiles = {}
+        elif k in self._tiles:
+            return self._tiles[k]
         n = self.vertex_count
         ones = ((1 << k * n) - 1) // ((1 << n) - 1) if n else 0    # bit 0 of each copy
         tile = object.__new__(_TiledPlan)
@@ -322,7 +331,8 @@ class _NeighbourhoodPlan:
                             for shifts in self._passes())
         tile.rows = ()
         tile._row_limit = -1
-        tile._count = None
+        tile._count = tile._tiles = None
+        self._tiles[k] = tile
         return tile
 
     def _passes(self) -> tuple:
@@ -370,14 +380,25 @@ class _NeighbourhoodPlan:
         """Vertices of ``allowed`` joined to ``seed & allowed`` by a path
         inside ``allowed``, grown one BFS level per step.  The flood stops
         as soon as it has filled ``allowed``: a level after that could
-        expand into nothing, so it is skipped."""
-        seen = frontier = seed & allowed
-        rest = allowed ^ seen
+        expand into nothing, so it is skipped.  Each level is ``expand``
+        in this frame, rows or shift pass by the same rule; what is seen
+        is what ``allowed`` has left outside ``rest``."""
+        frontier = seed & allowed
+        rest = allowed ^ frontier
+        rows, limit, shifts = self.rows, self._row_limit, self.shifts
         while frontier and rest:
-            frontier = self.expand(frontier) & rest
+            out = 0
+            if frontier.bit_count() > limit:
+                for delta, low in shifts:
+                    out |= ((frontier & low) << delta) | ((frontier >> delta) & low)
+            else:
+                while frontier:
+                    low = frontier & -frontier
+                    out |= rows[low.bit_length() - 1]
+                    frontier ^= low
+            frontier = out & rest
             rest ^= frontier
-            seen |= frontier
-        return seen
+        return allowed ^ rest
 
     def components(self, m: int) -> list:
         """Masks of the components of the subgraph induced on ``m``,
@@ -534,15 +555,26 @@ def shortest_path(g: Graph, x: int, y: int,
 
 
 def _shortest_path(g: Graph, plan: _NeighbourhoodPlan, x: int, y: int, rest: int):
-    """``shortest_path`` inside the mask ``rest`` of allowed vertices."""
+    """``shortest_path`` inside the mask ``rest`` of allowed vertices.
+    Each level is ``plan.expand`` in this frame, as in ``flood``."""
     xm, frontier = 1 << x, 1 << y
     if not (rest & xm and rest & frontier):
         return None
+    rows, limit, shifts = plan.rows, plan._row_limit, plan.shifts
     levels = []                     # levels[k]: vertices at distance k from y
     while not frontier & xm:
         rest ^= frontier
         levels.append(frontier)
-        frontier = plan.expand(frontier) & rest
+        out = 0
+        if frontier.bit_count() > limit:
+            for delta, low in shifts:
+                out |= ((frontier & low) << delta) | ((frontier >> delta) & low)
+        else:
+            while frontier:
+                low = frontier & -frontier
+                out |= rows[low.bit_length() - 1]
+                frontier ^= low
+        frontier = out & rest
         if not frontier:
             return None
     path = [x]

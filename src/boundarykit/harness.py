@@ -208,11 +208,12 @@ def _grow(pool, nbrs, size: int, rng: random.Random) -> int:
     """The mask of a connected subset of exactly ``size`` vertices of
     ``pool``, grown from a random start drawn from the seeded ``rng`` by
     popping random frontier entries; up to 64 starts.  Deterministic per
-    seed.  Every draw goes through ``_below``, which draws what
-    ``rng.randrange`` would, so the frontier keeps the order and the stale
-    duplicates that ``pop`` indexes into: the chosen vertices live in a
-    set, each new vertex's unchosen neighbours join in adjacency order,
-    and the mask is built once, at the end."""
+    seed.  Every draw takes what ``rng.randrange`` would: a start by
+    ``_below``, a frontier index by ``_below``'s rule in the loop's own
+    frame.  So the frontier keeps the order and the stale duplicates that
+    ``pop`` indexes into: the chosen vertices live in a set, each new
+    vertex's unchosen neighbours join in adjacency order, and the mask is
+    built once, at the end."""
     if not _is_id(size):
         raise InputError(f"size must be an int, got {size!r}")
     if not 1 <= size <= len(pool):
@@ -223,7 +224,12 @@ def _grow(pool, nbrs, size: int, rng: random.Random) -> int:
         seen = {start}
         frontier = list(nbrs[start])
         while frontier and len(seen) < size:
-            w = frontier.pop(_below(bits, len(frontier)))
+            n = len(frontier)
+            k = n.bit_length()
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            w = frontier.pop(r)
             if w in seen:
                 continue
             seen.add(w)
@@ -241,7 +247,10 @@ def _below(bits, n: int) -> int:
     plus it below ``b − a + 1`` and ``shuffle`` swaps by it, so ``_below``
     draws the same values from the same stream without their frames.  An
     empty range raises ``ValueError``, as ``randrange(0)`` does, instead
-    of rejecting ``getrandbits(0) == 0`` forever."""
+    of rejecting ``getrandbits(0) == 0`` forever.  The hottest loops copy
+    the rule into their own frame, where the range is never empty:
+    ``_shuffle``, the spanning-tree and chord loops of ``_random_graph``
+    and ``_grow``'s frontier loop."""
     k = n.bit_length()
     r = bits(k)
     while r >= n:
@@ -252,10 +261,13 @@ def _below(bits, n: int) -> int:
 
 
 def _shuffle(bits, x: list) -> None:
-    """``Random.shuffle`` of ``x`` in place on ``_below``: the same swaps
-    from the same stream."""
+    """``Random.shuffle`` of ``x`` in place by ``_below``'s rule: the same
+    swaps from the same stream."""
     for i in range(len(x) - 1, 0, -1):
-        j = _below(bits, i + 1)
+        k = (i + 1).bit_length()
+        j = bits(k)
+        while j > i:
+            j = bits(k)
         x[i], x[j] = x[j], x[i]
 
 
@@ -274,20 +286,31 @@ def _random_graph(vertex_count: int, extra_edges: int, rng: random.Random) -> Gr
         raise InputError("need at least one vertex")
     if extra_edges < 0:
         raise InputError(f"extra_edges must be ≥ 0, got {extra_edges}")
+    # every draw below is ``_below``'s rule, in this frame
     bits = rng.getrandbits
     order = list(range(vertex_count))
     _shuffle(bits, order)
     edges = set()
     for i in range(1, vertex_count):
-        u, v = order[i], order[_below(bits, i)]
-        edges.add((min(u, v), max(u, v)))
+        k = i.bit_length()
+        j = bits(k)
+        while j >= i:
+            j = bits(k)
+        u, v = order[i], order[j]
+        edges.add((u, v) if u < v else (v, u))
+    k = vertex_count.bit_length()
     added = attempts = 0
     while added < extra_edges and attempts < 20 * extra_edges + 100:
         attempts += 1
-        u, v = _below(bits, vertex_count), _below(bits, vertex_count)
+        u = bits(k)
+        while u >= vertex_count:
+            u = bits(k)
+        v = bits(k)
+        while v >= vertex_count:
+            v = bits(k)
         if u == v:
             continue
-        e = (min(u, v), max(u, v))
+        e = (u, v) if u < v else (v, u)
         if e not in edges:
             edges.add(e)
             added += 1
@@ -426,9 +449,10 @@ class TrialConfig(_Record):
     graph of ``k`` campaigns (default ``star``) — both exist mainly for
     negative controls.  ``lemma`` campaigns sample their own observers,
     so they refuse any ``x_policy`` but ``apex`` and any ``margin`` but 2,
-    and alternate between the configured box and seeded random connected
-    graphs.  ``max_size``, ``trials``, ``seed``, ``margin`` and
-    ``x_vertex`` must be ints; bools and floats are refused.
+    and alternate between the configured box, which needs d ≥ 2 and
+    side ≥ 2, and seeded random connected graphs.  ``max_size``,
+    ``trials``, ``seed``, ``margin`` and ``x_vertex`` must be ints; bools
+    and floats are refused.
     """
 
     __slots__ = _fields = ("theorem", "box", "mode", "max_size", "trials", "seed",
@@ -477,6 +501,10 @@ class TrialConfig(_Record):
                              "use mode=random (CLI: --trials)")
         if self.theorem != "lemma" and self.box.d < 2:
             raise InputError("boundary campaigns need d ≥ 2 (cycle space is trivial otherwise)")
+        if self.theorem == "lemma" and (self.box.d < 2 or self.box.side < 2):
+            raise InputError("the crossing-lemma campaign needs a box with d ≥ 2 and "
+                             f"side ≥ 2, got {self.box}: every minimal cutset of a tree "
+                             "is one vertex, so no trial could split one on the box")
         _augmentation(self.theorem, self.box, self.probe, self.g_prime)
 
     def echo(self) -> dict:
@@ -802,7 +830,7 @@ def _run_crossing_campaign(cfg: TrialConfig, skip_hypotheses: bool,
     if fixed_c is not None:
         raise InputError("crossing-lemma campaigns sample their own instances")
     box = build_box(cfg.box)
-    box_gen = four_cycle_gen(cfg.box) if cfg.box.d >= 2 else fundamental_basis(box)
+    box_gen = four_cycle_gen(cfg.box)
     if not skip_hypotheses and not is_generating(box_gen, box):
         raise InputError("the box generating set does not span its cycle space")
     failures = []

@@ -19,7 +19,10 @@ campaign or report builds any longer, since each floods from the surface
 instead.  The tests judge that surface rule against this model.  The
 growth oracle, ``connected_subset_by_randrange``, keeps the sampler's
 algorithm too, on the stdlib's ``randrange`` and a bitmask, because the
-draws it takes from the stream are the point.
+draws it takes from the stream are the point; so does the host oracle,
+``random_graph_by_randrange``.  The basis oracle,
+``fundamental_basis_by_queue``, is the queue BFS that
+``fundamental_basis`` replaced, since the cycles' order is the point.
 """
 
 from __future__ import annotations
@@ -324,6 +327,37 @@ def gf2_in_span(vectors: Sequence[Iterable[int]],
     return gf2_rank_sets(list(vectors)) == gf2_rank_sets(list(vectors) + [set(target)])
 
 
+def fundamental_basis_by_queue(g):
+    """The basis oracle: the fundamental cycles of a BFS spanning tree
+    rooted at vertex 0, grown over a vertex queue and a seen-set, each
+    non-tree edge in id order closing one cycle with the two tree paths
+    to the root.  The cycles go through the checked ``CycleGen``
+    constructor, which walks each one.  Requires a connected host."""
+    from boundarykit import CycleGen, EdgeVector, InputError
+    if g.vertex_count == 0:
+        raise InputError("empty graph has no spanning tree")
+    root_path = [0] * g.vertex_count  # edge bits of the tree path to the root
+    seen = {0}
+    queue = deque([0])
+    tree_edges = set()
+    while queue:
+        v = queue.popleft()
+        for w in g.adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                eid = g.edge_id(v, w)
+                tree_edges.add(eid)
+                root_path[w] = root_path[v] ^ (1 << eid)
+                queue.append(w)
+    if len(seen) != g.vertex_count:
+        raise InputError("graph must be connected for a fundamental basis")
+    cycles = []
+    for eid, (u, v) in enumerate(g.edges):
+        if eid not in tree_edges:
+            cycles.append(EdgeVector(g, root_path[u] ^ root_path[v] ^ (1 << eid)))
+    return CycleGen(g, cycles)
+
+
 def cycle_check_by_degrees(vertex_count: int,
                            edges_of_vector: Sequence[Tuple[int, int]]) -> bool:
     """Nonempty, every touched vertex has degree exactly 2, and the touched
@@ -446,3 +480,28 @@ def connected_subset_by_randrange(pool, nbrs, size: int, rng) -> int:
         if count == size:
             return chosen
     return None
+
+
+def random_graph_by_randrange(vertex_count: int, extra_edges: int, rng) -> tuple:
+    """The draw oracle of the random hosts: a spanning tree on a shuffled
+    vertex order, each vertex joined to a random earlier one, then up to
+    ``extra_edges`` random chords in at most ``20·extra_edges + 100``
+    attempts, written with ``rng.shuffle``, ``rng.randrange``, ``min`` and
+    ``max``.  Returns the sorted edge pairs."""
+    order = list(range(vertex_count))
+    rng.shuffle(order)
+    edges = set()
+    for i in range(1, vertex_count):
+        u, v = order[i], order[rng.randrange(i)]
+        edges.add((min(u, v), max(u, v)))
+    added = attempts = 0
+    while added < extra_edges and attempts < 20 * extra_edges + 100:
+        attempts += 1
+        u, v = rng.randrange(vertex_count), rng.randrange(vertex_count)
+        if u == v:
+            continue
+        e = (min(u, v), max(u, v))
+        if e not in edges:
+            edges.add(e)
+            added += 1
+    return tuple(sorted(edges))

@@ -496,6 +496,23 @@ def test_a_tiled_one_edge_shift_expands_each_copy_as_the_plan_does(g):
         assert_tiles_expand_each_copy(plan, k, g.vertex_count)
 
 
+def test_each_tiled_view_is_built_once(monkeypatch):
+    """``tiled(k)`` keeps its view per ``k`` on the plan, which belongs to
+    an immutable graph: a second dp campaign on the same box, whose
+    setting is cached, builds no view and no ``_passes`` proof, and gives
+    the same report."""
+    from boundarykit.graphs import _NeighbourhoodPlan
+    plan = _neighbourhood_plan(build_box(BoxSpec(2, 4, "star")))
+    three = plan.tiled(3)
+    assert plan.tiled(3) is three and plan.tiled(2) is not three
+    assert plan.tiled(2).vertex_count == 2 * plan.vertex_count
+    cfg = harness.TrialConfig(theorem="dp", box=BoxSpec(2, 7, "plain"), max_size=4)
+    first = harness.run_verification(cfg).to_json(include_elapsed=False)
+    monkeypatch.setattr(_NeighbourhoodPlan, "_passes",
+                        lambda self: pytest.fail("a tiled view was built again"))
+    assert harness.run_verification(cfg).to_json(include_elapsed=False) == first
+
+
 def assert_tiles_close_and_flood_each_copy(plan, k, seed):
     """``plan.tiled(k)``'s ``close`` is the mask with its ``expand``, and
     its ``flood`` is, copy by copy, the untiled plan's flood of that

@@ -17,7 +17,8 @@ from boundarykit.graphs import _neighbourhood_plan
 from boundarykit.harness import _crossing_postconditions
 
 from oracles import (clique_by_pairs, crossing_postconditions_by_sets, cycle_check_by_degrees,
-                     flood_components, gf2_in_span, gf2_rank_sets, is_minimal_cutset_oracle)
+                     flood_components, fundamental_basis_by_queue, gf2_in_span, gf2_rank_sets,
+                     is_minimal_cutset_oracle)
 
 
 def ring(k):
@@ -225,6 +226,74 @@ def test_fundamental_basis_edge_cases():
         fundamental_basis(Graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(InputError):
         fundamental_basis(Graph(0, []))
+
+
+def _assert_basis_is_the_oracles(g):
+    """``fundamental_basis`` gives the queue oracle's cycles in its order,
+    on ``g`` itself, and each vertex mask it built unchecked is the one
+    the cycle walk gives."""
+    gen, want = fundamental_basis(g), fundamental_basis_by_queue(g)
+    assert [c.bits for c in gen.cycles] == [c.bits for c in want.cycles]
+    assert all(c.host is g for c in gen.cycles)
+    assert gen._vertices == want._vertices == [c._cycle_vertices() for c in gen.cycles]
+    assert gen._rows is None and len(gen) == cycle_space_rank(g)
+
+
+def basis_hosts():
+    """Hypothesis strategy: seeded random connected graphs of 1–14
+    vertices, trees among them."""
+    return st.builds(
+        random_connected_graph,
+        st.integers(min_value=1, max_value=14),
+        st.integers(min_value=0, max_value=14),
+        st.integers(min_value=0, max_value=10_000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(basis_hosts())
+def test_fundamental_basis_is_the_queue_oracles(g):
+    _assert_basis_is_the_oracles(g)
+
+
+def test_fundamental_basis_is_the_queue_oracles_on_lemma_hosts_and_boxes():
+    """The crossing trial's random hosts, drawn as it draws them (8–16
+    vertices, between a quarter of them and all of them as chords), and
+    boxes, whose BFS trees have long paths and many equal-depth cycles."""
+    import boundarykit.harness as harness
+    for seed in range(300):
+        rng = random.Random(f"basis:{seed}")
+        nv = 8 + rng.randrange(9)
+        least = max(2, nv // 4)
+        _assert_basis_is_the_oracles(
+            harness._random_graph(nv, least + rng.randrange(nv + 1 - least), rng))
+    for spec in (BoxSpec(2, 5, "plain"), BoxSpec(3, 3, "star"), BoxSpec(2, 4, "plus")):
+        _assert_basis_is_the_oracles(build_box(spec))
+
+
+def test_fundamental_basis_refusals_are_the_oracles():
+    for g, message in ((Graph(0, []), "^empty graph has no spanning tree$"),
+                       (Graph(4, [(0, 1), (2, 3)]),
+                        "^graph must be connected for a fundamental basis$"),
+                       (Graph(3, [(1, 2)]), "^graph must be connected")):
+        for build in (fundamental_basis, fundamental_basis_by_queue):
+            with pytest.raises(InputError, match=message):
+                build(g)
+
+
+def test_the_checked_constructor_still_walks_what_the_basis_skips():
+    """``CycleGen(host, cycles)`` keeps both checks: a sum of two
+    fundamental cycles that is not a cycle, and a cycle of another host
+    with the same edge count, are refused; the basis's own cycles pass."""
+    g = Graph(7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (5, 6), (0, 5), (0, 6)])
+    gen = fundamental_basis(g)
+    assert CycleGen(g, gen.cycles)._vertices == gen._vertices
+    figure_eight = gen.cycles[0] + gen.cycles[-1]
+    assert figure_eight.is_even() and not figure_eight.is_cycle()
+    with pytest.raises(InputError, match="^generator 1 is not a cycle$"):
+        CycleGen(g, [gen.cycles[0], figure_eight])
+    other = Graph(7, g.edges[:-1] + ((1, 6),))
+    with pytest.raises(InputError, match="^cycle 0 lives in a different host graph$"):
+        CycleGen(g, [fundamental_basis(other).cycles[0]])
 
 
 def test_fundamental_and_face_bases_span_the_same_space():

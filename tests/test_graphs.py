@@ -174,6 +174,55 @@ def test_connectivity_predicates_match_oracle(g, data):
     assert frozenset().union(*comps) == s if comps else s == frozenset()
 
 
+def _levels(g, seed: set, allowed: set, stop=None) -> list:
+    """Sizes of the BFS levels grown from ``seed`` inside ``allowed`` over
+    adjacency sets, up to the level that holds ``stop``: the frontiers a
+    flood expands."""
+    seen, frontier, sizes = set(seed), set(seed), []
+    while frontier and stop not in frontier:
+        sizes.append(len(frontier))
+        frontier = {w for v in frontier for w in g.adjacency[v] if w in allowed} - seen
+        seen |= frontier
+    return sizes
+
+
+def test_one_frame_floods_and_paths_match_their_oracles():
+    """``flood`` and ``_shortest_path`` expand each level in their own
+    frame, by rows up to the plan's ``_row_limit`` and by the shift pass
+    above it.  Against the union-find components and the queue BFS, on
+    random graphs (many id differences, so a high limit) and boxes (two to
+    thirteen), with dense allowed masks and seeds of one vertex and of
+    more vertices than the limit, so that both ways expand frontiers."""
+    import random
+
+    from boundarykit.graphs import _neighbourhood_plan, _shortest_path
+    graphs = [random_connected_graph(n, e, f"frame:{n}:{e}")
+              for n, e in ((6, 3), (12, 8), (30, 20), (70, 40), (130, 90))]
+    graphs += [build_box(BoxSpec(*spec)) for spec in ((2, 7, "plain"), (2, 6, "plus"),
+                                                      (3, 4, "star"), (3, 5, "plain"))]
+    rng = random.Random("one-frame")
+    covered = {"flood": set(), "path": set()}
+    for g in graphs:
+        plan = _neighbourhood_plan(g)
+        limit, n = plan._row_limit, g.vertex_count
+        for _ in range(12):
+            allowed = {v for v in range(n) if rng.random() < 0.85}
+            am = plan.mask(allowed)
+            for size in (1, min(n, limit + 1 + rng.randrange(4))):
+                seed = set(rng.sample(range(n), size))
+                want = set().union(*(c for c in flood_components(g.edges, allowed)
+                                     if c & seed))
+                assert plan.flood(plan.mask(seed), am) == plan.mask(want)
+                covered["flood"] |= {k > limit for k in _levels(g, seed & allowed, allowed)}
+            x, y = rng.randrange(n), rng.randrange(n)
+            forbidden = set(range(n)) - allowed
+            assert _shortest_path(g, plan, x, y, am) == shortest_path_by_queue(
+                g.adjacency, x, y, forbidden)
+            if x in allowed and y in allowed:
+                covered["path"] |= {k > limit for k in _levels(g, {y}, allowed, stop=x)}
+    assert covered == {"flood": {False, True}, "path": {False, True}}
+
+
 def test_empty_and_singleton_sets_count_as_connected():
     g = Graph(3, [])
     assert set_components(g, frozenset()) == []

@@ -18,11 +18,13 @@ from boundarykit import (BoundaryReport, BoxSpec, CycleGen, EdgeVector, InputErr
                          run_verification, sample_connected_subset,
                          vertexset_to_json)
 
+from boundarykit.cli import main
 from boundarykit.graphs import _members, _neighbourhood_plan
 from boundarykit.harness import _connected_masks
 from oracles import (_failing_observers, apexed_graph, apexed_roles, chordal_by_pairs,
                      connected_by_flood, connected_subset_by_randrange,
-                     connected_subsets_by_growth, connected_subsets_by_powerset)
+                     connected_subsets_by_growth, connected_subsets_by_powerset,
+                     random_graph_by_randrange)
 
 
 # --- exhaustive enumeration -----------------------------------------------------
@@ -288,6 +290,33 @@ def test_growth_draws_what_the_randrange_growth_draws():
                 assert (harness._grow(*pool, size, ours)
                         == connected_subset_by_randrange(*pool, size, theirs))
                 assert ours.getstate() == theirs.getstate()
+
+
+def test_random_hosts_draw_what_the_randrange_hosts_draw():
+    """``random_connected_graph`` and the crossing trial's ``_random_graph``
+    against their draw oracle on ``shuffle``, ``randrange``, ``min`` and
+    ``max``: the same edges and the same stream left behind, on 336
+    (vertex count, extra edges, seed) triples.  They include trees
+    (``extra_edges = 0``), one and two vertices, whose chord draws never
+    land, the lemma's host sizes, and dense requests that run out of
+    attempts before they run out of chords to add."""
+    import random
+
+    import boundarykit.harness as harness
+    shapes = ([(n, e) for n in (1, 2, 3, 5) for e in (0, 1, 4)]
+              + [(n, e) for n in (8, 12, 16) for e in (0, 2, n // 4, n)]
+              + [(6, 15), (7, 40), (9, 60), (40, 30)])
+    triples = [(n, e, seed) for n, e in shapes for seed in range(12)]
+    assert len(triples) == 336
+    full = 0
+    for n, e, seed in triples:
+        want = random_graph_by_randrange(n, e, random.Random(seed))
+        assert random_connected_graph(n, e, seed).edges == want
+        ours, theirs = random.Random(f"host:{seed}"), random.Random(f"host:{seed}")
+        assert harness._random_graph(n, e, ours).edges == random_graph_by_randrange(n, e, theirs)
+        assert ours.getstate() == theirs.getstate()
+        full += len(want) < n - 1 + e and len(want) == n * (n - 1) // 2
+    assert full >= 24      # complete graphs short of their request: the attempt cap binds
 
 
 @pytest.mark.parametrize("vertex_count, extra_edges, message", [
@@ -883,20 +912,29 @@ def test_lemma_campaign_rejects_fixed_subsets():
         run_verification(cfg, fixed_c=frozenset({12}))
 
 
-def test_lemma_campaign_with_one_dimensional_box():
-    cfg = TrialConfig(theorem="lemma", box=BoxSpec(1, 9, "plain"),
-                      mode="random", trials=10, seed=2)
-    rep = run_verification(cfg)
-    assert rep.passed
+def test_lemma_campaign_with_one_dimensional_box(capsys):
+    """A box that is a tree, a path (d = 1) or one vertex (side 1), has
+    only one-vertex minimal cutsets, so no trial could split one on it:
+    the campaign refuses the box, and the CLI exits 2 with the message,
+    instead of passing on its random hosts alone.  z2:2, a 4-cycle, runs."""
+    for box in (BoxSpec(1, 9, "plain"), BoxSpec(2, 1, "plain"), BoxSpec(3, 1, "star")):
+        with pytest.raises(InputError, match="needs a box with d ≥ 2 and side ≥ 2"):
+            TrialConfig(theorem="lemma", box=box, mode="random", trials=10, seed=2)
+        assert main(["verify", "lemma", "--box", str(box), "--trials", "100"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            f"error: the crossing-lemma campaign needs a box with d ≥ 2 and side ≥ 2, "
+            f"got {box}:")
+    assert run_verification(TrialConfig(theorem="lemma", box=BoxSpec(2, 2, "plain"),
+                                        mode="random", trials=10, seed=2)).passed
 
 
 def test_lemma_instance_stream_is_pinned(monkeypatch):
     """A passing report holds only config, seeds and counts, so its digest
     does not depend on which instances were drawn or which witnesses came
     back.  This pins every ``(host vertex count, instance)`` the crossing
-    sampler returns, in call order, on three campaigns (z2:5, z3:4 and the
-    one-dimensional z1:9 box), and the edge bits of every witness found
-    for them.  The sampler's vertex sets are masks (the instance's parts
+    sampler returns, in call order, on three campaigns (z2:5, z3:4 and
+    z2:3), and the edge bits of every witness found for them.  The sampler's vertex sets are masks (the instance's parts
     0, 3, 4 and 5); each is recorded as its sorted id list."""
     import boundarykit.harness as harness
     sample = harness._sample_crossing_instance
@@ -919,17 +957,17 @@ def test_lemma_instance_stream_is_pinned(monkeypatch):
     monkeypatch.setattr(harness, "_crossing_witness", recording_witness)
     for box, trials, seed in [(BoxSpec(2, 5, "plain"), 4000, 0),
                               (BoxSpec(3, 4, "plain"), 500, 3),
-                              (BoxSpec(1, 9, "plain"), 100, 2)]:
+                              (BoxSpec(2, 3, "plain"), 100, 2)]:
         assert run_verification(TrialConfig(theorem="lemma", box=box, mode="random",
                                             trials=trials, seed=seed)).passed
     blob = json.dumps(draws, separators=(",", ":")).encode()
-    assert len(draws) == 4678
+    assert len(draws) == 4628
     assert hashlib.sha256(blob).hexdigest() == (
-        "53240218e859491c7bb8078281207de4d930705e0836ddeb6dad961cbc81e95d")
+        "d5134471d64e071d67037665039f12b98516bc2839bb5d00e4f47e922cd6bf39")
     blob = json.dumps(witnesses, separators=(",", ":")).encode()
     assert len(witnesses) == 4600
     assert hashlib.sha256(blob).hexdigest() == (
-        "e0f1c4a4ae4e9ca74f1dbe767ece778cb4b1928bf76ba523e64188517f79d34e")
+        "17f3a90be4e77cf90dc41d75ef8e21579963eee2aca98103432f63e365f85096")
 
 
 def _per_observer_reference(cfg, fixed_c=None):
